@@ -3,9 +3,11 @@
 
 For every function: the optimal forward phase ordering (exhaustive over all
 pass sequences, digest-pruned) against the iterated degrade-and-reoptimize
-loop at the given k. Winners are decided on the cost key alone; the
-canonical-text tie-break only picks a representative program. Ends with a
-tally of which reverse steps actually appear in winning derivations.
+loop at the given k; the forward column is ibo's own baseline search.
+Winners are decided on the cost key alone; the canonical-text tie-break only
+picks a representative program. A row whose search ran out of
+--budget-programs is marked budget-cut and compares partial results. Ends
+with a tally of which reverse steps actually appear in winning derivations.
 """
 
 import argparse
@@ -15,7 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 from bidiropt.ir import parse_function
-from bidiropt.search import SearchLimits, exhaustive_search, ibo
+from bidiropt.search import BudgetExceeded, SearchLimits, ibo
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,13 +39,19 @@ def main(argv=None):
         print(f"no .ir files under {args.corpus}", file=sys.stderr)
         return 2
 
-    wins, used = 0, Counter()
+    wins, cut, used = 0, 0, Counter()
     print(f"{'function':<22} {'start':>8} {'forward':>8} {'reverse+':>8}  winner")
     t0 = time.monotonic()
     for path in files:
         f = parse_function(path.read_text())
-        ex = exhaustive_search(f, limits=limits)
-        ib = ibo(f, args.k, limits=limits)
+        try:
+            ib = ibo(f, args.k, limits=limits)
+            note = ""
+        except BudgetExceeded as e:
+            ib = e.partial
+            cut += 1
+            note = "  budget-cut" + (" (forward too)" if ib.baseline.budget_exceeded else "")
+        ex = ib.baseline
         a, b = ex.best_key[:-1], ib.best_key[:-1]
         winner = "reverse+" if b < a else ("forward" if a < b else "tie")
         if b < a:
@@ -55,15 +63,15 @@ def main(argv=None):
         print(f"{f.name:<22} {start:>8} "
               f"{','.join(str(x) for x in a):>8} "
               f"{','.join(str(x) for x in b):>8}  {winner}"
-              + (f"  {list(ib.best_provenance)}" if b < a else ""))
+              + note + (f"  {list(ib.best_provenance)}" if b < a else ""))
 
     print(f"\n{len(files)} functions, {wins} strictly improved by reversing, "
-          f"{time.monotonic() - t0:.1f}s")
+          f"{cut} budget-cut, {time.monotonic() - t0:.1f}s")
     if used:
         print("reverse steps in winning derivations:")
         for name, n in used.most_common():
             print(f"  {name:<24} {n}")
-    return 0
+    return 3 if cut else 0
 
 
 if __name__ == "__main__":

@@ -46,9 +46,6 @@ class DomTree:
         kids = [l for l, p in self.idom.items() if p == lbl and l != lbl]
         return sorted(kids, key=lambda l: rank[l])
 
-    def dominance_frontier(self) -> dict[str, set[str]]:
-        raise NotImplementedError  # built by callers that also hold the CFG
-
 
 def compute_dominators(f: Function) -> DomTree:
     """Iterative RPO dataflow (Cooper-Harvey-Kennedy), plenty for small CFGs."""
@@ -110,13 +107,6 @@ class Loop:
 class LoopForest:
     loops: tuple[Loop, ...]
     parent: dict[str, str | None]  # header -> enclosing loop header
-
-    def innermost(self, lbl: str) -> Loop | None:
-        best = None
-        for lp in self.loops:
-            if lbl in lp.body and (best is None or len(lp.body) < len(best.body)):
-                best = lp
-        return best
 
 
 def find_natural_loops(f: Function, dt: DomTree | None = None) -> LoopForest:

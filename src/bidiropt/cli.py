@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation or equivalence failure, 2 usage or
-config error, 3 search budget exceeded (a partial report is still printed).
+config error, or a dynamic-metric workload the program does not finish on
+(trap or step limit; the report names the case), 3 search budget exceeded (a
+partial report is still printed).
 
 Every report is a single JSON object {command, input, config, outcome} so
 runs are comparable across machines; --format text renders the same data
@@ -141,8 +143,14 @@ def _trace(f: Function, steps, cfg: Config, workload=None) -> list:
     g = f
     for step in steps:
         g = replay_sequence(g, [step], cfg.limits())
-        rows.append({"step": step, "key": _key_json(rank_key(g, cfg.model(), workload))})
+        key = rank_key(g, cfg.model(), workload, cfg.step_limit)
+        rows.append({"step": step, "key": _key_json(key)})
     return rows
+
+
+def _diverged_json(wl, e: WorkloadDiverged) -> dict:
+    return {"cases": len(wl.args), "diverged_args": list(e.args),
+            "outcome": e.result.outcome, "reason": e.result.reason}
 
 
 def _search_json(out: SearchOutcome, f: Function, cfg: Config, workload=None) -> dict:
@@ -222,12 +230,7 @@ def cmd_run(args, cfg: Config) -> int:
         try:
             total = dynamic_cost_total(f, wl, limit=cfg.step_limit, model=cfg.model())
         except WorkloadDiverged as e:
-            report["outcome"] = {
-                "cases": len(wl.args),
-                "diverged_args": list(e.args),
-                "outcome": e.result.outcome,
-                "reason": e.result.reason,
-            }
+            report["outcome"] = _diverged_json(wl, e)
             _emit(report, cfg)
             return 0
         report["outcome"] = {"cases": len(wl.args), "dynamic_cost_total": total}
@@ -304,6 +307,10 @@ def cmd_search(args, cfg: Config) -> int:
         report["budget_exceeded"] = True
         _emit(report, cfg)
         return 3
+    except WorkloadDiverged as e:
+        report["outcome"] = _diverged_json(wl, e)
+        _emit(report, cfg)
+        return 2
     report["outcome"] = _search_json(out, f, cfg, wl)
     report["budget_exceeded"] = False
     _emit(report, cfg)
@@ -321,13 +328,16 @@ def cmd_ibo(args, cfg: Config) -> int:
                      iterations_requested=args.iterations)
     try:
         out = ibo(f, args.iterations, cfg.passes, tuple(reverses), cfg.limits(),
-                  cfg.model(), wl, cfg.frontier_policy, cfg.reverse_from,
-                  cfg.single_variant)
+                  cfg.model(), wl)
     except BudgetExceeded as e:
         report["outcome"] = _ibo_json(e.partial, f, cfg, wl)
         report["budget_exceeded"] = True
         _emit(report, cfg)
         return 3
+    except WorkloadDiverged as e:
+        report["outcome"] = _diverged_json(wl, e)
+        _emit(report, cfg)
+        return 2
     report["outcome"] = _ibo_json(out, f, cfg, wl)
     report["budget_exceeded"] = False
     _emit(report, cfg)
@@ -366,7 +376,8 @@ def _dot(graph, cfg: Config) -> str:
 
 
 def cmd_compare(args, cfg: Config) -> int:
-    """Side-by-side exhaustive vs ibo(k=1..K) over a file or a corpus directory."""
+    """Side-by-side exhaustive vs ibo(k=1..K) over a file or a corpus directory.
+    The exhaustive column is ibo's own baseline search."""
     if args.k_max < 0:
         print(f"error: -k must be >= 0, got {args.k_max}", file=sys.stderr)
         return 2
@@ -382,7 +393,7 @@ def cmd_compare(args, cfg: Config) -> int:
     reverses = cfg.reverses if cfg.reverses is not None else REVERSE_PASSES
     rows = []
     better = worse = ties = 0
-    any_budget = any_inequivalent = False
+    any_budget = any_diverged = any_inequivalent = False
     for fp in files:
         f = _load(str(fp))
         wl = _workload(cfg, f, args.workload, count=64)
@@ -390,22 +401,22 @@ def cmd_compare(args, cfg: Config) -> int:
         row = {"file": str(fp), "function": f.name,
                "input_key": _key_json(rank_key(f, model))}
         try:
-            ex = exhaustive_search(f, cfg.passes, cfg.limits(), model, swl)
-        except BudgetExceeded as e:
-            ex = e.partial
-            row["exhaustive_budget_exceeded"] = True
-            any_budget = True
-        try:
-            ib = ibo(f, args.k_max, cfg.passes, tuple(reverses), cfg.limits(),
-                     model, swl, cfg.frontier_policy, cfg.reverse_from,
-                     cfg.single_variant)
+            ib = ibo(f, args.k_max, cfg.passes, tuple(reverses), cfg.limits(), model, swl)
         except BudgetExceeded as e:
             ib = e.partial
             row["ibo_budget_exceeded"] = True
             any_budget = True
+        except WorkloadDiverged as e:
+            row["workload_diverged"] = _diverged_json(wl, e)
+            any_diverged = True
+            rows.append(row)
+            continue
+        ex = ib.baseline
+        if ex.budget_exceeded:
+            row["exhaustive_budget_exceeded"] = True
         row["exhaustive_key"] = _key_json(ex.best_key)
         row["ibo_key"] = _key_json(ib.best_key)
-        row["ibo_keys_by_k"] = {"0": _key_json(ib.baseline.best_key)}
+        row["ibo_keys_by_k"] = {"0": _key_json(ex.best_key)}
         for it in ib.iterations:
             row["ibo_keys_by_k"][str(it.iteration)] = _key_json(it.best_key)
         row["ibo_sequence"] = list(ib.best_provenance)
@@ -439,6 +450,9 @@ def cmd_compare(args, cfg: Config) -> int:
     if cfg.format == "text":
         print(f"{'function':<24} {'exhaustive':<14} {'ibo(k<=' + str(args.k_max) + ')':<14} winner")
         for row in rows:
+            if "workload_diverged" in row:
+                print(f"{row['function']:<24} workload diverged")
+                continue
             ex_s = ",".join(str(v) for v in row["exhaustive_key"])
             ib_s = ",".join(str(v) for v in row["ibo_key"])
             print(f"{row['function']:<24} ({ex_s:<12}) ({ib_s:<12}) {row['winner']}")
@@ -448,6 +462,8 @@ def cmd_compare(args, cfg: Config) -> int:
         _emit(report, cfg)
     if any_inequivalent:
         return 1
+    if any_diverged:
+        return 2
     if any_budget:
         return 3
     return 0
@@ -524,12 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("static", "dynamic"))
     p.add_argument("--workload")
     p.add_argument("--seed", type=int)
-    p.add_argument("--frontier-policy", choices=("cheap-first", "worst-first", "all"),
-                   dest="frontier_policy")
-    p.add_argument("--reverse-from", choices=("frontier", "optimized"),
-                   dest="reverse_from")
-    p.add_argument("--single-variant", action="store_true", default=None,
-                   dest="single_variant")
     p.add_argument("--cap-per-pass", type=int, dest="cap_per_pass")
     p.add_argument("--max-frontier", type=int, dest="ibo_max_frontier")
 
@@ -551,16 +561,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("static", "dynamic"))
     p.add_argument("--workload")
     p.add_argument("--seed", type=int)
-    p.add_argument("--frontier-policy", choices=("cheap-first", "worst-first", "all"),
-                   dest="frontier_policy")
     p.add_argument("--cap-per-pass", type=int, dest="cap_per_pass")
     p.add_argument("--max-frontier", type=int, dest="ibo_max_frontier")
 
     return ap
 
 
-_CFG_FLAGS = ("format", "metric", "step_limit", "seed", "frontier_policy",
-              "reverse_from", "single_variant", "max_sequence_length",
+_CFG_FLAGS = ("format", "metric", "step_limit", "seed", "max_sequence_length",
               "max_programs_explored", "max_instructions_per_program",
               "cap_per_pass", "ibo_max_frontier")
 

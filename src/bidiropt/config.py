@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .cost import CostModel, _DEFAULT_COSTS
-from .search import FRONTIER_POLICIES, SearchLimits
+from .search import SearchLimits
 
 
 class ConfigError(Exception):
@@ -35,9 +35,6 @@ class Config:
     workload: str | None = None             # path to a JSON arg-vector list
     format: str = "json"                    # "json" | "text"
     seed: int = 0
-    frontier_policy: str = "cheap-first"
-    reverse_from: str = "frontier"          # "frontier" | "optimized"
-    single_variant: bool = False
 
     def limits(self) -> SearchLimits:
         return SearchLimits(
@@ -46,6 +43,7 @@ class Config:
             max_instructions_per_program=self.max_instructions_per_program,
             cap_per_pass=self.cap_per_pass,
             ibo_max_frontier=self.ibo_max_frontier,
+            step_limit=self.step_limit,
         )
 
     def model(self) -> CostModel:
@@ -63,10 +61,6 @@ def _check(cfg: Config) -> Config:
         raise ConfigError(f"metric must be 'static' or 'dynamic', got {cfg.metric!r}")
     if cfg.format not in ("json", "text"):
         raise ConfigError(f"format must be 'json' or 'text', got {cfg.format!r}")
-    if cfg.frontier_policy not in FRONTIER_POLICIES:
-        raise ConfigError(f"unknown frontier_policy {cfg.frontier_policy!r}")
-    if cfg.reverse_from not in ("frontier", "optimized"):
-        raise ConfigError(f"reverse_from must be 'frontier' or 'optimized'")
     for name, value in cfg.costs.items():
         if name not in _DEFAULT_COSTS:
             raise ConfigError(f"cost override for unknown opcode {name!r}")

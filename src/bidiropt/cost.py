@@ -1,4 +1,4 @@
-"""Cost model and efficiency metrics.
+"""Cost model and the rank key.
 
 rank_key is the total order the searches minimize: lower static cost wins,
 then fewer instructions, then (optionally) lower dynamic cost, with the
@@ -7,7 +7,6 @@ canonical text as the final deterministic tie-break.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -43,18 +42,6 @@ class CostModel:
 DEFAULT_COST_MODEL = CostModel()
 
 
-class Metric(enum.Enum):
-    STATIC_COST = "static_cost"
-    STATIC_SIZE = "static_size"
-    DYNAMIC_COST = "dynamic_cost"
-
-
-class Efficiency(enum.Enum):
-    MORE_EFFICIENT = "more"
-    LESS_EFFICIENT = "less"
-    TIE = "tie"
-
-
 def static_size(f: Function) -> int:
     """Instruction count, phis and terminators included."""
     return sum(len(b.instrs) for b in f.blocks)
@@ -65,54 +52,24 @@ def static_cost(f: Function, model: CostModel | None = None) -> int:
     return sum(model.cost(ins.opcode) for b in f.blocks for ins in b.instrs)
 
 
-def metric_value(
-    f: Function,
-    metric: Metric,
-    model: CostModel | None = None,
-    workload: "Workload | None" = None,
-) -> int:
-    if metric is Metric.STATIC_COST:
-        return static_cost(f, model)
-    if metric is Metric.STATIC_SIZE:
-        return static_size(f)
-    from .interp import dynamic_cost_total
-
-    if workload is None:
-        raise ValueError("dynamic_cost metric needs a workload")
-    return dynamic_cost_total(f, workload, model=model)
-
-
-def compare_efficiency(
-    f1: Function,
-    f2: Function,
-    metric: Metric = Metric.STATIC_COST,
-    model: CostModel | None = None,
-    workload: "Workload | None" = None,
-) -> Efficiency:
-    """f1 relative to f2 on the chosen metric; lower is more efficient."""
-    a = metric_value(f1, metric, model, workload)
-    b = metric_value(f2, metric, model, workload)
-    if a < b:
-        return Efficiency.MORE_EFFICIENT
-    if a > b:
-        return Efficiency.LESS_EFFICIENT
-    return Efficiency.TIE
-
-
 def rank_key(
     f: Function,
     model: CostModel | None = None,
     workload: "Workload | None" = None,
+    step_limit: int | None = None,
 ) -> tuple:
     """(static_cost, static_size[, dynamic_cost], canonical text); lower is better.
 
     Alpha-equivalent functions get identical keys; the text component makes
-    the order total and every search result deterministic.
+    the order total and every search result deterministic. The dynamic cost
+    runs each workload case under step_limit (the interpreter default when
+    None) and raises WorkloadDiverged if one does not return.
     """
     key: list = [static_cost(f, model), static_size(f)]
     if workload is not None:
-        from .interp import dynamic_cost_total
+        from .interp import DEFAULT_STEP_LIMIT, dynamic_cost_total
 
-        key.append(dynamic_cost_total(f, workload, model=model))
+        limit = DEFAULT_STEP_LIMIT if step_limit is None else step_limit
+        key.append(dynamic_cost_total(f, workload, limit, model))
     key.append(canonical_text(f))
     return tuple(key)

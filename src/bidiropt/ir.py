@@ -483,20 +483,29 @@ class CanonicalDigest:
         return self.hex
 
 
-def canonicalize(f: Function) -> Function:
-    """Alpha-normal form: blocks b0,b1,... in RPO (unreachables appended in
-    original order), values v0,v1,... params-first then definition order.
-    Operand order is preserved; commutative operands are not sorted."""
-    order = block_order_with_unreachable(f)
+def value_order(f: Function, order: list[str] | None = None) -> dict[str, int]:
+    """Canonical value numbering: params first, then definitions in block
+    order (block_order_with_unreachable unless given)."""
+    if order is None:
+        order = block_order_with_unreachable(f)
     index = {b.label: b for b in f.blocks}
-    bmap = {lbl: f"b{i}" for i, lbl in enumerate(order)}
-    vmap: dict[str, str] = {}
+    num: dict[str, int] = {}
     for p in f.params:
-        vmap[p] = f"v{len(vmap)}"
+        num[p] = len(num)
     for lbl in order:
         for ins in index[lbl].instrs:
-            if ins.result is not None and ins.result not in vmap:
-                vmap[ins.result] = f"v{len(vmap)}"
+            if ins.result is not None and ins.result not in num:
+                num[ins.result] = len(num)
+    return num
+
+
+def canonicalize(f: Function) -> Function:
+    """Alpha-normal form: blocks b0,b1,... in RPO (unreachables appended in
+    original order), values v0,v1,... in value_order.
+    Operand order is preserved; commutative operands are not sorted."""
+    order = block_order_with_unreachable(f)
+    bmap = {lbl: f"b{i}" for i, lbl in enumerate(order)}
+    vmap = {name: f"v{i}" for name, i in value_order(f, order).items()}
     g = rename_values(f, vmap)
     g = rename_blocks(g, bmap)
     blocks = sorted(g.blocks, key=lambda b: int(b.label[1:]))
@@ -514,26 +523,6 @@ def canonical_hash(f: Function) -> CanonicalDigest:
 
 # ---------------------------------------------------------------------------
 # validation
-
-def _dominator_sets(f: Function) -> dict[str, set[str]]:
-    """Label -> set of dominating labels, reachable blocks only (iterative)."""
-    order = rpo_order(f)
-    preds = predecessors(f)
-    allb = set(order)
-    dom = {lbl: set(allb) for lbl in order}
-    dom[order[0]] = {order[0]}
-    changed = True
-    while changed:
-        changed = False
-        for lbl in order[1:]:
-            ps = [p for p in preds[lbl] if p in allb]
-            new = set.intersection(*(dom[p] for p in ps)) if ps else set()
-            new.add(lbl)
-            if new != dom[lbl]:
-                dom[lbl] = new
-                changed = True
-    return dom
-
 
 def validate_function(f: Function) -> list[ValidationError]:
     """All structural and SSA rules; empty list means valid."""
@@ -652,10 +641,11 @@ def validate_function(f: Function) -> list[ValidationError]:
         return errs
 
     # dominance over reachable blocks
-    dom = _dominator_sets(f)
-    reachable = set(dom)
+    from .analysis import compute_dominators
+
+    dt = compute_dominators(f)
+    reachable = set(dt.rpo)
     defsite = defined_values(f)
-    index = {b.label: b for b in f.blocks}
 
     def dominates_point(dname: str, use_block: str, use_idx: int) -> bool:
         site = defsite[dname]
@@ -666,7 +656,7 @@ def validate_function(f: Function) -> list[ValidationError]:
             return False
         if dblk == use_block:
             return didx < use_idx
-        return dblk in dom[use_block]
+        return dt.dominates(dblk, use_block)
 
     for b in f.blocks:
         if b.label not in reachable:
@@ -679,7 +669,7 @@ def validate_function(f: Function) -> list[ValidationError]:
                         site = defsite[op.name]
                         if site is not None:
                             dblk, _ = site
-                            if lbl in reachable and not (dblk == lbl or dblk in dom.get(lbl, set())):
+                            if lbl in reachable and not dt.dominates(dblk, lbl):
                                 errs.append(ValidationError(
                                     "DominanceError", b.label,
                                     f"phi incoming %{op.name} does not dominate end of {lbl}"))
@@ -700,15 +690,3 @@ def validate_module(m: Module) -> list[ValidationError]:
     for f in m.functions:
         errs.extend(validate_function(f))
     return errs
-
-
-def load_module(text: str) -> tuple[Module | None, list[str]]:
-    """Parse then validate; error strings from either stage, module on success."""
-    try:
-        m = parse_module(text)
-    except ParseError as e:
-        return None, [str(e)]
-    errs = validate_module(m)
-    if errs:
-        return None, [str(e) for e in errs]
-    return m, []

@@ -33,6 +33,7 @@ from .ir import (
     rpo_order,
     substitute,
     successors,
+    value_order,
 )
 
 
@@ -333,22 +334,6 @@ def _signed(c: int) -> int:
     return c - (1 << 32) if c >= (1 << 31) else c
 
 
-def _canonical_index(f: Function) -> dict[str, int]:
-    order: dict[str, int] = {}
-    for p in f.params:
-        order[p] = len(order)
-    index = {b.label: b for b in f.blocks}
-    seen = set(order)
-    from .ir import block_order_with_unreachable
-
-    for lbl in block_order_with_unreachable(f):
-        for ins in index[lbl].instrs:
-            if ins.result is not None and ins.result not in seen:
-                seen.add(ins.result)
-                order[ins.result] = len(order)
-    return order
-
-
 def _linearize(f: Function, ud, root: Instruction) -> tuple[dict[str, int], int, set[str]]:
     """Collapse the maximal add/sub/mul-by-literal tree under root into
     leaf -> coefficient (mod 2^32), a constant term, and the absorbed defs."""
@@ -395,7 +380,7 @@ def _emit_linear(f: Function, terms: dict[str, int], const: int,
                  namer) -> tuple[list[Instruction], Operand]:
     """Re-emit sum(coeff * leaf) + const in canonical leaf order: positive
     terms as mul/add, negative ones as sub, the constant last."""
-    idx = _canonical_index(f)
+    idx = value_order(f)
     pos = [(idx[n], n, c) for n, c in terms.items() if 0 < _signed(c)]
     neg = [(idx[n], n, (-_signed(c)) & MASK32) for n, c in terms.items() if _signed(c) < 0]
     pos.sort()

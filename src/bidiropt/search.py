@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 
 from .cost import CostModel, DEFAULT_COST_MODEL, rank_key, static_size
 from .ir import CanonicalDigest, Function, canonical_hash
+from .interp import DEFAULT_STEP_LIMIT
 from .passes import FORWARD_PASSES, apply_pass
 from .reverse import REVERSE_PASSES, reverse_variants
-
-FRONTIER_POLICIES = ("cheap-first", "worst-first", "all")
 
 
 @dataclass(frozen=True)
@@ -27,6 +26,7 @@ class SearchLimits:
     max_instructions_per_program: int = 512
     cap_per_pass: int = 8
     ibo_max_frontier: int = 256
+    step_limit: int = DEFAULT_STEP_LIMIT  # per workload run, dynamic metric only
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,7 @@ class SearchOutcome:
     pruned_by_hash: int
     truncated: int
     skipped_oversize: int
+    budget_exceeded: bool = False  # this search itself hit max_programs_explored
 
 
 class BudgetExceeded(Exception):
@@ -88,7 +89,7 @@ def exhaustive_search(f: Function,
     cache = cache if cache is not None else PassCache()
 
     start_digest = canonical_hash(f)
-    start_key = rank_key(f, model, workload)
+    start_key = rank_key(f, model, workload, limits.step_limit)
     visited: set[CanonicalDigest] = {start_digest}
     stats = {"explored": 1, "saturated": 0, "pruned": 0, "truncated": 0, "oversize": 0}
     best = {"key": start_key, "fn": f, "seq": ()}
@@ -120,23 +121,24 @@ def exhaustive_search(f: Function,
             visited.add(cd)
             stats["explored"] += 1
             path.append(name)
-            consider(child, rank_key(child, model, workload))
+            consider(child, rank_key(child, model, workload, limits.step_limit))
             if stats["explored"] >= limits.max_programs_explored:
                 path.pop()
                 raise BudgetExceeded(
                     f"explored {stats['explored']} programs (limit "
-                    f"{limits.max_programs_explored})", _outcome())
+                    f"{limits.max_programs_explored})", _outcome(budget_exceeded=True))
             walk(child, cd)
             path.pop()
         if not any_child:
             stats["saturated"] += 1
 
-    def _outcome() -> SearchOutcome:
+    def _outcome(budget_exceeded: bool = False) -> SearchOutcome:
         return SearchOutcome(
             best_function=best["fn"], best_key=best["key"], best_sequence=best["seq"],
             start_key=start_key, explored=stats["explored"],
             saturated_leaves=stats["saturated"], pruned_by_hash=stats["pruned"],
-            truncated=stats["truncated"], skipped_oversize=stats["oversize"])
+            truncated=stats["truncated"], skipped_oversize=stats["oversize"],
+            budget_exceeded=budget_exceeded)
 
     walk(f, start_digest)
     return _outcome()
@@ -172,27 +174,17 @@ def ibo(f: Function,
         reverses: tuple[str, ...] = REVERSE_PASSES,
         limits: SearchLimits = SearchLimits(),
         model: CostModel = DEFAULT_COST_MODEL,
-        workload=None,
-        frontier_policy: str = "cheap-first",
-        reverse_from: str = "frontier",
-        single_variant: bool = False) -> IboOutcome:
+        workload=None) -> IboOutcome:
     """Reverse-then-optimize around exhaustive search.
 
     Iteration zero is exhaustive search on the input; with iterations=0 the
     result is exactly that baseline. Each following iteration applies every
-    configured reverse pass to every frontier program, exhaustively
-    re-optimizes each variant, and keeps the result only when strictly
-    better. The frontier then becomes the variants themselves (with
-    reverse_from="optimized" it is re-seeded from the current best), ordered
-    by the frontier policy and truncated to ibo_max_frontier.
+    configured reverse pass (up to cap_per_pass variants each) to every
+    frontier program, exhaustively re-optimizes each variant, and keeps the
+    result only when strictly better. The frontier then becomes the variants
+    themselves, cheapest first, truncated to ibo_max_frontier.
     """
-    if frontier_policy not in FRONTIER_POLICIES:
-        raise ValueError(f"unknown frontier policy '{frontier_policy}'")
-    if reverse_from not in ("frontier", "optimized"):
-        raise ValueError(f"unknown reverse_from '{reverse_from}'")
-
     cache = PassCache()
-    cap = 1 if single_variant else limits.cap_per_pass
 
     def run_search(g: Function, budget_left: int) -> tuple[SearchOutcome, bool]:
         key = (canonical_hash(g),)
@@ -224,14 +216,12 @@ def ibo(f: Function,
     frontier: list[tuple[Function, tuple[str, ...]]] = [(f, ())]
 
     for it in range(1, iterations + 1):
-        if reverse_from == "optimized":
-            frontier = [(best_fn, best_prov)]
         produced: list[tuple[Function, tuple[str, ...]]] = []
         seen: set[CanonicalDigest] = set()
         generated = 0
         for member, prov in frontier:
             for rname in reverses:
-                for v in reverse_variants(rname, member, cap=cap):
+                for v in reverse_variants(rname, member, cap=limits.cap_per_pass):
                     generated += 1
                     if static_size(v.function) > limits.max_instructions_per_program:
                         continue
@@ -241,10 +231,7 @@ def ibo(f: Function,
                     seen.add(d)
                     produced.append((v.function, prov + (v.step,)))
 
-        if frontier_policy == "cheap-first":
-            produced.sort(key=lambda pair: rank_key(pair[0], model, workload))
-        elif frontier_policy == "worst-first":
-            produced.sort(key=lambda pair: rank_key(pair[0], model, workload), reverse=True)
+        produced.sort(key=lambda pair: rank_key(pair[0], model, workload, limits.step_limit))
         produced = produced[:limits.ibo_max_frontier]
 
         hits = 0

@@ -187,6 +187,31 @@ def test_ibo_budget_exit_3():
     assert _json(out)["budget_exceeded"] is True
 
 
+_DIVERGED_FIELDS = {"cases", "diverged_args", "outcome", "reason"}
+
+
+def test_ibo_dynamic_diverged_workload_exit_2():
+    # the default random workload of this loop fixture hits the step limit
+    code, out = run_cli("ibo", VALID / "nested_loop.ir", "-k", "1", "--metric", "dynamic")
+    assert code == 2
+    o = _json(out)["outcome"]
+    assert set(o) == _DIVERGED_FIELDS
+    assert o["outcome"] == "steplimit" and len(o["diverged_args"]) == 2
+
+
+@pytest.mark.parametrize("command", ["search", "ibo"])
+def test_dynamic_ranking_uses_configured_step_limit(tmp_path, command):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"step_limit": 3}))
+    extra = ["-k", "1"] if command == "ibo" else []
+    code, out = run_cli("--config", p, command, VALID / "bin2bcd.ir", *extra,
+                        "--metric", "dynamic")
+    assert code == 2
+    o = _json(out)["outcome"]
+    assert o == {"cases": 256, "diverged_args": [0], "outcome": "steplimit",
+                 "reason": None}
+
+
 # --- equiv-class --------------------------------------------------------------------
 
 def test_equiv_class_closed(tmp_path):
@@ -247,6 +272,31 @@ def test_compare_directory_aggregates(tmp_path):
     assert o["ibo_strictly_worse"] == 0
     assert [r["function"] for r in o["rows"]] == ["bin2bcd", "divmul",
                                                   "straightline_ret"]
+
+
+@pytest.mark.parametrize("name,k,budget,flags", [
+    ("bin2bcd", 2, 2, {"exhaustive_budget_exceeded", "ibo_budget_exceeded"}),
+    ("bin2bcd", 2, 3, {"ibo_budget_exceeded"}),
+    # the baseline saturates at its start program; only ibo runs out
+    ("straightline_ret", 1, 1, {"ibo_budget_exceeded"}),
+])
+def test_compare_budget_flags(name, k, budget, flags):
+    code, out = run_cli("compare", VALID / f"{name}.ir", "-k", k,
+                        "--budget-programs", budget)
+    assert code == 3
+    row = _json(out)["outcome"]["rows"][0]
+    assert {key for key in row if key.endswith("budget_exceeded")} == flags
+
+
+def test_compare_dynamic_diverged_row_exit_2(tmp_path):
+    for n in ("nested_loop", "straightline_ret"):
+        shutil.copy(VALID / f"{n}.ir", tmp_path / f"{n}.ir")
+    code, out = run_cli("compare", tmp_path, "-k", "0", "--metric", "dynamic")
+    assert code == 2
+    diverged, ok = _json(out)["outcome"]["rows"]
+    assert set(diverged["workload_diverged"]) == _DIVERGED_FIELDS
+    assert "exhaustive_key" not in diverged
+    assert ok["winner"] == "tie" and "workload_diverged" not in ok
 
 
 def test_compare_empty_directory(tmp_path):

@@ -17,7 +17,6 @@ def test_defaults():
     assert cfg.limits() == SearchLimits()
     assert cfg.model() == CostModel()
     assert cfg.step_limit == 10_000
-    assert cfg.frontier_policy == "cheap-first"
 
 
 def test_load_from_file(tmp_path):
@@ -68,8 +67,6 @@ def test_bad_enum_values_rejected():
         override(Config(), metric="both")
     with pytest.raises(ConfigError):
         override(Config(), format="yaml")
-    with pytest.raises(ConfigError):
-        override(Config(), frontier_policy="random")
 
 
 def test_nonpositive_budgets_rejected():

@@ -6,15 +6,11 @@ import pytest
 
 from bidiropt.cost import (
     CostModel,
-    Efficiency,
-    Metric,
-    compare_efficiency,
-    metric_value,
     rank_key,
     static_cost,
     static_size,
 )
-from bidiropt.interp import Workload, default_workload
+from bidiropt.interp import Workload
 from bidiropt.ir import rename_values
 
 from conftest import load
@@ -76,25 +72,3 @@ def test_rank_key_total_order_breaks_ties_on_text():
     assert rank_key(f)[:-1] == rank_key(g)[:-1]
     assert rank_key(f) != rank_key(g)
     assert rank_key(g) < rank_key(f)  # "aaa" sorts before "bin2bcd"
-
-
-def test_compare_efficiency_directions():
-    lean = load("bin2bcd_mul6")
-    fat = load("bin2bcd")
-    assert compare_efficiency(lean, fat) == Efficiency.MORE_EFFICIENT
-    assert compare_efficiency(fat, lean) == Efficiency.LESS_EFFICIENT
-    assert compare_efficiency(fat, fat) == Efficiency.TIE
-
-
-def test_compare_efficiency_on_size_and_dynamic():
-    lean = load("bin2bcd_mul6")
-    fat = load("bin2bcd")
-    assert compare_efficiency(lean, fat, Metric.STATIC_SIZE) == Efficiency.MORE_EFFICIENT
-    wl = default_workload(fat)
-    assert compare_efficiency(lean, fat, Metric.DYNAMIC_COST,
-                              workload=wl) == Efficiency.MORE_EFFICIENT
-
-
-def test_dynamic_metric_requires_workload():
-    with pytest.raises(ValueError):
-        metric_value(load("bin2bcd"), Metric.DYNAMIC_COST)

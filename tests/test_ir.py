@@ -43,14 +43,52 @@ def test_corpus_validates(path):
     assert validate_function(f) == []
 
 
+INVALID_KINDS = {
+    "arith_on_ptr": {"KindError"},
+    "bad_arity": {"ArityError"},
+    "double_ret": {"TerminatorError"},
+    "dup_def": {"SSAError"},
+    "entry_has_pred": {"StructureError"},
+    "literal_too_big": {"ParseError"},
+    "load_bad_ptr": {"KindError"},
+    "missing_terminator": {"TerminatorError"},
+    "phi_after_body": {"PhiError"},
+    "phi_bad_pred": {"LabelError", "PhiError"},
+    "phi_in_entry": {"PhiError"},
+    "store_to_value": {"KindError"},
+    "undefined_value": {"UseError"},
+    "unknown_label": {"LabelError"},
+    "use_before_def": {"DominanceError"},
+}
+
+
 @pytest.mark.parametrize("path", INVALID_FILES, ids=lambda p: p.stem)
 def test_invalid_corpus_rejected(path):
     text = path.read_text()
     try:
         m = parse_module(text)
     except ParseError:
-        return
-    assert validate_module(m), f"{path.name} unexpectedly validated"
+        kinds = {"ParseError"}
+    else:
+        kinds = {e.kind for e in validate_module(m)}
+    assert kinds == INVALID_KINDS[path.stem]
+
+
+def _diamond(right: str, join: str) -> str:
+    return ("func @f(%x) {\nentry:\n  condbr %x, left, right\n"
+            "left:\n  %a = add %x, 1\n  br join\n"
+            f"right:\n{right}\njoin:\n{join}\n}}\n")
+
+
+@pytest.mark.parametrize("right,join,where", [
+    # a use in one arm of a value defined in the other arm
+    ("  %b = add %a, 2\n  br join", "  ret %x", "right"),
+    # a phi incoming that does not dominate the end of its predecessor
+    ("  br join", "  %p = phi [%a, left], [%a, right]\n  ret %p", "join"),
+], ids=["arm-use", "phi-incoming"])
+def test_cross_block_dominance_rejected(right, join, where):
+    errs = validate_function(parse_function(_diamond(right, join)))
+    assert [(e.kind, e.where) for e in errs] == [("DominanceError", where)]
 
 
 # --- canonicalization ------------------------------------------------------

@@ -148,19 +148,6 @@ def test_ibo_useless_reverse_changes_nothing():
     assert out.best_key == ibo(f, 0).best_key
 
 
-def test_ibo_frontier_policies_agree_on_small_space():
-    f = load("bin2bcd")
-    keys = {p: ibo(f, 2, frontier_policy=p).best_key
-            for p in ("cheap-first", "worst-first", "all")}
-    assert keys["cheap-first"] == keys["worst-first"] == keys["all"]
-
-
-def test_ibo_single_variant_mode_runs():
-    f = load("bin2bcd")
-    out = ibo(f, 1, single_variant=True)
-    assert out.best_key <= out.baseline.best_key
-
-
 def test_ibo_budget_carries_partial_outcome():
     f = load("bin2bcd")
     with pytest.raises(BudgetExceeded) as ei:
