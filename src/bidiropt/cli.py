@@ -432,9 +432,11 @@ def cmd_compare(args, cfg: Config) -> int:
         else:
             row["winner"] = "tie"
             ties += 1
-        eq = (differential_check(f, ex.best_function, wl, limit=cfg.step_limit).equivalent
-              and differential_check(f, ib.best_function, wl, limit=cfg.step_limit).equivalent)
+        reps = [differential_check(f, g, wl, limit=cfg.step_limit)
+                for g in (ex.best_function, ib.best_function)]
+        eq = all(r.equivalent for r in reps)
         row["equivalent"] = eq
+        row["inconclusive_inputs"] = max(r.inconclusive for r in reps)
         if not eq:
             any_inequivalent = True
         rows.append(row)
@@ -448,14 +450,16 @@ def cmd_compare(args, cfg: Config) -> int:
     }
     report = _report("compare", cfg, input={"path": args.path}, outcome=outcome)
     if cfg.format == "text":
-        print(f"{'function':<24} {'exhaustive':<14} {'ibo(k<=' + str(args.k_max) + ')':<14} winner")
+        print(f"{'function':<24} {'exhaustive':<14} {'ibo(k<=' + str(args.k_max) + ')':<14} "
+              f"{'winner':<10} inconclusive")
         for row in rows:
             if "workload_diverged" in row:
                 print(f"{row['function']:<24} workload diverged")
                 continue
             ex_s = ",".join(str(v) for v in row["exhaustive_key"])
             ib_s = ",".join(str(v) for v in row["ibo_key"])
-            print(f"{row['function']:<24} ({ex_s:<12}) ({ib_s:<12}) {row['winner']}")
+            print(f"{row['function']:<24} ({ex_s:<12}) ({ib_s:<12}) {row['winner']:<10} "
+                  f"{row['inconclusive_inputs']}")
         print(f"\nfunctions: {len(rows)}  ibo strictly better: {better}  "
               f"worse: {worse}  ties: {ties}")
     else:

@@ -212,6 +212,7 @@ class DiffReport:
     equivalent: bool
     checked: int
     mismatches: tuple[Mismatch, ...] = ()
+    inconclusive: int = 0  # inputs on which both sides hit the step limit
 
 
 def differential_check(
@@ -224,11 +225,13 @@ def differential_check(
     """Run both functions on every tuple; outcomes must match exactly
     (same value, or same trap reason, or both over the step limit)."""
     mism: list[Mismatch] = []
+    inconclusive = 0
     for args in workload.args:
         r1 = interpret(f1, args, limit=limit)
         r2 = interpret(f2, args, limit=limit)
+        inconclusive += r1.outcome == r2.outcome == "steplimit"
         if not r1.matches(r2):
             mism.append(Mismatch(tuple(args), r1, r2))
             if len(mism) >= stop_at:
                 break
-    return DiffReport(equivalent=not mism, checked=len(workload.args), mismatches=tuple(mism))
+    return DiffReport(not mism, len(workload.args), tuple(mism), inconclusive)

@@ -138,38 +138,45 @@ class ValidationError:
 # ---------------------------------------------------------------------------
 # printing
 
-def _fmt_operand(op: Operand) -> str:
-    return f"%{op.name}" if isinstance(op, ValueRef) else str(op.value)
+def _fmt_operand(op: Operand, vals: dict[str, str]) -> str:
+    return f"%{vals.get(op.name, op.name)}" if isinstance(op, ValueRef) else str(op.value)
 
 
-def _fmt_instr(ins: Instruction) -> str:
+def _fmt_instr(ins: Instruction, vals: dict[str, str], lbls: dict[str, str]) -> str:
+    """One instruction, renamed through vals / lbls (absent names print as they are)."""
     if ins.opcode == "phi":
         inc = ", ".join(
-            f"[{_fmt_operand(v)}, {lbl}]" for v, lbl in zip(ins.operands, ins.labels)
+            f"[{_fmt_operand(v, vals)}, {lbls.get(lbl, lbl)}]"
+            for v, lbl in zip(ins.operands, ins.labels)
         )
-        return f"%{ins.result} = phi {inc}"
+        return f"%{vals.get(ins.result, ins.result)} = phi {inc}"
     if ins.opcode == "alloca":
-        return f"%{ins.result} = alloca"
+        return f"%{vals.get(ins.result, ins.result)} = alloca"
     if ins.opcode == "store":
-        return f"store {_fmt_operand(ins.operands[0])}, {_fmt_operand(ins.operands[1])}"
+        return f"store {_fmt_operand(ins.operands[0], vals)}, {_fmt_operand(ins.operands[1], vals)}"
     if ins.opcode == "ret":
-        return f"ret {_fmt_operand(ins.operands[0])}"
+        return f"ret {_fmt_operand(ins.operands[0], vals)}"
     if ins.opcode == "br":
-        return f"br {ins.labels[0]}"
+        return f"br {lbls.get(ins.labels[0], ins.labels[0])}"
     if ins.opcode == "condbr":
-        return f"condbr {_fmt_operand(ins.operands[0])}, {ins.labels[0]}, {ins.labels[1]}"
-    args = ", ".join(_fmt_operand(o) for o in ins.operands)
-    return f"%{ins.result} = {ins.opcode} {args}"
+        t, e = ins.labels
+        return f"condbr {_fmt_operand(ins.operands[0], vals)}, {lbls.get(t, t)}, {lbls.get(e, e)}"
+    args = ", ".join(_fmt_operand(o, vals) for o in ins.operands)
+    return f"%{vals.get(ins.result, ins.result)} = {ins.opcode} {args}"
+
+
+def _print(f: Function, blocks, vals: dict[str, str], lbls: dict[str, str]) -> str:
+    lines = [f"func @{f.name}({', '.join('%' + vals.get(p, p) for p in f.params)}) {{"]
+    for b in blocks:
+        lines.append(f"{lbls.get(b.label, b.label)}:")
+        for ins in b.instrs:
+            lines.append(f"  {_fmt_instr(ins, vals, lbls)}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def print_function(f: Function) -> str:
-    lines = [f"func @{f.name}({', '.join('%' + p for p in f.params)}) {{"]
-    for b in f.blocks:
-        lines.append(f"{b.label}:")
-        for ins in b.instrs:
-            lines.append(f"  {_fmt_instr(ins)}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _print(f, f.blocks, {}, {})
 
 
 def print_module(m: Module) -> str:
@@ -416,25 +423,6 @@ def substitute(f: Function, mapping: dict[str, Operand]) -> Function:
     return Function(f.name, f.params, tuple(blocks))
 
 
-def rename_values(f: Function, mapping: dict[str, str]) -> Function:
-    """Alpha-rename values (defs and uses); names absent from mapping are kept."""
-    def newname(n: str) -> str:
-        return mapping.get(n, n)
-
-    blocks = []
-    for b in f.blocks:
-        instrs = []
-        for ins in b.instrs:
-            ops = tuple(
-                ValueRef(newname(o.name)) if isinstance(o, ValueRef) else o
-                for o in ins.operands
-            )
-            res = newname(ins.result) if ins.result is not None else None
-            instrs.append(replace(ins, result=res, operands=ops))
-        blocks.append(BasicBlock(b.label, tuple(instrs)))
-    return Function(f.name, tuple(newname(p) for p in f.params), tuple(blocks))
-
-
 def rename_blocks(f: Function, mapping: dict[str, str]) -> Function:
     def newlbl(l: str) -> str:
         return mapping.get(l, l)
@@ -499,26 +487,28 @@ def value_order(f: Function, order: list[str] | None = None) -> dict[str, int]:
     return num
 
 
-def canonicalize(f: Function) -> Function:
-    """Alpha-normal form: blocks b0,b1,... in RPO (unreachables appended in
-    original order), values v0,v1,... in value_order.
-    Operand order is preserved; commutative operands are not sorted."""
-    order = block_order_with_unreachable(f)
-    bmap = {lbl: f"b{i}" for i, lbl in enumerate(order)}
-    vmap = {name: f"v{i}" for name, i in value_order(f, order).items()}
-    g = rename_values(f, vmap)
-    g = rename_blocks(g, bmap)
-    blocks = sorted(g.blocks, key=lambda b: int(b.label[1:]))
-    return Function(g.name, g.params, tuple(blocks))
-
-
 def canonical_text(f: Function) -> str:
-    return print_function(canonicalize(f))
+    """Alpha-normal text: blocks b0,b1,... in RPO (unreachables appended in
+    original order), values v0,v1,... in value_order; operand order is kept.
+    Memoized in the instance __dict__, since a Function is immutable."""
+    text = f.__dict__.get("_canonical_text")
+    if text is None:
+        order = block_order_with_unreachable(f)
+        pos = {lbl: i for i, lbl in enumerate(order)}
+        lbls = {lbl: f"b{i}" for lbl, i in pos.items()}
+        vals = {name: f"v{i}" for name, i in value_order(f, order).items()}
+        blocks = sorted(f.blocks, key=lambda b: pos[b.label])
+        text = f.__dict__["_canonical_text"] = _print(f, blocks, vals, lbls)
+    return text
 
 
 def canonical_hash(f: Function) -> CanonicalDigest:
-    h = hashlib.blake2b(canonical_text(f).encode("utf-8"), digest_size=16)
-    return CanonicalDigest(h.hexdigest())
+    """Digest of canonical_text(f), memoized per object like the text."""
+    digest = f.__dict__.get("_canonical_hash")
+    if digest is None:
+        h = hashlib.blake2b(canonical_text(f).encode("utf-8"), digest_size=16)
+        digest = f.__dict__["_canonical_hash"] = CanonicalDigest(h.hexdigest())
+    return digest
 
 
 # ---------------------------------------------------------------------------

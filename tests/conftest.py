@@ -2,9 +2,20 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from bidiropt.interp import default_workload, load_workload
-from bidiropt.ir import canonical_text, parse_function
+from bidiropt.ir import (
+    BasicBlock,
+    Function,
+    ValueRef,
+    block_order_with_unreachable,
+    canonical_text,
+    parse_function,
+    print_function,
+    rename_blocks,
+    value_order,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 VALID = ROOT / "corpus" / "valid"
@@ -73,6 +84,70 @@ def same_modulo_name(f, g):
     comparisons rename both sides first.
     """
     return canonical_text(replace(f, name="x")) == canonical_text(replace(g, name="x"))
+
+
+def rename_values(f, mapping):
+    """Alpha-rename values (defs and uses); names absent from mapping are kept."""
+    def newname(n):
+        return mapping.get(n, n)
+
+    blocks = []
+    for b in f.blocks:
+        instrs = []
+        for ins in b.instrs:
+            ops = tuple(
+                ValueRef(newname(o.name)) if isinstance(o, ValueRef) else o
+                for o in ins.operands
+            )
+            res = newname(ins.result) if ins.result is not None else None
+            instrs.append(replace(ins, result=res, operands=ops))
+        blocks.append(BasicBlock(b.label, tuple(instrs)))
+    return Function(f.name, tuple(newname(p) for p in f.params), tuple(blocks))
+
+
+def reference_canonical_text(f):
+    """The canonical form built the long way: rename values, rename blocks,
+    sort the blocks, print. ir.canonical_text must match it byte for byte."""
+    order = block_order_with_unreachable(f)
+    bmap = {lbl: f"b{i}" for i, lbl in enumerate(order)}
+    vmap = {name: f"v{i}" for name, i in value_order(f, order).items()}
+    g = rename_blocks(rename_values(f, vmap), bmap)
+    blocks = sorted(g.blocks, key=lambda b: int(b.label[1:]))
+    return print_function(Function(g.name, g.params, tuple(blocks)))
+
+
+OPS2 = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "udiv", "urem",
+        "icmp.eq", "icmp.ne", "icmp.ult", "icmp.ule")
+
+
+@st.composite
+def straightline(draw):
+    """Text of a random single-block program over one or two parameters."""
+    n_params = draw(st.integers(1, 2))
+    n_instrs = draw(st.integers(1, 10))
+    params = [f"p{i}" for i in range(n_params)]
+    avail = list(params)
+    lines = [f"func @gen({', '.join('%' + p for p in params)}) {{", "entry:"]
+    lits = st.one_of(st.integers(0, 7), st.integers(0, 31),
+                     st.sampled_from([0, 1, 2, 255, 0xFFFFFFFF]))
+
+    def operand():
+        if draw(st.booleans()):
+            return f"%{draw(st.sampled_from(avail))}"
+        return str(draw(lits))
+
+    for i in range(n_instrs):
+        name = f"v{i}"
+        if draw(st.integers(0, 9)) == 0:
+            c, a, b = operand(), operand(), operand()
+            lines.append(f"  %{name} = select {c}, {a}, {b}")
+        else:
+            op = draw(st.sampled_from(OPS2))
+            lines.append(f"  %{name} = {op} {operand()}, {operand()}")
+        avail.append(name)
+    lines.append(f"  ret %{avail[-1]}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(params=[p.stem for p in VALID_FILES])

@@ -308,8 +308,23 @@ def test_compare_text_table():
     code, out = run_cli("compare", VALID / "bin2bcd.ir", "-k", "2",
                         "--format", "text")
     assert code == 0
-    assert "winner" in out.splitlines()[0]
+    assert out.splitlines()[0].split()[-2:] == ["winner", "inconclusive"]
+    assert out.splitlines()[1].split()[-2:] == ["ibo", "0"]
     assert "ibo strictly better: 1" in out
+
+
+@pytest.mark.parametrize("name,inconclusive", [
+    # every default random input runs the loop past the step limit on both sides
+    ("loop_licm", 64),
+    # unary: all 256 byte inputs return
+    ("bin2bcd", 0),
+])
+def test_compare_reports_inconclusive_inputs(name, inconclusive):
+    code, out = run_cli("compare", VALID / f"{name}.ir", "-k", "0")
+    assert code == 0
+    row = _json(out)["outcome"]["rows"][0]
+    assert row["equivalent"] is True
+    assert row["inconclusive_inputs"] == inconclusive
 
 
 # --- config and flags ----------------------------------------------------------------

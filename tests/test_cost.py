@@ -11,9 +11,8 @@ from bidiropt.cost import (
     static_size,
 )
 from bidiropt.interp import Workload
-from bidiropt.ir import rename_values
 
-from conftest import load
+from conftest import load, rename_values
 
 
 def test_default_table_spot_values():

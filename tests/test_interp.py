@@ -4,6 +4,7 @@ import pytest
 
 from bidiropt.interp import (
     ExecResult,
+    Workload,
     WorkloadDiverged,
     default_workload,
     differential_check,
@@ -138,6 +139,17 @@ def test_differential_equal_functions():
     assert rep.equivalent
     assert rep.checked == 256
     assert rep.mismatches == ()
+    assert rep.inconclusive == 0
+
+
+def test_differential_counts_both_sides_out_of_steps_as_inconclusive():
+    spin = parse_function("func @f(%x) {\nentry:\n  br loop\nloop:\n  br loop\n}\n")
+    ret = parse_function("func @f(%x) {\nentry:\n  ret %x\n}\n")
+    wl = Workload("w", ((0,), (1,), (2,)))
+    rep = differential_check(spin, spin, wl, limit=50)
+    assert rep.equivalent and rep.inconclusive == 3
+    rep = differential_check(spin, ret, wl, limit=50)
+    assert not rep.equivalent and rep.inconclusive == 0
 
 
 def test_differential_catches_wrong_constant():

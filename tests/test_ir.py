@@ -1,29 +1,39 @@
 """Parser, printer, validator, and canonicalization."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
 
+from bidiropt import ir
 from bidiropt.ir import (
+    Function,
     Literal,
     ParseError,
     ValueRef,
     canonical_hash,
     canonical_text,
-    canonicalize,
     parse_function,
     parse_module,
     predecessors,
     print_function,
     rename_blocks,
-    rename_values,
     rpo_order,
     substitute,
     validate_function,
     validate_module,
 )
+from bidiropt.passes import FORWARD_PASSES, apply_pass
+from bidiropt.reverse import all_reverse_variants
 
-from conftest import INVALID_FILES, VALID_FILES, load
+from conftest import (
+    INVALID_FILES,
+    VALID_FILES,
+    load,
+    reference_canonical_text,
+    rename_values,
+    straightline,
+)
 
 
 # --- round trips -----------------------------------------------------------
@@ -93,12 +103,104 @@ def test_cross_block_dominance_rejected(right, join, where):
 
 # --- canonicalization ------------------------------------------------------
 
-def test_canonicalize_idempotent():
+def test_canonical_text_round_trip_is_a_fixpoint():
     for path in VALID_FILES:
         f = parse_function(path.read_text())
-        c = canonicalize(f)
-        assert canonical_text(c) == canonical_text(f)
-        assert print_function(c) == canonical_text(f)
+        assert canonical_text(parse_function(canonical_text(f))) == canonical_text(f)
+
+
+def _parseable(path):
+    try:
+        return parse_module(path.read_text()).functions
+    except ParseError:
+        return ()
+
+
+@pytest.mark.parametrize("path", VALID_FILES + INVALID_FILES,
+                         ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_canonical_text_matches_reference(path):
+    for f in _parseable(path):
+        assert canonical_text(f) == reference_canonical_text(f)
+
+
+@pytest.mark.parametrize("path", VALID_FILES, ids=lambda p: p.stem)
+def test_canonical_text_matches_reference_on_reverse_variants(path):
+    # split blocks, phis and allocas that the corpus alone does not have
+    for v in all_reverse_variants(parse_function(path.read_text()), cap=8):
+        assert canonical_text(v.function) == reference_canonical_text(v.function), v.step
+
+
+@given(straightline())
+@settings(max_examples=120, deadline=None)
+def test_canonical_text_matches_reference_on_generated(text):
+    f = parse_function(text)
+    assert canonical_text(f) == reference_canonical_text(f)
+
+
+# an unreachable block keeps its place after the reachable ones
+UNREACHABLE_BLOCK = ("func @f(%x) {\nentry:\n  br exit\ndead:\n  %d = add %y, 1\n  br exit\n"
+                     "exit:\n  %p = phi [%x, entry], [%d, dead]\n  ret %p\n}\n")
+# an undefined value and an unknown label print as they are
+UNDEFINED_NAMES = ("func @g(%x) {\nentry:\n  %a = add %x, %ghost\n  condbr %a, nowhere, out\n"
+                   "out:\n  ret %a\n}\n")
+
+
+@pytest.mark.parametrize("text,lines,expected", [
+    (UNREACHABLE_BLOCK, slice(1, None), [
+        "b0:", "  br b1", "b1:", "  %v1 = phi [%v0, b0], [%v2, b2]", "  ret %v1",
+        "b2:", "  %v2 = add %y, 1", "  br b1", "}"]),
+    (UNDEFINED_NAMES, slice(2, 4), ["  %v1 = add %v0, %ghost", "  condbr %v1, nowhere, b1"]),
+], ids=["unreachable-block", "undefined-names"])
+def test_canonical_text_of_odd_shapes(text, lines, expected):
+    f = parse_function(text)
+    assert canonical_text(f) == reference_canonical_text(f)
+    assert canonical_text(f).splitlines()[lines] == expected
+
+
+# --- the per-object memo -----------------------------------------------------
+
+def test_memo_is_not_shared_with_derived_functions():
+    f = load("bin2bcd")
+    canonical_hash(f)
+    g = replace(f, name="renamed")
+    assert canonical_text(g) == reference_canonical_text(g) != canonical_text(f)
+    assert canonical_hash(g) != canonical_hash(f)
+    for path in VALID_FILES:
+        f = parse_function(path.read_text())
+        canonical_hash(f)
+        for name in FORWARD_PASSES:
+            out = apply_pass(name, f)
+            assert canonical_text(out.function) == reference_canonical_text(out.function), name
+            assert out.changed == (canonical_hash(out.function) != canonical_hash(f)), name
+
+
+def test_memo_leaves_dataclass_identity_alone():
+    f, g = load("diamond"), load("diamond")
+    before = (repr(f), hash(f), [x.name for x in fields(f)])
+    canonical_text(f)
+    canonical_hash(f)
+    assert f == g and hash(f) == hash(g)
+    assert (repr(f), hash(f), [x.name for x in fields(f)]) == before
+    assert [x.name for x in fields(Function)] == ["name", "params", "blocks"]
+
+
+def test_one_object_is_printed_once(monkeypatch):
+    calls = []
+    real = ir._print
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ir, "_print", counting)
+    f = load("bin2bcd")
+    text = canonical_text(f)
+    assert canonical_text(f) is text
+    canonical_hash(f)
+    canonical_hash(f)
+    assert len(calls) == 1
+    canonical_text(load("bin2bcd"))  # an equal but distinct object prints again
+    assert len(calls) == 2
 
 
 def test_canonical_hash_ignores_value_names():

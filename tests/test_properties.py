@@ -1,11 +1,12 @@
 """Property-based checks over generated straight-line programs.
 
-The generator emits program text, so the parser is part of every property.
-Programs may trap (udiv by a value that happens to be zero); equivalence
-checking treats matching traps as agreement, same as everywhere else.
+The generator (conftest.straightline) emits program text, so the parser is
+part of every property. Programs may trap (udiv by a value that happens to
+be zero); equivalence checking treats matching traps as agreement, same as
+everywhere else.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from bidiropt.analysis import known_bits
 from bidiropt.cost import rank_key
@@ -15,49 +16,16 @@ from bidiropt.ir import (
     canonical_text,
     parse_function,
     print_function,
-    rename_values,
     validate_function,
 )
 from bidiropt.passes import FORWARD_PASSES, apply_pass
 from bidiropt.reverse import PAIRINGS, all_reverse_variants
 
-from conftest import eval_straightline
-
-OPS2 = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "udiv", "urem",
-        "icmp.eq", "icmp.ne", "icmp.ult", "icmp.ule")
+from conftest import eval_straightline, rename_values, straightline
 
 PROBES = Workload("probes", (
     (0, 0), (1, 1), (0xFFFFFFFF, 1), (45, 10), (0xDEADBEEF, 3), (7, 0),
 ))
-
-
-@st.composite
-def straightline(draw):
-    n_params = draw(st.integers(1, 2))
-    n_instrs = draw(st.integers(1, 10))
-    params = [f"p{i}" for i in range(n_params)]
-    avail = list(params)
-    lines = [f"func @gen({', '.join('%' + p for p in params)}) {{", "entry:"]
-    lits = st.one_of(st.integers(0, 7), st.integers(0, 31),
-                     st.sampled_from([0, 1, 2, 255, 0xFFFFFFFF]))
-
-    def operand():
-        if draw(st.booleans()):
-            return f"%{draw(st.sampled_from(avail))}"
-        return str(draw(lits))
-
-    for i in range(n_instrs):
-        name = f"v{i}"
-        if draw(st.integers(0, 9)) == 0:
-            c, a, b = operand(), operand(), operand()
-            lines.append(f"  %{name} = select {c}, {a}, {b}")
-        else:
-            op = draw(st.sampled_from(OPS2))
-            lines.append(f"  %{name} = {op} {operand()}, {operand()}")
-        avail.append(name)
-    lines.append(f"  ret %{avail[-1]}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _probe_args(f):
