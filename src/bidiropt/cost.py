@@ -57,19 +57,23 @@ def rank_key(
     model: CostModel | None = None,
     workload: "Workload | None" = None,
     step_limit: int | None = None,
+    dynamic_cost: int | None = None,
 ) -> tuple:
     """(static_cost, static_size[, dynamic_cost], canonical text); lower is better.
 
     Alpha-equivalent functions get identical keys; the text component makes
     the order total and every search result deterministic. The dynamic cost
     runs each workload case under step_limit (the interpreter default when
-    None) and raises WorkloadDiverged if one does not return.
+    None) and raises WorkloadDiverged if one does not return. A caller that
+    already measured f passes that total as dynamic_cost instead.
     """
     key: list = [static_cost(f, model), static_size(f)]
-    if workload is not None:
+    if workload is not None and dynamic_cost is None:
         from .interp import DEFAULT_STEP_LIMIT, dynamic_cost_total
 
         limit = DEFAULT_STEP_LIMIT if step_limit is None else step_limit
-        key.append(dynamic_cost_total(f, workload, limit, model))
+        dynamic_cost = dynamic_cost_total(f, workload, limit, model)
+    if dynamic_cost is not None:
+        key.append(dynamic_cost)
     key.append(canonical_text(f))
     return tuple(key)

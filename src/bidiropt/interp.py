@@ -1,14 +1,16 @@
-"""Reference interpreter: wrapping int32, trapping udiv/urem-by-zero and
-uninitialized loads, parallel phi evaluation, per-run dynamic cost."""
+"""Interpreter: wrapping int32, trapping udiv/urem-by-zero and uninitialized
+loads, parallel phi evaluation, per-run dynamic cost. Each function is
+lowered once per workload sweep into register slots and closures."""
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from .ir import MASK32, Function, Instruction, Literal, Operand, ValueRef
+from .ir import MASK32, Function, Literal, Operand
 from .cost import CostModel, DEFAULT_COST_MODEL
 
 DEFAULT_STEP_LIMIT = 10_000
@@ -36,36 +38,202 @@ class ExecResult:
         return True  # both hit the step limit
 
 
-def _binop(opcode: str, a: int, b: int) -> tuple[int | None, str | None]:
-    if opcode == "add":
-        return (a + b) & MASK32, None
-    if opcode == "sub":
-        return (a - b) & MASK32, None
-    if opcode == "mul":
-        return (a * b) & MASK32, None
-    if opcode == "udiv":
-        return (None, "DivByZero") if b == 0 else (a // b, None)
-    if opcode == "urem":
-        return (None, "DivByZero") if b == 0 else (a % b, None)
-    if opcode == "shl":
-        return (a << (b % 32)) & MASK32, None
-    if opcode == "lshr":
-        return a >> (b % 32), None
-    if opcode == "and":
-        return a & b, None
-    if opcode == "or":
-        return a | b, None
-    if opcode == "xor":
-        return a ^ b, None
-    if opcode == "icmp.eq":
-        return int(a == b), None
-    if opcode == "icmp.ne":
-        return int(a != b), None
-    if opcode == "icmp.ult":
-        return int(a < b), None
-    if opcode == "icmp.ule":
-        return int(a <= b), None
-    raise AssertionError(opcode)
+# int32 binop semantics, shared with const-fold. udiv and urem by zero trap
+# (DivByZero) before these run.
+BINOP_FUNCS: dict[str, Callable[[int, int], int]] = {
+    "add": lambda a, b: (a + b) & MASK32,
+    "sub": lambda a, b: (a - b) & MASK32,
+    "mul": lambda a, b: (a * b) & MASK32,
+    "udiv": lambda a, b: a // b,
+    "urem": lambda a, b: a % b,
+    "shl": lambda a, b: (a << (b % 32)) & MASK32,
+    "lshr": lambda a, b: a >> (b % 32),
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "icmp.eq": lambda a, b: 1 if a == b else 0,
+    "icmp.ne": lambda a, b: 1 if a != b else 0,
+    "icmp.ult": lambda a, b: 1 if a < b else 0,
+    "icmp.ule": lambda a, b: 1 if a <= b else 0,
+}
+
+
+class _Trap(Exception):
+    """Raised by a lowered instruction; pos is its index in the block."""
+
+    def __init__(self, reason: str, pos: int):
+        self.reason = reason
+        self.pos = pos
+
+
+_RET, _BR, _CONDBR = range(3)
+
+
+class LoweredFunction:
+    """A Function lowered for execution under one cost model.
+
+    Every value and literal gets a register slot; each non-phi instruction
+    becomes a closure over its slots (closure generation, Feeley & Lapalme
+    1987); each block keeps its length, its cost and the prefix sums of its
+    costs. A block that fits in the remaining step budget runs without
+    per-step checks; the prefix sums give the exact steps and cost at a trap
+    or at the step-limit cut. Steps count phis first, then the rest of the
+    block in order, the terminator last.
+    """
+
+    def __init__(self, f: Function, model: CostModel | None = None):
+        model = model or DEFAULT_COST_MODEL
+        self.n_params = len(f.params)
+        self._slots: dict[str | int, int] = {}  # value name, or literal value
+        self.init: list[int | None] = []  # register file before the params
+        for p in f.params:
+            self._slot(p)
+        index = {b.label: i for i, b in enumerate(f.blocks)}
+        self.blocks = [self._lower_block(b, model, index) for b in f.blocks]
+
+    def _slot(self, key: str | int, value: int | None = None) -> int:
+        i = self._slots.get(key)
+        if i is None:
+            i = self._slots[key] = len(self.init)
+            self.init.append(value)
+        return i
+
+    def _operand(self, op: Operand) -> int:
+        return self._slot(op.value, op.value) if isinstance(op, Literal) else self._slot(op.name)
+
+    def _lower_block(self, b, model: CostModel, index: dict[str, int]) -> tuple:
+        phis = [ins for ins in b.instrs if ins.is_phi]
+        rest = [ins for ins in b.instrs if not ins.is_phi]
+        n_body = next((i for i, ins in enumerate(rest) if ins.is_terminator), None)
+        if n_body is None:
+            raise ValueError(f"block {b.label} has no terminator")
+        seq = phis + rest[:n_body + 1]
+        prefix = [0]
+        for ins in seq:
+            prefix.append(prefix[-1] + model.cost(ins.opcode))
+
+        moves = None
+        if phis:
+            # one parallel copy per predecessor that every phi names
+            moves = {}
+            dsts = tuple(self._slot(ins.result) for ins in phis)
+            for lbl in {lbl for ins in phis for lbl in ins.labels}:
+                srcs = [next((op for op, l in zip(ins.operands, ins.labels) if l == lbl), None)
+                        for ins in phis]
+                if lbl in index and None not in srcs:
+                    moves[index[lbl]] = _phi_move(dsts, tuple(map(self._operand, srcs)))
+
+        body = tuple(
+            _lower_instr(ins.opcode, len(phis) + i,
+                         None if ins.result is None else self._slot(ins.result),
+                         tuple(map(self._operand, ins.operands)))
+            for i, ins in enumerate(rest[:n_body]))
+        term = rest[n_body]
+        if term.opcode == "ret":
+            shape = (_RET, self._operand(term.operands[0]), None, None)
+        elif term.opcode == "br":
+            shape = (_BR, index[term.labels[0]], None, None)
+        else:
+            shape = (_CONDBR, self._operand(term.operands[0]),
+                     index[term.labels[0]], index[term.labels[1]])
+        return (len(seq), prefix[-1], tuple(prefix), len(phis), moves, body) + shape
+
+    def run(self, args, limit: int) -> ExecResult:
+        r = self.init[:]
+        r[:self.n_params] = [a & MASK32 for a in args]
+        cells: list[object] = []  # alloca storage; pointer value = cell index
+        blocks = self.blocks
+        steps = cost = 0
+        cur, prev = 0, None
+        while True:
+            # ret reads register x; br goes to block x; condbr tests register x
+            # and goes to block y or z
+            length, bcost, prefix, n_phis, moves, body, kind, x, y, z = blocks[cur]
+            # how many instructions of this block run before the cut
+            todo = length if steps + length <= limit else max(limit - steps, 0)
+            if todo > n_phis:
+                if moves is not None:
+                    move = moves.get(prev)
+                    if move is None:
+                        raise AssertionError(f"phis in block {cur} have no incoming for {prev}")
+                    move(r)
+                try:
+                    if todo == length:
+                        for op in body:
+                            op(r, cells)
+                    else:
+                        for op in body[:todo - n_phis]:
+                            op(r, cells)
+                except _Trap as t:
+                    return ExecResult("trapped", reason=t.reason, steps=steps + t.pos + 1,
+                                      dynamic_cost=cost + prefix[t.pos + 1])
+            if todo < length:
+                return ExecResult("steplimit", steps=steps + todo + 1,
+                                  dynamic_cost=cost + prefix[todo + 1])
+            steps += length
+            cost += bcost
+            if kind == _RET:
+                return ExecResult("returned", value=r[x], steps=steps, dynamic_cost=cost)
+            prev = cur
+            cur = x if kind == _BR else (y if r[x] != 0 else z)
+
+
+def _phi_move(dsts: tuple[int, ...], srcs: tuple[int, ...]):
+    """Closure (registers) -> None for a block's phis on entry from one
+    predecessor: every source is read before any destination is written."""
+    if len(dsts) == 1:
+        (d,), (s,) = dsts, srcs
+
+        def move(r):
+            r[d] = r[s]
+    else:
+        pairs = tuple(zip(dsts, srcs))
+
+        def move(r):
+            vals = [r[s] for _, s in pairs]
+            for (d, _), v in zip(pairs, vals):
+                r[d] = v
+    return move
+
+
+def _lower_instr(opcode: str, pos: int, d: int | None, srcs: tuple[int, ...]):
+    """Closure (registers, cells) -> None for one non-phi, non-terminator at
+    position pos of its block, writing register d and reading srcs."""
+    if opcode == "alloca":
+        def run(r, cells):
+            cells.append(_UNINIT)
+            r[d] = len(cells) - 1
+    elif opcode == "load":
+        (p,) = srcs
+
+        def run(r, cells):
+            v = cells[r[p]]
+            if v is _UNINIT:
+                raise _Trap("UninitLoad", pos)
+            r[d] = v
+    elif opcode == "store":
+        v, p = srcs
+
+        def run(r, cells):
+            cells[r[p]] = r[v]
+    elif opcode == "select":
+        c, t, e = srcs
+
+        def run(r, cells):
+            r[d] = r[t] if r[c] != 0 else r[e]
+    else:
+        fn = BINOP_FUNCS[opcode]
+        a, b = srcs
+        if opcode in ("udiv", "urem"):
+            def run(r, cells):
+                divisor = r[b]
+                if divisor == 0:
+                    raise _Trap("DivByZero", pos)
+                r[d] = fn(r[a], divisor)
+        else:
+            def run(r, cells):
+                r[d] = fn(r[a], r[b])
+    return run
 
 
 def interpret(
@@ -73,78 +241,13 @@ def interpret(
     args: tuple[int, ...] | list[int],
     limit: int = DEFAULT_STEP_LIMIT,
     model: CostModel | None = None,
+    lowered: LoweredFunction | None = None,
 ) -> ExecResult:
-    model = model or DEFAULT_COST_MODEL
+    """Run f on args. A caller running many cases passes
+    lowered=LoweredFunction(f, model) so f is lowered once for all of them."""
     if len(args) != len(f.params):
         raise ValueError(f"@{f.name} wants {len(f.params)} args, got {len(args)}")
-    env: dict[str, int] = {p: a & MASK32 for p, a in zip(f.params, args)}
-    cells: list[object] = []  # alloca storage; pointer value = cell index
-    index = {b.label: b for b in f.blocks}
-    cur = f.blocks[0]
-    prev: str | None = None
-    steps = 0
-    cost = 0
-
-    while True:
-        # phis read the environment as it was on entry to the block
-        phis = [ins for ins in cur.instrs if ins.is_phi]
-        if phis:
-            snapshot = dict(env)
-            for ins in phis:
-                steps += 1
-                cost += model.cost("phi")
-                if steps > limit:
-                    return ExecResult("steplimit", steps=steps, dynamic_cost=cost)
-                for op, lbl in zip(ins.operands, ins.labels):
-                    if lbl == prev:
-                        env[ins.result] = (
-                            op.value if isinstance(op, Literal) else snapshot[op.name]
-                        )
-                        break
-                else:
-                    raise AssertionError(f"phi in {cur.label} has no incoming for {prev}")
-
-        def val(op: Operand) -> int:
-            return op.value if isinstance(op, Literal) else env[op.name]
-
-        for ins in cur.instrs:
-            if ins.is_phi:
-                continue
-            steps += 1
-            cost += model.cost(ins.opcode)
-            if steps > limit:
-                return ExecResult("steplimit", steps=steps, dynamic_cost=cost)
-            op = ins.opcode
-            if op == "ret":
-                return ExecResult("returned", value=val(ins.operands[0]),
-                                  steps=steps, dynamic_cost=cost)
-            if op == "br":
-                prev, cur = cur.label, index[ins.labels[0]]
-                break
-            if op == "condbr":
-                taken = ins.labels[0] if val(ins.operands[0]) != 0 else ins.labels[1]
-                prev, cur = cur.label, index[taken]
-                break
-            if op == "alloca":
-                cells.append(_UNINIT)
-                env[ins.result] = len(cells) - 1
-            elif op == "load":
-                cell = cells[val(ins.operands[0])]
-                if cell is _UNINIT:
-                    return ExecResult("trapped", reason="UninitLoad",
-                                      steps=steps, dynamic_cost=cost)
-                env[ins.result] = cell  # type: ignore[assignment]
-            elif op == "store":
-                cells[val(ins.operands[1])] = val(ins.operands[0])
-            elif op == "select":
-                c, t, e = (val(o) for o in ins.operands)
-                env[ins.result] = t if c != 0 else e
-            else:
-                res, trap = _binop(op, val(ins.operands[0]), val(ins.operands[1]))
-                if trap is not None:
-                    return ExecResult("trapped", reason=trap,
-                                      steps=steps, dynamic_cost=cost)
-                env[ins.result] = res
+    return (lowered or LoweredFunction(f, model)).run(args, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +295,9 @@ def dynamic_cost_total(
     model: CostModel | None = None,
 ) -> int:
     total = 0
+    lowered = LoweredFunction(f, model)
     for args in workload.args:
-        r = interpret(f, args, limit=limit, model=model)
+        r = interpret(f, args, limit=limit, model=model, lowered=lowered)
         if r.outcome != "returned":
             raise WorkloadDiverged(tuple(args), r)
         total += r.dynamic_cost
@@ -226,9 +330,10 @@ def differential_check(
     (same value, or same trap reason, or both over the step limit)."""
     mism: list[Mismatch] = []
     inconclusive = 0
+    low1, low2 = LoweredFunction(f1), LoweredFunction(f2)
     for args in workload.args:
-        r1 = interpret(f1, args, limit=limit)
-        r2 = interpret(f2, args, limit=limit)
+        r1 = interpret(f1, args, limit=limit, lowered=low1)
+        r2 = interpret(f2, args, limit=limit, lowered=low2)
         inconclusive += r1.outcome == r2.outcome == "steplimit"
         if not r1.matches(r2):
             mism.append(Mismatch(tuple(args), r1, r2))

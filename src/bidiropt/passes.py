@@ -119,11 +119,9 @@ def _rpo_instrs(f: Function):
 def _fold_binop(opcode: str, a: int, b: int) -> int | None:
     if opcode in ("udiv", "urem") and b == 0:
         return None  # would trap; never fold
-    from .interp import _binop
+    from .interp import BINOP_FUNCS
 
-    val, trap = _binop(opcode, a, b)
-    assert trap is None
-    return val
+    return BINOP_FUNCS[opcode](a, b)
 
 
 def apply_const_fold(f: Function) -> PassOutcome:

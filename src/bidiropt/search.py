@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from . import interp
 from .cost import CostModel, DEFAULT_COST_MODEL, rank_key, static_size
 from .ir import CanonicalDigest, Function, canonical_hash
 from .interp import DEFAULT_STEP_LIMIT
@@ -57,12 +58,14 @@ class ReplayDiverged(Exception):
 
 
 class PassCache:
-    """Digest-keyed memo of pass applications, shared across the sub-searches
-    of one ibo run so overlapping search spaces are only walked once."""
+    """Digest-keyed memo of pass applications and dynamic costs, shared
+    across the sub-searches of one ibo run so overlapping search spaces are
+    only walked, and each program's workload only run, once."""
 
     def __init__(self) -> None:
         self.apps: dict[tuple[CanonicalDigest, str], tuple[bool, Function]] = {}
         self.searches: dict[tuple, SearchOutcome] = {}
+        self.dynamic: dict[CanonicalDigest, int] = {}
         self.hits = 0
 
     def apply(self, name: str, f: Function, digest: CanonicalDigest) -> tuple[bool, Function]:
@@ -75,6 +78,18 @@ class PassCache:
         got = (out.changed, out.function)
         self.apps[key] = got
         return got
+
+    def rank(self, f: Function, digest: CanonicalDigest, model: CostModel,
+             workload, step_limit: int) -> tuple:
+        """rank_key of f. The model, workload and step limit are fixed for one
+        cache's lifetime, so the dynamic cost is keyed on the digest alone."""
+        if workload is None:
+            return rank_key(f, model)
+        cost = self.dynamic.get(digest)
+        if cost is None:
+            cost = self.dynamic[digest] = interp.dynamic_cost_total(
+                f, workload, step_limit, model)
+        return rank_key(f, model, dynamic_cost=cost)
 
 
 def exhaustive_search(f: Function,
@@ -89,7 +104,7 @@ def exhaustive_search(f: Function,
     cache = cache if cache is not None else PassCache()
 
     start_digest = canonical_hash(f)
-    start_key = rank_key(f, model, workload, limits.step_limit)
+    start_key = cache.rank(f, start_digest, model, workload, limits.step_limit)
     visited: set[CanonicalDigest] = {start_digest}
     stats = {"explored": 1, "saturated": 0, "pruned": 0, "truncated": 0, "oversize": 0}
     best = {"key": start_key, "fn": f, "seq": ()}
@@ -121,7 +136,7 @@ def exhaustive_search(f: Function,
             visited.add(cd)
             stats["explored"] += 1
             path.append(name)
-            consider(child, rank_key(child, model, workload, limits.step_limit))
+            consider(child, cache.rank(child, cd, model, workload, limits.step_limit))
             if stats["explored"] >= limits.max_programs_explored:
                 path.pop()
                 raise BudgetExceeded(
@@ -186,8 +201,9 @@ def ibo(f: Function,
     """
     cache = PassCache()
 
-    def run_search(g: Function, budget_left: int) -> tuple[SearchOutcome, bool]:
-        key = (canonical_hash(g),)
+    def run_search(g: Function, digest: CanonicalDigest,
+                   budget_left: int) -> tuple[SearchOutcome, bool]:
+        key = (digest,)
         got = cache.searches.get(key)
         if got is not None:
             return got, True
@@ -212,14 +228,16 @@ def ibo(f: Function,
     def partial() -> IboOutcome:
         return IboOutcome(best_fn, best_key, best_prov, baseline, tuple(trace), total)
 
-    # frontier members carry the reverse-step provenance that produced them
-    frontier: list[tuple[Function, tuple[str, ...]]] = [(f, ())]
+    # frontier members carry the reverse-step provenance that produced them,
+    # and their digest
+    frontier: list[tuple[Function, tuple[str, ...], CanonicalDigest]] = [
+        (f, (), canonical_hash(f))]
 
     for it in range(1, iterations + 1):
-        produced: list[tuple[Function, tuple[str, ...]]] = []
+        produced: list[tuple[Function, tuple[str, ...], CanonicalDigest]] = []
         seen: set[CanonicalDigest] = set()
         generated = 0
-        for member, prov in frontier:
+        for member, prov, _ in frontier:
             for rname in reverses:
                 for v in reverse_variants(rname, member, cap=limits.cap_per_pass):
                     generated += 1
@@ -229,21 +247,21 @@ def ibo(f: Function,
                     if d in seen:
                         continue
                     seen.add(d)
-                    produced.append((v.function, prov + (v.step,)))
+                    produced.append((v.function, prov + (v.step,), d))
 
-        produced.sort(key=lambda pair: rank_key(pair[0], model, workload, limits.step_limit))
+        produced.sort(key=lambda t: cache.rank(t[0], t[2], model, workload, limits.step_limit))
         produced = produced[:limits.ibo_max_frontier]
 
         hits = 0
         searched = 0
         improved = False
-        for g, prov in produced:
+        for g, prov, d in produced:
             if total >= limits.max_programs_explored:
                 raise BudgetExceeded(
                     f"ibo explored {total} programs (limit "
                     f"{limits.max_programs_explored})", partial())
             try:
-                sub, was_hit = run_search(g, limits.max_programs_explored - total)
+                sub, was_hit = run_search(g, d, limits.max_programs_explored - total)
             except BudgetExceeded as e:
                 total += e.partial.explored
                 if e.partial.best_key < best_key:

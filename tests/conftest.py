@@ -4,10 +4,14 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from bidiropt.interp import default_workload, load_workload
+from bidiropt.cost import DEFAULT_COST_MODEL, CostModel
+from bidiropt.interp import DEFAULT_STEP_LIMIT, ExecResult, default_workload, load_workload
 from bidiropt.ir import (
+    MASK32,
     BasicBlock,
     Function,
+    Literal,
+    Operand,
     ValueRef,
     block_order_with_unreachable,
     canonical_text,
@@ -48,9 +52,6 @@ def eval_straightline(f, args):
     Returns None for multi-block functions or when a binop traps. Used as
     an oracle against known-bits claims and interpreter results.
     """
-    from bidiropt.interp import _binop
-    from bidiropt.ir import Literal
-
     if len(f.blocks) != 1:
         return None
     env = dict(zip(f.params, (a & 0xFFFFFFFF for a in args)))
@@ -70,11 +71,127 @@ def eval_straightline(f, args):
             c, a, b = (val(op) for op in ins.operands)
             env[ins.result] = a if c != 0 else b
         else:
-            v, err = _binop(ins.opcode, val(ins.operands[0]), val(ins.operands[1]))
+            v, err = reference_binop(ins.opcode, val(ins.operands[0]), val(ins.operands[1]))
             if err is not None:
                 return None
             env[ins.result] = v
     return env
+
+
+_REF_UNINIT = object()
+
+
+def reference_binop(opcode: str, a: int, b: int) -> tuple[int | None, str | None]:
+    if opcode == "add":
+        return (a + b) & MASK32, None
+    if opcode == "sub":
+        return (a - b) & MASK32, None
+    if opcode == "mul":
+        return (a * b) & MASK32, None
+    if opcode == "udiv":
+        return (None, "DivByZero") if b == 0 else (a // b, None)
+    if opcode == "urem":
+        return (None, "DivByZero") if b == 0 else (a % b, None)
+    if opcode == "shl":
+        return (a << (b % 32)) & MASK32, None
+    if opcode == "lshr":
+        return a >> (b % 32), None
+    if opcode == "and":
+        return a & b, None
+    if opcode == "or":
+        return a | b, None
+    if opcode == "xor":
+        return a ^ b, None
+    if opcode == "icmp.eq":
+        return int(a == b), None
+    if opcode == "icmp.ne":
+        return int(a != b), None
+    if opcode == "icmp.ult":
+        return int(a < b), None
+    if opcode == "icmp.ule":
+        return int(a <= b), None
+    raise AssertionError(opcode)
+
+
+def reference_interpret(
+    f: Function,
+    args: tuple[int, ...] | list[int],
+    limit: int = DEFAULT_STEP_LIMIT,
+    model: CostModel | None = None,
+) -> ExecResult:
+    """The tree-walking interpreter that interp.interpret replaced, kept as
+    the oracle the lowered interpreter must match result for result."""
+    model = model or DEFAULT_COST_MODEL
+    if len(args) != len(f.params):
+        raise ValueError(f"@{f.name} wants {len(f.params)} args, got {len(args)}")
+    env: dict[str, int] = {p: a & MASK32 for p, a in zip(f.params, args)}
+    cells: list[object] = []  # alloca storage; pointer value = cell index
+    index = {b.label: b for b in f.blocks}
+    cur = f.blocks[0]
+    prev: str | None = None
+    steps = 0
+    cost = 0
+
+    while True:
+        # phis read the environment as it was on entry to the block
+        phis = [ins for ins in cur.instrs if ins.is_phi]
+        if phis:
+            snapshot = dict(env)
+            for ins in phis:
+                steps += 1
+                cost += model.cost("phi")
+                if steps > limit:
+                    return ExecResult("steplimit", steps=steps, dynamic_cost=cost)
+                for op, lbl in zip(ins.operands, ins.labels):
+                    if lbl == prev:
+                        env[ins.result] = (
+                            op.value if isinstance(op, Literal) else snapshot[op.name]
+                        )
+                        break
+                else:
+                    raise AssertionError(f"phi in {cur.label} has no incoming for {prev}")
+
+        def val(op: Operand) -> int:
+            return op.value if isinstance(op, Literal) else env[op.name]
+
+        for ins in cur.instrs:
+            if ins.is_phi:
+                continue
+            steps += 1
+            cost += model.cost(ins.opcode)
+            if steps > limit:
+                return ExecResult("steplimit", steps=steps, dynamic_cost=cost)
+            op = ins.opcode
+            if op == "ret":
+                return ExecResult("returned", value=val(ins.operands[0]),
+                                  steps=steps, dynamic_cost=cost)
+            if op == "br":
+                prev, cur = cur.label, index[ins.labels[0]]
+                break
+            if op == "condbr":
+                taken = ins.labels[0] if val(ins.operands[0]) != 0 else ins.labels[1]
+                prev, cur = cur.label, index[taken]
+                break
+            if op == "alloca":
+                cells.append(_REF_UNINIT)
+                env[ins.result] = len(cells) - 1
+            elif op == "load":
+                cell = cells[val(ins.operands[0])]
+                if cell is _REF_UNINIT:
+                    return ExecResult("trapped", reason="UninitLoad",
+                                      steps=steps, dynamic_cost=cost)
+                env[ins.result] = cell  # type: ignore[assignment]
+            elif op == "store":
+                cells[val(ins.operands[1])] = val(ins.operands[0])
+            elif op == "select":
+                c, t, e = (val(o) for o in ins.operands)
+                env[ins.result] = t if c != 0 else e
+            else:
+                res, trap = reference_binop(op, val(ins.operands[0]), val(ins.operands[1]))
+                if trap is not None:
+                    return ExecResult("trapped", reason=trap,
+                                      steps=steps, dynamic_cost=cost)
+                env[ins.result] = res
 
 
 def same_modulo_name(f, g):

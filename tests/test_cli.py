@@ -196,7 +196,9 @@ def test_ibo_dynamic_diverged_workload_exit_2():
     assert code == 2
     o = _json(out)["outcome"]
     assert set(o) == _DIVERGED_FIELDS
-    assert o["outcome"] == "steplimit" and len(o["diverged_args"]) == 2
+    assert o["outcome"] == "steplimit"
+    # the first case of the seed-0 random workload that runs out of steps
+    assert o["diverged_args"] == [3626764237, 1654615998]
 
 
 @pytest.mark.parametrize("command", ["search", "ibo"])

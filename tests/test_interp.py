@@ -1,8 +1,13 @@
-"""Reference interpreter: values, traps, costs, differential checking."""
+"""Interpreter: values, traps, costs, step-limit cuts, differential checking,
+and agreement with the tree-walking reference interpreter."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bidiropt.cost import CostModel
 from bidiropt.interp import (
+    DEFAULT_STEP_LIMIT,
     ExecResult,
     Workload,
     WorkloadDiverged,
@@ -13,8 +18,10 @@ from bidiropt.interp import (
     load_workload,
 )
 from bidiropt.ir import parse_function
+from bidiropt.passes import FORWARD_PASSES, apply_pass
+from bidiropt.reverse import REVERSE_PASSES, reverse_variants
 
-from conftest import WORKLOADS, load
+from conftest import VALID_FILES, WORKLOADS, load, reference_interpret, straightline
 
 
 # Hand-checked outputs. bin2bcd(45) = 0x45 is the whole point of the fixture.
@@ -87,6 +94,146 @@ def test_step_limit():
     assert res.outcome == "steplimit"
     # the first step past the budget aborts the run
     assert res.steps == 101
+
+
+# --- step-limit and trap boundaries ------------------------------------------
+#
+# loop_sum(n) runs br, then the head (2 phis, icmp, condbr) n+1 times and the
+# body (add, add, br) n times, then ret: 7n+6 steps at cost 5n+4.
+
+HEAVY = CostModel({"mul": 10, "phi": 2})
+
+
+def _both(f, args, limit, model=None):
+    """interpret's result, after checking it against the reference."""
+    res = interpret(f, args, limit, model)
+    assert res == reference_interpret(f, args, limit, model)
+    return res
+
+
+def test_exact_step_budget_returns_and_one_less_cuts_at_the_last_step():
+    f = load("loop_sum")
+    assert _both(f, [10], 76) == ExecResult("returned", value=45, steps=76, dynamic_cost=54)
+    assert _both(f, [10], 75) == ExecResult("steplimit", steps=76, dynamic_cost=54)
+    # phis cost 2 each under HEAVY: 2 phis x 11 head visits
+    assert _both(f, [10], 76, HEAVY).dynamic_cost == 54 + 44
+    assert _both(f, [10], 75, HEAVY) == ExecResult("steplimit", steps=76,
+                                                   dynamic_cost=54 + 44)
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_budget_of_zero_or_less_cuts_the_first_step(limit):
+    assert _both(load("bin2bcd"), [45], limit) == ExecResult(
+        "steplimit", steps=1, dynamic_cost=4)
+
+
+@pytest.mark.parametrize("model,cost", [(None, 1), (HEAVY, 5)])
+def test_cut_inside_a_phi_group(model, cost):
+    # br, first phi; the second phi is the step past the budget
+    assert _both(load("loop_sum"), [10], 2, model) == ExecResult(
+        "steplimit", steps=3, dynamic_cost=cost)
+
+
+@pytest.mark.parametrize("model,cost", [(None, 5), (HEAVY, 9)])
+def test_cut_in_the_middle_of_a_body(model, cost):
+    # br, phi, phi, icmp, condbr, add; the second add is cut
+    assert _both(load("loop_sum"), [10], 6, model) == ExecResult(
+        "steplimit", steps=7, dynamic_cost=cost)
+
+
+DIV_AFTER_PHI = """func @f(%x) {
+entry:
+  %z = add %x, 0
+  br next
+next:
+  %p = phi [%z, entry]
+  %a = mul %p, 3
+  %c = udiv %a, %p
+  %d = add %c, 1
+  ret %d
+}
+"""
+
+LOAD_MID_BLOCK = """func @f(%x) {
+entry:
+  %p = alloca
+  %a = mul %x, 3
+  %v = load %p
+  %r = add %v, %a
+  ret %r
+}
+"""
+
+
+@pytest.mark.parametrize("model,cost", [(None, 9), (HEAVY, 18)])
+def test_div_by_zero_in_the_middle_of_a_block(model, cost):
+    # add, br, phi, mul, then udiv traps
+    f = parse_function(DIV_AFTER_PHI)
+    assert _both(f, [0], DEFAULT_STEP_LIMIT, model) == ExecResult(
+        "trapped", reason="DivByZero", steps=5, dynamic_cost=cost)
+    # a budget that ends on the trapping udiv cuts before it runs
+    assert _both(f, [0], 4, model).outcome == "steplimit"
+    assert _both(f, [2], DEFAULT_STEP_LIMIT, model).value == 4
+
+
+@pytest.mark.parametrize("model,cost", [(None, 5), (HEAVY, 12)])
+def test_uninit_load_in_the_middle_of_a_block(model, cost):
+    # alloca, mul, then the load traps
+    f = parse_function(LOAD_MID_BLOCK)
+    assert _both(f, [7], DEFAULT_STEP_LIMIT, model) == ExecResult(
+        "trapped", reason="UninitLoad", steps=3, dynamic_cost=cost)
+    assert _both(f, [7], 2, model) == ExecResult("steplimit", steps=3, dynamic_cost=cost)
+
+
+# --- agreement with the reference interpreter ---------------------------------
+
+BOUNDARY = (0, 1, 2, 3, 7, 45, 255, 2**31, 2**32 - 1)
+LIMITS = (1, 7, 50, DEFAULT_STEP_LIMIT)
+
+
+def _rows(n_params):
+    """Boundary values, rotated so every parameter sees each of them."""
+    return [tuple(BOUNDARY[(i + 3 * j) % len(BOUNDARY)] for j in range(n_params))
+            for i in range(len(BOUNDARY))]
+
+
+def _derived(f):
+    """f, every reverse variant (cap 8) and every single forward-pass output."""
+    out = [f]
+    for r in REVERSE_PASSES:
+        out += [v.function for v in reverse_variants(r, f, cap=8)]
+    for name in FORWARD_PASSES:
+        step = apply_pass(name, f)
+        if step.changed:
+            out.append(step.function)
+    return out
+
+
+@pytest.mark.parametrize("name", [p.stem for p in VALID_FILES])
+def test_matches_reference_interpreter_on_corpus_and_neighbours(name):
+    for g in _derived(load(name)):
+        for args in _rows(len(g.params)):
+            for limit in LIMITS:
+                got = interpret(g, args, limit)
+                assert got == reference_interpret(g, args, limit), (g, args, limit)
+
+
+@pytest.mark.parametrize("name", ["loop_counter_alloca", "phi_swap", "bin2bcd"])
+def test_matches_reference_interpreter_under_another_model(name):
+    for g in _derived(load(name)):
+        for args in _rows(len(g.params)):
+            for limit in LIMITS:
+                assert interpret(g, args, limit, HEAVY) == reference_interpret(
+                    g, args, limit, HEAVY), (g, args, limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(straightline(), st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2),
+       st.sampled_from(LIMITS))
+def test_matches_reference_interpreter_on_generated(text, args, limit):
+    f = parse_function(text)
+    args = args[:len(f.params)]
+    assert interpret(f, args, limit) == reference_interpret(f, args, limit)
 
 
 def test_exec_result_matches():

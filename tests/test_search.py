@@ -2,8 +2,9 @@
 
 import pytest
 
+from bidiropt import interp
 from bidiropt.cost import rank_key
-from bidiropt.interp import differential_check
+from bidiropt.interp import differential_check, load_workload
 from bidiropt.ir import canonical_hash, parse_function, print_function
 from bidiropt.passes import FORWARD_PASSES, apply_pass
 from bidiropt.search import (
@@ -19,7 +20,7 @@ from bidiropt.search import (
     replay_sequence,
 )
 
-from conftest import load, workload_for
+from conftest import WORKLOADS, load, workload_for
 
 MICRO = ["straightline_ret", "const_expr", "identities", "divmul", "dce_chain",
          "strength", "cse_dup", "reassoc_cancel"]
@@ -165,6 +166,45 @@ def test_ibo_sub_searches_share_work():
     # and overlapping sub-spaces start producing cache hits at depth three
     deep = ibo(load("scale_split"), 3)
     assert any(it.cache_hits > 0 for it in deep.iterations)
+
+
+def _record_dynamic_sweeps(monkeypatch):
+    """Digests swept by interp.dynamic_cost_total, and every PassCache made."""
+    swept, caches = [], []
+    real_sweep, real_init = interp.dynamic_cost_total, PassCache.__init__
+
+    def sweep(f, *args, **kwargs):
+        swept.append(canonical_hash(f))
+        return real_sweep(f, *args, **kwargs)
+
+    def init(cache):
+        real_init(cache)
+        caches.append(cache)
+
+    monkeypatch.setattr(interp, "dynamic_cost_total", sweep)
+    monkeypatch.setattr(PassCache, "__init__", init)
+    return swept, caches
+
+
+def test_ibo_runs_each_programs_workload_once(monkeypatch):
+    swept, caches = _record_dynamic_sweeps(monkeypatch)
+    f = load("loop_sum")
+    wl = load_workload(WORKLOADS / "loop_sum.json")
+    out = ibo(f, 1, workload=wl)
+    assert len(swept) > 1
+    assert len(swept) == len(set(swept))
+    (cache,) = caches
+    assert set(cache.dynamic) == set(swept)
+    # a memoized dynamic cost is the one a fresh measurement gives
+    assert out.best_key == rank_key(out.best_function, workload=wl)
+
+
+def test_static_ranking_leaves_the_dynamic_memo_alone(monkeypatch):
+    swept, caches = _record_dynamic_sweeps(monkeypatch)
+    ibo(load("loop_sum"), 1)
+    assert swept == []
+    (cache,) = caches
+    assert cache.dynamic == {}
 
 
 def test_ibo_equivalence_end_to_end():
