@@ -5,7 +5,7 @@ All analyses assume a valid function and look only at reachable blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ir import (
     MASK32,
@@ -14,6 +14,7 @@ from .ir import (
     Literal,
     Operand,
     ValueRef,
+    defined_values,
     predecessors,
     rpo_order,
     successors,
@@ -37,9 +38,6 @@ class DomTree:
             if nxt == cur:
                 return False
             cur = nxt
-
-    def strictly_dominates(self, a: str, b: str) -> bool:
-        return a != b and self.dominates(a, b)
 
     def children(self, lbl: str) -> list[str]:
         rank = {l: i for i, l in enumerate(self.rpo)}
@@ -103,14 +101,9 @@ class Loop:
     preheader: str | None
 
 
-@dataclass(frozen=True)
-class LoopForest:
-    loops: tuple[Loop, ...]
-    parent: dict[str, str | None]  # header -> enclosing loop header
-
-
-def find_natural_loops(f: Function, dt: DomTree | None = None) -> LoopForest:
-    dt = dt or compute_dominators(f)
+def find_natural_loops(f: Function) -> tuple[Loop, ...]:
+    """Every natural loop, innermost first: ordered by (body size, header)."""
+    dt = compute_dominators(f)
     preds = predecessors(f)
     index = {b.label: b for b in f.blocks}
     back: dict[str, list[str]] = {}
@@ -138,18 +131,7 @@ def find_natural_loops(f: Function, dt: DomTree | None = None) -> LoopForest:
         if len(outside) == 1 and len(successors(index[outside[0]])) == 1:
             pre = outside[0]
         loops.append(Loop(header, frozenset(body), tuple(sorted(back[header])), pre))
-
-    parent: dict[str, str | None] = {}
-    for lp in loops:
-        enclosing = None
-        for other in loops:
-            if other is lp:
-                continue
-            if lp.body < other.body:
-                if enclosing is None or other.body < enclosing.body:
-                    enclosing = other
-        parent[lp.header] = enclosing.header if enclosing else None
-    return LoopForest(tuple(loops), parent)
+    return tuple(sorted(loops, key=lambda lp: (len(lp.body), lp.header)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +252,11 @@ class UseDef:
 
 
 def use_def(f: Function) -> UseDef:
-    defs: dict[str, tuple[str, int] | None] = {p: None for p in f.params}
-    uses: dict[str, list[tuple[str, int, int]]] = {p: [] for p in f.params}
-    for b in f.blocks:
-        for i, ins in enumerate(b.instrs):
-            if ins.result is not None:
-                defs[ins.result] = (b.label, i)
-                uses.setdefault(ins.result, [])
+    defs = defined_values(f)
+    uses: dict[str, list[tuple[str, int, int]]] = {name: [] for name in defs}
     for b in f.blocks:
         for i, ins in enumerate(b.instrs):
             for j, op in enumerate(ins.operands):
-                if isinstance(op, ValueRef) and op.name in defs:
+                if isinstance(op, ValueRef) and op.name in uses:
                     uses[op.name].append((b.label, i, j))
     return UseDef(defs=defs, uses={k: tuple(v) for k, v in uses.items()})

@@ -130,7 +130,12 @@ def _workload(cfg: Config, f: Function, path: str | None, count: int = 1000):
     chosen = path or cfg.workload
     if chosen:
         try:
-            return load_workload(Path(chosen), f.name)
+            wl = load_workload(Path(chosen), f.name)
+            for row in wl.args:
+                if len(row) != len(f.params):
+                    raise ValueError(f"row {list(row)} has {len(row)} value(s), "
+                                     f"@{f.name} takes {len(f.params)}")
+            return wl
         except (OSError, ValueError) as e:
             print(f"error: cannot load workload {chosen}: {e}", file=sys.stderr)
             raise SystemExit(2)
@@ -143,7 +148,9 @@ def _trace(f: Function, steps, cfg: Config, workload=None) -> list:
     g = f
     for step in steps:
         g = replay_sequence(g, [step], cfg.limits())
-        key = rank_key(g, cfg.model(), workload, cfg.step_limit)
+        cost = None if workload is None else dynamic_cost_total(
+            g, workload, cfg.step_limit, cfg.model())
+        key = rank_key(g, cfg.model(), cost)
         rows.append({"step": step, "key": _key_json(key)})
     return rows
 

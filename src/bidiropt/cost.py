@@ -8,12 +8,8 @@ canonical text as the final deterministic tie-break.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .ir import Function, canonical_text
-
-if TYPE_CHECKING:
-    from .interp import Workload
 
 _DEFAULT_COSTS = {
     "udiv": 4, "urem": 4,
@@ -52,27 +48,16 @@ def static_cost(f: Function, model: CostModel | None = None) -> int:
     return sum(model.cost(ins.opcode) for b in f.blocks for ins in b.instrs)
 
 
-def rank_key(
-    f: Function,
-    model: CostModel | None = None,
-    workload: "Workload | None" = None,
-    step_limit: int | None = None,
-    dynamic_cost: int | None = None,
-) -> tuple:
+def rank_key(f: Function, model: CostModel | None = None,
+             dynamic_cost: int | None = None) -> tuple:
     """(static_cost, static_size[, dynamic_cost], canonical text); lower is better.
 
     Alpha-equivalent functions get identical keys; the text component makes
-    the order total and every search result deterministic. The dynamic cost
-    runs each workload case under step_limit (the interpreter default when
-    None) and raises WorkloadDiverged if one does not return. A caller that
-    already measured f passes that total as dynamic_cost instead.
+    the order total and every search result deterministic. Under the dynamic
+    metric the caller measures f (interp.dynamic_cost_total) and passes the
+    total as dynamic_cost.
     """
     key: list = [static_cost(f, model), static_size(f)]
-    if workload is not None and dynamic_cost is None:
-        from .interp import DEFAULT_STEP_LIMIT, dynamic_cost_total
-
-        limit = DEFAULT_STEP_LIMIT if step_limit is None else step_limit
-        dynamic_cost = dynamic_cost_total(f, workload, limit, model)
     if dynamic_cost is not None:
         key.append(dynamic_cost)
     key.append(canonical_text(f))

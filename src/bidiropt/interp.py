@@ -274,9 +274,10 @@ def default_workload(f: Function, seed: int = 0, count: int = 1000) -> Workload:
 
 def load_workload(path: str | Path, name: str | None = None) -> Workload:
     rows = json.loads(Path(path).read_text())
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ValueError(f"workload {path} must be a JSON array of argument arrays")
-    return Workload(name or Path(path).stem, tuple(tuple(int(v) & MASK32 for v in r) for r in rows))
+    if not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(type(v) is int for v in r) for r in rows):
+        raise ValueError(f"workload {path} must be a JSON array of integer argument arrays")
+    return Workload(name or Path(path).stem, tuple(tuple(v & MASK32 for v in r) for r in rows))
 
 
 class WorkloadDiverged(Exception):

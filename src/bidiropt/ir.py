@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 MASK32 = (1 << 32) - 1
 
@@ -18,7 +18,6 @@ BINOPS = (
     "shl", "lshr", "and", "or", "xor",
     "icmp.eq", "icmp.ne", "icmp.ult", "icmp.ule",
 )
-COMMUTATIVE = ("add", "mul", "and", "or", "xor", "icmp.eq", "icmp.ne")
 TERMINATORS = ("ret", "br", "condbr")
 OPCODES = BINOPS + ("select", "alloca", "load", "store", "phi") + TERMINATORS
 
@@ -77,25 +76,12 @@ class BasicBlock:
             n += 1
         return self.instrs[:n]
 
-    @property
-    def body(self) -> tuple[Instruction, ...]:
-        # non-phi instructions before the terminator; meaningful on valid blocks
-        return tuple(i for i in self.instrs[:-1] if not i.is_phi) if self.instrs else ()
-
-    @property
-    def terminator(self) -> Instruction:
-        return self.instrs[-1]
-
 
 @dataclass(frozen=True)
 class Function:
     name: str
     params: tuple[str, ...] = ()
     blocks: tuple[BasicBlock, ...] = ()
-
-    @property
-    def entry(self) -> BasicBlock:
-        return self.blocks[0]
 
     def block(self, label: str) -> BasicBlock:
         for b in self.blocks:
@@ -381,7 +367,7 @@ def block_order_with_unreachable(f: Function) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# uses and renaming
+# defs and renaming
 
 def defined_values(f: Function) -> dict[str, tuple[str, int] | None]:
     """Value name -> (block label, instr index) for instruction defs, None for params."""
@@ -391,17 +377,6 @@ def defined_values(f: Function) -> dict[str, tuple[str, int] | None]:
             if ins.result is not None:
                 defs[ins.result] = (b.label, i)
     return defs
-
-
-def uses_of(f: Function, name: str) -> list[tuple[str, int, int]]:
-    """Occurrences of %name as an operand: (block label, instr index, operand index)."""
-    out = []
-    for b in f.blocks:
-        for i, ins in enumerate(b.instrs):
-            for j, op in enumerate(ins.operands):
-                if isinstance(op, ValueRef) and op.name == name:
-                    out.append((b.label, i, j))
-    return out
 
 
 def substitute(f: Function, mapping: dict[str, Operand]) -> Function:

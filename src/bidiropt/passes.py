@@ -18,6 +18,7 @@ from .analysis import (
     use_def,
 )
 from .cost import DEFAULT_COST_MODEL
+from .interp import BINOP_FUNCS
 from .ir import (
     BINOPS,
     MASK32,
@@ -28,8 +29,10 @@ from .ir import (
     Operand,
     ValueRef,
     canonical_hash,
+    defined_values,
     fresh_names,
     predecessors,
+    rename_blocks,
     rpo_order,
     substitute,
     successors,
@@ -41,7 +44,6 @@ from .ir import (
 class PassOutcome:
     changed: bool
     function: Function
-    warnings: tuple[str, ...] = ()
 
 
 def _is_lit(op: Operand, value: int | None = None) -> bool:
@@ -57,19 +59,29 @@ def erasable(ins: Instruction) -> bool:
     return True
 
 
-# mutable working form: ordered {label: [Instruction | None]}; None = erased
-def _edit(f: Function) -> dict[str, list[Instruction | None]]:
+# The rewrite kit shared by forward and reverse passes: a mutable working
+# form, ordered {label: [Instruction | None]} with None = erased, and the
+# RPO site walk both directions visit.
+def edit(f: Function) -> dict[str, list[Instruction | None]]:
     return {b.label: list(b.instrs) for b in f.blocks}
 
 
-def _freeze(f: Function, blocks: dict[str, list[Instruction | None]],
-            subst: dict[str, Operand] | None = None,
-            order: list[str] | None = None) -> Function:
+def freeze(f: Function, blocks: dict[str, list[Instruction | None]],
+           subst: dict[str, Operand] | None = None,
+           order: list[str] | None = None) -> Function:
     labels = order if order is not None else [b.label for b in f.blocks if b.label in blocks]
+    # filter(None, ...) drops the erased slots; an Instruction is always truthy
     out = Function(f.name, f.params, tuple(
-        BasicBlock(lbl, tuple(i for i in blocks[lbl] if i is not None)) for lbl in labels
+        BasicBlock(lbl, tuple(filter(None, blocks[lbl]))) for lbl in labels
     ))
     return substitute(out, subst) if subst else out
+
+
+def rpo_instrs(f: Function):
+    index = {b.label: b for b in f.blocks}
+    for lbl in rpo_order(f):
+        for i, ins in enumerate(index[lbl].instrs):
+            yield lbl, i, ins
 
 
 def _use_counts(blocks: dict[str, list[Instruction | None]]) -> dict[str, int]:
@@ -84,10 +96,12 @@ def _use_counts(blocks: dict[str, list[Instruction | None]]) -> dict[str, int]:
     return counts
 
 
-def _erase_dead(blocks: dict[str, list[Instruction | None]], seeds: set[str]) -> None:
+def _erase_dead(blocks: dict[str, list[Instruction | None]], seeds: set[str]) -> bool:
     """Transitively erase trap-free pure defs in `seeds` once their use count
-    hits zero, feeding their operands back into the candidate set."""
+    hits zero, feeding their operands back into the candidate set. Returns
+    whether anything was erased."""
     worklist = set(seeds)
+    erased = False
     while worklist:
         counts = _use_counts(blocks)
         progressed = False
@@ -101,16 +115,19 @@ def _erase_dead(blocks: dict[str, list[Instruction | None]], seeds: set[str]) ->
                     for op in ins.operands:
                         if isinstance(op, ValueRef):
                             worklist.add(op.name)
-                    progressed = True
+                    progressed = erased = True
         if not progressed:
             break
+    return erased
 
 
-def _rpo_instrs(f: Function):
-    index = {b.label: b for b in f.blocks}
-    for lbl in rpo_order(f):
-        for i, ins in enumerate(index[lbl].instrs):
-            yield lbl, i, ins
+def _drop_incomings(instrs: list[Instruction | None], gone: set[str]) -> None:
+    """Remove phi incomings whose predecessor label is in `gone`."""
+    for j, ins in enumerate(instrs):
+        if ins is not None and ins.is_phi and not gone.isdisjoint(ins.labels):
+            keep = [(o, l) for o, l in zip(ins.operands, ins.labels) if l not in gone]
+            instrs[j] = replace(ins, operands=tuple(o for o, _ in keep),
+                                labels=tuple(l for _, l in keep))
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +136,6 @@ def _rpo_instrs(f: Function):
 def _fold_binop(opcode: str, a: int, b: int) -> int | None:
     if opcode in ("udiv", "urem") and b == 0:
         return None  # would trap; never fold
-    from .interp import BINOP_FUNCS
-
     return BINOP_FUNCS[opcode](a, b)
 
 
@@ -129,7 +144,7 @@ def apply_const_fold(f: Function) -> PassOutcome:
     condbr on a literal becomes br (phi incomings on the dropped edge removed)."""
     changed = False
     while True:
-        blocks = _edit(f)
+        blocks = edit(f)
         subst: dict[str, Operand] = {}
         fired = False
         for lbl, instrs in blocks.items():
@@ -147,18 +162,12 @@ def apply_const_fold(f: Function) -> PassOutcome:
                     dropped = ins.labels[1] if taken == ins.labels[0] else ins.labels[0]
                     instrs[i] = Instruction(None, "br", (), (taken,))
                     if dropped != taken:
-                        dlist = blocks[dropped]
-                        for j, phi in enumerate(dlist):
-                            if phi is not None and phi.is_phi and lbl in phi.labels:
-                                keep = [(o, l) for o, l in zip(phi.operands, phi.labels) if l != lbl]
-                                dlist[j] = replace(phi,
-                                                   operands=tuple(o for o, _ in keep),
-                                                   labels=tuple(l for _, l in keep))
+                        _drop_incomings(blocks[dropped], {lbl})
                     fired = True
         if not fired:
             return PassOutcome(changed, f)
         changed = True
-        f = _freeze(f, blocks, subst)
+        f = freeze(f, blocks, subst)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +221,7 @@ def _identity_result(ins: Instruction) -> Operand | None:
 
 
 def apply_identity_simplify(f: Function) -> PassOutcome:
-    blocks = _edit(f)
+    blocks = edit(f)
     subst: dict[str, Operand] = {}
     changed = False
 
@@ -233,14 +242,14 @@ def apply_identity_simplify(f: Function) -> PassOutcome:
                 subst[ins.result] = out
                 instrs[i] = None
                 changed = True
-    return PassOutcome(changed, _freeze(f, blocks, subst) if changed else f)
+    return PassOutcome(changed, freeze(f, blocks, subst) if changed else f)
 
 
 # ---------------------------------------------------------------------------
 # strength-reduce
 
 def apply_strength_reduce(f: Function) -> PassOutcome:
-    blocks = _edit(f)
+    blocks = edit(f)
     changed = False
     for lbl, instrs in blocks.items():
         for i, ins in enumerate(instrs):
@@ -252,7 +261,7 @@ def apply_strength_reduce(f: Function) -> PassOutcome:
             if isinstance(b, Literal) and b.value >= 2 and b.value & (b.value - 1) == 0:
                 instrs[i] = Instruction(ins.result, "shl", (a, Literal(b.value.bit_length() - 1)))
                 changed = True
-    return PassOutcome(changed, _freeze(f, blocks) if changed else f)
+    return PassOutcome(changed, freeze(f, blocks) if changed else f)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +273,7 @@ def apply_divmul_to_rem(f: Function) -> PassOutcome:
     while True:
         ud = use_def(f)
         site = None
-        for lbl, i, ins in _rpo_instrs(f):
+        for lbl, i, ins in rpo_instrs(f):
             if ins.opcode != "sub" or not isinstance(ins.operands[1], ValueRef):
                 continue
             x, uref = ins.operands
@@ -290,10 +299,10 @@ def apply_divmul_to_rem(f: Function) -> PassOutcome:
         if site is None:
             return PassOutcome(changed, f)
         lbl, i, x, c, uname, tname = site
-        blocks = _edit(f)
+        blocks = edit(f)
         blocks[lbl][i] = Instruction(f.block(lbl).instrs[i].result, "urem", (x, c))
         _erase_dead(blocks, {uname, tname})
-        f = _freeze(f, blocks)
+        f = freeze(f, blocks)
         changed = True
 
 
@@ -310,7 +319,7 @@ def apply_add_to_or(f: Function) -> PassOutcome:
             return op.value
         return kb[op.name].possible_ones
 
-    blocks = _edit(f)
+    blocks = edit(f)
     changed = False
     for lbl, instrs in blocks.items():
         for i, ins in enumerate(instrs):
@@ -322,7 +331,7 @@ def apply_add_to_or(f: Function) -> PassOutcome:
             if possible(a) & possible(b) == 0:
                 instrs[i] = replace(ins, opcode="or")
                 changed = True
-    return PassOutcome(changed, _freeze(f, blocks) if changed else f)
+    return PassOutcome(changed, freeze(f, blocks) if changed else f)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +432,7 @@ def apply_reassociate(f: Function) -> PassOutcome:
     model = DEFAULT_COST_MODEL
     original = f
     # roots scanned bottom-up so outer trees claim absorbable inner nodes
-    seq = list(_rpo_instrs(f))
+    seq = list(rpo_instrs(f))
     roots: list[str] = []
     claimed: set[str] = set()
     ud = use_def(f)
@@ -467,13 +476,13 @@ def apply_reassociate(f: Function) -> PassOutcome:
         new_cost = sum(model.cost(ins.opcode) for ins in emitted)
         if new_cost > old_cost:
             continue
-        blocks = _edit(f)
+        blocks = edit(f)
         cell = blocks[lbl]
         cell[i:i + 1] = emitted
-        candidate = _freeze(f, blocks, {root_name: acc})
-        blocks2 = _edit(candidate)
+        candidate = freeze(f, blocks, {root_name: acc})
+        blocks2 = edit(candidate)
         _erase_dead(blocks2, set(absorbed))
-        candidate = _freeze(candidate, blocks2)
+        candidate = freeze(candidate, blocks2)
         if canonical_hash(candidate) == canonical_hash(f):
             continue
         f = candidate
@@ -524,10 +533,10 @@ def apply_cse(f: Function) -> PassOutcome:
     walk(dt.rpo[0])
     if not dead:
         return PassOutcome(False, f)
-    blocks = _edit(f)
+    blocks = edit(f)
     for lbl, i in dead:
         blocks[lbl][i] = None
-    return PassOutcome(True, _freeze(f, blocks, subst))
+    return PassOutcome(True, freeze(f, blocks, subst))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +562,7 @@ def apply_cond_prop(f: Function) -> PassOutcome:
             out.extend(subtree(c))
         return out
 
-    blocks = _edit(f)
+    blocks = edit(f)
     for lbl in rpo_order(f):
         term = index[lbl].instrs[-1]
         if term.opcode != "condbr" or not isinstance(term.operands[0], ValueRef):
@@ -586,7 +595,7 @@ def apply_cond_prop(f: Function) -> PassOutcome:
     if not changed:
         return PassOutcome(False, f)
     _erase_dead(blocks, spent)
-    return PassOutcome(True, _freeze(f, blocks, subst))
+    return PassOutcome(True, freeze(f, blocks, subst))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +609,7 @@ def apply_simplifycfg(f: Function) -> PassOutcome:
         fired = False
 
         # condbr x, L, L  ->  br L
-        blocks = _edit(f)
+        blocks = edit(f)
         spent: set[str] = set()
         for lbl, instrs in blocks.items():
             last = instrs[-1]
@@ -611,26 +620,21 @@ def apply_simplifycfg(f: Function) -> PassOutcome:
                 fired = True
         if fired:
             _erase_dead(blocks, spent)
-            f = _freeze(f, blocks)
+            f = freeze(f, blocks)
             changed = True
             continue
 
         # drop unreachable blocks, trimming phi incomings from removed preds
         reach = set(rpo_order(f))
         if len(reach) < len(f.blocks):
-            blocks = _edit(f)
+            blocks = edit(f)
             order = [b.label for b in f.blocks if b.label in reach]
+            gone = set(blocks) - reach
             for lbl in order:
-                instrs = blocks[lbl]
-                for j, ins in enumerate(instrs):
-                    if ins is not None and ins.is_phi:
-                        keep = [(o, l) for o, l in zip(ins.operands, ins.labels) if l in reach]
-                        if len(keep) != len(ins.labels):
-                            instrs[j] = replace(ins, operands=tuple(o for o, _ in keep),
-                                                labels=tuple(l for _, l in keep))
-                    # defs that lived only in dropped blocks cannot be referenced
-                    # from reachable code (dominance), so no substitution needed
-            f = _freeze(f, {l: blocks[l] for l in order}, order=order)
+                _drop_incomings(blocks[lbl], gone)
+            # defs that lived only in dropped blocks cannot be referenced
+            # from reachable code (dominance), so no substitution needed
+            f = freeze(f, {l: blocks[l] for l in order}, order=order)
             changed = True
             continue
 
@@ -652,14 +656,12 @@ def apply_simplifycfg(f: Function) -> PassOutcome:
                     subst[ins.result] = ins.operands[0]  # single pred, single incoming
                 else:
                     tail.append(ins)
-            blocks = _edit(f)
+            blocks = edit(f)
             blocks[b.label] = list(b.instrs[:-1]) + tail
             del blocks[c]
             order = [x.label for x in f.blocks if x.label != c]
-            g = _freeze(f, blocks, subst, order=order)
+            g = freeze(f, blocks, subst, order=order)
             # phis downstream still name C as the incoming edge
-            from .ir import rename_blocks
-
             f = rename_blocks(g, {c: b.label})
             merged = True
             changed = True
@@ -677,7 +679,7 @@ def _promotable_allocas(f: Function) -> list[str]:
     reach = set(rpo_order(f))
     index = {b.label: b for b in f.blocks}
     out = []
-    for lbl, i, ins in _rpo_instrs(f):
+    for lbl, i, ins in rpo_instrs(f):
         if ins.opcode != "alloca":
             continue
         ok = True
@@ -701,18 +703,19 @@ def _promotable_allocas(f: Function) -> list[str]:
     return out
 
 
-def _promote_one(f: Function, p: str) -> tuple[Function, list[str]]:
-    warnings: list[str] = []
+def _promote_one(f: Function, p: str) -> Function | None:
+    """f with cell p promoted, or None when a load may read p before any
+    store (that load traps, and promotion would turn the trap into a value)."""
     dt = compute_dominators(f)
-    df = dominance_frontiers(f, dt)
     index = {b.label: b for b in f.blocks}
-    preds = predecessors(f)
 
     loads: dict[str, list[int]] = {}
     stores: dict[str, list[int]] = {}
     for lbl in dt.rpo:
         for i, ins in enumerate(index[lbl].instrs):
-            if ins.opcode == "load" and ins.operands[0] == ValueRef(p):
+            if ins.opcode == "alloca" and ins.result == p:
+                home = lbl
+            elif ins.opcode == "load" and ins.operands[0] == ValueRef(p):
                 loads.setdefault(lbl, []).append(i)
             elif ins.opcode == "store" and ins.operands[1] == ValueRef(p):
                 stores.setdefault(lbl, []).append(i)
@@ -734,8 +737,13 @@ def _promote_one(f: Function, p: str) -> tuple[Function, list[str]]:
                     grew = True
         if not grew:
             break
+    # every load of p runs after its alloca (dominance), so a load may read
+    # the cell uninitialized exactly when it is live into the alloca's block
+    if home in live_in:
+        return None
 
     # pruned SSA: phis at the iterated dominance frontier, where live
+    df = dominance_frontiers(f, dt)
     phiblocks: set[str] = set()
     work = list(stores)
     while work:
@@ -751,14 +759,8 @@ def _promote_one(f: Function, p: str) -> tuple[Function, list[str]]:
     phi_name = dict(zip(phi_order, names))
     phi_incoming: dict[str, dict[str, Operand]] = {lbl: {} for lbl in phi_order}
 
-    blocks = _edit(f)
+    blocks = edit(f)
     subst: dict[str, Operand] = {}
-
-    def current(stack: list[Operand], where: str) -> Operand:
-        if stack:
-            return stack[-1]
-        warnings.append(f"UninitPromotion: @{f.name} %{p} read before any store near {where}")
-        return Literal(0)
 
     def resolve(op: Operand) -> Operand:
         while isinstance(op, ValueRef) and op.name in subst:
@@ -771,7 +773,7 @@ def _promote_one(f: Function, p: str) -> tuple[Function, list[str]]:
             stack.append(ValueRef(phi_name[lbl]))
         for i, ins in enumerate(index[lbl].instrs):
             if ins.opcode == "load" and ins.operands[0] == ValueRef(p):
-                subst[ins.result] = current(stack, lbl)
+                subst[ins.result] = stack[-1]
                 blocks[lbl][i] = None
             elif ins.opcode == "store" and ins.operands[1] == ValueRef(p):
                 stack.append(resolve(ins.operands[0]))
@@ -780,22 +782,19 @@ def _promote_one(f: Function, p: str) -> tuple[Function, list[str]]:
                 blocks[lbl][i] = None
         for s in successors(index[lbl]):
             if s in phi_incoming:
-                phi_incoming[s][lbl] = current(stack, lbl)
+                phi_incoming[s][lbl] = stack[-1]
         for child in dt.children(lbl):
             walk(child, stack)
         del stack[depth:]
 
     walk(dt.rpo[0], [])
 
+    preds = predecessors(f)
     for lbl in phi_order:
         inc = phi_incoming[lbl]
-        ops, lbls = [], []
-        for q in preds[lbl]:
-            ops.append(inc.get(q, Literal(0)))
-            if q not in inc:
-                warnings.append(f"UninitPromotion: @{f.name} %{p} undefined on edge {q}->{lbl}")
-            lbls.append(q)
-        phi = Instruction(phi_name[lbl], "phi", tuple(ops), tuple(lbls))
+        # an unreachable predecessor's edge never runs, so any operand will do
+        ops = tuple(inc.get(q, Literal(0)) for q in preds[lbl])
+        phi = Instruction(phi_name[lbl], "phi", ops, tuple(preds[lbl]))
         instrs = blocks[lbl]
         at = 0
         for at, ins in enumerate(instrs):
@@ -803,22 +802,22 @@ def _promote_one(f: Function, p: str) -> tuple[Function, list[str]]:
                 break
         instrs.insert(at, phi)
 
-    return _freeze(f, blocks, subst), warnings
+    return freeze(f, blocks, subst)
 
 
 def apply_mem2reg(f: Function) -> PassOutcome:
     """Promote allocas touched only by load/store into SSA values: phis at
-    (live) dominance frontiers, loads replaced by reaching values, loads
-    before any store become literal 0 with a warning."""
-    warnings: list[str] = []
+    (live) dominance frontiers, loads replaced by reaching values. A cell
+    that some load may read before any store is left in memory."""
     changed = False
     while True:
-        todo = _promotable_allocas(f)
-        if not todo:
-            return PassOutcome(changed, f, tuple(warnings))
-        f, w = _promote_one(f, todo[0])
-        warnings.extend(w)
-        changed = True
+        for p in _promotable_allocas(f):
+            g = _promote_one(f, p)
+            if g is not None:
+                f, changed = g, True
+                break
+        else:
+            return PassOutcome(changed, f)
 
 
 # ---------------------------------------------------------------------------
@@ -835,10 +834,8 @@ def apply_licm(f: Function) -> PassOutcome:
     into the preheader. Loads and stores never move."""
     changed = False
     while True:
-        forest = find_natural_loops(f)
-        loops = sorted(forest.loops, key=lambda lp: (len(lp.body), lp.header))
         moved = False
-        for lp in loops:
+        for lp in find_natural_loops(f):
             if lp.preheader is None:
                 continue
             defblock = {}
@@ -854,11 +851,11 @@ def apply_licm(f: Function) -> PassOutcome:
             for lbl in [l for l in rpo_order(f) if l in lp.body]:
                 for i, ins in enumerate(index[lbl].instrs):
                     if _loop_invariant_ok(ins) and all(outside(o) for o in ins.operands):
-                        blocks = _edit(f)
+                        blocks = edit(f)
                         blocks[lbl][i] = None
                         pre = blocks[lp.preheader]
                         pre.insert(len(pre) - 1, ins)
-                        f = _freeze(f, blocks)
+                        f = freeze(f, blocks)
                         moved = True
                         changed = True
                         break
@@ -877,8 +874,8 @@ def apply_dse(f: Function) -> PassOutcome:
     """Erase stores whose value can never be observed: overwritten before any
     load, or with no load of the same cell reachable afterwards."""
     index = {b.label: b for b in f.blocks}
-    alloca_names = [ins.result for _, _, ins in _rpo_instrs(f) if ins.opcode == "alloca"]
-    blocks = _edit(f)
+    alloca_names = [ins.result for _, _, ins in rpo_instrs(f) if ins.opcode == "alloca"]
+    blocks = edit(f)
     spent: set[str] = set()
     changed = False
     for p in alloca_names:
@@ -931,29 +928,17 @@ def apply_dse(f: Function) -> PassOutcome:
     if not changed:
         return PassOutcome(False, f)
     _erase_dead(blocks, spent)
-    return PassOutcome(True, _freeze(f, blocks))
+    return PassOutcome(True, freeze(f, blocks))
 
 
 # ---------------------------------------------------------------------------
 # dce
 
 def apply_dce(f: Function) -> PassOutcome:
-    blocks = _edit(f)
-    changed = False
-    while True:
-        counts = _use_counts(blocks)
-        fired = False
-        for lbl, instrs in blocks.items():
-            for i, ins in enumerate(instrs):
-                if ins is None or ins.result is None:
-                    continue
-                if counts.get(ins.result, 0) == 0 and erasable(ins):
-                    instrs[i] = None
-                    fired = True
-        if not fired:
-            break
-        changed = True
-    return PassOutcome(changed, _freeze(f, blocks) if changed else f)
+    blocks = edit(f)
+    if not _erase_dead(blocks, set(defined_values(f))):
+        return PassOutcome(False, f)
+    return PassOutcome(True, freeze(f, blocks))
 
 
 # ---------------------------------------------------------------------------

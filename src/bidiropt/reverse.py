@@ -12,22 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .analysis import compute_dominators, find_natural_loops, known_bits
+from .analysis import compute_dominators, find_natural_loops, known_bits, use_def
 from .ir import (
-    BasicBlock,
     Function,
     Instruction,
     Literal,
     Operand,
     ValueRef,
     canonical_hash,
-    defined_values,
     fresh_label,
     fresh_names,
     rpo_order,
-    uses_of,
 )
-from .passes import FORWARD_PASSES
+from .passes import FORWARD_PASSES, edit, erasable, freeze, rpo_instrs
 
 PAIRINGS: dict[str, str] = {
     "rev-instexpand-rem": "divmul-to-rem",
@@ -45,31 +42,11 @@ PAIRINGS: dict[str, str] = {
 class Variant:
     reverse_name: str
     site_index: int
-    site: str
     function: Function
 
     @property
     def step(self) -> str:
         return f"{self.reverse_name}@{self.site_index}"
-
-
-def _blocks_list(f: Function) -> dict[str, list[Instruction]]:
-    return {b.label: list(b.instrs) for b in f.blocks}
-
-
-def _rebuild(f: Function, blocks: dict[str, list[Instruction]],
-             order: list[str] | None = None) -> Function:
-    labels = order if order is not None else [b.label for b in f.blocks]
-    return Function(f.name, f.params, tuple(
-        BasicBlock(lbl, tuple(blocks[lbl])) for lbl in labels
-    ))
-
-
-def _sites(f: Function):
-    index = {b.label: b for b in f.blocks}
-    for lbl in rpo_order(f):
-        for i, ins in enumerate(index[lbl].instrs):
-            yield lbl, i, ins
 
 
 # ---------------------------------------------------------------------------
@@ -79,21 +56,20 @@ def _rev_instexpand_rem(f: Function):
     """urem x, c  ->  sub x, (mul (udiv x, c), c); an equivalent udiv already
     dominating the site is reused instead of minting a new one."""
     dt = compute_dominators(f)
-    rank = {l: i for i, l in enumerate(dt.rpo)}
-    for lbl, i, ins in _sites(f):
+    for lbl, i, ins in rpo_instrs(f):
         if ins.opcode != "urem" or not isinstance(ins.operands[1], Literal):
             continue
         if ins.operands[1].value < 1:
             continue
         x, c = ins.operands
         existing = None
-        for dlbl, j, dins in _sites(f):
+        for dlbl, j, dins in rpo_instrs(f):
             if dins.opcode == "udiv" and dins.operands == (x, c):
                 same = dlbl == lbl and j < i
                 if same or (dlbl != lbl and dt.dominates(dlbl, lbl)):
                     existing = dins.result
                     break
-        blocks = _blocks_list(f)
+        blocks = edit(f)
         if existing is None:
             qn, mn = fresh_names(f, "x", 2)
             expansion = [
@@ -108,20 +84,20 @@ def _rev_instexpand_rem(f: Function):
                 Instruction(ins.result, "sub", (x, ValueRef(mn))),
             ]
         blocks[lbl][i:i + 1] = expansion
-        yield f"{lbl}@{i}", _rebuild(f, blocks)
+        yield freeze(f, blocks)
 
 
 def _rev_instexpand_shl(f: Function):
     """shl x, k  ->  mul x, 2**k for literal 1 <= k <= 31."""
-    for lbl, i, ins in _sites(f):
+    for lbl, i, ins in rpo_instrs(f):
         if ins.opcode != "shl" or not isinstance(ins.operands[1], Literal):
             continue
         k = ins.operands[1].value
         if not 1 <= k <= 31:
             continue
-        blocks = _blocks_list(f)
+        blocks = edit(f)
         blocks[lbl][i] = Instruction(ins.result, "mul", (ins.operands[0], Literal(1 << k)))
-        yield f"{lbl}@{i}", _rebuild(f, blocks)
+        yield freeze(f, blocks)
 
 
 def _rev_instexpand_or(f: Function):
@@ -131,7 +107,7 @@ def _rev_instexpand_or(f: Function):
     def possible(op: Operand) -> int:
         return op.value if isinstance(op, Literal) else kb[op.name].possible_ones
 
-    for lbl, i, ins in _sites(f):
+    for lbl, i, ins in rpo_instrs(f):
         if ins.opcode != "or":
             continue
         a, b = ins.operands
@@ -139,9 +115,9 @@ def _rev_instexpand_or(f: Function):
             continue
         if possible(a) & possible(b) != 0:
             continue
-        blocks = _blocks_list(f)
+        blocks = edit(f)
         blocks[lbl][i] = replace(ins, opcode="add")
-        yield f"{lbl}@{i}", _rebuild(f, blocks)
+        yield freeze(f, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -149,48 +125,48 @@ def _rev_instexpand_or(f: Function):
 
 def _rev_reassociate(f: Function):
     """Perturb add trees: swap operands, or rotate a nested single-use add."""
-    defs = defined_values(f)
+    ud = use_def(f)
     index = {b.label: b for b in f.blocks}
 
     def single_use_add(op: Operand) -> Instruction | None:
         if not isinstance(op, ValueRef):
             return None
-        site = defs.get(op.name)
+        site = ud.defs.get(op.name)
         if site is None:
             return None
         ins = index[site[0]].instrs[site[1]]
-        if ins.opcode == "add" and len(uses_of(f, op.name)) == 1:
+        if ins.opcode == "add" and ud.use_count(op.name) == 1:
             return ins
         return None
 
-    for lbl, i, ins in _sites(f):
+    for lbl, i, ins in rpo_instrs(f):
         if ins.opcode != "add":
             continue
         a, b = ins.operands
-        blocks = _blocks_list(f)
+        blocks = edit(f)
         blocks[lbl][i] = replace(ins, operands=(b, a))
-        yield f"{lbl}@{i}:swap", _rebuild(f, blocks)
+        yield freeze(f, blocks)
 
         inner = single_use_add(a)
         if inner is not None:
             # (p + q) + b  ->  p + (q + b)
             (tn,) = fresh_names(f, "x", 1)
-            blocks = _blocks_list(f)
+            blocks = edit(f)
             blocks[lbl][i:i + 1] = [
                 Instruction(tn, "add", (inner.operands[1], b)),
                 Instruction(ins.result, "add", (inner.operands[0], ValueRef(tn))),
             ]
-            yield f"{lbl}@{i}:rotr", _rebuild(f, blocks)
+            yield freeze(f, blocks)
         inner = single_use_add(b)
         if inner is not None:
             # a + (p + q)  ->  (a + p) + q
             (tn,) = fresh_names(f, "x", 1)
-            blocks = _blocks_list(f)
+            blocks = edit(f)
             blocks[lbl][i:i + 1] = [
                 Instruction(tn, "add", (a, inner.operands[0])),
                 Instruction(ins.result, "add", (ValueRef(tn), inner.operands[1])),
             ]
-            yield f"{lbl}@{i}:rotl", _rebuild(f, blocks)
+            yield freeze(f, blocks)
 
 
 def _rev_split_block(f: Function):
@@ -205,7 +181,7 @@ def _rev_split_block(f: Function):
             new_lbl = fresh_label(f, f"{b.label}_tail")
             head = list(b.instrs[:i]) + [Instruction(None, "br", (), (new_lbl,))]
             tail = list(b.instrs[i:])
-            blocks = _blocks_list(f)
+            blocks = edit(f)
             blocks[b.label] = head
             blocks[new_lbl] = tail
             order = []
@@ -213,7 +189,7 @@ def _rev_split_block(f: Function):
                 order.append(x.label)
                 if x.label == b.label:
                     order.append(new_lbl)
-            g = _rebuild(f, blocks, order)
+            g = freeze(f, blocks, order=order)
             # successor phis still name the old block on the moved edge
             fixed = {}
             for lbl2 in tail[-1].labels:
@@ -225,36 +201,33 @@ def _rev_split_block(f: Function):
                             new_lbl if l == b.label else l for l in phi.labels))
                 fixed[lbl2] = instrs2
             if fixed:
-                blocks2 = _blocks_list(g)
+                blocks2 = edit(g)
                 blocks2.update(fixed)
-                g = _rebuild(g, blocks2)
-            yield f"{b.label}@{i}", g
+                g = freeze(g, blocks2)
+            yield g
 
 
 def _rev_licm_sink(f: Function):
     """Push a pure preheader computation used only inside the loop into the
     loop header (right after the phis)."""
-    from .passes import erasable
-
-    forest = find_natural_loops(f)
+    ud = use_def(f)
     index = {b.label: b for b in f.blocks}
-    loops = sorted(forest.loops, key=lambda lp: (len(lp.body), lp.header))
-    for lp in loops:
+    for lp in find_natural_loops(f):
         if lp.preheader is None:
             continue
         pre = index[lp.preheader]
         for i, ins in enumerate(pre.instrs):
             if ins.result is None or ins.is_phi or not erasable(ins):
                 continue
-            uses = uses_of(f, ins.result)
+            uses = ud.uses[ins.result]
             if not uses or not all(u[0] in lp.body for u in uses):
                 continue
-            blocks = _blocks_list(f)
+            blocks = edit(f)
             del blocks[lp.preheader][i]
             head = blocks[lp.header]
             at = len(index[lp.header].phis)
             head.insert(at, ins)
-            yield f"{lp.preheader}@{i}->{lp.header}", _rebuild(f, blocks)
+            yield freeze(f, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +237,19 @@ def _reg2mem(f: Function):
     """Demote one SSA value to a stack cell: store after the def, a fresh
     load in front of every use (phi uses load at the tail of the edge's
     predecessor block)."""
-    defs = defined_values(f)
-    index = {b.label: b for b in f.blocks}
+    ud = use_def(f)
     reach = set(rpo_order(f))
-    for lbl, i, ins in _sites(f):
+    for lbl, i, ins in rpo_instrs(f):
         if ins.result is None or ins.opcode == "alloca":
             continue
-        uses = uses_of(f, ins.result)
+        uses = ud.uses[ins.result]
         if any(u[0] not in reach for u in uses):
             continue
         v = ins.result
         (pname,) = fresh_names(f, f"{v}_m", 1)
         load_names = fresh_names(f, f"{v}_l", len(uses))
 
-        blocks = _blocks_list(f)
+        blocks = edit(f)
         # loads first, rewriting whole users bottom-up so indices stay valid
         per_block: dict[str, dict[int, list[tuple[int, str]]]] = {}
         for (ulbl, ui, uj), ln in zip(uses, load_names):
@@ -300,15 +272,16 @@ def _reg2mem(f: Function):
                         instrs.insert(ui, Instruction(ln, "load", (ValueRef(pname),)))
         # store directly after the def (after the whole phi group for a phi)
         dlist = blocks[lbl]
-        at = dlist.index(ins) + 1 if ins in dlist else i + 1
         if ins.is_phi:
             at = 0
             while at < len(dlist) and dlist[at].is_phi:
                 at += 1
+        else:
+            at = dlist.index(ins) + 1
         dlist.insert(at, Instruction(None, "store", (ValueRef(v), ValueRef(pname))))
         entry = blocks[f.blocks[0].label]
         entry.insert(0, Instruction(pname, "alloca", ()))
-        yield f"%{v}", _rebuild(f, blocks)
+        yield freeze(f, blocks)
 
 
 def _rev_insert_dead_store(f: Function):
@@ -318,13 +291,13 @@ def _rev_insert_dead_store(f: Function):
         if b.label not in reach:
             continue
         (pname,) = fresh_names(f, "dead", 1)
-        blocks = _blocks_list(f)
+        blocks = edit(f)
         instrs = blocks[b.label]
         instrs[len(instrs) - 1:len(instrs) - 1] = [
             Instruction(pname, "alloca", ()),
             Instruction(None, "store", (Literal(0), ValueRef(pname))),
         ]
-        yield f"{b.label}", _rebuild(f, blocks)
+        yield freeze(f, blocks)
 
 
 _ENUMERATORS = {
@@ -341,31 +314,22 @@ _ENUMERATORS = {
 REVERSE_PASSES = tuple(_ENUMERATORS)
 
 
-def reverse_variants(name: str, f: Function, cap: int | None = None,
-                     paired_filter: bool = True) -> tuple[Variant, ...]:
+def reverse_variants(name: str, f: Function, cap: int | None = None) -> tuple[Variant, ...]:
     """Enumerate variants of f under one reverse pass, in deterministic site
-    order. Variants identical to f are dropped; with paired_filter, so are
-    variants the paired forward pass cannot undo. `cap` truncates after
-    filtering, so a site index is stable for a given (function, config)."""
+    order. Variants identical to f are dropped, and so are variants the paired
+    forward pass cannot undo. `cap` truncates after filtering, so a site index
+    is stable for a given (function, config)."""
     if name not in _ENUMERATORS:
         raise KeyError(f"unknown reverse pass '{name}'")
     h0 = canonical_hash(f)
     undo = FORWARD_PASSES[PAIRINGS[name]]
     out: list[Variant] = []
-    for site, g in _ENUMERATORS[name](f):
+    for g in _ENUMERATORS[name](f):
         if canonical_hash(g) == h0:
             continue
-        if paired_filter and not undo(g).changed:
+        if not undo(g).changed:
             continue
-        out.append(Variant(name, len(out), site, g))
+        out.append(Variant(name, len(out), g))
         if cap is not None and len(out) >= cap:
             break
-    return tuple(out)
-
-
-def all_reverse_variants(f: Function, names: tuple[str, ...] = REVERSE_PASSES,
-                         cap: int | None = None) -> tuple[Variant, ...]:
-    out: list[Variant] = []
-    for name in names:
-        out.extend(reverse_variants(name, f, cap=cap))
     return tuple(out)

@@ -20,6 +20,7 @@ from bidiropt.ir import (
     rename_blocks,
     value_order,
 )
+from bidiropt.reverse import REVERSE_PASSES, reverse_variants
 
 ROOT = Path(__file__).resolve().parent.parent
 VALID = ROOT / "corpus" / "valid"
@@ -220,6 +221,11 @@ def rename_values(f, mapping):
             instrs.append(replace(ins, result=res, operands=ops))
         blocks.append(BasicBlock(b.label, tuple(instrs)))
     return Function(f.name, tuple(newname(p) for p in f.params), tuple(blocks))
+
+
+def all_reverse_variants(f, cap=None):
+    """Every variant of f under every reverse pass, in REVERSE_PASSES order."""
+    return tuple(v for name in REVERSE_PASSES for v in reverse_variants(name, f, cap=cap))
 
 
 def reference_canonical_text(f):

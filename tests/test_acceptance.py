@@ -13,7 +13,7 @@ from bidiropt.cost import static_cost
 from bidiropt.interp import Workload, differential_check
 from bidiropt.ir import canonical_hash, parse_function
 from bidiropt.passes import FORWARD_PASSES, apply_pass
-from bidiropt.reverse import PAIRINGS, all_reverse_variants
+from bidiropt.reverse import PAIRINGS
 from bidiropt.search import (
     ClassGraph,
     SearchLimits,
@@ -24,7 +24,7 @@ from bidiropt.search import (
 )
 
 import conftest
-from conftest import VALID, VALID_FILES, load, run_cli, workload_for
+from conftest import VALID, VALID_FILES, all_reverse_variants, load, run_cli, workload_for
 
 SEED = VALID / "bin2bcd.ir"
 SEARCH_ARGV = ("search", SEED)

@@ -49,10 +49,10 @@ def test_idom_is_closest_strict_dominator(corpus_function):
         if b == entry:
             assert p == entry
             continue
-        assert dt.strictly_dominates(p, b)
+        assert p != b and dt.dominates(p, b)
         # nothing strictly between p and b
         for other in dt.idom:
-            if other not in (b, p) and dt.strictly_dominates(other, b):
+            if other not in (b, p) and dt.dominates(other, b):
                 assert dt.dominates(other, p), (f.name, b, p, other)
 
 
@@ -77,28 +77,37 @@ def test_dominance_frontier_loop_header():
 
 def test_natural_loop_shape():
     f = load("loop_sum")
-    forest = find_natural_loops(f)
-    assert len(forest.loops) == 1
-    lp = forest.loops[0]
+    (lp,) = find_natural_loops(f)
     assert lp.header == "head"
     assert lp.body == frozenset({"head", "body"})
     assert lp.latches == ("body",)
     assert lp.preheader == "entry"
 
 
-def test_nested_loops_report_parent():
-    f = load("nested_loop")
-    forest = find_natural_loops(f)
-    assert len(forest.loops) == 2
-    by_size = sorted(forest.loops, key=lambda lp: len(lp.body))
-    inner, outer = by_size
+def test_nested_loops_come_innermost_first():
+    inner, outer = find_natural_loops(load("nested_loop"))
     assert inner.body < outer.body
-    assert forest.parent[inner.header] == outer.header
-    assert forest.parent[outer.header] is None
+
+
+def test_loops_of_equal_size_order_by_header():
+    f = parse_function("""func @f(%x) {
+entry:
+  br b
+b:
+  %c = icmp.eq %x, 0
+  condbr %c, b, a
+a:
+  %d = icmp.ne %x, 1
+  condbr %d, a, out
+out:
+  ret %x
+}
+""")
+    assert [lp.header for lp in find_natural_loops(f)] == ["a", "b"]
 
 
 def test_straightline_has_no_loops():
-    assert find_natural_loops(load("bin2bcd")).loops == ()
+    assert find_natural_loops(load("bin2bcd")) == ()
 
 
 # --- known bits -------------------------------------------------------------

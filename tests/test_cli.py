@@ -70,6 +70,23 @@ def test_run_workload_prints_total(tmp_path):
     assert _json(out)["outcome"] == {"cases": 2, "dynamic_cost_total": 22}
 
 
+_BAD_WORKLOADS = {"wrong_arity": "[[1, 2], [3, 4]]", "float": "[[45.9]]",
+                  "bool": "[[45], [true]]", "string": '[["45"]]'}
+
+
+@pytest.mark.parametrize("argv", [("run",), ("ibo", "-k", "1", "--metric", "dynamic"),
+                                  ("compare", "-k", "1", "--metric", "dynamic")],
+                         ids=lambda a: a[0])
+@pytest.mark.parametrize("rows", sorted(_BAD_WORKLOADS))
+def test_malformed_workload_is_a_usage_error(tmp_path, capsys, argv, rows):
+    w = tmp_path / "w.json"
+    w.write_text(_BAD_WORKLOADS[rows])
+    code, out = run_cli(argv[0], VALID / "bin2bcd.ir", *argv[1:], "--workload", w)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith(f"error: cannot load workload {w}")
+
+
 # --- opt ----------------------------------------------------------------------
 
 def test_opt_text_mode_prints_ir():
@@ -173,6 +190,22 @@ def test_ibo_then_opt_reproduces_best_ir():
                         "--format", "text")
     assert code2 == 0
     assert ir == rep["outcome"]["best_ir"]
+
+
+@pytest.mark.parametrize("path", sorted(VALID.glob("*.ir")), ids=lambda p: p.stem)
+def test_ibo_and_baseline_sequences_replay_to_best_ir(path):
+    """A reported sequence, reverse `name@index` steps included, replays
+    under `opt --strict` to the reported IR, and its trace ends on best_key."""
+    code, out = run_cli("ibo", path, "-k", "2")
+    assert code == 0
+    rep = _json(out)
+    for o in (rep["outcome"], rep["outcome"]["baseline"]):
+        code2, ir = run_cli("opt", path, "--strict", "--passes", ",".join(o["sequence"]),
+                            "--format", "text")
+        assert code2 == 0, o["sequence"]
+        assert ir == o["best_ir"], o["sequence"]
+        last = o["trace"][-1]["key"] if o["trace"] else rep["input"]["key"]
+        assert last == o["best_key"]
 
 
 def test_ibo_negative_k():

@@ -10,7 +10,7 @@ from bidiropt.cost import (
     static_cost,
     static_size,
 )
-from bidiropt.interp import Workload
+from bidiropt.interp import Workload, dynamic_cost_total
 
 from conftest import load, rename_values
 
@@ -54,7 +54,7 @@ def test_rank_key_shape_and_order():
 def test_rank_key_with_workload_appends_dynamic_cost():
     f = load("bin2bcd")
     wl = Workload("w", ((45,), (255,)))
-    k = rank_key(f, workload=wl)
+    k = rank_key(f, dynamic_cost=dynamic_cost_total(f, wl))
     assert len(k) == 4
     assert k[2] == 22
 

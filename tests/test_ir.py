@@ -24,11 +24,11 @@ from bidiropt.ir import (
     validate_module,
 )
 from bidiropt.passes import FORWARD_PASSES, apply_pass
-from bidiropt.reverse import all_reverse_variants
 
 from conftest import (
     INVALID_FILES,
     VALID_FILES,
+    all_reverse_variants,
     load,
     reference_canonical_text,
     rename_values,

@@ -219,19 +219,80 @@ def test_mem2reg_builds_loop_phi():
     assert differential_check(f, out.function, workload_for(f)).equivalent
 
 
-def test_mem2reg_uninit_load_becomes_zero_with_warning():
-    f = parse_function("""func @f(%x) {
+@pytest.mark.parametrize("text", [
+    """func @f(%x) {
 entry:
   %p = alloca
   %v = load %p
   store %x, %p
   ret %v
 }
+""",
+    # the load is reached without a store when %x != 0
+    """func @f(%x) {
+entry:
+  %p = alloca
+  %c = icmp.eq %x, 0
+  condbr %c, set, join
+set:
+  store %x, %p
+  br join
+join:
+  %v = load %p
+  ret %v
+}
+"""], ids=["straightline", "guarded"])
+def test_mem2reg_leaves_a_cell_that_may_be_read_uninitialized(text):
+    f = parse_function(text)
+    out = apply_pass("mem2reg", f)
+    assert not out.changed
+    r = interpret(out.function, [42])
+    assert (r.outcome, r.reason) == ("trapped", "UninitLoad")
+
+
+def test_mem2reg_promotes_the_initialized_cell_beside_an_uninitialized_one():
+    f = parse_function("""func @f(%x) {
+entry:
+  %u = alloca
+  %p = alloca
+  store %x, %p
+  %v = load %p
+  %w = load %u
+  %s = add %v, %w
+  ret %s
+}
 """)
     out = apply_pass("mem2reg", f)
     assert out.changed
-    assert any("UninitPromotion" in w for w in out.warnings)
-    assert interpret(out.function, [9]).value == 0
+    body = print_function(out.function).split("\n", 1)[1]
+    assert body.count("alloca") == 1 and body.count("load") == 1 and "store" not in body
+    r = interpret(out.function, [42])
+    assert (r.outcome, r.reason) == ("trapped", "UninitLoad")
+
+
+def test_mem2reg_phi_takes_an_operand_on_an_unreachable_edge():
+    f = parse_function("""func @f(%x) {
+entry:
+  %p = alloca
+  store %x, %p
+  br head
+head:
+  %v = load %p
+  %n = add %v, 1
+  store %n, %p
+  %c = icmp.ult %n, 5
+  condbr %c, head, out
+dead:
+  br head
+out:
+  ret %n
+}
+""")
+    out = apply_pass("mem2reg", f)
+    assert out.changed
+    assert validate_function(out.function) == []
+    assert "load" not in print_function(out.function)
+    assert interpret(out.function, [1]).value == 5
 
 
 def test_licm_hoists_invariant_mul():

@@ -19,9 +19,9 @@ from bidiropt.ir import (
     validate_function,
 )
 from bidiropt.passes import FORWARD_PASSES, apply_pass
-from bidiropt.reverse import PAIRINGS, all_reverse_variants
+from bidiropt.reverse import PAIRINGS
 
-from conftest import eval_straightline, rename_values, straightline
+from conftest import all_reverse_variants, eval_straightline, rename_values, straightline
 
 PROBES = Workload("probes", (
     (0, 0), (1, 1), (0xFFFFFFFF, 1), (45, 10), (0xDEADBEEF, 3), (7, 0),

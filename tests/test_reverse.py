@@ -6,14 +6,9 @@ from bidiropt.cost import rank_key, static_cost
 from bidiropt.interp import differential_check
 from bidiropt.ir import canonical_hash, print_function, validate_function
 from bidiropt.passes import FORWARD_PASSES, apply_pass
-from bidiropt.reverse import (
-    PAIRINGS,
-    REVERSE_PASSES,
-    all_reverse_variants,
-    reverse_variants,
-)
+from bidiropt.reverse import PAIRINGS, REVERSE_PASSES, reverse_variants
 
-from conftest import load, same_modulo_name, workload_for
+from conftest import all_reverse_variants, load, same_modulo_name, workload_for
 
 
 def test_every_reverse_pairs_with_a_registered_forward():
@@ -145,12 +140,6 @@ def test_cap_truncates_after_filtering():
     for a, b in zip(capped, full):
         assert a.step == b.step
         assert canonical_hash(a.function) == canonical_hash(b.function)
-
-
-def test_paired_filter_off_is_a_superset():
-    f = load("diamond")
-    with_filter = reverse_variants("rev-reassociate", f, paired_filter=False)
-    assert len(with_filter) >= len(reverse_variants("rev-reassociate", f))
 
 
 def test_enumeration_is_deterministic(corpus_function):
