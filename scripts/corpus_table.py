@@ -1,72 +1,51 @@
 #!/usr/bin/env python3
-"""Exhaustive forward search versus reverse-then-optimize over a corpus.
+"""Exhaustive forward search versus reverse-then-optimize, from a compare report.
 
-For every function: the optimal forward phase ordering (exhaustive over all
-pass sequences, digest-pruned) against the iterated degrade-and-reoptimize
-loop at the given k; the forward column is ibo's own baseline search.
+Reads the JSON report of `bidiropt compare` (a file argument, or stdin) and
+prints one row per function: its input key, the optimal forward phase
+ordering's key (ibo's own baseline search), ibo's key and the winner.
 Winners are decided on the cost key alone; the canonical-text tie-break only
 picks a representative program. A row whose search ran out of
 --budget-programs is marked budget-cut and compares partial results. Ends
-with a tally of which reverse steps actually appear in winning derivations.
+with a tally of which reverse steps appear in winning derivations.
+
+    bidiropt compare corpus/valid -k 3 | python3 scripts/corpus_table.py
 """
 
 import argparse
+import json
 import sys
-import time
 from collections import Counter
-from pathlib import Path
 
-from bidiropt.ir import parse_function
-from bidiropt.search import BudgetExceeded, SearchLimits, ibo
 
-ROOT = Path(__file__).resolve().parent.parent
+def key(k):
+    return ",".join(str(x) for x in k)
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("corpus", nargs="?", default=ROOT / "corpus" / "valid",
-                    type=Path)
-    ap.add_argument("-k", type=int, default=3, help="reverse iterations")
-    ap.add_argument("--budget-programs", type=int, default=None)
-    args = ap.parse_args(argv)
+    ap.add_argument("report", nargs="?", type=argparse.FileType("r"), default=sys.stdin,
+                    help="compare report (default: stdin)")
+    outcome = json.load(ap.parse_args(argv).report)["outcome"]
 
-    limits = SearchLimits()
-    if args.budget_programs:
-        limits = SearchLimits(max_programs_explored=args.budget_programs)
-
-    files = sorted(args.corpus.glob("*.ir"))
-    if not files:
-        print(f"no .ir files under {args.corpus}", file=sys.stderr)
-        return 2
-
-    wins, cut, used = 0, 0, Counter()
-    print(f"{'function':<22} {'start':>8} {'forward':>8} {'reverse+':>8}  winner")
-    t0 = time.monotonic()
-    for path in files:
-        f = parse_function(path.read_text())
-        try:
-            ib = ibo(f, args.k, limits=limits)
-            note = ""
-        except BudgetExceeded as e:
-            ib = e.partial
+    cut, used = 0, Counter()
+    print(f"{'function':<22} {'start':>8} {'forward':>8} {'ibo':>8}  winner")
+    for row in outcome["rows"]:
+        if "workload_diverged" in row:
+            print(f"{row['function']:<22} workload diverged")
+            continue
+        note = ""
+        if row.get("ibo_budget_exceeded"):
             cut += 1
-            note = "  budget-cut" + (" (forward too)" if ib.baseline.budget_exceeded else "")
-        ex = ib.baseline
-        a, b = ex.best_key[:-1], ib.best_key[:-1]
-        winner = "reverse+" if b < a else ("forward" if a < b else "tie")
-        if b < a:
-            wins += 1
-            for step in ib.best_provenance:
-                if "@" in step:
-                    used[step.partition("@")[0]] += 1
-        start = ",".join(str(x) for x in ex.start_key[:-1])
-        print(f"{f.name:<22} {start:>8} "
-              f"{','.join(str(x) for x in a):>8} "
-              f"{','.join(str(x) for x in b):>8}  {winner}"
-              + note + (f"  {list(ib.best_provenance)}" if b < a else ""))
+            note = "  budget-cut" + (" (forward too)" if row.get("exhaustive_budget_exceeded") else "")
+        if row["winner"] == "ibo":
+            note += f"  {row['ibo_sequence']}"
+            used.update(s.partition("@")[0] for s in row["ibo_sequence"] if "@" in s)
+        print(f"{row['function']:<22} {key(row['input_key']):>8} {key(row['exhaustive_key']):>8} "
+              f"{key(row['ibo_key']):>8}  {row['winner']}{note}")
 
-    print(f"\n{len(files)} functions, {wins} strictly improved by reversing, "
-          f"{cut} budget-cut, {time.monotonic() - t0:.1f}s")
+    print(f"\n{outcome['functions']} functions at k={outcome['k']}, "
+          f"{outcome['ibo_strictly_better']} strictly improved by reversing, {cut} budget-cut")
     if used:
         print("reverse steps in winning derivations:")
         for name, n in used.most_common():

@@ -7,21 +7,23 @@ their cheapest individual forms, so no ordering improves them. Expanding
 both back into costlier equivalents first (two reverse steps) exposes a
 shared multiply chain that reassociation collapses, and forward search
 from the degraded program lands at (9, 4), strictly better than anything
-reachable forward-only. This script replays that derivation step by step
-and then shows the iterated loop finding it automatically.
+reachable forward-only. This script reads the JSON report of `bidiropt ibo`
+(a file argument, or stdin) and replays the derivation it found step by
+step, showing the program after each step.
+
+    bidiropt ibo corpus/valid/bin2bcd.ir -k 2 | python3 scripts/escape_demo.py
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from bidiropt.cost import rank_key
-from bidiropt.interp import Workload, differential_check
-from bidiropt.ir import parse_function, print_function
-from bidiropt.search import exhaustive_search, ibo, replay_sequence
-
-ROOT = Path(__file__).resolve().parent.parent
-REVERSES = ("rev-instexpand-rem@0", "rev-instexpand-shl@0")
+from bidiropt.interp import default_workload, differential_check
+from bidiropt.ir import parse_module, print_function
+from bidiropt.passes import apply_pass
+from bidiropt.reverse import reverse_variants
 
 
 def show(title, f):
@@ -29,40 +31,36 @@ def show(title, f):
     print(print_function(f))
 
 
+def replay(f, step):
+    """One provenance step: a forward pass, or name@index of a reverse pass."""
+    name, _, index = step.partition("@")
+    return reverse_variants(name, f)[int(index)].function if index else apply_pass(name, f).function
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", default=ROOT / "corpus" / "valid" / "bin2bcd.ir",
-                    type=Path, help="seed program (default: the packed-BCD kernel)")
-    args = ap.parse_args(argv)
+    ap.add_argument("report", nargs="?", type=argparse.FileType("r"), default=sys.stdin,
+                    help="ibo report (default: stdin)")
+    report = json.load(ap.parse_args(argv).report)
+    outcome, base = report["outcome"], report["outcome"]["baseline"]
 
-    f = parse_function(args.seed.read_text())
+    src = report["input"]
+    f = parse_module(Path(src["file"]).read_text()).function(src["function"])
     show("seed", f)
-
-    fwd = exhaustive_search(f)
-    print(f"forward search: explored {fwd.explored} programs, "
-          f"best key {fwd.best_key[:2]} via {list(fwd.best_sequence)}")
-    print("no forward ordering leaves the plateau\n")
+    print(f"forward search: explored {base['explored']} programs, "
+          f"best key {tuple(base['best_key'])} via {base['sequence']}\n")
 
     g = f
-    for step in REVERSES:
-        g = replay_sequence(g, [step])
+    for step in outcome["sequence"]:
+        g = replay(g, step)
         show(step, g)
 
-    back = exhaustive_search(g)
-    print(f"forward search from the degraded form: best key {back.best_key[:2]} "
-          f"via {list(back.best_sequence)}")
-    show("re-optimized", back.best_function)
-
-    wl = Workload("u8", tuple((x,) for x in range(256)))
-    rep = differential_check(f, back.best_function, wl)
-    print(f"equivalent to the seed on all {len(wl.args)} byte inputs: "
-          f"{rep.equivalent}\n")
-
-    auto = ibo(f, 2)
-    print(f"iterated reverse-then-optimize, k=2: best key {auto.best_key[:2]}, "
-          f"{auto.total_programs} programs total")
-    print(f"provenance: {list(auto.best_provenance)}")
-    ok = auto.best_key[:2] == (9, 4) and rep.equivalent
+    wl = default_workload(f)
+    rep = differential_check(f, g, wl)
+    print(f"equivalent to the seed on {len(wl.args)} inputs ({wl.name}): {rep.equivalent}")
+    print(f"iterated reverse-then-optimize, k={report['iterations_requested']}: "
+          f"best key {tuple(outcome['best_key'])}, {outcome['total_programs']} programs total")
+    ok = print_function(g) == outcome["best_ir"] and rep.equivalent
     return 0 if ok else 1
 
 

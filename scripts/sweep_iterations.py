@@ -1,55 +1,47 @@
 #!/usr/bin/env python3
 """How far does each extra degrade-and-reoptimize round get you?
 
-Runs the iterated loop once per function at the largest k and reads the
-per-round best keys off the trace (round i of a k-round run is exactly a
-k=i run; the frontier evolution does not depend on the target). Prints a
-key column per k and marks the round where each function stops improving.
+Reads the JSON report of `bidiropt compare` (a file argument, or stdin) and
+prints each function's best key after every round up to the report's k
+(`ibo_keys_by_k`; round i of a k-round run is exactly a k=i run, since the
+frontier evolution does not depend on the target), marking the round where
+each function stops improving.
+
+    bidiropt compare corpus/valid -k 3 | python3 scripts/sweep_iterations.py
 """
 
 import argparse
+import json
 import sys
-import time
-from pathlib import Path
-
-from bidiropt.ir import parse_function
-from bidiropt.search import ibo
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("corpus", nargs="?", default=ROOT / "corpus" / "valid",
-                    type=Path)
-    ap.add_argument("-k", type=int, default=3, help="largest iteration budget")
-    args = ap.parse_args(argv)
+    ap.add_argument("report", nargs="?", type=argparse.FileType("r"), default=sys.stdin,
+                    help="compare report (default: stdin)")
+    outcome = json.load(ap.parse_args(argv).report)["outcome"]
+    k_max = outcome["k"]
 
-    files = sorted(args.corpus.glob("*.ir"))
-    if not files:
-        print(f"no .ir files under {args.corpus}", file=sys.stderr)
-        return 2
-
-    head = " ".join(f"{'k=' + str(k):>8}" for k in range(args.k + 1))
+    head = " ".join(f"{'k=' + str(k):>8}" for k in range(k_max + 1))
     print(f"{'function':<22} {head}  settles at")
-    improved_at = [0] * (args.k + 1)
-    t0 = time.monotonic()
-    for path in files:
-        f = parse_function(path.read_text())
-        out = ibo(f, args.k)
-        keys = [out.baseline.best_key] + [it.best_key for it in out.iterations]
-        keys += [keys[-1]] * (args.k + 1 - len(keys))  # frontier went empty
+    improved_at = [0] * (k_max + 1)
+    for row in outcome["rows"]:
+        if "ibo_keys_by_k" not in row:
+            print(f"{row['function']:<22} workload diverged")
+            continue
+        by_k = row["ibo_keys_by_k"]
+        keys = [by_k[str(k)] for k in range(len(by_k))]
+        keys += [keys[-1]] * (k_max + 1 - len(keys))  # frontier went empty
         settle = 0
         for i in range(1, len(keys)):
-            if keys[i][:-1] < keys[i - 1][:-1]:
+            if keys[i] < keys[i - 1]:
                 settle = i
                 improved_at[i] += 1
-        cols = " ".join(
-            f"{','.join(str(x) for x in k[:-1]):>8}" for k in keys)
-        print(f"{f.name:<22} {cols}  k={settle}")
+        cols = " ".join(f"{','.join(str(x) for x in k):>8}" for k in keys)
+        print(f"{row['function']:<22} {cols}  k={settle}")
 
-    print(f"\n{len(files)} functions, {time.monotonic() - t0:.1f}s")
-    for k in range(1, args.k + 1):
+    print(f"\n{outcome['functions']} functions")
+    for k in range(1, k_max + 1):
         print(f"functions still improving at round {k}: {improved_at[k]}")
     return 0
 

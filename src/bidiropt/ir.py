@@ -379,23 +379,26 @@ def defined_values(f: Function) -> dict[str, tuple[str, int] | None]:
     return defs
 
 
-def substitute(f: Function, mapping: dict[str, Operand]) -> Function:
-    """Rewrite every operand occurrence per mapping (defs untouched)."""
-    def sub(op: Operand) -> Operand:
-        while isinstance(op, ValueRef) and op.name in mapping:
-            nxt = mapping[op.name]
-            if nxt == op:
-                break
-            op = nxt
-        return op
+def resolve(op: Operand, mapping: dict[str, Operand]) -> Operand:
+    """Follow op through the substitution chain in mapping to its end."""
+    while isinstance(op, ValueRef) and op.name in mapping:
+        nxt = mapping[op.name]
+        if nxt == op:
+            break
+        op = nxt
+    return op
 
-    blocks = []
-    for b in f.blocks:
-        instrs = tuple(
-            replace(ins, operands=tuple(sub(o) for o in ins.operands)) for ins in b.instrs
-        )
-        blocks.append(BasicBlock(b.label, instrs))
-    return Function(f.name, f.params, tuple(blocks))
+
+def substitute(f: Function, mapping: dict[str, Operand]) -> Function:
+    """Rewrite every operand occurrence per mapping (defs untouched);
+    instructions the mapping does not touch are kept as they are."""
+    def sub(ins: Instruction) -> Instruction:
+        if not any(isinstance(o, ValueRef) and o.name in mapping for o in ins.operands):
+            return ins
+        return replace(ins, operands=tuple(resolve(o, mapping) for o in ins.operands))
+
+    blocks = tuple(BasicBlock(b.label, tuple(map(sub, b.instrs))) for b in f.blocks)
+    return Function(f.name, f.params, blocks)
 
 
 def rename_blocks(f: Function, mapping: dict[str, str]) -> Function:

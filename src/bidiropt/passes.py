@@ -9,6 +9,7 @@ takes and returns a valid Function and reports whether anything changed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 
 from .analysis import (
     compute_dominators,
@@ -33,6 +34,7 @@ from .ir import (
     fresh_names,
     predecessors,
     rename_blocks,
+    resolve,
     rpo_order,
     substitute,
     successors,
@@ -224,19 +226,13 @@ def apply_identity_simplify(f: Function) -> PassOutcome:
     blocks = edit(f)
     subst: dict[str, Operand] = {}
     changed = False
-
-    def resolve(op: Operand) -> Operand:
-        while isinstance(op, ValueRef) and op.name in subst:
-            op = subst[op.name]
-        return op
-
     index = {b.label: b for b in f.blocks}
     for lbl in rpo_order(f):
         instrs = blocks[lbl]
         for i, ins in enumerate(index[lbl].instrs):
             if ins.opcode not in BINOPS or ins.result is None:
                 continue
-            resolved = replace(ins, operands=tuple(resolve(o) for o in ins.operands))
+            resolved = replace(ins, operands=tuple(resolve(o, subst) for o in ins.operands))
             out = _identity_result(resolved)
             if out is not None:
                 subst[ins.result] = out
@@ -309,26 +305,27 @@ def apply_divmul_to_rem(f: Function) -> PassOutcome:
 # ---------------------------------------------------------------------------
 # add-to-or
 
-def apply_add_to_or(f: Function) -> PassOutcome:
-    """add a, b -> or a, b when no bit position can be one in both operands.
-    add x, 0 is left to identity-simplify."""
-    kb = known_bits(f)
+def disjoint_bits(kb: dict, a: Operand, b: Operand) -> bool:
+    """add a, b and or a, b agree: no bit position can be one in both
+    operands (kb is known_bits of the function). A literal-0 operand does not
+    count; that add is identity-simplify's."""
+    if _is_lit(a, 0) or _is_lit(b, 0):
+        return False
 
     def possible(op: Operand) -> int:
-        if isinstance(op, Literal):
-            return op.value
-        return kb[op.name].possible_ones
+        return op.value if isinstance(op, Literal) else kb[op.name].possible_ones
 
+    return possible(a) & possible(b) == 0
+
+
+def apply_add_to_or(f: Function) -> PassOutcome:
+    """add a, b -> or a, b when their bits are disjoint."""
+    kb = known_bits(f)
     blocks = edit(f)
     changed = False
     for lbl, instrs in blocks.items():
         for i, ins in enumerate(instrs):
-            if ins is None or ins.opcode != "add":
-                continue
-            a, b = ins.operands
-            if _is_lit(a, 0) or _is_lit(b, 0):
-                continue
-            if possible(a) & possible(b) == 0:
+            if ins is not None and ins.opcode == "add" and disjoint_bits(kb, *ins.operands):
                 instrs[i] = replace(ins, opcode="or")
                 changed = True
     return PassOutcome(changed, freeze(f, blocks) if changed else f)
@@ -424,72 +421,78 @@ def _emit_linear(f: Function, terms: dict[str, int], const: int,
     return out, acc
 
 
+def _tree_roots(f: Function, ud) -> list[tuple[str, set[str]]]:
+    """Roots of the maximal add/sub trees, each with the defs it absorbs, in
+    program order. Scanned bottom-up so outer trees claim absorbable inner
+    nodes."""
+    roots: list[tuple[str, set[str]]] = []
+    claimed: set[str] = set()
+    for _, _, ins in reversed(list(rpo_instrs(f))):
+        if ins.opcode not in ("add", "sub") or ins.result in claimed:
+            continue
+        absorbed = _linearize(f, ud, ins)[2]
+        claimed |= absorbed
+        roots.append((ins.result, absorbed))
+    roots.reverse()
+    return roots
+
+
+def _rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
+    """f with the tree under root_name re-emitted in canonical form, or None
+    when that would cost more or change nothing. New values are named
+    t<n>, n drawn from counter."""
+    site = ud.defs.get(root_name)
+    if site is None:
+        return None
+    lbl, i = site
+    root = f.block(lbl).instrs[i]
+    terms, const, absorbed = _linearize(f, ud, root)
+    taken = set(f.params) | set(ud.defs)
+
+    def namer() -> str:
+        name = next(n for n in (f"t{c}" for c in counter) if n not in taken)
+        taken.add(name)
+        return name
+
+    emitted, acc = _emit_linear(f, terms, const, namer)
+    model = DEFAULT_COST_MODEL
+    index = {b.label: b for b in f.blocks}
+    old_cost = model.cost(root.opcode) + sum(
+        model.cost(index[ud.defs[n][0]].instrs[ud.defs[n][1]].opcode) for n in absorbed
+    )
+    if sum(model.cost(ins.opcode) for ins in emitted) > old_cost:
+        return None
+    blocks = edit(f)
+    blocks[lbl][i:i + 1] = emitted
+    candidate = freeze(f, blocks, {root_name: acc})
+    blocks = edit(candidate)
+    _erase_dead(blocks, set(absorbed))
+    candidate = freeze(candidate, blocks)
+    return None if canonical_hash(candidate) == canonical_hash(f) else candidate
+
+
+def reassociate_rewrites(f: Function, name: str) -> bool:
+    """Whether reassociate rewrites the add/sub tree that holds value name."""
+    ud = use_def(f)
+    for root, absorbed in _tree_roots(f, ud):
+        if name == root or name in absorbed:
+            return _rewrite_tree(f, ud, root, count()) is not None
+    return False
+
+
 def apply_reassociate(f: Function) -> PassOutcome:
     """Canonicalize maximal add/sub trees (mul-by-literal absorbed as a
     coefficient): combine like terms, order leaves by canonical value index,
     re-emit. A root is skipped when re-emission would cost more or change
     nothing."""
-    model = DEFAULT_COST_MODEL
-    original = f
-    # roots scanned bottom-up so outer trees claim absorbable inner nodes
-    seq = list(rpo_instrs(f))
-    roots: list[str] = []
-    claimed: set[str] = set()
-    ud = use_def(f)
-    for lbl, i, ins in reversed(seq):
-        if ins.opcode not in ("add", "sub") or ins.result in claimed:
-            continue
-        terms, const, absorbed = _linearize(f, ud, ins)
-        claimed |= absorbed
-        roots.append(ins.result)
-    roots.reverse()  # apply in program order
-
-    changed = False
-    counter = 0
-    for root_name in roots:
-        ud = use_def(f)
-        site = ud.defs.get(root_name)
-        if site is None:
-            continue
-        lbl, i = site
-        root = f.block(lbl).instrs[i]
-        if root.opcode not in ("add", "sub"):
-            continue
-        terms, const, absorbed = _linearize(f, ud, root)
-
-        taken_names = set(f.params) | set(ud.defs)
-
-        def namer() -> str:
-            nonlocal counter
-            while True:
-                cand = f"t{counter}"
-                counter += 1
-                if cand not in taken_names:
-                    taken_names.add(cand)
-                    return cand
-
-        emitted, acc = _emit_linear(f, terms, const, namer)
-        index = {b.label: b for b in f.blocks}
-        old_cost = model.cost(root.opcode) + sum(
-            model.cost(index[ud.defs[n][0]].instrs[ud.defs[n][1]].opcode) for n in absorbed
-        )
-        new_cost = sum(model.cost(ins.opcode) for ins in emitted)
-        if new_cost > old_cost:
-            continue
-        blocks = edit(f)
-        cell = blocks[lbl]
-        cell[i:i + 1] = emitted
-        candidate = freeze(f, blocks, {root_name: acc})
-        blocks2 = edit(candidate)
-        _erase_dead(blocks2, set(absorbed))
-        candidate = freeze(candidate, blocks2)
-        if canonical_hash(candidate) == canonical_hash(f):
-            continue
-        f = candidate
-        changed = True
-    if changed and canonical_hash(f) == canonical_hash(original):
-        return PassOutcome(False, original)
-    return PassOutcome(changed, f if changed else original)
+    g = f
+    counter = count()
+    for root_name, _ in _tree_roots(f, use_def(f)):
+        h = _rewrite_tree(g, use_def(g), root_name, counter)
+        if h is not None:
+            g = h
+    changed = canonical_hash(g) != canonical_hash(f)
+    return PassOutcome(changed, g if changed else f)
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +508,6 @@ def apply_cse(f: Function) -> PassOutcome:
     index = {b.label: b for b in f.blocks}
     subst: dict[str, Operand] = {}
     dead: list[tuple[str, int]] = []
-
-    def resolve(op: Operand) -> Operand:
-        while isinstance(op, ValueRef) and op.name in subst:
-            op = subst[op.name]
-        return op
-
     table: dict[tuple, str] = {}
 
     def walk(lbl: str) -> None:
@@ -518,7 +515,7 @@ def apply_cse(f: Function) -> PassOutcome:
         for i, ins in enumerate(index[lbl].instrs):
             if ins.opcode not in _PURE_FOR_CSE or ins.result is None:
                 continue
-            key = (ins.opcode, tuple(resolve(o) for o in ins.operands))
+            key = (ins.opcode, tuple(resolve(o, subst) for o in ins.operands))
             if key in table:
                 subst[ins.result] = ValueRef(table[key])
                 dead.append((lbl, i))
@@ -762,11 +759,6 @@ def _promote_one(f: Function, p: str) -> Function | None:
     blocks = edit(f)
     subst: dict[str, Operand] = {}
 
-    def resolve(op: Operand) -> Operand:
-        while isinstance(op, ValueRef) and op.name in subst:
-            op = subst[op.name]
-        return op
-
     def walk(lbl: str, stack: list[Operand]) -> None:
         depth = len(stack)
         if lbl in phi_name:
@@ -776,7 +768,7 @@ def _promote_one(f: Function, p: str) -> Function | None:
                 subst[ins.result] = stack[-1]
                 blocks[lbl][i] = None
             elif ins.opcode == "store" and ins.operands[1] == ValueRef(p):
-                stack.append(resolve(ins.operands[0]))
+                stack.append(resolve(ins.operands[0], subst))
                 blocks[lbl][i] = None
             elif ins.opcode == "alloca" and ins.result == p:
                 blocks[lbl][i] = None
@@ -823,7 +815,8 @@ def apply_mem2reg(f: Function) -> PassOutcome:
 # ---------------------------------------------------------------------------
 # licm
 
-def _loop_invariant_ok(ins: Instruction) -> bool:
+def licm_movable(ins: Instruction) -> bool:
+    """What licm may move between a loop and its preheader."""
     if ins.result is None or ins.is_phi or ins.opcode in ("load", "store", "alloca"):
         return False
     return erasable(ins)  # same trap-free purity bar
@@ -850,7 +843,7 @@ def apply_licm(f: Function) -> PassOutcome:
             index = {b.label: b for b in f.blocks}
             for lbl in [l for l in rpo_order(f) if l in lp.body]:
                 for i, ins in enumerate(index[lbl].instrs):
-                    if _loop_invariant_ok(ins) and all(outside(o) for o in ins.operands):
+                    if licm_movable(ins) and all(outside(o) for o in ins.operands):
                         blocks = edit(f)
                         blocks[lbl][i] = None
                         pre = blocks[lp.preheader]

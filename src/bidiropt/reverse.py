@@ -2,9 +2,10 @@
 
 Where a forward pass is a function, a reverse pass is an enumerator: it
 yields one variant per applicable site, in RPO site order. Every reverse
-rewrite is paired with the forward pass that undoes it, and a variant is
-kept only if that forward pass actually fires on it; this guarantees the
-detour stays inside optimizable territory. Variants are never more
+rewrite is paired with the forward pass that undoes it, and each enumerator
+emits only sites whose rewrite that pass undoes, deciding it with the pass's
+own rule; this keeps the detour inside optimizable territory (tests check
+the pairing on the corpus and its neighbours). Variants are never more
 efficient than the input.
 """
 
@@ -24,7 +25,14 @@ from .ir import (
     fresh_names,
     rpo_order,
 )
-from .passes import FORWARD_PASSES, edit, erasable, freeze, rpo_instrs
+from .passes import (
+    disjoint_bits,
+    edit,
+    freeze,
+    licm_movable,
+    reassociate_rewrites,
+    rpo_instrs,
+)
 
 PAIRINGS: dict[str, str] = {
     "rev-instexpand-rem": "divmul-to-rem",
@@ -103,17 +111,8 @@ def _rev_instexpand_shl(f: Function):
 def _rev_instexpand_or(f: Function):
     """or a, b  ->  add a, b, only where the bits provably cannot overlap."""
     kb = known_bits(f)
-
-    def possible(op: Operand) -> int:
-        return op.value if isinstance(op, Literal) else kb[op.name].possible_ones
-
     for lbl, i, ins in rpo_instrs(f):
-        if ins.opcode != "or":
-            continue
-        a, b = ins.operands
-        if isinstance(a, Literal) and a.value == 0 or isinstance(b, Literal) and b.value == 0:
-            continue
-        if possible(a) & possible(b) != 0:
+        if ins.opcode != "or" or not disjoint_bits(kb, *ins.operands):
             continue
         blocks = edit(f)
         blocks[lbl][i] = replace(ins, opcode="add")
@@ -124,49 +123,49 @@ def _rev_instexpand_or(f: Function):
 # shape perturbations
 
 def _rev_reassociate(f: Function):
-    """Perturb add trees: swap operands, or rotate a nested single-use add."""
+    """Perturb add trees: swap operands, or rotate a nested single-use add
+    (which the rotation absorbs). A perturbation is kept only where
+    reassociate rewrites the tree it lands in (a swap onto canonical leaf
+    order is already reassociate's form)."""
     ud = use_def(f)
     index = {b.label: b for b in f.blocks}
 
-    def single_use_add(op: Operand) -> Instruction | None:
+    def single_use_add(op: Operand) -> tuple[str, int] | None:
         if not isinstance(op, ValueRef):
             return None
         site = ud.defs.get(op.name)
         if site is None:
             return None
-        ins = index[site[0]].instrs[site[1]]
-        if ins.opcode == "add" and ud.use_count(op.name) == 1:
-            return ins
+        if index[site[0]].instrs[site[1]].opcode == "add" and ud.use_count(op.name) == 1:
+            return site
         return None
 
     for lbl, i, ins in rpo_instrs(f):
         if ins.opcode != "add":
             continue
         a, b = ins.operands
-        blocks = edit(f)
-        blocks[lbl][i] = replace(ins, operands=(b, a))
-        yield freeze(f, blocks)
-
-        inner = single_use_add(a)
-        if inner is not None:
+        perturbed = [(None, [replace(ins, operands=(b, a))])]
+        (tn,) = fresh_names(f, "x", 1)
+        site = single_use_add(a)
+        if site is not None:
             # (p + q) + b  ->  p + (q + b)
-            (tn,) = fresh_names(f, "x", 1)
-            blocks = edit(f)
-            blocks[lbl][i:i + 1] = [
-                Instruction(tn, "add", (inner.operands[1], b)),
-                Instruction(ins.result, "add", (inner.operands[0], ValueRef(tn))),
-            ]
-            yield freeze(f, blocks)
-        inner = single_use_add(b)
-        if inner is not None:
+            p, q = index[site[0]].instrs[site[1]].operands
+            perturbed.append((site, [Instruction(tn, "add", (q, b)),
+                                     Instruction(ins.result, "add", (p, ValueRef(tn)))]))
+        site = single_use_add(b)
+        if site is not None:
             # a + (p + q)  ->  (a + p) + q
-            (tn,) = fresh_names(f, "x", 1)
+            p, q = index[site[0]].instrs[site[1]].operands
+            perturbed.append((site, [Instruction(tn, "add", (a, p)),
+                                     Instruction(ins.result, "add", (ValueRef(tn), q))]))
+        for inner, new in perturbed:
             blocks = edit(f)
-            blocks[lbl][i:i + 1] = [
-                Instruction(tn, "add", (a, inner.operands[0])),
-                Instruction(ins.result, "add", (ValueRef(tn), inner.operands[1])),
-            ]
-            yield freeze(f, blocks)
+            if inner is not None:
+                blocks[inner[0]][inner[1]] = None  # its one use was ins
+            blocks[lbl][i:i + 1] = new
+            g = freeze(f, blocks)
+            if reassociate_rewrites(g, ins.result):
+                yield g
 
 
 def _rev_split_block(f: Function):
@@ -217,7 +216,7 @@ def _rev_licm_sink(f: Function):
             continue
         pre = index[lp.preheader]
         for i, ins in enumerate(pre.instrs):
-            if ins.result is None or ins.is_phi or not erasable(ins):
+            if not licm_movable(ins):
                 continue
             uses = ud.uses[ins.result]
             if not uses or not all(u[0] in lp.body for u in uses):
@@ -316,18 +315,14 @@ REVERSE_PASSES = tuple(_ENUMERATORS)
 
 def reverse_variants(name: str, f: Function, cap: int | None = None) -> tuple[Variant, ...]:
     """Enumerate variants of f under one reverse pass, in deterministic site
-    order. Variants identical to f are dropped, and so are variants the paired
-    forward pass cannot undo. `cap` truncates after filtering, so a site index
-    is stable for a given (function, config)."""
+    order, dropping variants identical to f. `cap` keeps the first `cap`, so
+    a site index is stable for a given (function, config)."""
     if name not in _ENUMERATORS:
         raise KeyError(f"unknown reverse pass '{name}'")
     h0 = canonical_hash(f)
-    undo = FORWARD_PASSES[PAIRINGS[name]]
     out: list[Variant] = []
     for g in _ENUMERATORS[name](f):
         if canonical_hash(g) == h0:
-            continue
-        if not undo(g).changed:
             continue
         out.append(Variant(name, len(out), g))
         if cap is not None and len(out) >= cap:

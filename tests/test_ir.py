@@ -18,6 +18,7 @@ from bidiropt.ir import (
     predecessors,
     print_function,
     rename_blocks,
+    resolve,
     rpo_order,
     substitute,
     validate_function,
@@ -303,3 +304,20 @@ def test_substitute_with_value_ref():
     f = load("bin2bcd")
     g = substitute(f, {"h": ValueRef("q")})
     assert "add %q, %r" in print_function(g)
+
+
+def test_substitute_keeps_untouched_instructions():
+    f = load("bin2bcd")
+    g = substitute(f, {"h": ValueRef("q")})
+    for b, c in zip(f.blocks, g.blocks):
+        for old, new in zip(b.instrs, c.instrs):
+            touched = any(o == ValueRef("h") for o in old.operands)
+            assert (new is old) != touched, old
+
+
+def test_resolve_follows_the_chain_to_its_end():
+    chain = {"a": ValueRef("b"), "b": ValueRef("c"), "c": Literal(3), "s": ValueRef("s")}
+    assert resolve(ValueRef("a"), chain) == Literal(3)
+    assert resolve(ValueRef("s"), chain) == ValueRef("s")  # a self-map ends the chain
+    assert resolve(ValueRef("z"), chain) == ValueRef("z")
+    assert resolve(Literal(9), chain) == Literal(9)

@@ -4,7 +4,7 @@ import pytest
 
 from bidiropt.cost import rank_key, static_cost
 from bidiropt.interp import differential_check
-from bidiropt.ir import canonical_hash, print_function, validate_function
+from bidiropt.ir import canonical_hash, parse_function, print_function, validate_function
 from bidiropt.passes import FORWARD_PASSES, apply_pass
 from bidiropt.reverse import PAIRINGS, REVERSE_PASSES, reverse_variants
 
@@ -66,10 +66,12 @@ def test_or_expansion_needs_disjoint_bits():
     body = print_function(vs[0].function).split("\n", 1)[1]
     assert "add %h, %r" in body
     # an or of two arbitrary values may carry: no variant allowed
-    from bidiropt.ir import parse_function
     opaque = parse_function(
         "func @f(%x, %y) {\nentry:\n  %o = or %x, %y\n  ret %o\n}\n")
     assert reverse_variants("rev-instexpand-or", opaque) == ()
+    # x | 0 is disjoint, but add x, 0 is identity-simplify's, not add-to-or's
+    zero = parse_function("func @f(%x) {\nentry:\n  %o = or %x, 0\n  ret %o\n}\n")
+    assert reverse_variants("rev-instexpand-or", zero) == ()
 
 
 def test_reassociate_variants_rotate_and_swap():
@@ -79,6 +81,44 @@ def test_reassociate_variants_rotate_and_swap():
     for v in vs:
         undone = apply_pass("reassociate", v.function)
         assert undone.changed
+
+
+ROTATION = """\
+func @rot(%x, %y, %z) {
+entry:
+  %s = add %x, %y
+  %t = add %s, %z
+  ret %t
+}
+"""
+
+
+def test_reassociate_undoes_a_rotation():
+    f = parse_function(ROTATION)
+    rotated = [v for v in reverse_variants("rev-reassociate", f)
+               if "add %y, %z" in print_function(v.function)]
+    assert len(rotated) == 1  # (x + y) + z  ->  x + (y + z)
+    assert validate_function(rotated[0].function) == []
+    assert static_cost(rotated[0].function) == static_cost(f)  # %s goes with it
+    undone = apply_pass("reassociate", rotated[0].function)
+    assert undone.changed
+    assert same_modulo_name(undone.function, f)
+
+
+def test_no_swap_onto_reassociates_canonical_order():
+    # reassociate orders the leaves x*8 then %a, so swapping this add lands
+    # on the form reassociate already leaves alone
+    f = parse_function("""\
+func @f(%x) {
+entry:
+  %a = shl %x, 4
+  %b = mul %x, 8
+  %s = add %a, %b
+  ret %s
+}
+""")
+    assert apply_pass("reassociate", f).changed
+    assert reverse_variants("rev-reassociate", f) == ()
 
 
 def test_split_block_adds_one_block_and_fixes_phis():
@@ -104,6 +144,30 @@ def test_licm_sink_inverts_hoisting():
     undone = apply_pass("licm", g)
     assert undone.changed
     assert same_modulo_name(undone.function, f)
+
+
+def test_licm_sink_leaves_an_alloca_in_the_preheader():
+    # licm never moves an alloca, so sinking %p would not be undone, even
+    # though licm fires on the variant by hoisting %m
+    f = parse_function("""\
+func @f(%n, %k) {
+entry:
+  %p = alloca
+  br head
+head:
+  %i = phi [0, entry], [%i2, head]
+  %m = mul %k, 3
+  store %m, %p
+  %v = load %p
+  %i2 = add %i, %v
+  %c = icmp.ult %i2, %n
+  condbr %c, head, exit
+exit:
+  ret %i2
+}
+""")
+    assert apply_pass("licm", f).changed
+    assert reverse_variants("rev-licm-sink", f) == ()
 
 
 def test_reg2mem_round_trips_through_mem2reg():
@@ -132,7 +196,7 @@ def test_insert_dead_store_per_reachable_block():
 
 # --- enumeration contract -------------------------------------------------------
 
-def test_cap_truncates_after_filtering():
+def test_cap_keeps_the_first_site_indices():
     f = load("diamond")
     full = reverse_variants("rev-split-block", f)
     capped = reverse_variants("rev-split-block", f, cap=2)
@@ -172,3 +236,25 @@ def test_paired_forward_fires_and_recovers_cost(corpus_function):
         out = apply_pass(PAIRINGS[v.reverse_name], v.function)
         assert out.changed, (f.name, v.step)
         assert static_cost(out.function) <= pre, (f.name, v.step)
+
+
+def _one_step_neighbours(f):
+    """Distinct programs one forward pass or one reverse variant away from f."""
+    out = {}
+    for name in FORWARD_PASSES:
+        r = apply_pass(name, f)
+        if r.changed:
+            out.setdefault(canonical_hash(r.function), r.function)
+    for v in all_reverse_variants(f):
+        out.setdefault(canonical_hash(v.function), v.function)
+    return list(out.values())
+
+
+def test_paired_forward_undoes_every_variant_of_the_neighbours(corpus_function):
+    # the enumerators alone keep the pairing, so check it beyond the corpus
+    for h in _one_step_neighbours(corpus_function):
+        pre = static_cost(h)
+        for v in all_reverse_variants(h):
+            out = apply_pass(PAIRINGS[v.reverse_name], v.function)
+            assert out.changed, (corpus_function.name, print_function(h), v.step)
+            assert static_cost(out.function) <= pre, (corpus_function.name, v.step)

@@ -1,4 +1,5 @@
-"""Smoke tests: each experiment script under scripts/ runs to exit 0."""
+"""Smoke tests: each experiment script under scripts/ formats a report and
+exits 0."""
 
 import os
 import shutil
@@ -7,40 +8,53 @@ import sys
 
 import pytest
 
-from conftest import ROOT, VALID
+from conftest import ROOT, VALID, run_cli
 
 
-def _run(script, *args):
+def _run(script, *args, stdin=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *map(str, args)],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          input=stdin, capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_scripts_run_no_search():
+    for path in (ROOT / "scripts").glob("*.py"):
+        assert "bidiropt.search" not in path.read_text(), path.name
 
 
 def test_escape_demo_reaches_9_4():
-    # exits 0 only when the iterated loop lands on key (9, 4)
-    proc = _run("escape_demo.py")
+    code, report = run_cli("ibo", VALID / "bin2bcd.ir", "-k", "2")
+    assert code == 0
+    # exits 0 only when the replay reproduces the report's best_ir
+    proc = _run("escape_demo.py", stdin=report)
     assert proc.returncode == 0, proc.stderr
     assert "best key (9, 4)" in proc.stdout
+    assert "--- rev-instexpand-shl@0  key=(13, 6)" in proc.stdout
 
 
-@pytest.fixture
-def two_functions(tmp_path):
+@pytest.fixture(scope="module")
+def compare_report(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("corpus")
     for name in ("bin2bcd", "divmul"):
-        shutil.copy(VALID / f"{name}.ir", tmp_path)
-    return tmp_path
+        shutil.copy(VALID / f"{name}.ir", corpus)
+    code, report = run_cli("compare", corpus, "-k", "2")
+    assert code == 0
+    path = corpus / "compare.json"
+    path.write_text(report)
+    return path
 
 
-def test_corpus_table(two_functions):
-    proc = _run("corpus_table.py", two_functions, "-k", "2")
+def test_corpus_table(compare_report):
+    proc = _run("corpus_table.py", compare_report)
     assert proc.returncode == 0, proc.stderr
     row = next(l for l in proc.stdout.splitlines() if l.startswith("bin2bcd"))
-    assert row.split()[1:5] == ["11,5", "11,5", "9,4", "reverse+"]
+    assert row.split()[1:5] == ["11,5", "11,5", "9,4", "ibo"]
 
 
-def test_sweep_iterations(two_functions):
-    proc = _run("sweep_iterations.py", two_functions, "-k", "2")
+def test_sweep_iterations(compare_report):
+    proc = _run("sweep_iterations.py", stdin=compare_report.read_text())
     assert proc.returncode == 0, proc.stderr
     row = next(l for l in proc.stdout.splitlines() if l.startswith("bin2bcd"))
     assert row.split()[1:] == ["11,5", "11,5", "9,4", "k=2"]
