@@ -38,7 +38,6 @@ from .ir import (
 from .passes import FORWARD_PASSES, apply_pass
 from .reverse import REVERSE_PASSES
 from .search import (
-    BudgetExceeded,
     IboOutcome,
     ReplayDiverged,
     SearchOutcome,
@@ -309,19 +308,14 @@ def cmd_search(args, cfg: Config) -> int:
     report = _report("search", cfg, input=_input_json(args.file, f, cfg))
     try:
         out = exhaustive_search(f, cfg.passes, cfg.limits(), cfg.model(), wl)
-    except BudgetExceeded as e:
-        report["outcome"] = _search_json(e.partial, f, cfg, wl)
-        report["budget_exceeded"] = True
-        _emit(report, cfg)
-        return 3
     except WorkloadDiverged as e:
         report["outcome"] = _diverged_json(wl, e)
         _emit(report, cfg)
         return 2
     report["outcome"] = _search_json(out, f, cfg, wl)
-    report["budget_exceeded"] = False
+    report["budget_exceeded"] = out.budget_exceeded
     _emit(report, cfg)
-    return 0
+    return 3 if out.budget_exceeded else 0
 
 
 def cmd_ibo(args, cfg: Config) -> int:
@@ -336,19 +330,14 @@ def cmd_ibo(args, cfg: Config) -> int:
     try:
         out = ibo(f, args.iterations, cfg.passes, tuple(reverses), cfg.limits(),
                   cfg.model(), wl)
-    except BudgetExceeded as e:
-        report["outcome"] = _ibo_json(e.partial, f, cfg, wl)
-        report["budget_exceeded"] = True
-        _emit(report, cfg)
-        return 3
     except WorkloadDiverged as e:
         report["outcome"] = _diverged_json(wl, e)
         _emit(report, cfg)
         return 2
     report["outcome"] = _ibo_json(out, f, cfg, wl)
-    report["budget_exceeded"] = False
+    report["budget_exceeded"] = out.budget_exceeded
     _emit(report, cfg)
-    return 0
+    return 3 if out.budget_exceeded else 0
 
 
 def cmd_equiv_class(args, cfg: Config) -> int:
@@ -409,15 +398,14 @@ def cmd_compare(args, cfg: Config) -> int:
                "input_key": _key_json(rank_key(f, model))}
         try:
             ib = ibo(f, args.k_max, cfg.passes, tuple(reverses), cfg.limits(), model, swl)
-        except BudgetExceeded as e:
-            ib = e.partial
-            row["ibo_budget_exceeded"] = True
-            any_budget = True
         except WorkloadDiverged as e:
             row["workload_diverged"] = _diverged_json(wl, e)
             any_diverged = True
             rows.append(row)
             continue
+        if ib.budget_exceeded:
+            row["ibo_budget_exceeded"] = True
+            any_budget = True
         ex = ib.baseline
         if ex.budget_exceeded:
             row["exhaustive_budget_exceeded"] = True

@@ -21,30 +21,19 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class Config:
+class Config(SearchLimits):
+    """The search budgets, inherited with their defaults from SearchLimits,
+    and the rest of a run's settings."""
     costs: dict[str, int] = field(default_factory=dict)
     metric: str = "static"                  # "static" | "dynamic"
     passes: tuple[str, ...] | None = None   # None = all forward passes
     reverses: tuple[str, ...] | None = None
-    max_sequence_length: int = 12
-    max_programs_explored: int = 200_000
-    max_instructions_per_program: int = 512
-    cap_per_pass: int = 8
-    ibo_max_frontier: int = 256
-    step_limit: int = 10_000
     workload: str | None = None             # path to a JSON arg-vector list
     format: str = "json"                    # "json" | "text"
     seed: int = 0
 
     def limits(self) -> SearchLimits:
-        return SearchLimits(
-            max_sequence_length=self.max_sequence_length,
-            max_programs_explored=self.max_programs_explored,
-            max_instructions_per_program=self.max_instructions_per_program,
-            cap_per_pass=self.cap_per_pass,
-            ibo_max_frontier=self.ibo_max_frontier,
-            step_limit=self.step_limit,
-        )
+        return SearchLimits(**{f.name: getattr(self, f.name) for f in fields(SearchLimits)})
 
     def model(self) -> CostModel:
         return CostModel(dict(self.costs))
@@ -74,12 +63,10 @@ def _check(cfg: Config) -> Config:
         for r in cfg.reverses:
             if r not in REVERSE_PASSES:
                 raise ConfigError(f"unknown reverse pass {r!r}")
-    for name in ("max_sequence_length", "max_programs_explored",
-                 "max_instructions_per_program", "cap_per_pass",
-                 "ibo_max_frontier", "step_limit"):
-        v = getattr(cfg, name)
+    for f in fields(SearchLimits):
+        v = getattr(cfg, f.name)
         if not isinstance(v, int) or v < 1:
-            raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+            raise ConfigError(f"{f.name} must be a positive integer, got {v!r}")
     return cfg
 
 

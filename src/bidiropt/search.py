@@ -44,15 +44,6 @@ class SearchOutcome:
     budget_exceeded: bool = False  # this search itself hit max_programs_explored
 
 
-class BudgetExceeded(Exception):
-    """Raised when a search hits max_programs_explored. Carries the best
-    result found up to that point."""
-
-    def __init__(self, message: str, partial):
-        super().__init__(message)
-        self.partial = partial
-
-
 class ReplayDiverged(Exception):
     pass
 
@@ -116,10 +107,11 @@ def exhaustive_search(f: Function,
             best["fn"] = g
             best["seq"] = tuple(path)
 
-    def walk(g: Function, digest: CanonicalDigest) -> None:
+    def walk(g: Function, digest: CanonicalDigest) -> bool:
+        """Explore below g; True when max_programs_explored cut the walk short."""
         if len(path) >= limits.max_sequence_length:
             stats["truncated"] += 1
-            return
+            return False
         any_child = False
         for name in names:
             changed, child = cache.apply(name, g, digest)
@@ -137,26 +129,21 @@ def exhaustive_search(f: Function,
             stats["explored"] += 1
             path.append(name)
             consider(child, cache.rank(child, cd, model, workload, limits.step_limit))
-            if stats["explored"] >= limits.max_programs_explored:
-                path.pop()
-                raise BudgetExceeded(
-                    f"explored {stats['explored']} programs (limit "
-                    f"{limits.max_programs_explored})", _outcome(budget_exceeded=True))
-            walk(child, cd)
+            spent = stats["explored"] >= limits.max_programs_explored or walk(child, cd)
             path.pop()
+            if spent:
+                return True
         if not any_child:
             stats["saturated"] += 1
+        return False
 
-    def _outcome(budget_exceeded: bool = False) -> SearchOutcome:
-        return SearchOutcome(
-            best_function=best["fn"], best_key=best["key"], best_sequence=best["seq"],
-            start_key=start_key, explored=stats["explored"],
-            saturated_leaves=stats["saturated"], pruned_by_hash=stats["pruned"],
-            truncated=stats["truncated"], skipped_oversize=stats["oversize"],
-            budget_exceeded=budget_exceeded)
-
-    walk(f, start_digest)
-    return _outcome()
+    spent = walk(f, start_digest)
+    return SearchOutcome(
+        best_function=best["fn"], best_key=best["key"], best_sequence=best["seq"],
+        start_key=start_key, explored=stats["explored"],
+        saturated_leaves=stats["saturated"], pruned_by_hash=stats["pruned"],
+        truncated=stats["truncated"], skipped_oversize=stats["oversize"],
+        budget_exceeded=spent)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +168,7 @@ class IboOutcome:
     baseline: SearchOutcome
     iterations: tuple[IboIteration, ...]
     total_programs: int
+    budget_exceeded: bool = False  # max_programs_explored ran out across all searches
 
 
 def ibo(f: Function,
@@ -198,35 +186,19 @@ def ibo(f: Function,
     frontier program, exhaustively re-optimizes each variant, and keeps the
     result only when strictly better. The frontier then becomes the variants
     themselves, cheapest first, truncated to ibo_max_frontier.
+    max_programs_explored bounds the programs of all searches together; when
+    it runs out, the best result so far is returned with budget_exceeded set
+    and the cut iteration left out of iterations.
     """
     cache = PassCache()
-
-    def run_search(g: Function, digest: CanonicalDigest,
-                   budget_left: int) -> tuple[SearchOutcome, bool]:
-        key = (digest,)
-        got = cache.searches.get(key)
-        if got is not None:
-            return got, True
-        sub_limits = replace(limits, max_programs_explored=budget_left)
-        out = exhaustive_search(g, passes, sub_limits, model, workload, cache)
-        cache.searches[key] = out
-        return out, False
-
-    try:
-        baseline = exhaustive_search(f, passes, limits, model, workload, cache)
-    except BudgetExceeded as e:
-        raise BudgetExceeded(str(e), IboOutcome(
-            e.partial.best_function, e.partial.best_key, e.partial.best_sequence,
-            e.partial, (), e.partial.explored)) from None
+    baseline = exhaustive_search(f, passes, limits, model, workload, cache)
     cache.searches[(canonical_hash(f),)] = baseline
     total = baseline.explored
     best_fn = baseline.best_function
     best_key = baseline.best_key
     best_prov: tuple[str, ...] = baseline.best_sequence
     trace: list[IboIteration] = []
-
-    def partial() -> IboOutcome:
-        return IboOutcome(best_fn, best_key, best_prov, baseline, tuple(trace), total)
+    spent = baseline.budget_exceeded
 
     # frontier members carry the reverse-step provenance that produced them,
     # and their digest
@@ -234,6 +206,8 @@ def ibo(f: Function,
         (f, (), canonical_hash(f))]
 
     for it in range(1, iterations + 1):
+        if spent:
+            break
         produced: list[tuple[Function, tuple[str, ...], CanonicalDigest]] = []
         seen: set[CanonicalDigest] = set()
         generated = 0
@@ -257,21 +231,16 @@ def ibo(f: Function,
         improved = False
         for g, prov, d in produced:
             if total >= limits.max_programs_explored:
-                raise BudgetExceeded(
-                    f"ibo explored {total} programs (limit "
-                    f"{limits.max_programs_explored})", partial())
-            try:
-                sub, was_hit = run_search(g, d, limits.max_programs_explored - total)
-            except BudgetExceeded as e:
-                total += e.partial.explored
-                if e.partial.best_key < best_key:
-                    best_key = e.partial.best_key
-                    best_fn = e.partial.best_function
-                    best_prov = prov + e.partial.best_sequence
-                raise BudgetExceeded(str(e), partial()) from None
-            if was_hit:
+                spent = True
+                break
+            sub = cache.searches.get((d,))
+            if sub is not None:
                 hits += 1
             else:
+                sub_limits = replace(
+                    limits, max_programs_explored=limits.max_programs_explored - total)
+                sub = exhaustive_search(g, passes, sub_limits, model, workload, cache)
+                cache.searches[(d,)] = sub
                 searched += 1
                 total += sub.explored
             if sub.best_key < best_key:
@@ -279,11 +248,16 @@ def ibo(f: Function,
                 best_fn = sub.best_function
                 best_prov = prov + sub.best_sequence
                 improved = True
+            if sub.budget_exceeded:
+                spent = True
+                break
+        if spent:
+            break
         trace.append(IboIteration(it, len(frontier), generated, searched, hits,
                                   best_key, improved))
         frontier = produced
 
-    return IboOutcome(best_fn, best_key, best_prov, baseline, tuple(trace), total)
+    return IboOutcome(best_fn, best_key, best_prov, baseline, tuple(trace), total, spent)
 
 
 # ---------------------------------------------------------------------------

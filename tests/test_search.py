@@ -8,7 +8,6 @@ from bidiropt.interp import differential_check, load_workload
 from bidiropt.ir import canonical_hash, parse_function, print_function
 from bidiropt.passes import FORWARD_PASSES, apply_pass
 from bidiropt.search import (
-    BudgetExceeded,
     ClassGraph,
     PassCache,
     ReplayDiverged,
@@ -91,9 +90,8 @@ def test_search_is_deterministic():
 
 def test_budget_raises_with_partial():
     f = load("branch_clone")
-    with pytest.raises(BudgetExceeded) as ei:
-        exhaustive_search(f, limits=SearchLimits(max_programs_explored=2))
-    partial = ei.value.partial
+    partial = exhaustive_search(f, limits=SearchLimits(max_programs_explored=2))
+    assert partial.budget_exceeded
     assert partial.explored == 2
     assert partial.best_key <= rank_key(f)
 
@@ -151,9 +149,8 @@ def test_ibo_useless_reverse_changes_nothing():
 
 def test_ibo_budget_carries_partial_outcome():
     f = load("bin2bcd")
-    with pytest.raises(BudgetExceeded) as ei:
-        ibo(f, 2, limits=SearchLimits(max_programs_explored=10))
-    partial = ei.value.partial
+    partial = ibo(f, 2, limits=SearchLimits(max_programs_explored=10))
+    assert partial.budget_exceeded
     assert partial.best_key is not None
     assert partial.total_programs <= 10
 
