@@ -125,11 +125,13 @@ def exhaustive_search(f: Function,
             if cd in visited:
                 stats["pruned"] += 1
                 continue
+            if stats["explored"] >= limits.max_programs_explored:
+                return True
             visited.add(cd)
             stats["explored"] += 1
             path.append(name)
             consider(child, cache.rank(child, cd, model, workload, limits.step_limit))
-            spent = stats["explored"] >= limits.max_programs_explored or walk(child, cd)
+            spent = walk(child, cd)
             path.pop()
             if spent:
                 return True
@@ -230,12 +232,12 @@ def ibo(f: Function,
         searched = 0
         improved = False
         for g, prov, d in produced:
-            if total >= limits.max_programs_explored:
-                spent = True
-                break
             sub = cache.searches.get((d,))
             if sub is not None:
                 hits += 1
+            elif total >= limits.max_programs_explored:
+                spent = True
+                break
             else:
                 sub_limits = replace(
                     limits, max_programs_explored=limits.max_programs_explored - total)

@@ -310,10 +310,12 @@ def test_compare_directory_aggregates(tmp_path):
 
 
 @pytest.mark.parametrize("name,k,budget,flags", [
-    ("bin2bcd", 2, 2, {"exhaustive_budget_exceeded", "ibo_budget_exceeded"}),
+    # the baseline explores exactly two programs, so only ibo runs out
+    ("bin2bcd", 2, 2, {"ibo_budget_exceeded"}),
     ("bin2bcd", 2, 3, {"ibo_budget_exceeded"}),
     # the baseline saturates at its start program; only ibo runs out
     ("straightline_ret", 1, 1, {"ibo_budget_exceeded"}),
+    ("branch_clone", 2, 2, {"exhaustive_budget_exceeded", "ibo_budget_exceeded"}),
 ])
 def test_compare_budget_flags(name, k, budget, flags):
     code, out = run_cli("compare", VALID / f"{name}.ir", "-k", k,

@@ -88,12 +88,28 @@ def test_search_is_deterministic():
     assert a == b
 
 
-def test_budget_raises_with_partial():
-    f = load("branch_clone")
-    partial = exhaustive_search(f, limits=SearchLimits(max_programs_explored=2))
-    assert partial.budget_exceeded
-    assert partial.explored == 2
-    assert partial.best_key <= rank_key(f)
+def _check_budget_contract(run, full, count: str, budgets) -> None:
+    """run(L) under every budget L against the unbudgeted outcome full, whose
+    `count` field is the number of programs it explored."""
+    n = getattr(full, count)
+    assert not full.budget_exceeded
+    last = None
+    for budget in budgets:
+        out = run(SearchLimits(max_programs_explored=budget))
+        assert getattr(out, count) <= budget, budget
+        assert out.budget_exceeded == (budget < n), budget
+        if not out.budget_exceeded:
+            assert out == full, budget
+        assert last is None or out.best_key <= last, budget
+        last = out.best_key
+
+
+@pytest.mark.parametrize("name", ["bin2bcd", "branch_clone", "straightline_ret"])
+def test_search_budget_contract(name):
+    f = load(name)
+    full = exhaustive_search(f)
+    _check_budget_contract(lambda limits: exhaustive_search(f, limits=limits),
+                           full, "explored", range(1, full.explored + 2))
 
 
 def test_depth_zero_returns_input():
@@ -147,12 +163,14 @@ def test_ibo_useless_reverse_changes_nothing():
     assert out.best_key == ibo(f, 0).best_key
 
 
-def test_ibo_budget_carries_partial_outcome():
-    f = load("bin2bcd")
-    partial = ibo(f, 2, limits=SearchLimits(max_programs_explored=10))
-    assert partial.budget_exceeded
-    assert partial.best_key is not None
-    assert partial.total_programs <= 10
+@pytest.mark.parametrize("name", ["bin2bcd", "straightline_ret"])
+def test_ibo_budget_contract(name):
+    f = load(name)
+    full = ibo(f, 2)
+    n = full.total_programs
+    budgets = sorted(set(range(1, 40)) | {n - 1, n, n + 1})
+    _check_budget_contract(lambda limits: ibo(f, 2, limits=limits),
+                           full, "total_programs", budgets)
 
 
 def test_ibo_sub_searches_share_work():
