@@ -264,9 +264,11 @@ def cmd_opt(args, cfg: Config) -> int:
     f = _load(args.file, args.function)
     steps = [s for s in args.passes.split(",") if s]
     for step in steps:
-        name = step.partition("@")[0]
-        if name not in FORWARD_PASSES and name not in REVERSE_PASSES:
-            print(f"error: unknown pass {name!r}", file=sys.stderr)
+        name, at, idx = step.partition("@")
+        if not (name in FORWARD_PASSES and not at
+                or name in REVERSE_PASSES and idx.isdecimal()):
+            print(f"error: bad step {step!r}: want a forward pass name or "
+                  f"reverse-name@<index>", file=sys.stderr)
             return 2
     g = f
     applied = []

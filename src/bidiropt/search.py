@@ -370,6 +370,8 @@ def replay_sequence(f: Function, steps, limits: SearchLimits = SearchLimits()) -
     for step in steps:
         if "@" in step:
             rname, _, idx = step.partition("@")
+            if not idx.isdecimal():
+                raise ReplayDiverged(f"{step}: variant index is not a decimal number")
             variants = reverse_variants(rname, g, cap=limits.cap_per_pass)
             i = int(idx)
             if i >= len(variants):

@@ -109,6 +109,13 @@ def test_opt_unknown_pass():
     assert code == 2
 
 
+@pytest.mark.parametrize("step", ["dce@0", "reg2mem", "rev-instexpand-rem@x",
+                                  "rev-instexpand-rem@", "rev-instexpand-shl@-1"])
+def test_opt_malformed_step_is_a_usage_error(step):
+    code, _ = run_cli("opt", VALID / "bin2bcd.ir", "--passes", step)
+    assert code == 2
+
+
 def test_opt_strict_rejects_non_firing_step():
     code, _ = run_cli("opt", VALID / "straightline_ret.ir",
                       "--passes", "dce", "--strict")

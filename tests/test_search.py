@@ -317,6 +317,13 @@ def test_replay_rejects_stale_site_index():
         replay_sequence(f, ["rev-instexpand-rem@7"])
 
 
+@pytest.mark.parametrize("index", ["-1", "x", ""])
+def test_replay_rejects_non_decimal_index(index):
+    # -1 would otherwise pick the last variant
+    with pytest.raises(ReplayDiverged):
+        replay_sequence(load("bin2bcd"), [f"rev-instexpand-shl@{index}"])
+
+
 def test_replay_unknown_pass():
     f = load("bin2bcd")
     with pytest.raises((KeyError, ReplayDiverged)):
