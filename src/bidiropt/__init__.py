@@ -9,7 +9,6 @@ from .ir import (  # noqa: F401
     parse_function,
     parse_module,
     print_function,
-    print_module,
     validate_function,
     validate_module,
 )

@@ -326,11 +326,10 @@ def cmd_ibo(args, cfg: Config) -> int:
         return 2
     f = _load(args.file, args.function)
     wl = _workload(cfg, f, args.workload) if cfg.metric == "dynamic" else None
-    reverses = cfg.reverses if cfg.reverses is not None else REVERSE_PASSES
     report = _report("ibo", cfg, input=_input_json(args.file, f, cfg),
                      iterations_requested=args.iterations)
     try:
-        out = ibo(f, args.iterations, cfg.passes, tuple(reverses), cfg.limits(),
+        out = ibo(f, args.iterations, cfg.passes, cfg.reverses, cfg.limits(),
                   cfg.model(), wl)
     except WorkloadDiverged as e:
         report["outcome"] = _diverged_json(wl, e)
@@ -344,8 +343,7 @@ def cmd_ibo(args, cfg: Config) -> int:
 
 def cmd_equiv_class(args, cfg: Config) -> int:
     f = _load(args.file, args.function)
-    reverses = cfg.reverses if cfg.reverses is not None else REVERSE_PASSES
-    graph = explore_sep_class(f, cfg.passes, tuple(reverses), cfg.limits())
+    graph = explore_sep_class(f, cfg.passes, cfg.reverses, cfg.limits())
     rep = check_closure(graph)
     if args.dot:
         Path(args.dot).write_text(_dot(graph, cfg))
@@ -388,7 +386,6 @@ def cmd_compare(args, cfg: Config) -> int:
     else:
         files = [root]
     model = cfg.model()
-    reverses = cfg.reverses if cfg.reverses is not None else REVERSE_PASSES
     rows = []
     better = worse = ties = 0
     any_budget = any_diverged = any_inequivalent = False
@@ -399,7 +396,7 @@ def cmd_compare(args, cfg: Config) -> int:
         row = {"file": str(fp), "function": f.name,
                "input_key": _key_json(rank_key(f, model))}
         try:
-            ib = ibo(f, args.k_max, cfg.passes, tuple(reverses), cfg.limits(), model, swl)
+            ib = ibo(f, args.k_max, cfg.passes, cfg.reverses, cfg.limits(), model, swl)
         except WorkloadDiverged as e:
             row["workload_diverged"] = _diverged_json(wl, e)
             any_diverged = True

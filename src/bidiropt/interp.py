@@ -14,6 +14,7 @@ from .ir import MASK32, Function, Literal, Operand
 from .cost import CostModel, DEFAULT_COST_MODEL
 
 DEFAULT_STEP_LIMIT = 10_000
+MAX_MISMATCHES = 5  # differential_check stops after this many
 
 _UNINIT = object()
 
@@ -325,7 +326,6 @@ def differential_check(
     f2: Function,
     workload: Workload,
     limit: int = DEFAULT_STEP_LIMIT,
-    stop_at: int = 5,
 ) -> DiffReport:
     """Run both functions on every tuple; outcomes must match exactly
     (same value, or same trap reason, or both over the step limit)."""
@@ -338,6 +338,6 @@ def differential_check(
         inconclusive += r1.outcome == r2.outcome == "steplimit"
         if not r1.matches(r2):
             mism.append(Mismatch(tuple(args), r1, r2))
-            if len(mism) >= stop_at:
+            if len(mism) >= MAX_MISMATCHES:
                 break
     return DiffReport(not mism, len(workload.args), tuple(mism), inconclusive)

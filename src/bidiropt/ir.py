@@ -165,10 +165,6 @@ def print_function(f: Function) -> str:
     return _print(f, f.blocks, {}, {})
 
 
-def print_module(m: Module) -> str:
-    return "\n".join(print_function(f) for f in m.functions)
-
-
 # ---------------------------------------------------------------------------
 # parsing
 

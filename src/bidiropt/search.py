@@ -176,7 +176,7 @@ class IboOutcome:
 def ibo(f: Function,
         iterations: int,
         passes: tuple[str, ...] | None = None,
-        reverses: tuple[str, ...] = REVERSE_PASSES,
+        reverses: tuple[str, ...] | None = None,
         limits: SearchLimits = SearchLimits(),
         model: CostModel = DEFAULT_COST_MODEL,
         workload=None) -> IboOutcome:
@@ -184,14 +184,15 @@ def ibo(f: Function,
 
     Iteration zero is exhaustive search on the input; with iterations=0 the
     result is exactly that baseline. Each following iteration applies every
-    configured reverse pass (up to cap_per_pass variants each) to every
-    frontier program, exhaustively re-optimizes each variant, and keeps the
-    result only when strictly better. The frontier then becomes the variants
-    themselves, cheapest first, truncated to ibo_max_frontier.
+    configured reverse pass (None = all, up to cap_per_pass variants each)
+    to every frontier program, exhaustively re-optimizes each variant, and
+    keeps the result only when strictly better. The frontier then becomes the
+    variants themselves, cheapest first, truncated to ibo_max_frontier.
     max_programs_explored bounds the programs of all searches together; when
     it runs out, the best result so far is returned with budget_exceeded set
     and the cut iteration left out of iterations.
     """
+    reverses = reverses if reverses is not None else REVERSE_PASSES
     cache = PassCache()
     baseline = exhaustive_search(f, passes, limits, model, workload, cache)
     cache.searches[(canonical_hash(f),)] = baseline
@@ -282,7 +283,7 @@ class ClosureReport:
 
 def explore_sep_class(f: Function,
                       passes: tuple[str, ...] | None = None,
-                      reverses: tuple[str, ...] = REVERSE_PASSES,
+                      reverses: tuple[str, ...] | None = None,
                       limits: SearchLimits = SearchLimits()) -> ClassGraph:
     """Breadth-first neighborhood of f under forward and reverse rewrites,
     out to max_sequence_length steps or max_programs_explored nodes.
@@ -294,6 +295,7 @@ def explore_sep_class(f: Function,
     short by the depth or node budget while work remained.
     """
     names = tuple(passes) if passes is not None else tuple(FORWARD_PASSES)
+    reverses = reverses if reverses is not None else REVERSE_PASSES
     start = canonical_hash(f)
     nodes: dict[CanonicalDigest, Function] = {start: f}
     edges: list[tuple[CanonicalDigest, str, CanonicalDigest]] = []

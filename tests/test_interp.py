@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bidiropt.cost import CostModel
 from bidiropt.interp import (
     DEFAULT_STEP_LIMIT,
+    MAX_MISMATCHES,
     ExecResult,
     Workload,
     WorkloadDiverged,
@@ -312,9 +313,9 @@ entry:
 }}
 """)
     wl = default_workload(f, seed=0, count=32)
-    rep = differential_check(f, g, wl, stop_at=3)
+    rep = differential_check(f, g, wl)
     assert not rep.equivalent
-    assert 1 <= len(rep.mismatches) <= 3
+    assert 1 <= len(rep.mismatches) <= MAX_MISMATCHES
     m = rep.mismatches[0]
     assert m.left.value is not None and m.right.value == (m.left.value + 1) & 0xFFFFFFFF
 

@@ -173,6 +173,15 @@ def test_ibo_budget_contract(name):
                            full, "total_programs", budgets)
 
 
+def test_empty_reverses_means_no_reverse_passes():
+    # None means every reverse pass; () means none
+    f = load("bin2bcd")
+    assert ibo(f, 2).best_key < ibo(f, 2, reverses=()).best_key
+    assert ibo(f, 2, reverses=()).best_key == exhaustive_search(f).best_key
+    graph = explore_sep_class(f, reverses=())
+    assert graph.edges and all("@" not in label for _, label, _ in graph.edges)
+
+
 def test_ibo_sub_searches_share_work():
     # duplicate variants are deduplicated by digest before any search runs
     out = ibo(load("bin2bcd"), 2)
