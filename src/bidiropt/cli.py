@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation or equivalence failure, 2 usage or
 config error, or a dynamic-metric workload the program does not finish on
-(trap or step limit; the report names the case), 3 search budget exceeded (a
-partial report is still printed).
+(trap or step limit; the report names the case), 3 the program budget ran
+out before the search finished (the report holds the best result found and
+has budget_exceeded set).
 
 Every report is a single JSON object {command, input, config, outcome} so
 runs are comparable across machines; --format text renders the same data
