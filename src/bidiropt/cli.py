@@ -266,8 +266,8 @@ def cmd_opt(args, cfg: Config) -> int:
     steps = [s for s in args.passes.split(",") if s]
     for step in steps:
         name, at, idx = step.partition("@")
-        if not (name in FORWARD_PASSES and not at
-                or name in REVERSE_PASSES and idx.isdecimal()):
+        if not ((name in FORWARD_PASSES and not at)
+                or (name in REVERSE_PASSES and idx.isdecimal())):
             print(f"error: bad step {step!r}: want a forward pass name or "
                   f"reverse-name@<index>", file=sys.stderr)
             return 2
