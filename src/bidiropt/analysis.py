@@ -6,6 +6,7 @@ All analyses assume a valid function and look only at reachable blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .ir import (
     MASK32,
@@ -15,6 +16,7 @@ from .ir import (
     Operand,
     ValueRef,
     defined_values,
+    per_function,
     predecessors,
     rpo_order,
     successors,
@@ -25,7 +27,7 @@ from .ir import (
 class DomTree:
     """Immediate dominators over reachable blocks; entry maps to itself."""
 
-    idom: dict[str, str]
+    idom: MappingProxyType[str, str]
     rpo: tuple[str, ...]
 
     def dominates(self, a: str, b: str) -> bool:
@@ -45,6 +47,7 @@ class DomTree:
         return sorted(kids, key=lambda l: rank[l])
 
 
+@per_function
 def compute_dominators(f: Function) -> DomTree:
     """Iterative RPO dataflow (Cooper-Harvey-Kennedy), plenty for small CFGs."""
     order = rpo_order(f)
@@ -73,7 +76,7 @@ def compute_dominators(f: Function) -> DomTree:
             if idom.get(lbl) != new:
                 idom[lbl] = new
                 changed = True
-    return DomTree(idom=idom, rpo=tuple(order))
+    return DomTree(idom=MappingProxyType(idom), rpo=order)
 
 
 def dominance_frontiers(f: Function, dt: DomTree) -> dict[str, set[str]]:
@@ -244,13 +247,14 @@ def known_bits(f: Function) -> dict[str, KnownBits]:
 class UseDef:
     """Def sites and use sites by value name."""
 
-    defs: dict[str, tuple[str, int] | None]
-    uses: dict[str, tuple[tuple[str, int, int], ...]]
+    defs: MappingProxyType[str, tuple[str, int] | None]
+    uses: MappingProxyType[str, tuple[tuple[str, int, int], ...]]
 
     def use_count(self, name: str) -> int:
         return len(self.uses.get(name, ()))
 
 
+@per_function
 def use_def(f: Function) -> UseDef:
     defs = defined_values(f)
     uses: dict[str, list[tuple[str, int, int]]] = {name: [] for name in defs}
@@ -259,4 +263,4 @@ def use_def(f: Function) -> UseDef:
             for j, op in enumerate(ins.operands):
                 if isinstance(op, ValueRef) and op.name in uses:
                     uses[op.name].append((b.label, i, j))
-    return UseDef(defs=defs, uses={k: tuple(v) for k, v in uses.items()})
+    return UseDef(defs=defs, uses=MappingProxyType({k: tuple(v) for k, v in uses.items()}))

@@ -7,9 +7,11 @@ the parser stay lenient and validate() report structural breakage precisely.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 MASK32 = (1 << 32) - 1
 
@@ -312,24 +314,52 @@ def parse_function(text: str) -> Function:
 # ---------------------------------------------------------------------------
 # CFG helpers
 
+# How many Functions each per_function analysis remembers; a search step
+# runs all forward passes on one program, so its analyses are reused within
+# a handful of calls of each other.
+PER_FUNCTION_LIMIT = 16
+
+
+def per_function(analysis):
+    """Memoize a pure analysis of a Function on the last PER_FUNCTION_LIMIT
+    objects it saw, by identity. Each entry holds its Function, so no id is
+    reused while the entry lives. Callers share the result, so the analysis
+    must return immutable containers."""
+    cache: dict[int, tuple[Function, object]] = {}
+
+    @functools.wraps(analysis)
+    def cached(f: Function):
+        entry = cache.pop(id(f), None)
+        if entry is None:
+            entry = (f, analysis(f))
+            if len(cache) >= PER_FUNCTION_LIMIT:
+                del cache[next(iter(cache))]  # least recently used
+        cache[id(f)] = entry
+        return entry[1]
+
+    return cached
+
+
 def successors(b: BasicBlock) -> tuple[str, ...]:
     return b.instrs[-1].labels if b.instrs and b.instrs[-1].is_terminator else ()
 
 
-def predecessors(f: Function) -> dict[str, list[str]]:
+@per_function
+def predecessors(f: Function) -> MappingProxyType[str, tuple[str, ...]]:
     """Label -> predecessor labels, in block/edge order (duplicates collapsed)."""
     preds: dict[str, list[str]] = {b.label: [] for b in f.blocks}
     for b in f.blocks:
         for s in successors(b):
             if s in preds and b.label not in preds[s]:
                 preds[s].append(b.label)
-    return preds
+    return MappingProxyType({lbl: tuple(ps) for lbl, ps in preds.items()})
 
 
-def rpo_order(f: Function) -> list[str]:
+@per_function
+def rpo_order(f: Function) -> tuple[str, ...]:
     """Reverse postorder over reachable blocks, entry first; deterministic."""
     if not f.blocks:
-        return []
+        return ()
     index = {b.label: b for b in f.blocks}
     seen: set[str] = set()
     post: list[str] = []
@@ -351,12 +381,12 @@ def rpo_order(f: Function) -> list[str]:
                 stack.pop()
 
     visit(f.blocks[0].label)
-    return list(reversed(post))
+    return tuple(reversed(post))
 
 
 def block_order_with_unreachable(f: Function) -> list[str]:
     """RPO followed by unreachable blocks in original order."""
-    order = rpo_order(f)
+    order = list(rpo_order(f))
     reached = set(order)
     order.extend(b.label for b in f.blocks if b.label not in reached)
     return order
@@ -365,14 +395,15 @@ def block_order_with_unreachable(f: Function) -> list[str]:
 # ---------------------------------------------------------------------------
 # defs and renaming
 
-def defined_values(f: Function) -> dict[str, tuple[str, int] | None]:
+@per_function
+def defined_values(f: Function) -> MappingProxyType[str, tuple[str, int] | None]:
     """Value name -> (block label, instr index) for instruction defs, None for params."""
     defs: dict[str, tuple[str, int] | None] = {p: None for p in f.params}
     for b in f.blocks:
         for i, ins in enumerate(b.instrs):
             if ins.result is not None:
                 defs[ins.result] = (b.label, i)
-    return defs
+    return MappingProxyType(defs)
 
 
 def resolve(op: Operand, mapping: dict[str, Operand]) -> Operand:
@@ -597,7 +628,8 @@ def validate_function(f: Function) -> list[ValidationError]:
                 continue
             inc = list(ins.labels)
             if sorted(inc) != sorted(bpreds):
-                err("PhiError", b.label, f"phi incomings {inc} do not match predecessors {bpreds}")
+                err("PhiError", b.label,
+                    f"phi incomings {inc} do not match predecessors {list(bpreds)}")
             if len(set(inc)) != len(inc):
                 err("PhiError", b.label, "duplicate phi incoming labels")
 

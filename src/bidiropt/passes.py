@@ -574,7 +574,7 @@ def apply_cond_prop(f: Function) -> PassOutcome:
         if dins.opcode not in _PURE_FOR_CSE:
             continue
         for tgt, lit in ((t, 1), (e, 0)):
-            if preds.get(tgt) != [lbl] or tgt not in dt.idom:
+            if preds.get(tgt) != (lbl,) or tgt not in dt.idom:
                 continue
             if lit == 1 and not dins.opcode.startswith("icmp"):
                 continue  # true edge only proves "nonzero" for non-boolean defs
@@ -643,7 +643,7 @@ def apply_simplifycfg(f: Function) -> PassOutcome:
             if last is None or last.opcode != "br":
                 continue
             c = last.labels[0]
-            if c == b.label or preds.get(c) != [b.label]:
+            if c == b.label or preds.get(c) != (b.label,):
                 continue
             cblk = f.block(c)
             subst: dict[str, Operand] = {}

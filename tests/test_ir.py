@@ -1,18 +1,23 @@
-"""Parser, printer, validator, and canonicalization."""
+"""Parser, printer, validator, canonicalization and the analysis cache."""
 
+import weakref
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 
 from bidiropt import ir
+from bidiropt.analysis import compute_dominators, use_def
 from bidiropt.ir import (
+    PER_FUNCTION_LIMIT,
     Function,
     Literal,
     ParseError,
     ValueRef,
+    block_order_with_unreachable,
     canonical_hash,
     canonical_text,
+    defined_values,
     parse_function,
     parse_module,
     predecessors,
@@ -234,6 +239,54 @@ def test_canonical_blocks_and_values_are_sequential():
     assert "%v0" in text
     # params come first in the value numbering
     assert text.splitlines()[0].startswith("func @diamond(%v0)")
+
+
+# --- the per-function analysis cache ---------------------------------------
+
+CACHED_ANALYSES = (rpo_order, predecessors, defined_values, use_def, compute_dominators)
+
+
+def test_cached_analyses_return_immutable_containers():
+    f = load("loop_sum")
+    ud, dt, preds = use_def(f), compute_dominators(f), predecessors(f)
+    for mapping in (preds, defined_values(f), ud.defs, ud.uses, dt.idom):
+        with pytest.raises(TypeError):
+            mapping["head"] = None
+    for seq in (rpo_order(f), dt.rpo, *preds.values(), *ud.uses.values()):
+        assert isinstance(seq, tuple)
+    # the one caller that extends the order works on its own copy
+    order = block_order_with_unreachable(f)
+    order.append("x")
+    assert "x" not in rpo_order(f)
+
+
+@pytest.mark.parametrize("analysis", CACHED_ANALYSES, ids=lambda a: a.__name__)
+def test_cached_analysis_of_a_new_function_is_its_own(analysis):
+    # A Function built right after another is dropped usually takes over its
+    # memory, and so its id. The cache pins the Function of every entry, so
+    # that id can never name a stale entry.
+    texts = [p.read_text() for p in VALID_FILES]
+    parsed = [parse_function(t) for t in texts]
+    want = [analysis(parse_function(t)) for t in texts]
+    for _ in range(2):
+        for f, expected in zip(parsed, want):
+            g = Function(f.name, f.params, f.blocks)
+            assert analysis(g) == expected, f.name
+            del g
+
+
+def test_analysis_cache_lets_go_of_a_function():
+    f = load("loop_sum")
+    alive = weakref.ref(f)
+    for analysis in CACHED_ANALYSES:
+        analysis(f)
+    del f
+    others = [parse_function(p.read_text()) for p in VALID_FILES[:PER_FUNCTION_LIMIT]]
+    for n, g in enumerate(others, start=1):
+        for analysis in CACHED_ANALYSES:
+            analysis(g)
+        # held while it is among the last PER_FUNCTION_LIMIT, dropped after
+        assert (alive() is None) == (n >= PER_FUNCTION_LIMIT), n
 
 
 # --- parse errors and literals ---------------------------------------------

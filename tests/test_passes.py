@@ -18,7 +18,7 @@ from bidiropt.ir import (
 )
 from bidiropt.passes import FORWARD_PASSES, apply_pass
 
-from conftest import load, same_modulo_name, workload_for
+from conftest import VALID_FILES, load, same_modulo_name, workload_for
 
 # Passes whose every firing must strictly improve (static_cost, static_size).
 STRICT = {
@@ -384,3 +384,44 @@ def test_pass_idempotent_on_corpus(pass_name, corpus_function):
     once = apply_pass(pass_name, corpus_function).function
     again = apply_pass(pass_name, once)
     assert not again.changed, (pass_name, corpus_function.name)
+
+
+
+# No corpus file or forward neighbour has an unreachable block, the one shape
+# on which a caller extends the analysed block order.
+UNREACHABLE_BLOCK = """func @f(%x) {
+entry:
+  %a = add %x, 0
+  br out
+dead:
+  %d = add 2, 3
+  br out
+out:
+  %r = phi [%a, entry], [%d, dead]
+  ret %r
+}
+"""
+
+
+@pytest.mark.parametrize("text", [p.read_text() for p in VALID_FILES] + [UNREACHABLE_BLOCK],
+                         ids=[p.stem for p in VALID_FILES] + ["unreachable_block"])
+def test_pass_output_does_not_depend_on_cached_analyses(text):
+    # Passes share the cached CFG analyses of the Function they are given. Run
+    # each pass after the other twelve have filled that cache, and compare with
+    # a fresh parse, whose analyses are all cold: a pass that mutated a shared
+    # result would make the two differ.
+    f = parse_function(text)
+    programs = {canonical_hash(f): f}
+    for name in FORWARD_PASSES:
+        out = apply_pass(name, f)
+        if out.changed:
+            programs.setdefault(canonical_hash(out.function), out.function)
+    for g in programs.values():
+        for name in FORWARD_PASSES:
+            apply_pass(name, g)
+        for name in FORWARD_PASSES:
+            warm = apply_pass(name, g)
+            cold = apply_pass(name, parse_function(print_function(g)))
+            assert warm.changed == cold.changed, (f.name, print_function(g), name)
+            assert print_function(warm.function) == print_function(cold.function), \
+                (f.name, print_function(g), name)
