@@ -447,16 +447,21 @@ def cmd_compare(args, cfg: Config) -> int:
     if cfg.format == "text":
         print(f"{'function':<24} {'exhaustive':<14} {'ibo(k<=' + str(args.k_max) + ')':<14} "
               f"{'winner':<10} inconclusive")
+        cut_rows = 0
         for row in rows:
             if "workload_diverged" in row:
                 print(f"{row['function']:<24} workload diverged")
                 continue
             ex_s = ",".join(str(v) for v in row["exhaustive_key"])
             ib_s = ",".join(str(v) for v in row["ibo_key"])
+            # a budget-cut row's keys are the best found before the cut
+            cut = [side for side in ("exhaustive", "ibo") if f"{side}_budget_exceeded" in row]
+            cut_rows += bool(cut)
+            mark = f"  budget cut: {','.join(cut)}" if cut else ""
             print(f"{row['function']:<24} ({ex_s:<12}) ({ib_s:<12}) {row['winner']:<10} "
-                  f"{row['inconclusive_inputs']}")
+                  f"{row['inconclusive_inputs']}{mark}")
         print(f"\nfunctions: {len(rows)}  ibo strictly better: {better}  "
-              f"worse: {worse}  ties: {ties}")
+              f"worse: {worse}  ties: {ties}" + (f"  budget cut: {cut_rows}" if cut_rows else ""))
     else:
         _emit(report, cfg)
     if any_inequivalent:
@@ -558,7 +563,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--passes")
     p.add_argument("--reverses")
     p.add_argument("--metric", choices=("static", "dynamic"))
-    p.add_argument("--workload")
+    p.add_argument("--workload",
+                   help="JSON workload file; with a directory it applies to every "
+                        "function, so all of them must take the same number of arguments")
     p.add_argument("--seed", type=int)
     p.add_argument("--cap-per-pass", type=int, dest="cap_per_pass")
     p.add_argument("--max-frontier", type=int, dest="ibo_max_frontier")

@@ -357,6 +357,24 @@ def test_compare_text_table():
     assert "ibo strictly better: 1" in out
 
 
+def test_compare_text_table_marks_budget_cut_rows(tmp_path):
+    for n in ("bin2bcd", "straightline_ret"):
+        shutil.copy(VALID / f"{n}.ir", tmp_path / f"{n}.ir")
+    code, out = run_cli("compare", tmp_path, "-k", "1", "--budget-programs", "20",
+                        "--format", "text")
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[1].split()[0] == "bin2bcd" and lines[1].endswith("  budget cut: ibo")
+    # straightline_ret saturates inside the budget, so nothing cuts it
+    assert lines[2].split()[0] == "straightline_ret" and "budget cut" not in lines[2]
+    assert lines[-1].endswith("ties: 2  budget cut: 1")
+    code, out = run_cli("compare", VALID / "branch_clone.ir", "-k", "1",
+                        "--budget-programs", "3", "--format", "text")
+    assert code == 3
+    assert out.splitlines()[1].endswith("  budget cut: exhaustive,ibo")
+    assert out.splitlines()[-1].endswith("ties: 1  budget cut: 1")
+
+
 @pytest.mark.parametrize("name,inconclusive", [
     # every default random input runs the loop past the step limit on both sides
     ("loop_licm", 64),
