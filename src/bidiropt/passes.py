@@ -831,14 +831,13 @@ def apply_licm(f: Function) -> PassOutcome:
         for lp in find_natural_loops(f):
             if lp.preheader is None:
                 continue
-            defblock = {}
-            for b in f.blocks:
-                for ins in b.instrs:
-                    if ins.result is not None:
-                        defblock[ins.result] = b.label
+            defs = defined_values(f)
 
             def outside(op: Operand) -> bool:
-                return isinstance(op, Literal) or defblock.get(op.name) not in lp.body
+                if isinstance(op, Literal):
+                    return True
+                site = defs.get(op.name)
+                return site is None or site[0] not in lp.body
 
             index = {b.label: b for b in f.blocks}
             for lbl in [l for l in rpo_order(f) if l in lp.body]:

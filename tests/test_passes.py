@@ -386,7 +386,6 @@ def test_pass_idempotent_on_corpus(pass_name, corpus_function):
     assert not again.changed, (pass_name, corpus_function.name)
 
 
-
 # No corpus file or forward neighbour has an unreachable block, the one shape
 # on which a caller extends the analysed block order.
 UNREACHABLE_BLOCK = """func @f(%x) {
