@@ -18,6 +18,7 @@ from .ir import (
     defined_values,
     per_function,
     predecessors,
+    rpo_instrs,
     rpo_order,
     successors,
 )
@@ -25,10 +26,12 @@ from .ir import (
 
 @dataclass(frozen=True)
 class DomTree:
-    """Immediate dominators over reachable blocks; entry maps to itself."""
+    """Immediate dominators over reachable blocks; entry maps to itself.
+    children maps each reachable block to its dominator-tree children in RPO."""
 
     idom: MappingProxyType[str, str]
     rpo: tuple[str, ...]
+    children: MappingProxyType[str, tuple[str, ...]]
 
     def dominates(self, a: str, b: str) -> bool:
         # walk idom chain from b up to entry
@@ -40,11 +43,6 @@ class DomTree:
             if nxt == cur:
                 return False
             cur = nxt
-
-    def children(self, lbl: str) -> list[str]:
-        rank = {l: i for i, l in enumerate(self.rpo)}
-        kids = [l for l, p in self.idom.items() if p == lbl and l != lbl]
-        return sorted(kids, key=lambda l: rank[l])
 
 
 @per_function
@@ -76,7 +74,11 @@ def compute_dominators(f: Function) -> DomTree:
             if idom.get(lbl) != new:
                 idom[lbl] = new
                 changed = True
-    return DomTree(idom=MappingProxyType(idom), rpo=order)
+    kids: dict[str, list[str]] = {lbl: [] for lbl in order}
+    for lbl in order[1:]:
+        kids[idom[lbl]].append(lbl)
+    children = MappingProxyType({lbl: tuple(ks) for lbl, ks in kids.items()})
+    return DomTree(idom=MappingProxyType(idom), rpo=order, children=children)
 
 
 def dominance_frontiers(f: Function, dt: DomTree) -> dict[str, set[str]]:
@@ -224,19 +226,16 @@ def known_bits(f: Function) -> dict[str, KnownBits]:
             return _kb_literal(op.value)
         return kb.get(op.name, UNKNOWN)
 
-    order = rpo_order(f)
-    index = {b.label: b for b in f.blocks}
     changed = True
     while changed:
         changed = False
-        for lbl in order:
-            for ins in index[lbl].instrs:
-                if ins.result is None or ins.opcode in ("alloca", "load"):
-                    continue
-                new = _kb_transfer(ins, get)
-                if new != kb[ins.result]:
-                    kb[ins.result] = new
-                    changed = True
+        for _, _, ins in rpo_instrs(f):
+            if ins.result is None or ins.opcode in ("alloca", "load"):
+                continue
+            new = _kb_transfer(ins, get)
+            if new != kb[ins.result]:
+                kb[ins.result] = new
+                changed = True
     return kb
 
 
@@ -245,9 +244,11 @@ def known_bits(f: Function) -> dict[str, KnownBits]:
 
 @dataclass(frozen=True)
 class UseDef:
-    """Def sites and use sites by value name."""
+    """Def sites, defining instructions and use sites by value name
+    (parameters have a None def site and no instruction)."""
 
     defs: MappingProxyType[str, tuple[str, int] | None]
+    instrs: MappingProxyType[str, Instruction]
     uses: MappingProxyType[str, tuple[tuple[str, int, int], ...]]
 
     def use_count(self, name: str) -> int:
@@ -257,10 +258,14 @@ class UseDef:
 @per_function
 def use_def(f: Function) -> UseDef:
     defs = defined_values(f)
+    instrs: dict[str, Instruction] = {}
     uses: dict[str, list[tuple[str, int, int]]] = {name: [] for name in defs}
     for b in f.blocks:
         for i, ins in enumerate(b.instrs):
+            if ins.result is not None:
+                instrs[ins.result] = ins
             for j, op in enumerate(ins.operands):
                 if isinstance(op, ValueRef) and op.name in uses:
                     uses[op.name].append((b.label, i, j))
-    return UseDef(defs=defs, uses=MappingProxyType({k: tuple(v) for k, v in uses.items()}))
+    return UseDef(defs=defs, instrs=MappingProxyType(instrs),
+                  uses=MappingProxyType({k: tuple(v) for k, v in uses.items()}))

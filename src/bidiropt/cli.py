@@ -274,19 +274,16 @@ def cmd_opt(args, cfg: Config) -> int:
     g = f
     applied = []
     try:
-        if args.strict:
-            g = replay_sequence(f, steps, cfg.limits())
-            applied = steps
-        else:
-            for step in steps:
-                if "@" in step:
-                    g = replay_sequence(g, [step], cfg.limits())
+        for step in steps:
+            # replay fails a non-firing forward step; lenient mode skips it
+            if args.strict or "@" in step:
+                g = replay_sequence(g, [step], cfg.limits())
+                applied.append(step)
+            else:
+                out = apply_pass(step, g)
+                if out.changed:
                     applied.append(step)
-                else:
-                    out = apply_pass(step, g)
-                    if out.changed:
-                        applied.append(step)
-                    g = out.function
+                g = out.function
     except ReplayDiverged as e:
         print(f"error: replay diverged: {e}", file=sys.stderr)
         return 1

@@ -384,6 +384,14 @@ def rpo_order(f: Function) -> tuple[str, ...]:
     return tuple(reversed(post))
 
 
+def rpo_instrs(f: Function):
+    """(label, index, instruction) of every reachable instruction, blocks in RPO."""
+    index = {b.label: b for b in f.blocks}
+    for lbl in rpo_order(f):
+        for i, ins in enumerate(index[lbl].instrs):
+            yield lbl, i, ins
+
+
 def block_order_with_unreachable(f: Function) -> list[str]:
     """RPO followed by unreachable blocks in original order."""
     order = list(rpo_order(f))
@@ -426,19 +434,6 @@ def substitute(f: Function, mapping: dict[str, Operand]) -> Function:
 
     blocks = tuple(BasicBlock(b.label, tuple(map(sub, b.instrs))) for b in f.blocks)
     return Function(f.name, f.params, blocks)
-
-
-def rename_blocks(f: Function, mapping: dict[str, str]) -> Function:
-    def newlbl(l: str) -> str:
-        return mapping.get(l, l)
-
-    blocks = []
-    for b in f.blocks:
-        instrs = tuple(
-            replace(ins, labels=tuple(newlbl(l) for l in ins.labels)) for ins in b.instrs
-        )
-        blocks.append(BasicBlock(newlbl(b.label), instrs))
-    return Function(f.name, f.params, tuple(blocks))
 
 
 def fresh_names(f: Function, base: str, count: int = 1) -> list[str]:

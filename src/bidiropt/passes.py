@@ -33,8 +33,8 @@ from .ir import (
     defined_values,
     fresh_names,
     predecessors,
-    rename_blocks,
     resolve,
+    rpo_instrs,
     rpo_order,
     substitute,
     successors,
@@ -63,7 +63,7 @@ def erasable(ins: Instruction) -> bool:
 
 # The rewrite kit shared by forward and reverse passes: a mutable working
 # form, ordered {label: [Instruction | None]} with None = erased, and the
-# RPO site walk both directions visit.
+# edits on it that keep phi incomings in step with the CFG.
 def edit(f: Function) -> dict[str, list[Instruction | None]]:
     return {b.label: list(b.instrs) for b in f.blocks}
 
@@ -77,13 +77,6 @@ def freeze(f: Function, blocks: dict[str, list[Instruction | None]],
         BasicBlock(lbl, tuple(filter(None, blocks[lbl]))) for lbl in labels
     ))
     return substitute(out, subst) if subst else out
-
-
-def rpo_instrs(f: Function):
-    index = {b.label: b for b in f.blocks}
-    for lbl in rpo_order(f):
-        for i, ins in enumerate(index[lbl].instrs):
-            yield lbl, i, ins
 
 
 def _use_counts(blocks: dict[str, list[Instruction | None]]) -> dict[str, int]:
@@ -130,6 +123,17 @@ def _drop_incomings(instrs: list[Instruction | None], gone: set[str]) -> None:
             keep = [(o, l) for o, l in zip(ins.operands, ins.labels) if l not in gone]
             instrs[j] = replace(ins, operands=tuple(o for o, _ in keep),
                                 labels=tuple(l for _, l in keep))
+
+
+def retarget_incomings(blocks: dict[str, list[Instruction | None]], targets,
+                       old: str, new: str) -> None:
+    """In the phis of each block in `targets`, the edge from `old` now comes
+    from `new`."""
+    for t in targets:
+        instrs = blocks[t]
+        for j, ins in enumerate(instrs):
+            if ins is not None and ins.is_phi and old in ins.labels:
+                instrs[j] = replace(ins, labels=tuple(new if l == old else l for l in ins.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +230,15 @@ def apply_identity_simplify(f: Function) -> PassOutcome:
     blocks = edit(f)
     subst: dict[str, Operand] = {}
     changed = False
-    index = {b.label: b for b in f.blocks}
-    for lbl in rpo_order(f):
-        instrs = blocks[lbl]
-        for i, ins in enumerate(index[lbl].instrs):
-            if ins.opcode not in BINOPS or ins.result is None:
-                continue
-            resolved = replace(ins, operands=tuple(resolve(o, subst) for o in ins.operands))
-            out = _identity_result(resolved)
-            if out is not None:
-                subst[ins.result] = out
-                instrs[i] = None
-                changed = True
+    for lbl, i, ins in rpo_instrs(f):
+        if ins.opcode not in BINOPS or ins.result is None:
+            continue
+        resolved = replace(ins, operands=tuple(resolve(o, subst) for o in ins.operands))
+        out = _identity_result(resolved)
+        if out is not None:
+            subst[ins.result] = out
+            blocks[lbl][i] = None
+            changed = True
     return PassOutcome(changed, freeze(f, blocks, subst) if changed else f)
 
 
@@ -273,30 +274,24 @@ def apply_divmul_to_rem(f: Function) -> PassOutcome:
             if ins.opcode != "sub" or not isinstance(ins.operands[1], ValueRef):
                 continue
             x, uref = ins.operands
-            usite = ud.defs.get(uref.name)
-            if usite is None or ud.use_count(uref.name) != 1:
-                continue
-            mul = f.block(usite[0]).instrs[usite[1]]
-            if mul.opcode != "mul":
+            mul = ud.instrs.get(uref.name)
+            if mul is None or mul.opcode != "mul" or ud.use_count(uref.name) != 1:
                 continue
             ma, mb = mul.operands
             if _is_lit(ma) and isinstance(mb, ValueRef):
                 ma, mb = mb, ma
             if not (isinstance(ma, ValueRef) and isinstance(mb, Literal) and mb.value >= 1):
                 continue
-            tsite = ud.defs.get(ma.name)
-            if tsite is None:
+            div = ud.instrs.get(ma.name)
+            if div is None or div.opcode != "udiv" or div.operands != (x, mb):
                 continue
-            div = f.block(tsite[0]).instrs[tsite[1]]
-            if div.opcode != "udiv" or div.operands[0] != x or div.operands[1] != mb:
-                continue
-            site = (lbl, i, x, mb, uref.name, ma.name)
+            site = (lbl, i, ins.result, x, mb, uref.name, ma.name)
             break
         if site is None:
             return PassOutcome(changed, f)
-        lbl, i, x, c, uname, tname = site
+        lbl, i, result, x, c, uname, tname = site
         blocks = edit(f)
-        blocks[lbl][i] = Instruction(f.block(lbl).instrs[i].result, "urem", (x, c))
+        blocks[lbl][i] = Instruction(result, "urem", (x, c))
         _erase_dead(blocks, {uname, tname})
         f = freeze(f, blocks)
         changed = True
@@ -338,13 +333,12 @@ def _signed(c: int) -> int:
     return c - (1 << 32) if c >= (1 << 31) else c
 
 
-def _linearize(f: Function, ud, root: Instruction) -> tuple[dict[str, int], int, set[str]]:
+def _linearize(ud, root: Instruction) -> tuple[dict[str, int], int, set[str]]:
     """Collapse the maximal add/sub/mul-by-literal tree under root into
     leaf -> coefficient (mod 2^32), a constant term, and the absorbed defs."""
     terms: dict[str, int] = {}
     const = 0
     absorbed: set[str] = set()
-    index = {b.label: b for b in f.blocks}
 
     def walk(op: Operand, coeff: int) -> None:
         nonlocal const
@@ -352,8 +346,7 @@ def _linearize(f: Function, ud, root: Instruction) -> tuple[dict[str, int], int,
         if isinstance(op, Literal):
             const = (const + coeff * op.value) & MASK32
             return
-        site = ud.defs.get(op.name)
-        ins = index[site[0]].instrs[site[1]] if site else None
+        ins = ud.instrs.get(op.name)
         if ins is not None and ud.use_count(op.name) == 1:
             if ins.opcode == "add":
                 absorbed.add(op.name)
@@ -430,7 +423,7 @@ def _tree_roots(f: Function, ud) -> list[tuple[str, set[str]]]:
     for _, _, ins in reversed(list(rpo_instrs(f))):
         if ins.opcode not in ("add", "sub") or ins.result in claimed:
             continue
-        absorbed = _linearize(f, ud, ins)[2]
+        absorbed = _linearize(ud, ins)[2]
         claimed |= absorbed
         roots.append((ins.result, absorbed))
     roots.reverse()
@@ -441,12 +434,10 @@ def _rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
     """f with the tree under root_name re-emitted in canonical form, or None
     when that would cost more or change nothing. New values are named
     t<n>, n drawn from counter."""
-    site = ud.defs.get(root_name)
-    if site is None:
+    root = ud.instrs.get(root_name)
+    if root is None:
         return None
-    lbl, i = site
-    root = f.block(lbl).instrs[i]
-    terms, const, absorbed = _linearize(f, ud, root)
+    terms, const, absorbed = _linearize(ud, root)
     taken = set(f.params) | set(ud.defs)
 
     def namer() -> str:
@@ -456,12 +447,10 @@ def _rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
 
     emitted, acc = _emit_linear(f, terms, const, namer)
     model = DEFAULT_COST_MODEL
-    index = {b.label: b for b in f.blocks}
-    old_cost = model.cost(root.opcode) + sum(
-        model.cost(index[ud.defs[n][0]].instrs[ud.defs[n][1]].opcode) for n in absorbed
-    )
+    old_cost = model.cost(root.opcode) + sum(model.cost(ud.instrs[n].opcode) for n in absorbed)
     if sum(model.cost(ins.opcode) for ins in emitted) > old_cost:
         return None
+    lbl, i = ud.defs[root_name]
     blocks = edit(f)
     blocks[lbl][i:i + 1] = emitted
     candidate = freeze(f, blocks, {root_name: acc})
@@ -522,7 +511,7 @@ def apply_cse(f: Function) -> PassOutcome:
             else:
                 table[key] = ins.result
                 added.append(key)
-        for child in dt.children(lbl):
+        for child in dt.children[lbl]:
             walk(child)
         for key in added:
             del table[key]
@@ -547,31 +536,26 @@ def apply_cond_prop(f: Function) -> PassOutcome:
     dt = compute_dominators(f)
     preds = predecessors(f)
     ud = use_def(f)
-    index = {b.label: b for b in f.blocks}
     subst: dict[str, Operand] = {}
-    dead: set[str] = set()
     spent: set[str] = set()
     changed = False
 
     def subtree(lbl: str) -> list[str]:
         out = [lbl]
-        for c in dt.children(lbl):
+        for c in dt.children[lbl]:
             out.extend(subtree(c))
         return out
 
     blocks = edit(f)
     for lbl in rpo_order(f):
-        term = index[lbl].instrs[-1]
+        term = blocks[lbl][-1]  # only valued clones are erased below
         if term.opcode != "condbr" or not isinstance(term.operands[0], ValueRef):
             continue
         t, e = term.labels
         if t == e:
             continue
-        site = ud.defs.get(term.operands[0].name)
-        if site is None:
-            continue
-        dins = index[site[0]].instrs[site[1]]
-        if dins.opcode not in _PURE_FOR_CSE:
+        dins = ud.instrs.get(term.operands[0].name)
+        if dins is None or dins.opcode not in _PURE_FOR_CSE:
             continue
         for tgt, lit in ((t, 1), (e, 0)):
             if preds.get(tgt) != (lbl,) or tgt not in dt.idom:
@@ -579,13 +563,12 @@ def apply_cond_prop(f: Function) -> PassOutcome:
             if lit == 1 and not dins.opcode.startswith("icmp"):
                 continue  # true edge only proves "nonzero" for non-boolean defs
             for rlbl in subtree(tgt):
-                for i, ins in enumerate(index[rlbl].instrs):
-                    if (ins.result is not None and ins.result not in dead
+                for i, ins in enumerate(blocks[rlbl]):
+                    if (ins is not None and ins.result is not None
                             and ins.result != dins.result
                             and ins.opcode == dins.opcode
                             and ins.operands == dins.operands):
                         subst[ins.result] = Literal(lit)
-                        dead.add(ins.result)
                         blocks[rlbl][i] = None
                         spent.update(o.name for o in ins.operands if isinstance(o, ValueRef))
                         changed = True
@@ -656,10 +639,10 @@ def apply_simplifycfg(f: Function) -> PassOutcome:
             blocks = edit(f)
             blocks[b.label] = list(b.instrs[:-1]) + tail
             del blocks[c]
-            order = [x.label for x in f.blocks if x.label != c]
-            g = freeze(f, blocks, subst, order=order)
             # phis downstream still name C as the incoming edge
-            f = rename_blocks(g, {c: b.label})
+            retarget_incomings(blocks, successors(cblk), c, b.label)
+            order = [x.label for x in f.blocks if x.label != c]
+            f = freeze(f, blocks, subst, order=order)
             merged = True
             changed = True
             break
@@ -691,8 +674,8 @@ def _promotable_allocas(f: Function) -> list[str]:
             if user.opcode == "store":
                 v = user.operands[0]
                 if isinstance(v, ValueRef):
-                    vd = ud.defs.get(v.name)
-                    if vd is not None and index[vd[0]].instrs[vd[1]].opcode == "alloca":
+                    vdef = ud.instrs.get(v.name)
+                    if vdef is not None and vdef.opcode == "alloca":
                         ok = False  # cell would hold an address; keep kinds intact
                         break
         if ok:
@@ -708,14 +691,13 @@ def _promote_one(f: Function, p: str) -> Function | None:
 
     loads: dict[str, list[int]] = {}
     stores: dict[str, list[int]] = {}
-    for lbl in dt.rpo:
-        for i, ins in enumerate(index[lbl].instrs):
-            if ins.opcode == "alloca" and ins.result == p:
-                home = lbl
-            elif ins.opcode == "load" and ins.operands[0] == ValueRef(p):
-                loads.setdefault(lbl, []).append(i)
-            elif ins.opcode == "store" and ins.operands[1] == ValueRef(p):
-                stores.setdefault(lbl, []).append(i)
+    for lbl, i, ins in rpo_instrs(f):
+        if ins.opcode == "alloca" and ins.result == p:
+            home = lbl
+        elif ins.opcode == "load" and ins.operands[0] == ValueRef(p):
+            loads.setdefault(lbl, []).append(i)
+        elif ins.opcode == "store" and ins.operands[1] == ValueRef(p):
+            stores.setdefault(lbl, []).append(i)
 
     # liveness: does the cell's value flow into a load not preceded by a store?
     gen = set()
@@ -750,8 +732,7 @@ def _promote_one(f: Function, p: str) -> Function | None:
                 phiblocks.add(y)
                 work.append(y)
 
-    rank = {l: i for i, l in enumerate(dt.rpo)}
-    phi_order = sorted(phiblocks, key=lambda l: rank[l])
+    phi_order = [l for l in dt.rpo if l in phiblocks]
     names = fresh_names(f, f"{p}_", len(phi_order))
     phi_name = dict(zip(phi_order, names))
     phi_incoming: dict[str, dict[str, Operand]] = {lbl: {} for lbl in phi_order}
@@ -775,7 +756,7 @@ def _promote_one(f: Function, p: str) -> Function | None:
         for s in successors(index[lbl]):
             if s in phi_incoming:
                 phi_incoming[s][lbl] = stack[-1]
-        for child in dt.children(lbl):
+        for child in dt.children[lbl]:
             walk(child, stack)
         del stack[depth:]
 
@@ -827,11 +808,10 @@ def apply_licm(f: Function) -> PassOutcome:
     into the preheader. Loads and stores never move."""
     changed = False
     while True:
-        moved = False
+        defs = defined_values(f)
         for lp in find_natural_loops(f):
             if lp.preheader is None:
                 continue
-            defs = defined_values(f)
 
             def outside(op: Operand) -> bool:
                 if isinstance(op, Literal):
@@ -839,23 +819,19 @@ def apply_licm(f: Function) -> PassOutcome:
                 site = defs.get(op.name)
                 return site is None or site[0] not in lp.body
 
-            index = {b.label: b for b in f.blocks}
-            for lbl in [l for l in rpo_order(f) if l in lp.body]:
-                for i, ins in enumerate(index[lbl].instrs):
-                    if licm_movable(ins) and all(outside(o) for o in ins.operands):
-                        blocks = edit(f)
-                        blocks[lbl][i] = None
-                        pre = blocks[lp.preheader]
-                        pre.insert(len(pre) - 1, ins)
-                        f = freeze(f, blocks)
-                        moved = True
-                        changed = True
-                        break
-                if moved:
-                    break
-            if moved:
+            hoist = next(((lbl, i, ins) for lbl, i, ins in rpo_instrs(f)
+                          if lbl in lp.body and licm_movable(ins)
+                          and all(outside(o) for o in ins.operands)), None)
+            if hoist is not None:
+                lbl, i, ins = hoist
+                blocks = edit(f)
+                blocks[lbl][i] = None
+                pre = blocks[lp.preheader]
+                pre.insert(len(pre) - 1, ins)
+                f = freeze(f, blocks)
+                changed = True
                 break
-        if not moved:
+        else:
             return PassOutcome(changed, f)
 
 

@@ -23,7 +23,9 @@ from .ir import (
     canonical_hash,
     fresh_label,
     fresh_names,
+    rpo_instrs,
     rpo_order,
+    successors,
 )
 from .passes import (
     disjoint_bits,
@@ -31,7 +33,7 @@ from .passes import (
     freeze,
     licm_movable,
     reassociate_rewrites,
-    rpo_instrs,
+    retarget_incomings,
 )
 
 PAIRINGS: dict[str, str] = {
@@ -128,17 +130,12 @@ def _rev_reassociate(f: Function):
     reassociate rewrites the tree it lands in (a swap onto canonical leaf
     order is already reassociate's form)."""
     ud = use_def(f)
-    index = {b.label: b for b in f.blocks}
 
-    def single_use_add(op: Operand) -> tuple[str, int] | None:
-        if not isinstance(op, ValueRef):
+    def single_use_add(op: Operand) -> Instruction | None:
+        if not isinstance(op, ValueRef) or ud.use_count(op.name) != 1:
             return None
-        site = ud.defs.get(op.name)
-        if site is None:
-            return None
-        if index[site[0]].instrs[site[1]].opcode == "add" and ud.use_count(op.name) == 1:
-            return site
-        return None
+        ins = ud.instrs.get(op.name)
+        return ins if ins is not None and ins.opcode == "add" else None
 
     for lbl, i, ins in rpo_instrs(f):
         if ins.opcode != "add":
@@ -146,22 +143,24 @@ def _rev_reassociate(f: Function):
         a, b = ins.operands
         perturbed = [(None, [replace(ins, operands=(b, a))])]
         (tn,) = fresh_names(f, "x", 1)
-        site = single_use_add(a)
-        if site is not None:
+        inner = single_use_add(a)
+        if inner is not None:
             # (p + q) + b  ->  p + (q + b)
-            p, q = index[site[0]].instrs[site[1]].operands
-            perturbed.append((site, [Instruction(tn, "add", (q, b)),
-                                     Instruction(ins.result, "add", (p, ValueRef(tn)))]))
-        site = single_use_add(b)
-        if site is not None:
+            p, q = inner.operands
+            perturbed.append((ud.defs[inner.result],
+                              [Instruction(tn, "add", (q, b)),
+                               Instruction(ins.result, "add", (p, ValueRef(tn)))]))
+        inner = single_use_add(b)
+        if inner is not None:
             # a + (p + q)  ->  (a + p) + q
-            p, q = index[site[0]].instrs[site[1]].operands
-            perturbed.append((site, [Instruction(tn, "add", (a, p)),
-                                     Instruction(ins.result, "add", (ValueRef(tn), q))]))
-        for inner, new in perturbed:
+            p, q = inner.operands
+            perturbed.append((ud.defs[inner.result],
+                              [Instruction(tn, "add", (a, p)),
+                               Instruction(ins.result, "add", (ValueRef(tn), q))]))
+        for site, new in perturbed:
             blocks = edit(f)
-            if inner is not None:
-                blocks[inner[0]][inner[1]] = None  # its one use was ins
+            if site is not None:
+                blocks[site[0]][site[1]] = None  # its one use was ins
             blocks[lbl][i:i + 1] = new
             g = freeze(f, blocks)
             if reassociate_rewrites(g, ins.result):
@@ -183,27 +182,14 @@ def _rev_split_block(f: Function):
             blocks = edit(f)
             blocks[b.label] = head
             blocks[new_lbl] = tail
+            # successor phis still name the old block on the moved edge
+            retarget_incomings(blocks, successors(b), b.label, new_lbl)
             order = []
             for x in f.blocks:
                 order.append(x.label)
                 if x.label == b.label:
                     order.append(new_lbl)
-            g = freeze(f, blocks, order=order)
-            # successor phis still name the old block on the moved edge
-            fixed = {}
-            for lbl2 in tail[-1].labels:
-                tgt = g.block(lbl2)
-                instrs2 = list(tgt.instrs)
-                for j, phi in enumerate(instrs2):
-                    if phi.is_phi and b.label in phi.labels:
-                        instrs2[j] = replace(phi, labels=tuple(
-                            new_lbl if l == b.label else l for l in phi.labels))
-                fixed[lbl2] = instrs2
-            if fixed:
-                blocks2 = edit(g)
-                blocks2.update(fixed)
-                g = freeze(g, blocks2)
-            yield g
+            yield freeze(f, blocks, order=order)
 
 
 def _rev_licm_sink(f: Function):

@@ -55,7 +55,7 @@ class PassCache:
 
     def __init__(self) -> None:
         self.apps: dict[tuple[CanonicalDigest, str], tuple[bool, Function]] = {}
-        self.searches: dict[tuple, SearchOutcome] = {}
+        self.searches: dict[CanonicalDigest, SearchOutcome] = {}
         self.dynamic: dict[CanonicalDigest, int] = {}
         self.hits = 0
 
@@ -195,7 +195,7 @@ def ibo(f: Function,
     reverses = reverses if reverses is not None else REVERSE_PASSES
     cache = PassCache()
     baseline = exhaustive_search(f, passes, limits, model, workload, cache)
-    cache.searches[(canonical_hash(f),)] = baseline
+    cache.searches[canonical_hash(f)] = baseline
     total = baseline.explored
     best_fn = baseline.best_function
     best_key = baseline.best_key
@@ -233,7 +233,7 @@ def ibo(f: Function,
         searched = 0
         improved = False
         for g, prov, d in produced:
-            sub = cache.searches.get((d,))
+            sub = cache.searches.get(d)
             if sub is not None:
                 hits += 1
             elif total >= limits.max_programs_explored:
@@ -243,7 +243,7 @@ def ibo(f: Function,
                 sub_limits = replace(
                     limits, max_programs_explored=limits.max_programs_explored - total)
                 sub = exhaustive_search(g, passes, sub_limits, model, workload, cache)
-                cache.searches[(d,)] = sub
+                cache.searches[d] = sub
                 searched += 1
                 total += sub.explored
             if sub.best_key < best_key:

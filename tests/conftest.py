@@ -14,12 +14,13 @@ from bidiropt.ir import (
     Operand,
     ValueRef,
     block_order_with_unreachable,
+    canonical_hash,
     canonical_text,
     parse_function,
     print_function,
-    rename_blocks,
     value_order,
 )
+from bidiropt.passes import FORWARD_PASSES, apply_pass
 from bidiropt.reverse import REVERSE_PASSES, reverse_variants
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -223,9 +224,34 @@ def rename_values(f, mapping):
     return Function(f.name, tuple(newname(p) for p in f.params), tuple(blocks))
 
 
+def rename_blocks(f, mapping):
+    """Rename blocks (labels and every reference to them); labels absent from
+    mapping are kept."""
+    def newlbl(l):
+        return mapping.get(l, l)
+
+    blocks = tuple(
+        BasicBlock(newlbl(b.label), tuple(
+            replace(ins, labels=tuple(newlbl(l) for l in ins.labels)) for ins in b.instrs))
+        for b in f.blocks)
+    return Function(f.name, f.params, blocks)
+
+
 def all_reverse_variants(f, cap=None):
     """Every variant of f under every reverse pass, in REVERSE_PASSES order."""
     return tuple(v for name in REVERSE_PASSES for v in reverse_variants(name, f, cap=cap))
+
+
+def one_step_neighbours(f):
+    """Distinct programs one forward pass or one reverse variant away from f."""
+    out = {}
+    for name in FORWARD_PASSES:
+        r = apply_pass(name, f)
+        if r.changed:
+            out.setdefault(canonical_hash(r.function), r.function)
+    for v in all_reverse_variants(f):
+        out.setdefault(canonical_hash(v.function), v.function)
+    return list(out.values())
 
 
 def reference_canonical_text(f):

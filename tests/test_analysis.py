@@ -12,7 +12,7 @@ from bidiropt.analysis import (
 )
 from bidiropt.ir import parse_function, rpo_order, successors
 
-from conftest import load
+from conftest import load, one_step_neighbours
 
 
 def _reachable_without(f, removed):
@@ -54,6 +54,19 @@ def test_idom_is_closest_strict_dominator(corpus_function):
         for other in dt.idom:
             if other not in (b, p) and dt.dominates(other, b):
                 assert dt.dominates(other, p), (f.name, b, p, other)
+
+
+def test_dominator_children_table(corpus_function):
+    # the table must agree with the definition it replaced: the blocks whose
+    # idom is lbl, in RPO
+    for f in [corpus_function, *one_step_neighbours(corpus_function)]:
+        dt = compute_dominators(f)
+        rank = {l: i for i, l in enumerate(dt.rpo)}
+        assert list(dt.children) == list(dt.rpo)
+        for lbl in dt.rpo:
+            kids = sorted((l for l, p in dt.idom.items() if p == lbl and l != lbl),
+                          key=lambda l: rank[l])
+            assert dt.children[lbl] == tuple(kids), (f.name, lbl)
 
 
 def test_dominance_frontier_diamond():
@@ -178,6 +191,8 @@ def test_use_def_counts():
     assert ud.use_count("val") == 2
     assert ud.use_count("s") == 1
     assert ud.use_count("q") == 1
+    assert ud.instrs["q"] is f.blocks[0].instrs[0]
+    assert "val" not in ud.instrs  # a parameter has no defining instruction
 
 
 def test_use_def_covers_phi_operands():

@@ -22,7 +22,6 @@ from bidiropt.ir import (
     parse_module,
     predecessors,
     print_function,
-    rename_blocks,
     resolve,
     rpo_order,
     substitute,
@@ -37,6 +36,7 @@ from conftest import (
     all_reverse_variants,
     load,
     reference_canonical_text,
+    rename_blocks,
     rename_values,
     straightline,
 )
@@ -249,10 +249,11 @@ CACHED_ANALYSES = (rpo_order, predecessors, defined_values, use_def, compute_dom
 def test_cached_analyses_return_immutable_containers():
     f = load("loop_sum")
     ud, dt, preds = use_def(f), compute_dominators(f), predecessors(f)
-    for mapping in (preds, defined_values(f), ud.defs, ud.uses, dt.idom):
+    for mapping in (preds, defined_values(f), ud.defs, ud.instrs, ud.uses, dt.idom, dt.children):
         with pytest.raises(TypeError):
             mapping["head"] = None
-    for seq in (rpo_order(f), dt.rpo, *preds.values(), *ud.uses.values()):
+    for seq in (rpo_order(f), dt.rpo, *preds.values(), *ud.uses.values(),
+                *dt.children.values()):
         assert isinstance(seq, tuple)
     # the one caller that extends the order works on its own copy
     order = block_order_with_unreachable(f)

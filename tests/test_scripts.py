@@ -1,6 +1,7 @@
 """Smoke tests: each experiment script under scripts/ formats a report and
 exits 0."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -58,3 +59,17 @@ def test_sweep_iterations(compare_report):
     assert proc.returncode == 0, proc.stderr
     row = next(l for l in proc.stdout.splitlines() if l.startswith("bin2bcd"))
     assert row.split()[1:] == ["11,5", "11,5", "9,4", "k=2"]
+
+
+def test_report_digest(compare_report):
+    corpus = compare_report.parent
+    proc = _run("report_digest.py", corpus)
+    assert proc.returncode == 0, proc.stderr
+    lines = [l.split(" ", 2) for l in proc.stdout.splitlines()]
+    assert [cmd for _, _, cmd in lines] == [
+        f"search {corpus / 'bin2bcd.ir'}", f"ibo {corpus / 'bin2bcd.ir'} -k 2",
+        f"search {corpus / 'divmul.ir'}", f"ibo {corpus / 'divmul.ir'} -k 2",
+        f"compare {corpus} -k 2"]
+    assert all(code == "0" for code, _, _ in lines)
+    # the digest is of the report the CLI prints
+    assert lines[-1][1] == hashlib.sha256(compare_report.read_bytes()).hexdigest()
