@@ -2,8 +2,9 @@
 """Digest the reports of a corpus directory, so two checkouts can be diffed.
 
 Runs the CLI in-process and prints one line per report, `exit sha256
-command`: `search` and `ibo -k 2` on each .ir file of DIR (default
-corpus/valid), then `compare DIR -k 2`. Reports name their input file as
+command`: `search`, `ibo -k 2` and one `opt --passes P --report` for each
+forward pass P on each .ir file of DIR (default corpus/valid), then
+`compare DIR -k 2`. Reports name their input file as
 given, so run it from the root of each checkout with the same DIR; a change
 that keeps every report byte-identical, exit code included, keeps this
 output identical:
@@ -20,6 +21,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from bidiropt.cli import main as cli
+from bidiropt.passes import FORWARD_PASSES
 
 
 def digest(argv: list[str]) -> str:
@@ -37,6 +39,8 @@ def main(argv=None):
     for path in sorted(Path(d).glob("*.ir")):
         print(digest(["search", str(path)]), flush=True)
         print(digest(["ibo", str(path), "-k", "2"]), flush=True)
+        for name in FORWARD_PASSES:
+            print(digest(["opt", str(path), "--passes", name, "--report"]), flush=True)
     print(digest(["compare", d, "-k", "2"]), flush=True)
     return 0
 

@@ -430,10 +430,42 @@ def _tree_roots(f: Function, ud) -> list[tuple[str, set[str]]]:
     return roots
 
 
+def _in_place(f: Function, ud, root_name: str, absorbed: set[str],
+              emitted: list[Instruction]) -> bool:
+    """Whether the tree already sits in its block as `emitted`: the
+    len(emitted) instructions ending at root_name define exactly the tree,
+    and each equals its emitted counterpart once emitted names are mapped in
+    order to the old ones (the last emitted value, which replaces the root,
+    to root_name). Re-emitting would then only rename values."""
+    if len(emitted) != len(absorbed) + 1:
+        return False
+    lbl, i = ud.defs[root_name]
+    start = i + 1 - len(emitted)
+    if start < 0:
+        return False
+    old = f.block(lbl).instrs[start:i + 1]
+    if {ins.result for ins in old} != absorbed | {root_name}:
+        return False
+    names: dict[str, str] = {}
+    for new, ins in zip(emitted, old):
+        ops = tuple(ValueRef(names.get(op.name, op.name)) if isinstance(op, ValueRef) else op
+                    for op in new.operands)
+        if new.opcode != ins.opcode or ops != ins.operands:
+            return False
+        names[new.result] = ins.result
+    return True
+
+
 def _rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
     """f with the tree under root_name re-emitted in canonical form, or None
     when that would cost more or change nothing. New values are named
-    t<n>, n drawn from counter."""
+    t<n>, n drawn from counter; the form is emitted before either test, so
+    the counter advances alike whether or not a candidate is built.
+
+    A tree already in place in the form it would be emitted in is left
+    alone without building a candidate (_in_place): the candidate would be f
+    with those values renamed, and the canonical hash ignores names. Any
+    other tree is rewritten, and compared with f by canonical hash."""
     root = ud.instrs.get(root_name)
     if root is None:
         return None
@@ -449,6 +481,8 @@ def _rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
     model = DEFAULT_COST_MODEL
     old_cost = model.cost(root.opcode) + sum(model.cost(ud.instrs[n].opcode) for n in absorbed)
     if sum(model.cost(ins.opcode) for ins in emitted) > old_cost:
+        return None
+    if _in_place(f, ud, root_name, absorbed, emitted):
         return None
     lbl, i = ud.defs[root_name]
     blocks = edit(f)

@@ -20,7 +20,15 @@ from bidiropt.ir import (
     print_function,
     value_order,
 )
-from bidiropt.passes import FORWARD_PASSES, apply_pass
+from bidiropt.passes import (
+    FORWARD_PASSES,
+    _emit_linear,
+    _erase_dead,
+    _linearize,
+    apply_pass,
+    edit,
+    freeze,
+)
 from bidiropt.reverse import REVERSE_PASSES, reverse_variants
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,6 +202,36 @@ def reference_interpret(
                     return ExecResult("trapped", reason=trap,
                                       steps=steps, dynamic_cost=cost)
                 env[ins.result] = res
+
+
+def reference_rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
+    """passes._rewrite_tree as it was before it learned to recognize a tree
+    already in place: it always builds the candidate and compares canonical
+    hashes. Kept as the oracle the shortcut must match call for call."""
+    root = ud.instrs.get(root_name)
+    if root is None:
+        return None
+    terms, const, absorbed = _linearize(ud, root)
+    taken = set(f.params) | set(ud.defs)
+
+    def namer() -> str:
+        name = next(n for n in (f"t{c}" for c in counter) if n not in taken)
+        taken.add(name)
+        return name
+
+    emitted, acc = _emit_linear(f, terms, const, namer)
+    model = DEFAULT_COST_MODEL
+    old_cost = model.cost(root.opcode) + sum(model.cost(ud.instrs[n].opcode) for n in absorbed)
+    if sum(model.cost(ins.opcode) for ins in emitted) > old_cost:
+        return None
+    lbl, i = ud.defs[root_name]
+    blocks = edit(f)
+    blocks[lbl][i:i + 1] = emitted
+    candidate = freeze(f, blocks, {root_name: acc})
+    blocks = edit(candidate)
+    _erase_dead(blocks, set(absorbed))
+    candidate = freeze(candidate, blocks)
+    return None if canonical_hash(candidate) == canonical_hash(f) else candidate
 
 
 def same_modulo_name(f, g):

@@ -6,8 +6,13 @@ every fixture must emit valid IR, preserve behavior on a workload, report
 according to its tier, and be idempotent.
 """
 
-import pytest
+from itertools import count
 
+import pytest
+from hypothesis import given, settings
+
+from bidiropt import passes
+from bidiropt.analysis import use_def
 from bidiropt.cost import rank_key, static_cost
 from bidiropt.interp import differential_check, interpret
 from bidiropt.ir import (
@@ -16,9 +21,17 @@ from bidiropt.ir import (
     print_function,
     validate_function,
 )
-from bidiropt.passes import FORWARD_PASSES, apply_pass
+from bidiropt.passes import FORWARD_PASSES, _rewrite_tree, _tree_roots, apply_pass, edit
 
-from conftest import VALID_FILES, load, same_modulo_name, workload_for
+from conftest import (
+    VALID_FILES,
+    load,
+    one_step_neighbours,
+    reference_rewrite_tree,
+    same_modulo_name,
+    straightline,
+    workload_for,
+)
 
 # Passes whose every firing must strictly improve (static_cost, static_size).
 STRICT = {
@@ -131,6 +144,94 @@ def test_reassociate_collapses_expanded_form():
     out = apply_pass("reassociate", load("bin2bcd_expanded"))
     assert out.changed
     assert same_modulo_name(out.function, load("bin2bcd_mul6"))
+
+
+def _rewrite_both(f, root):
+    """_rewrite_tree and reference_rewrite_tree on one root, each with its
+    own fresh counter; returns both results and both counters' next value."""
+    ours, theirs = count(), count()
+    got = _rewrite_tree(f, use_def(f), root, ours)
+    want = reference_rewrite_tree(f, use_def(f), root, theirs)
+    return got, want, next(ours), next(theirs)
+
+
+def _assert_rewrites_match_reference(f):
+    for root, _ in _tree_roots(f, use_def(f)):
+        got, want, n_ours, n_theirs = _rewrite_both(f, root)
+        assert (got is None) == (want is None), (print_function(f), root)
+        if got is not None:
+            assert print_function(got) == print_function(want), (print_function(f), root)
+        assert n_ours == n_theirs, (print_function(f), root)
+
+
+@pytest.mark.parametrize("path", VALID_FILES, ids=[p.stem for p in VALID_FILES])
+def test_rewrite_tree_matches_reference_on_corpus_and_neighbours(path):
+    f = parse_function(path.read_text())
+    for g in [f, *one_step_neighbours(f)]:
+        _assert_rewrites_match_reference(g)
+
+
+@given(straightline())
+@settings(max_examples=150, deadline=None)
+def test_rewrite_tree_matches_reference_on_generated_programs(text):
+    _assert_rewrites_match_reference(parse_function(text))
+
+
+def test_reassociate_moves_a_tree_split_by_an_unrelated_instruction():
+    # %a is absorbed into %r's tree, which is otherwise in canonical form;
+    # rewriting moves it next to its root, past %u, which is a real change
+    f = parse_function("""func @f(%x, %y) {
+entry:
+  %a = add %x, %y
+  %u = xor %x, 1
+  %r = add %a, 5
+  %s = xor %r, %u
+  ret %s
+}
+""")
+    got, want, _, _ = _rewrite_both(f, "r")
+    assert want is not None
+    assert print_function(got) == print_function(want)
+    assert "%u = xor %x, 1\n  %t0 = add %x, %y\n  %t1 = add %t0, 5\n" in print_function(got)
+    out = apply_pass("reassociate", f)
+    assert out.changed
+    assert print_function(out.function) == print_function(want)
+
+
+def test_reassociate_puts_a_literal_first_coefficient_last():
+    # mul 3, %x linearizes like mul %x, 3, but re-emits as the latter, so
+    # the tree is not already in canonical form
+    f = parse_function("""func @f(%x, %y) {
+entry:
+  %m = mul 3, %x
+  %r = add %m, %y
+  ret %r
+}
+""")
+    got, want, _, _ = _rewrite_both(f, "r")
+    assert want is not None
+    assert print_function(got) == print_function(want)
+    assert "mul %x, 3" in print_function(got)
+    assert apply_pass("reassociate", f).changed
+
+
+@pytest.mark.parametrize("path", VALID_FILES, ids=[p.stem for p in VALID_FILES])
+def test_rewrite_tree_leaves_every_canonical_tree_without_a_candidate(path, monkeypatch):
+    # Wherever the reference finds nothing to change, _rewrite_tree must know
+    # it from the tree itself (or the cost gate): it builds no candidate and
+    # hashes nothing. Guards the shortcut against falling back to hashing.
+    f = parse_function(path.read_text())
+    programs = [f, *one_step_neighbours(f)]
+    built = []
+    monkeypatch.setattr(passes, "edit", lambda g: built.append(g) or edit(g))
+    monkeypatch.setattr(passes, "canonical_hash", lambda g: built.append(g) or canonical_hash(g))
+    for g in programs:
+        for root, _ in _tree_roots(g, use_def(g)):
+            if reference_rewrite_tree(g, use_def(g), root, count()) is not None:
+                continue
+            built.clear()
+            assert _rewrite_tree(g, use_def(g), root, count()) is None
+            assert built == [], (print_function(g), root)
 
 
 def test_cse_merges_duplicate_udiv():

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from bidiropt.passes import FORWARD_PASSES
+
 from conftest import ROOT, VALID, run_cli
 
 
@@ -67,9 +69,12 @@ def test_report_digest(compare_report):
     assert proc.returncode == 0, proc.stderr
     lines = [l.split(" ", 2) for l in proc.stdout.splitlines()]
     assert [cmd for _, _, cmd in lines] == [
-        f"search {corpus / 'bin2bcd.ir'}", f"ibo {corpus / 'bin2bcd.ir'} -k 2",
-        f"search {corpus / 'divmul.ir'}", f"ibo {corpus / 'divmul.ir'} -k 2",
-        f"compare {corpus} -k 2"]
+        cmd
+        for name in ("bin2bcd", "divmul")
+        for cmd in [f"search {corpus / f'{name}.ir'}", f"ibo {corpus / f'{name}.ir'} -k 2",
+                    *(f"opt {corpus / f'{name}.ir'} --passes {p} --report"
+                      for p in FORWARD_PASSES)]
+    ] + [f"compare {corpus} -k 2"]
     assert all(code == "0" for code, _, _ in lines)
     # the digest is of the report the CLI prints
     assert lines[-1][1] == hashlib.sha256(compare_report.read_bytes()).hexdigest()
