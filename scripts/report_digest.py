@@ -3,11 +3,12 @@
 
 Runs the CLI in-process and prints one line per report, `exit sha256
 command`: `search`, `ibo -k 2` and one `opt --passes P --report` for each
-forward pass P on each .ir file of DIR (default corpus/valid), then
-`compare DIR -k 2`. Reports name their input file as
-given, so run it from the root of each checkout with the same DIR; a change
-that keeps every report byte-identical, exit code included, keeps this
-output identical:
+forward pass P on each .ir file of DIR (default corpus/valid), plus
+`ibo -k 1 --metric dynamic --workload corpus/workloads/STEM.json` for a file
+whose stem has a workload there, then `compare DIR -k 2`. Reports name their
+input file as given, so run it from the root of each checkout with the same
+DIR; a change that keeps every report byte-identical, exit code included,
+keeps this output identical:
 
     python3 scripts/report_digest.py > before.txt   # in the old checkout
     python3 scripts/report_digest.py > after.txt    # in the new one
@@ -41,6 +42,10 @@ def main(argv=None):
         print(digest(["ibo", str(path), "-k", "2"]), flush=True)
         for name in FORWARD_PASSES:
             print(digest(["opt", str(path), "--passes", name, "--report"]), flush=True)
+        workload = Path("corpus/workloads") / f"{path.stem}.json"
+        if workload.exists():
+            print(digest(["ibo", str(path), "-k", "1", "--metric", "dynamic",
+                          "--workload", str(workload)]), flush=True)
     print(digest(["compare", d, "-k", "2"]), flush=True)
     return 0
 

@@ -140,6 +140,51 @@ def find_natural_loops(f: Function) -> tuple[Loop, ...]:
 
 
 # ---------------------------------------------------------------------------
+# memory cells
+
+def accessed_cell(ins: Instruction) -> str | None:
+    """The cell (alloca value) a load reads or a store writes; None for any
+    other instruction."""
+    if ins.opcode == "load":
+        return ins.operands[0].name
+    if ins.opcode == "store":
+        return ins.operands[1].name
+    return None
+
+
+@per_function
+def live_cells(f: Function) -> MappingProxyType[str, frozenset[str]]:
+    """Reachable block -> the cells (alloca values) that a load may read on
+    entry to the block before any store writes them. Backward liveness: a
+    block generates the cells it loads before it stores them, and passes on
+    the live cells of its successors that it does not touch."""
+    index = {b.label: b for b in f.blocks}
+    order = rpo_order(f)
+    live: dict[str, frozenset[str]] = {}
+    touched: dict[str, set[str]] = {}
+    for lbl in order:
+        gen: set[str] = set()
+        t = touched[lbl] = set()
+        for ins in index[lbl].instrs:
+            p = accessed_cell(ins)
+            if p is not None and p not in t:
+                t.add(p)
+                if ins.opcode == "load":
+                    gen.add(p)
+        live[lbl] = frozenset(gen)
+    changed = True
+    while changed:
+        changed = False
+        for lbl in reversed(order):
+            out = set().union(*(live[s] for s in successors(index[lbl])))
+            new = live[lbl] | (out - touched[lbl])
+            if new != live[lbl]:
+                live[lbl] = frozenset(new)
+                changed = True
+    return MappingProxyType(live)
+
+
+# ---------------------------------------------------------------------------
 # known bits
 
 @dataclass(frozen=True)

@@ -471,20 +471,19 @@ class CanonicalDigest:
         return self.hex
 
 
-def value_order(f: Function, order: list[str] | None = None) -> dict[str, int]:
-    """Canonical value numbering: params first, then definitions in block
-    order (block_order_with_unreachable unless given)."""
-    if order is None:
-        order = block_order_with_unreachable(f)
+@per_function
+def value_order(f: Function) -> MappingProxyType[str, int]:
+    """Canonical value numbering: params first, then definitions in
+    block_order_with_unreachable order."""
     index = {b.label: b for b in f.blocks}
     num: dict[str, int] = {}
     for p in f.params:
         num[p] = len(num)
-    for lbl in order:
+    for lbl in block_order_with_unreachable(f):
         for ins in index[lbl].instrs:
             if ins.result is not None and ins.result not in num:
                 num[ins.result] = len(num)
-    return num
+    return MappingProxyType(num)
 
 
 def canonical_text(f: Function) -> str:
@@ -496,7 +495,7 @@ def canonical_text(f: Function) -> str:
         order = block_order_with_unreachable(f)
         pos = {lbl: i for i, lbl in enumerate(order)}
         lbls = {lbl: f"b{i}" for lbl, i in pos.items()}
-        vals = {name: f"v{i}" for name, i in value_order(f, order).items()}
+        vals = {name: f"v{i}" for name, i in value_order(f).items()}
         blocks = sorted(f.blocks, key=lambda b: pos[b.label])
         text = f.__dict__["_canonical_text"] = _print(f, blocks, vals, lbls)
     return text

@@ -12,10 +12,12 @@ from dataclasses import dataclass, replace
 from itertools import count
 
 from .analysis import (
+    accessed_cell,
     compute_dominators,
     dominance_frontiers,
     find_natural_loops,
     known_bits,
+    live_cells,
     use_def,
 )
 from .cost import DEFAULT_COST_MODEL
@@ -689,142 +691,100 @@ def apply_simplifycfg(f: Function) -> PassOutcome:
 # mem2reg
 
 def _promotable_allocas(f: Function) -> list[str]:
+    """Allocas, in RPO, whose cell can become SSA values: every use is the
+    address of a load or store in a reachable block (the rename walk covers
+    no other), no store writes an address into the cell (kinds stay intact),
+    and no load may read it before a store (that load traps, and promotion
+    would turn the trap into a value). In a valid function an alloca's only
+    other use is as the value of a store, where its address escapes."""
     ud = use_def(f)
-    reach = set(rpo_order(f))
+    live = live_cells(f)
     index = {b.label: b for b in f.blocks}
-    out = []
-    for lbl, i, ins in rpo_instrs(f):
-        if ins.opcode != "alloca":
-            continue
-        ok = True
-        for ulbl, ui, uj in ud.uses.get(ins.result, ()):
-            if ulbl not in reach:
-                ok = False  # the rename walk only covers reachable blocks
-                break
-            user = index[ulbl].instrs[ui]
-            if not ((user.opcode == "load" and uj == 0) or (user.opcode == "store" and uj == 1)):
-                ok = False  # address escapes
-                break
-            if user.opcode == "store":
-                v = user.operands[0]
-                if isinstance(v, ValueRef):
-                    vdef = ud.instrs.get(v.name)
-                    if vdef is not None and vdef.opcode == "alloca":
-                        ok = False  # cell would hold an address; keep kinds intact
-                        break
-        if ok:
-            out.append(ins.result)
-    return out
+    allocas = [(lbl, ins.result) for lbl, _, ins in rpo_instrs(f) if ins.opcode == "alloca"]
+    addresses = {ValueRef(p) for _, p in allocas}
 
+    def kept_in_memory(lbl: str, i: int, j: int) -> bool:
+        if lbl not in live:
+            return True
+        user = index[lbl].instrs[i]
+        return user.opcode == "store" and (j == 0 or user.operands[0] in addresses)
 
-def _promote_one(f: Function, p: str) -> Function | None:
-    """f with cell p promoted, or None when a load may read p before any
-    store (that load traps, and promotion would turn the trap into a value)."""
-    dt = compute_dominators(f)
-    index = {b.label: b for b in f.blocks}
-
-    loads: dict[str, list[int]] = {}
-    stores: dict[str, list[int]] = {}
-    for lbl, i, ins in rpo_instrs(f):
-        if ins.opcode == "alloca" and ins.result == p:
-            home = lbl
-        elif ins.opcode == "load" and ins.operands[0] == ValueRef(p):
-            loads.setdefault(lbl, []).append(i)
-        elif ins.opcode == "store" and ins.operands[1] == ValueRef(p):
-            stores.setdefault(lbl, []).append(i)
-
-    # liveness: does the cell's value flow into a load not preceded by a store?
-    gen = set()
-    kill = set(stores)
-    for lbl, idxs in loads.items():
-        first_store = min(stores.get(lbl, [1 << 30]))
-        if min(idxs) < first_store:
-            gen.add(lbl)
-    live_in = set(gen)
-    while True:
-        grew = False
-        for lbl in dt.rpo:
-            if lbl not in live_in and lbl not in kill:
-                if any(s in live_in for s in successors(index[lbl])):
-                    live_in.add(lbl)
-                    grew = True
-        if not grew:
-            break
-    # every load of p runs after its alloca (dominance), so a load may read
-    # the cell uninitialized exactly when it is live into the alloca's block
-    if home in live_in:
-        return None
-
-    # pruned SSA: phis at the iterated dominance frontier, where live
-    df = dominance_frontiers(f, dt)
-    phiblocks: set[str] = set()
-    work = list(stores)
-    while work:
-        x = work.pop()
-        for y in sorted(df.get(x, ())):
-            if y not in phiblocks and y in live_in:
-                phiblocks.add(y)
-                work.append(y)
-
-    phi_order = [l for l in dt.rpo if l in phiblocks]
-    names = fresh_names(f, f"{p}_", len(phi_order))
-    phi_name = dict(zip(phi_order, names))
-    phi_incoming: dict[str, dict[str, Operand]] = {lbl: {} for lbl in phi_order}
-
-    blocks = edit(f)
-    subst: dict[str, Operand] = {}
-
-    def walk(lbl: str, stack: list[Operand]) -> None:
-        depth = len(stack)
-        if lbl in phi_name:
-            stack.append(ValueRef(phi_name[lbl]))
-        for i, ins in enumerate(index[lbl].instrs):
-            if ins.opcode == "load" and ins.operands[0] == ValueRef(p):
-                subst[ins.result] = stack[-1]
-                blocks[lbl][i] = None
-            elif ins.opcode == "store" and ins.operands[1] == ValueRef(p):
-                stack.append(resolve(ins.operands[0], subst))
-                blocks[lbl][i] = None
-            elif ins.opcode == "alloca" and ins.result == p:
-                blocks[lbl][i] = None
-        for s in successors(index[lbl]):
-            if s in phi_incoming:
-                phi_incoming[s][lbl] = stack[-1]
-        for child in dt.children[lbl]:
-            walk(child, stack)
-        del stack[depth:]
-
-    walk(dt.rpo[0], [])
-
-    preds = predecessors(f)
-    for lbl in phi_order:
-        inc = phi_incoming[lbl]
-        # an unreachable predecessor's edge never runs, so any operand will do
-        ops = tuple(inc.get(q, Literal(0)) for q in preds[lbl])
-        phi = Instruction(phi_name[lbl], "phi", ops, tuple(preds[lbl]))
-        instrs = blocks[lbl]
-        at = 0
-        for at, ins in enumerate(instrs):
-            if ins is None or not ins.is_phi:
-                break
-        instrs.insert(at, phi)
-
-    return freeze(f, blocks, subst)
+    return [p for lbl, p in allocas if p not in live[lbl]
+            and not any(kept_in_memory(*use) for use in ud.uses[p])]
 
 
 def apply_mem2reg(f: Function) -> PassOutcome:
-    """Promote allocas touched only by load/store into SSA values: phis at
-    (live) dominance frontiers, loads replaced by reaching values. A cell
-    that some load may read before any store is left in memory."""
-    changed = False
-    while True:
-        for p in _promotable_allocas(f):
-            g = _promote_one(f, p)
-            if g is not None:
-                f, changed = g, True
-                break
-        else:
-            return PassOutcome(changed, f)
+    """Promote every promotable alloca to SSA values in one sweep (Cytron et
+    al., TOPLAS 1991): pruned phis at the iterated dominance frontier of each
+    cell's stores, where the cell is live, then one dominator-tree walk
+    replaces loads by the reaching values. A cell that some load may read
+    before any store is left in memory.
+
+    A block's new phis follow its existing ones, cells in RPO order of their
+    allocas. Phis of cell p are named p_<i>, fresh against every name f
+    defines, so no phi takes the name of an erased load, which freeze would
+    still substitute."""
+    cells = _promotable_allocas(f)
+    if not cells:
+        return PassOutcome(False, f)
+    live = live_cells(f)
+    dt = compute_dominators(f)
+    df = dominance_frontiers(f, dt)
+    index = {b.label: b for b in f.blocks}
+    uses = use_def(f).uses
+    phis: dict[str, list[tuple[str, str]]] = {}  # block -> [(cell, phi name)]
+    for p in cells:
+        placed: set[str] = set()
+        work = [lbl for lbl, _, j in uses[p] if j == 1]  # the blocks of its stores
+        while work:
+            for y in df[work.pop()]:
+                if y not in placed and p in live[y]:
+                    placed.add(y)
+                    work.append(y)
+        order = [lbl for lbl in dt.rpo if lbl in placed]
+        for lbl, name in zip(order, fresh_names(f, f"{p}_", len(order))):
+            phis.setdefault(lbl, []).append((p, name))
+    incoming: dict[tuple[str, str], dict[str, Operand]] = {}
+
+    blocks = edit(f)
+    subst: dict[str, Operand] = {}
+    stacks: dict[str, list[Operand]] = {p: [] for p in cells}
+
+    def walk(lbl: str) -> None:
+        pushed = []
+        for p, name in phis.get(lbl, ()):
+            stacks[p].append(ValueRef(name))
+            pushed.append(p)
+        for i, ins in enumerate(index[lbl].instrs):
+            p = ins.result if ins.opcode == "alloca" else accessed_cell(ins)
+            if p not in stacks:
+                continue
+            if ins.opcode == "load":
+                subst[ins.result] = stacks[p][-1]
+            elif ins.opcode == "store":
+                stacks[p].append(resolve(ins.operands[0], subst))
+                pushed.append(p)
+            blocks[lbl][i] = None
+        for s in successors(index[lbl]):
+            for p, _ in phis.get(s, ()):
+                incoming.setdefault((s, p), {})[lbl] = stacks[p][-1]
+        for child in dt.children[lbl]:
+            walk(child)
+        for p in pushed:
+            stacks[p].pop()
+
+    walk(dt.rpo[0])
+
+    preds = predecessors(f)
+    for lbl, new in phis.items():
+        at = len(index[lbl].phis)
+        # an unreachable predecessor's edge never runs, so any operand will do
+        blocks[lbl][at:at] = [
+            Instruction(name, "phi", tuple(incoming.get((lbl, p), {}).get(q, Literal(0))
+                                           for q in preds[lbl]), preds[lbl])
+            for p, name in new]
+
+    return PassOutcome(True, freeze(f, blocks, subst))
 
 
 # ---------------------------------------------------------------------------
@@ -873,60 +833,31 @@ def apply_licm(f: Function) -> PassOutcome:
 # dse
 
 def apply_dse(f: Function) -> PassOutcome:
-    """Erase stores whose value can never be observed: overwritten before any
-    load, or with no load of the same cell reachable afterwards."""
+    """Erase stores whose value can never be observed: the next access to the
+    cell in the block is a store, or there is none and no successor has the
+    cell in live_cells."""
+    live = live_cells(f)
     index = {b.label: b for b in f.blocks}
-    alloca_names = [ins.result for _, _, ins in rpo_instrs(f) if ins.opcode == "alloca"]
     blocks = edit(f)
     spent: set[str] = set()
     changed = False
-    for p in alloca_names:
-        pref = ValueRef(p)
-
-        def first_access(lbl: str) -> str | None:
-            for ins in index[lbl].instrs:
-                if ins.opcode == "load" and ins.operands[0] == pref:
-                    return "load"
-                if ins.opcode == "store" and ins.operands[1] == pref:
-                    return "store"
-            return None
-
-        for lbl in rpo_order(f):
-            instrs = index[lbl].instrs
-            for i, ins in enumerate(instrs):
-                if ins.opcode != "store" or ins.operands[1] != pref:
-                    continue
-                live = False
-                overwritten = False
-                for later in instrs[i + 1:]:
-                    if later.opcode == "load" and later.operands[0] == pref:
-                        live = True
-                        break
-                    if later.opcode == "store" and later.operands[1] == pref:
-                        overwritten = True
-                        break
-                if not live and not overwritten:
-                    # scan forward through the CFG for a load of p; a store on
-                    # the way kills the path
-                    seen: set[str] = set()
-                    work = list(successors(index[lbl]))
-                    while work:
-                        s = work.pop()
-                        if s in seen:
-                            continue
-                        seen.add(s)
-                        acc = first_access(s)
-                        if acc == "load":
-                            live = True
-                            break
-                        if acc is None:
-                            work.extend(successors(index[s]))
-                if not live:
-                    blocks[lbl][i] = None
-                    for op in ins.operands:
-                        if isinstance(op, ValueRef):
-                            spent.add(op.name)
-                    changed = True
+    for lbl in rpo_order(f):
+        instrs = index[lbl].instrs
+        # cells a load after this point may read before any store writes them
+        read = set().union(*(live[s] for s in successors(index[lbl])))
+        for i in reversed(range(len(instrs))):
+            ins = instrs[i]
+            p = accessed_cell(ins)
+            if p is None:
+                continue
+            if ins.opcode == "load":
+                read.add(p)
+                continue
+            if p not in read:
+                blocks[lbl][i] = None
+                spent.update(op.name for op in ins.operands if isinstance(op, ValueRef))
+                changed = True
+            read.discard(p)
     if not changed:
         return PassOutcome(False, f)
     _erase_dead(blocks, spent)

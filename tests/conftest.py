@@ -4,24 +4,33 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from bidiropt.analysis import compute_dominators, dominance_frontiers, use_def
 from bidiropt.cost import DEFAULT_COST_MODEL, CostModel
 from bidiropt.interp import DEFAULT_STEP_LIMIT, ExecResult, default_workload, load_workload
 from bidiropt.ir import (
     MASK32,
     BasicBlock,
     Function,
+    Instruction,
     Literal,
     Operand,
     ValueRef,
     block_order_with_unreachable,
     canonical_hash,
     canonical_text,
+    fresh_names,
     parse_function,
+    predecessors,
     print_function,
+    resolve,
+    rpo_instrs,
+    rpo_order,
+    successors,
     value_order,
 )
 from bidiropt.passes import (
     FORWARD_PASSES,
+    PassOutcome,
     _emit_linear,
     _erase_dead,
     _linearize,
@@ -234,6 +243,208 @@ def reference_rewrite_tree(f: Function, ud, root_name: str, counter) -> Function
     return None if canonical_hash(candidate) == canonical_hash(f) else candidate
 
 
+def reference_promotable_allocas(f: Function) -> list[str]:
+    ud = use_def(f)
+    reach = set(rpo_order(f))
+    index = {b.label: b for b in f.blocks}
+    out = []
+    for lbl, i, ins in rpo_instrs(f):
+        if ins.opcode != "alloca":
+            continue
+        ok = True
+        for ulbl, ui, uj in ud.uses.get(ins.result, ()):
+            if ulbl not in reach:
+                ok = False  # the rename walk only covers reachable blocks
+                break
+            user = index[ulbl].instrs[ui]
+            if not ((user.opcode == "load" and uj == 0) or (user.opcode == "store" and uj == 1)):
+                ok = False  # address escapes
+                break
+            if user.opcode == "store":
+                v = user.operands[0]
+                if isinstance(v, ValueRef):
+                    vdef = ud.instrs.get(v.name)
+                    if vdef is not None and vdef.opcode == "alloca":
+                        ok = False  # cell would hold an address; keep kinds intact
+                        break
+        if ok:
+            out.append(ins.result)
+    return out
+
+
+def reference_promote_one(f: Function, p: str) -> Function | None:
+    """f with cell p promoted, or None when a load may read p before any
+    store (that load traps, and promotion would turn the trap into a value)."""
+    dt = compute_dominators(f)
+    index = {b.label: b for b in f.blocks}
+
+    loads: dict[str, list[int]] = {}
+    stores: dict[str, list[int]] = {}
+    for lbl, i, ins in rpo_instrs(f):
+        if ins.opcode == "alloca" and ins.result == p:
+            home = lbl
+        elif ins.opcode == "load" and ins.operands[0] == ValueRef(p):
+            loads.setdefault(lbl, []).append(i)
+        elif ins.opcode == "store" and ins.operands[1] == ValueRef(p):
+            stores.setdefault(lbl, []).append(i)
+
+    # liveness: does the cell's value flow into a load not preceded by a store?
+    gen = set()
+    kill = set(stores)
+    for lbl, idxs in loads.items():
+        first_store = min(stores.get(lbl, [1 << 30]))
+        if min(idxs) < first_store:
+            gen.add(lbl)
+    live_in = set(gen)
+    while True:
+        grew = False
+        for lbl in dt.rpo:
+            if lbl not in live_in and lbl not in kill:
+                if any(s in live_in for s in successors(index[lbl])):
+                    live_in.add(lbl)
+                    grew = True
+        if not grew:
+            break
+    # every load of p runs after its alloca (dominance), so a load may read
+    # the cell uninitialized exactly when it is live into the alloca's block
+    if home in live_in:
+        return None
+
+    # pruned SSA: phis at the iterated dominance frontier, where live
+    df = dominance_frontiers(f, dt)
+    phiblocks: set[str] = set()
+    work = list(stores)
+    while work:
+        x = work.pop()
+        for y in sorted(df.get(x, ())):
+            if y not in phiblocks and y in live_in:
+                phiblocks.add(y)
+                work.append(y)
+
+    phi_order = [l for l in dt.rpo if l in phiblocks]
+    names = fresh_names(f, f"{p}_", len(phi_order))
+    phi_name = dict(zip(phi_order, names))
+    phi_incoming: dict[str, dict[str, Operand]] = {lbl: {} for lbl in phi_order}
+
+    blocks = edit(f)
+    subst: dict[str, Operand] = {}
+
+    def walk(lbl: str, stack: list[Operand]) -> None:
+        depth = len(stack)
+        if lbl in phi_name:
+            stack.append(ValueRef(phi_name[lbl]))
+        for i, ins in enumerate(index[lbl].instrs):
+            if ins.opcode == "load" and ins.operands[0] == ValueRef(p):
+                subst[ins.result] = stack[-1]
+                blocks[lbl][i] = None
+            elif ins.opcode == "store" and ins.operands[1] == ValueRef(p):
+                stack.append(resolve(ins.operands[0], subst))
+                blocks[lbl][i] = None
+            elif ins.opcode == "alloca" and ins.result == p:
+                blocks[lbl][i] = None
+        for s in successors(index[lbl]):
+            if s in phi_incoming:
+                phi_incoming[s][lbl] = stack[-1]
+        for child in dt.children[lbl]:
+            walk(child, stack)
+        del stack[depth:]
+
+    walk(dt.rpo[0], [])
+
+    preds = predecessors(f)
+    for lbl in phi_order:
+        inc = phi_incoming[lbl]
+        # an unreachable predecessor's edge never runs, so any operand will do
+        ops = tuple(inc.get(q, Literal(0)) for q in preds[lbl])
+        phi = Instruction(phi_name[lbl], "phi", ops, tuple(preds[lbl]))
+        instrs = blocks[lbl]
+        at = 0
+        for at, ins in enumerate(instrs):
+            if ins is None or not ins.is_phi:
+                break
+        instrs.insert(at, phi)
+
+    return freeze(f, blocks, subst)
+
+
+def reference_mem2reg(f: Function) -> PassOutcome:
+    """passes.apply_mem2reg as it was before it promoted every cell in one
+    sweep: promote one cell, freeze, rescan, each cell with its own liveness
+    fixpoint. Kept, with reference_promotable_allocas and
+    reference_promote_one, as the oracle the one-sweep pass must match."""
+    changed = False
+    while True:
+        for p in reference_promotable_allocas(f):
+            g = reference_promote_one(f, p)
+            if g is not None:
+                f, changed = g, True
+                break
+        else:
+            return PassOutcome(changed, f)
+
+
+def reference_dse(f: Function) -> PassOutcome:
+    """passes.apply_dse as it was before it asked analysis.live_cells: a
+    forward CFG walk from each store that is not decided in its own block.
+    Kept as the oracle the liveness-based pass must match."""
+    index = {b.label: b for b in f.blocks}
+    alloca_names = [ins.result for _, _, ins in rpo_instrs(f) if ins.opcode == "alloca"]
+    blocks = edit(f)
+    spent: set[str] = set()
+    changed = False
+    for p in alloca_names:
+        pref = ValueRef(p)
+
+        def first_access(lbl: str) -> str | None:
+            for ins in index[lbl].instrs:
+                if ins.opcode == "load" and ins.operands[0] == pref:
+                    return "load"
+                if ins.opcode == "store" and ins.operands[1] == pref:
+                    return "store"
+            return None
+
+        for lbl in rpo_order(f):
+            instrs = index[lbl].instrs
+            for i, ins in enumerate(instrs):
+                if ins.opcode != "store" or ins.operands[1] != pref:
+                    continue
+                live = False
+                overwritten = False
+                for later in instrs[i + 1:]:
+                    if later.opcode == "load" and later.operands[0] == pref:
+                        live = True
+                        break
+                    if later.opcode == "store" and later.operands[1] == pref:
+                        overwritten = True
+                        break
+                if not live and not overwritten:
+                    # scan forward through the CFG for a load of p; a store on
+                    # the way kills the path
+                    seen: set[str] = set()
+                    work = list(successors(index[lbl]))
+                    while work:
+                        s = work.pop()
+                        if s in seen:
+                            continue
+                        seen.add(s)
+                        acc = first_access(s)
+                        if acc == "load":
+                            live = True
+                            break
+                        if acc is None:
+                            work.extend(successors(index[s]))
+                if not live:
+                    blocks[lbl][i] = None
+                    for op in ins.operands:
+                        if isinstance(op, ValueRef):
+                            spent.add(op.name)
+                    changed = True
+    if not changed:
+        return PassOutcome(False, f)
+    _erase_dead(blocks, spent)
+    return PassOutcome(True, freeze(f, blocks))
+
+
 def same_modulo_name(f, g):
     """Canonical equality ignoring the function name.
 
@@ -297,7 +508,7 @@ def reference_canonical_text(f):
     sort the blocks, print. ir.canonical_text must match it byte for byte."""
     order = block_order_with_unreachable(f)
     bmap = {lbl: f"b{i}" for i, lbl in enumerate(order)}
-    vmap = {name: f"v{i}" for name, i in value_order(f, order).items()}
+    vmap = {name: f"v{i}" for name, i in value_order(f).items()}
     g = rename_blocks(rename_values(f, vmap), bmap)
     blocks = sorted(g.blocks, key=lambda b: int(b.label[1:]))
     return print_function(Function(g.name, g.params, tuple(blocks)))
@@ -335,6 +546,80 @@ def straightline(draw):
     lines.append(f"  ret %{avail[-1]}")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# The blocks of each memory_cfg shape, in order; each block lists the blocks
+# that dominate it, whose values it may use.
+SHAPES = {
+    "line": {"entry": ()},
+    "diamond": {"entry": (), "left": ("entry",), "right": ("entry",),
+                "join": ("entry",)},
+    "loop": {"entry": (), "head": ("entry",), "body": ("entry", "head"),
+             "exit": ("entry", "head")},
+}
+CELL_NAMES = ("a", "b", "a_0", "b_1")
+
+
+@st.composite
+def memory_cfg(draw):
+    """Text of a random program over parameter %p with 1-3 alloca cells: a
+    straight line, a diamond, or a loop that runs `and %p, 7` times. Loads
+    and stores land in random blocks, so a load may come before any store
+    (and trap), and some loads are named {cell}_{i}, the names mem2reg gives
+    its phis."""
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    cells = draw(st.lists(st.sampled_from(CELL_NAMES), min_size=1, max_size=3, unique=True))
+    taken = {"p", "n", "i", "i1", "c", *cells}
+    scope = {lbl: [] for lbl in SHAPES[shape]}
+    body = {lbl: [] for lbl in SHAPES[shape]}
+    body["entry"] = [f"  %{c} = alloca" for c in cells]
+    body["entry"] += [f"  store {draw(st.integers(0, 9))}, %{c}"
+                      for c in cells if draw(st.booleans())]
+    if shape == "loop":
+        scope["head"].append("i")
+    for lbl, doms in SHAPES[shape].items():
+        for _ in range(draw(st.integers(0, 4))):
+            avail = ["p"] + [v for d in doms for v in scope[d]] + scope[lbl]
+            cell = draw(st.sampled_from(cells))
+            if draw(st.booleans()):
+                value = draw(st.one_of(st.sampled_from(avail).map(lambda v: f"%{v}"),
+                                       st.integers(0, 9).map(str)))
+                body[lbl].append(f"  store {value}, %{cell}")
+                continue
+            name = draw(st.sampled_from([f"{c}_{i}" for c in cells for i in range(2)]
+                                        + [f"v{len(taken)}"]))
+            if name in taken:
+                name = f"v{len(taken)}"
+            taken.add(name)
+            body[lbl].append(f"  %{name} = load %{cell}")
+            if draw(st.booleans()):
+                body[lbl].append(f"  %{name}_x = add %{name}, {draw(st.integers(1, 5))}")
+                taken.add(f"{name}_x")
+                name = f"{name}_x"
+            scope[lbl].append(name)
+    last = list(SHAPES[shape])[-1]
+    result = "p"
+    for k, v in enumerate(scope["entry"] + (scope[last] if last != "entry" else [])):
+        body[last].append(f"  %r{k} = xor %{result}, %{v}")
+        result = f"r{k}"
+    ret = [f"  ret %{result}"]
+    if shape == "line":
+        body["entry"] += ret
+    elif shape == "diamond":
+        body["entry"] += ["  %c = icmp.ult %p, 5", "  condbr %c, left, right"]
+        body["left"] += ["  br join"]
+        body["right"] += ["  br join"]
+        body["join"] += ret
+    else:
+        body["entry"] += ["  %n = and %p, 7", "  br head"]
+        body["head"][:0] = ["  %i = phi [0, entry], [%i1, body]"]
+        body["head"] += ["  %c = icmp.ult %i, %n", "  condbr %c, body, exit"]
+        body["body"] += ["  %i1 = add %i, 1", "  br head"]
+        body["exit"] += ret
+    lines = ["func @gen(%p) {"]
+    for lbl, instrs in body.items():
+        lines += [f"{lbl}:", *instrs]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 @pytest.fixture(params=[p.stem for p in VALID_FILES])

@@ -1,6 +1,7 @@
 """Dominators, loops, known bits, use-def."""
 
 import pytest
+from hypothesis import given, settings
 
 from bidiropt.analysis import (
     KnownBits,
@@ -8,11 +9,12 @@ from bidiropt.analysis import (
     dominance_frontiers,
     find_natural_loops,
     known_bits,
+    live_cells,
     use_def,
 )
-from bidiropt.ir import parse_function, rpo_order, successors
+from bidiropt.ir import parse_function, rpo_instrs, rpo_order, successors
 
-from conftest import load, one_step_neighbours
+from conftest import load, memory_cfg, one_step_neighbours
 
 
 def _reachable_without(f, removed):
@@ -201,3 +203,70 @@ def test_use_def_covers_phi_operands():
     assert ud.use_count("i2") == 1
     uses = ud.uses["i2"]
     assert uses[0][0] == "head"
+
+
+# --- live cells ----------------------------------------------------------------
+
+def _live_cells_by_path_search(f):
+    """For each reachable block, the cells a load may read first on some path
+    from the block's entry: a per-cell search of the CFG that stops a path at
+    the first store (dse's rule before live_cells)."""
+    index = {b.label: b for b in f.blocks}
+    cells = [ins.result for _, _, ins in rpo_instrs(f) if ins.opcode == "alloca"]
+
+    def first_access(lbl, p):
+        for ins in index[lbl].instrs:
+            if ins.opcode == "load" and ins.operands[0].name == p:
+                return "load"
+            if ins.opcode == "store" and ins.operands[1].name == p:
+                return "store"
+        return None
+
+    def read_first(lbl, p):
+        seen, work = set(), [lbl]
+        while work:
+            s = work.pop()
+            if s in seen:
+                continue
+            seen.add(s)
+            acc = first_access(s, p)
+            if acc == "load":
+                return True
+            if acc is None:
+                work.extend(successors(index[s]))
+        return False
+
+    return {lbl: frozenset(p for p in cells if read_first(lbl, p)) for lbl in rpo_order(f)}
+
+
+def test_live_cells_match_path_search_on_corpus_and_neighbours(corpus_function):
+    for g in [corpus_function, *one_step_neighbours(corpus_function)]:
+        assert dict(live_cells(g)) == _live_cells_by_path_search(g), g.name
+
+
+@given(memory_cfg())
+@settings(max_examples=150, deadline=None)
+def test_live_cells_match_path_search_on_generated_programs(text):
+    f = parse_function(text)
+    assert dict(live_cells(f)) == _live_cells_by_path_search(f)
+
+
+def test_live_cells_of_a_guarded_store():
+    f = parse_function("""func @f(%x) {
+entry:
+  %p = alloca
+  %q = alloca
+  store 1, %q
+  %c = icmp.eq %x, 0
+  condbr %c, set, join
+set:
+  store %x, %p
+  br join
+join:
+  %v = load %p
+  %w = load %q
+  store %v, %q
+  ret %w
+}
+""")
+    assert dict(live_cells(f)) == {"entry": {"p"}, "set": {"q"}, "join": {"p", "q"}}

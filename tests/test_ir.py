@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from bidiropt import ir
-from bidiropt.analysis import compute_dominators, use_def
+from bidiropt.analysis import compute_dominators, live_cells, use_def
 from bidiropt.ir import (
     PER_FUNCTION_LIMIT,
     Function,
@@ -27,6 +27,7 @@ from bidiropt.ir import (
     substitute,
     validate_function,
     validate_module,
+    value_order,
 )
 from bidiropt.passes import FORWARD_PASSES, apply_pass
 
@@ -243,18 +244,21 @@ def test_canonical_blocks_and_values_are_sequential():
 
 # --- the per-function analysis cache ---------------------------------------
 
-CACHED_ANALYSES = (rpo_order, predecessors, defined_values, use_def, compute_dominators)
+CACHED_ANALYSES = (rpo_order, predecessors, defined_values, use_def, compute_dominators,
+                   live_cells, value_order)
 
 
 def test_cached_analyses_return_immutable_containers():
     f = load("loop_sum")
-    ud, dt, preds = use_def(f), compute_dominators(f), predecessors(f)
-    for mapping in (preds, defined_values(f), ud.defs, ud.instrs, ud.uses, dt.idom, dt.children):
+    ud, dt, preds, live = use_def(f), compute_dominators(f), predecessors(f), live_cells(f)
+    for mapping in (preds, defined_values(f), ud.defs, ud.instrs, ud.uses, dt.idom, dt.children,
+                    live, value_order(f)):
         with pytest.raises(TypeError):
             mapping["head"] = None
     for seq in (rpo_order(f), dt.rpo, *preds.values(), *ud.uses.values(),
                 *dt.children.values()):
         assert isinstance(seq, tuple)
+    assert all(isinstance(cells, frozenset) for cells in live.values())
     # the one caller that extends the order works on its own copy
     order = block_order_with_unreachable(f)
     order.append("x")

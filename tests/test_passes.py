@@ -17,6 +17,7 @@ from bidiropt.cost import rank_key, static_cost
 from bidiropt.interp import differential_check, interpret
 from bidiropt.ir import (
     canonical_hash,
+    canonical_text,
     parse_function,
     print_function,
     validate_function,
@@ -26,7 +27,11 @@ from bidiropt.passes import FORWARD_PASSES, _rewrite_tree, _tree_roots, apply_pa
 from conftest import (
     VALID_FILES,
     load,
+    memory_cfg,
     one_step_neighbours,
+    reference_dse,
+    reference_interpret,
+    reference_mem2reg,
     reference_rewrite_tree,
     same_modulo_name,
     straightline,
@@ -394,6 +399,127 @@ out:
     assert validate_function(out.function) == []
     assert "load" not in print_function(out.function)
     assert interpret(out.function, [1]).value == 5
+
+
+def test_mem2reg_names_phis_apart_from_the_loads_it_erases():
+    # Cell %b is read into %a_0_0, and cell %a_0 needs a phi at join. The
+    # phi must not take the name %a_0_0: the erased load's name still maps
+    # to its reaching value (8), and the phi's uses would resolve through it.
+    f = parse_function("""func @f(%x) {
+entry:
+  %b = alloca
+  %a_0 = alloca
+  store 8, %b
+  store %x, %a_0
+  %c = icmp.eq %x, 0
+  condbr %c, left, join
+left:
+  store 3, %a_0
+  br join
+join:
+  %a_0_0 = load %b
+  %r_a = load %a_0
+  %r_b = xor %a_0_0, %r_a
+  ret %r_b
+}
+""")
+    out = apply_pass("mem2reg", f)
+    assert out.changed
+    assert validate_function(out.function) == []
+    text = print_function(out.function)
+    assert "%a_0_1 = phi [%x, entry], [3, left]" in text
+    assert "xor 8, %a_0_1" in text
+    assert [interpret(out.function, [x]).value for x in (0, 5)] == [8 ^ 3, 8 ^ 5]
+    assert canonical_text(out.function) == canonical_text(reference_mem2reg(f).function)
+
+
+def test_mem2reg_keeps_cells_whose_address_escapes_or_that_hold_one():
+    # %e's address is stored, %h holds an address, and %u is stored to in an
+    # unreachable block: only %k is promoted.
+    f = parse_function("""func @f(%x) {
+entry:
+  %e = alloca
+  %h = alloca
+  %k = alloca
+  %u = alloca
+  store %x, %e
+  store %e, %h
+  store %x, %k
+  store %x, %u
+  %a = load %h
+  %b = load %k
+  %c = load %u
+  %s = add %b, %c
+  ret %s
+dead:
+  store 1, %u
+  br dead
+}
+""")
+    out = apply_pass("mem2reg", f)
+    assert out.changed
+    body = print_function(out.function)
+    assert "%k" not in body and "%b" not in body and "add %x, %c" in body
+    assert body.count("alloca") == 3
+    assert body == print_function(reference_mem2reg(f).function)
+
+
+def test_mem2reg_puts_new_phis_after_the_old_ones_in_alloca_order():
+    f = parse_function("""func @f(%x) {
+entry:
+  %q = alloca
+  %p = alloca
+  store 1, %p
+  store 2, %q
+  %c = icmp.eq %x, 0
+  condbr %c, left, join
+left:
+  store %x, %p
+  store %x, %q
+  br join
+join:
+  %old = phi [0, entry], [1, left]
+  %vp = load %p
+  %vq = load %q
+  %s = sub %vp, %vq
+  %t = add %s, %old
+  ret %t
+}
+""")
+    out = apply_pass("mem2reg", f)
+    join = print_function(out.function).split("join:\n")[1].splitlines()
+    assert join[:3] == ["  %old = phi [0, entry], [1, left]",
+                        "  %q_0 = phi [2, entry], [%x, left]",
+                        "  %p_0 = phi [1, entry], [%x, left]"]
+    assert print_function(out.function) == print_function(reference_mem2reg(f).function)
+
+
+MEMORY_PASSES = {"mem2reg": reference_mem2reg, "dse": reference_dse}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_PASSES))
+def test_memory_pass_matches_reference_on_corpus_and_neighbours(name, corpus_function):
+    for g in [corpus_function, *one_step_neighbours(corpus_function)]:
+        got, want = apply_pass(name, g), MEMORY_PASSES[name](g)
+        assert got.changed == want.changed, print_function(g)
+        assert print_function(got.function) == print_function(want.function), print_function(g)
+
+
+@given(memory_cfg())
+@settings(max_examples=150, deadline=None)
+def test_memory_passes_match_reference_on_generated_programs(text):
+    # Phi names may differ from the reference's (apply_mem2reg's docstring
+    # says when), so the programs are compared in canonical form.
+    f = parse_function(text)
+    for name, reference in MEMORY_PASSES.items():
+        got, want = apply_pass(name, f), reference(f)
+        assert got.changed == want.changed, name
+        assert canonical_text(got.function) == canonical_text(want.function), name
+        assert validate_function(got.function) == [], name
+        for x in range(10):
+            before, after = reference_interpret(f, [x]), reference_interpret(got.function, [x])
+            assert (after.outcome, after.value, after.reason) == \
+                (before.outcome, before.value, before.reason), (name, x)
 
 
 def test_licm_hoists_invariant_mul():

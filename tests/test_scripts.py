@@ -19,7 +19,8 @@ def _run(script, *args, stdin=None):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *map(str, args)],
-                          input=stdin, capture_output=True, text=True, env=env, timeout=300)
+                          input=stdin, capture_output=True, text=True, env=env, timeout=300,
+                          cwd=ROOT)
 
 
 def test_scripts_run_no_search():
@@ -40,7 +41,7 @@ def test_escape_demo_reaches_9_4():
 @pytest.fixture(scope="module")
 def compare_report(tmp_path_factory):
     corpus = tmp_path_factory.mktemp("corpus")
-    for name in ("bin2bcd", "divmul"):
+    for name in ("bin2bcd", "divmul", "loop_counter_alloca"):
         shutil.copy(VALID / f"{name}.ir", corpus)
     code, report = run_cli("compare", corpus, "-k", "2")
     assert code == 0
@@ -68,12 +69,17 @@ def test_report_digest(compare_report):
     proc = _run("report_digest.py", corpus)
     assert proc.returncode == 0, proc.stderr
     lines = [l.split(" ", 2) for l in proc.stdout.splitlines()]
+    # only loop_counter_alloca has a workload file of the same stem
+    dynamic = {"loop_counter_alloca": [
+        f"ibo {corpus / 'loop_counter_alloca.ir'} -k 1 --metric dynamic"
+        " --workload corpus/workloads/loop_counter_alloca.json"]}
     assert [cmd for _, _, cmd in lines] == [
         cmd
-        for name in ("bin2bcd", "divmul")
+        for name in ("bin2bcd", "divmul", "loop_counter_alloca")
         for cmd in [f"search {corpus / f'{name}.ir'}", f"ibo {corpus / f'{name}.ir'} -k 2",
                     *(f"opt {corpus / f'{name}.ir'} --passes {p} --report"
-                      for p in FORWARD_PASSES)]
+                      for p in FORWARD_PASSES),
+                    *dynamic.get(name, [])]
     ] + [f"compare {corpus} -k 2"]
     assert all(code == "0" for code, _, _ in lines)
     # the digest is of the report the CLI prints
