@@ -1,12 +1,13 @@
 """Interpreter: wrapping int32, trapping udiv/urem-by-zero and uninitialized
 loads, parallel phi evaluation, per-run dynamic cost. Each function is
-lowered once per workload sweep into register slots and closures."""
+compiled once per workload sweep into one generated Python function."""
 
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable
 
@@ -39,202 +40,128 @@ class ExecResult:
         return True  # both hit the step limit
 
 
-# int32 binop semantics, shared with const-fold. udiv and urem by zero trap
-# (DivByZero) before these run.
-BINOP_FUNCS: dict[str, Callable[[int, int], int]] = {
-    "add": lambda a, b: (a + b) & MASK32,
-    "sub": lambda a, b: (a - b) & MASK32,
-    "mul": lambda a, b: (a * b) & MASK32,
-    "udiv": lambda a, b: a // b,
-    "urem": lambda a, b: a % b,
-    "shl": lambda a, b: (a << (b % 32)) & MASK32,
-    "lshr": lambda a, b: a >> (b % 32),
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "icmp.eq": lambda a, b: 1 if a == b else 0,
-    "icmp.ne": lambda a, b: 1 if a != b else 0,
-    "icmp.ult": lambda a, b: 1 if a < b else 0,
-    "icmp.ule": lambda a, b: 1 if a <= b else 0,
+# int32 semantics: one expression template per binop over the atoms {a} and
+# {b}. BINOP_FUNCS (shared with const-fold) and the generated code are both
+# made from it. udiv and urem by zero trap (DivByZero) before these run.
+_BINOP_EXPR = {
+    "add": "({a} + {b}) & 4294967295",
+    "sub": "({a} - {b}) & 4294967295",
+    "mul": "({a} * {b}) & 4294967295",
+    "udiv": "{a} // {b}",
+    "urem": "{a} % {b}",
+    "shl": "({a} << ({b} & 31)) & 4294967295",
+    "lshr": "{a} >> ({b} & 31)",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "icmp.eq": "1 if {a} == {b} else 0",
+    "icmp.ne": "1 if {a} != {b} else 0",
+    "icmp.ult": "1 if {a} < {b} else 0",
+    "icmp.ule": "1 if {a} <= {b} else 0",
 }
-
-
-class _Trap(Exception):
-    """Raised by a lowered instruction; pos is its index in the block."""
-
-    def __init__(self, reason: str, pos: int):
-        self.reason = reason
-        self.pos = pos
-
-
-_RET, _BR, _CONDBR = range(3)
+BINOP_FUNCS: dict[str, Callable[[int, int], int]] = {
+    op: eval("lambda a, b: " + t.format(a="a", b="b")) for op, t in _BINOP_EXPR.items()}
 
 
 class LoweredFunction:
-    """A Function lowered for execution under one cost model.
+    """A Function compiled for execution under one cost model.
 
-    Every value and literal gets a register slot; each non-phi instruction
-    becomes a closure over its slots (closure generation, Feeley & Lapalme
-    1987); each block keeps its length, its cost and the prefix sums of its
-    costs. A block that fits in the remaining step budget runs without
-    per-step checks; the prefix sums give the exact steps and cost at a trap
-    or at the step-limit cut. Steps count phis first, then the rest of the
-    block in order, the terminator last.
+    The generated source is one `def run(args, limit)` (the technique
+    `dataclasses` uses for `__init__`): every value is a local v0, v1, ...,
+    a `while True` loop dispatches on the block index `cur`, and a block's
+    phis are one tuple assignment chosen by the predecessor index `prev`.
+    A block that fits in the remaining step budget runs as straight-line
+    code and adds its length and cost. Otherwise it runs only up to its last
+    instruction that can trap (a load, or a udiv/urem whose divisor is not a
+    nonzero literal), testing the budget `t` before each one, and the
+    block's prefix sums of costs give the exact steps and cost of the cut.
+    Steps count phis first, then the rest of the block in order, the
+    terminator last. Only value and block indices, integer literals and
+    fixed templates reach the source, never IR text.
     """
 
     def __init__(self, f: Function, model: CostModel | None = None):
         model = model or DEFAULT_COST_MODEL
-        self.n_params = len(f.params)
-        self._slots: dict[str | int, int] = {}  # value name, or literal value
-        self.init: list[int | None] = []  # register file before the params
-        for p in f.params:
-            self._slot(p)
+        regs: dict[str, str] = {}
         index = {b.label: i for i, b in enumerate(f.blocks)}
-        self.blocks = [self._lower_block(b, model, index) for b in f.blocks]
+        has_phis = {i for i, b in enumerate(f.blocks) if any(ins.is_phi for ins in b.instrs)}
 
-    def _slot(self, key: str | int, value: int | None = None) -> int:
-        i = self._slots.get(key)
-        if i is None:
-            i = self._slots[key] = len(self.init)
-            self.init.append(value)
-        return i
+        def reg(name: str) -> str:
+            return regs.setdefault(name, f"v{len(regs)}")
 
-    def _operand(self, op: Operand) -> int:
-        return self._slot(op.value, op.value) if isinstance(op, Literal) else self._slot(op.name)
+        def val(op: Operand) -> str:
+            if isinstance(op, Literal):
+                return ("%d" if op.value >= 0 else "(%d)") % op.value
+            return reg(op.name)
 
-    def _lower_block(self, b, model: CostModel, index: dict[str, int]) -> tuple:
-        phis = [ins for ins in b.instrs if ins.is_phi]
-        rest = [ins for ins in b.instrs if not ins.is_phi]
-        n_body = next((i for i, ins in enumerate(rest) if ins.is_terminator), None)
-        if n_body is None:
-            raise ValueError(f"block {b.label} has no terminator")
-        seq = phis + rest[:n_body + 1]
-        prefix = [0]
-        for ins in seq:
-            prefix.append(prefix[-1] + model.cost(ins.opcode))
-
-        moves = None
-        if phis:
-            # one parallel copy per predecessor that every phi names
-            moves = {}
-            dsts = tuple(self._slot(ins.result) for ins in phis)
-            for lbl in {lbl for ins in phis for lbl in ins.labels}:
-                srcs = [next((op for op, l in zip(ins.operands, ins.labels) if l == lbl), None)
-                        for ins in phis]
-                if lbl in index and None not in srcs:
-                    moves[index[lbl]] = _phi_move(dsts, tuple(map(self._operand, srcs)))
-
-        body = tuple(
-            _lower_instr(ins.opcode, len(phis) + i,
-                         None if ins.result is None else self._slot(ins.result),
-                         tuple(map(self._operand, ins.operands)))
-            for i, ins in enumerate(rest[:n_body]))
-        term = rest[n_body]
-        if term.opcode == "ret":
-            shape = (_RET, self._operand(term.operands[0]), None, None)
-        elif term.opcode == "br":
-            shape = (_BR, index[term.labels[0]], None, None)
-        else:
-            shape = (_CONDBR, self._operand(term.operands[0]),
-                     index[term.labels[0]], index[term.labels[1]])
-        return (len(seq), prefix[-1], tuple(prefix), len(phis), moves, body) + shape
-
-    def run(self, args, limit: int) -> ExecResult:
-        r = self.init[:]
-        r[:self.n_params] = [a & MASK32 for a in args]
-        cells: list[object] = []  # alloca storage; pointer value = cell index
-        blocks = self.blocks
-        steps = cost = 0
-        cur, prev = 0, None
-        while True:
-            # ret reads register x; br goes to block x; condbr tests register x
-            # and goes to block y or z
-            length, bcost, prefix, n_phis, moves, body, kind, x, y, z = blocks[cur]
-            # how many instructions of this block run before the cut
-            todo = length if steps + length <= limit else max(limit - steps, 0)
-            if todo > n_phis:
-                if moves is not None:
-                    move = moves.get(prev)
-                    if move is None:
-                        raise AssertionError(f"phis in block {cur} have no incoming for {prev}")
-                    move(r)
-                try:
-                    if todo == length:
-                        for op in body:
-                            op(r, cells)
-                    else:
-                        for op in body[:todo - n_phis]:
-                            op(r, cells)
-                except _Trap as t:
-                    return ExecResult("trapped", reason=t.reason, steps=steps + t.pos + 1,
-                                      dynamic_cost=cost + prefix[t.pos + 1])
-            if todo < length:
-                return ExecResult("steplimit", steps=steps + todo + 1,
-                                  dynamic_cost=cost + prefix[todo + 1])
-            steps += length
-            cost += bcost
-            if kind == _RET:
-                return ExecResult("returned", value=r[x], steps=steps, dynamic_cost=cost)
-            prev = cur
-            cur = x if kind == _BR else (y if r[x] != 0 else z)
-
-
-def _phi_move(dsts: tuple[int, ...], srcs: tuple[int, ...]):
-    """Closure (registers) -> None for a block's phis on entry from one
-    predecessor: every source is read before any destination is written."""
-    if len(dsts) == 1:
-        (d,), (s,) = dsts, srcs
-
-        def move(r):
-            r[d] = r[s]
-    else:
-        pairs = tuple(zip(dsts, srcs))
-
-        def move(r):
-            vals = [r[s] for _, s in pairs]
-            for (d, _), v in zip(pairs, vals):
-                r[d] = v
-    return move
-
-
-def _lower_instr(opcode: str, pos: int, d: int | None, srcs: tuple[int, ...]):
-    """Closure (registers, cells) -> None for one non-phi, non-terminator at
-    position pos of its block, writing register d and reading srcs."""
-    if opcode == "alloca":
-        def run(r, cells):
-            cells.append(_UNINIT)
-            r[d] = len(cells) - 1
-    elif opcode == "load":
-        (p,) = srcs
-
-        def run(r, cells):
-            v = cells[r[p]]
-            if v is _UNINIT:
-                raise _Trap("UninitLoad", pos)
-            r[d] = v
-    elif opcode == "store":
-        v, p = srcs
-
-        def run(r, cells):
-            cells[r[p]] = r[v]
-    elif opcode == "select":
-        c, t, e = srcs
-
-        def run(r, cells):
-            r[d] = r[t] if r[c] != 0 else r[e]
-    else:
-        fn = BINOP_FUNCS[opcode]
-        a, b = srcs
-        if opcode in ("udiv", "urem"):
-            def run(r, cells):
-                divisor = r[b]
-                if divisor == 0:
-                    raise _Trap("DivByZero", pos)
-                r[d] = fn(r[a], divisor)
-        else:
-            def run(r, cells):
-                r[d] = fn(r[a], r[b])
-    return run
+        src = ["def run(args, limit):"]
+        src += [f" {reg(p)} = args[{i}] & 4294967295" for i, p in enumerate(f.params)]
+        src += [" cells = []; steps = cost = cur = 0; prev = -1", " while True:"]
+        prefixes = []
+        for i, b in enumerate(f.blocks):
+            phis = [ins for ins in b.instrs if ins.is_phi]
+            rest = [ins for ins in b.instrs if not ins.is_phi]
+            n_body = next((k for k, ins in enumerate(rest) if ins.is_terminator), None)
+            if n_body is None:
+                raise ValueError(f"block {b.label} has no terminator")
+            seq = phis + rest[:n_body + 1]
+            prefix = tuple(accumulate((model.cost(ins.opcode) for ins in seq), initial=0))
+            prefixes.append(prefix)
+            length, total = len(seq), prefix[-1]
+            code: list[tuple[str, int | None]] = []  # (line, position if it may trap)
+            if phis:
+                dsts = ", ".join(reg(ins.result) for ins in phis)
+                arms = []
+                for lbl in sorted({lbl for ins in phis for lbl in ins.labels} & index.keys(),
+                                  key=index.get):
+                    srcs = [next((op for op, l in zip(ins.operands, ins.labels) if l == lbl), None)
+                            for ins in phis]
+                    if None not in srcs:
+                        arms.append(f"if prev == {index[lbl]}: {dsts} = {', '.join(map(val, srcs))}")
+                code += [("el" * (k > 0) + arm, None) for k, arm in enumerate(arms)]
+                code.append(("else: " * bool(arms) +
+                             f"raise AssertionError(f'phis in block {i} have no incoming for {{prev}}')",
+                             None))
+            for pos, ins in enumerate(rest[:n_body], len(phis)):
+                trap = f"return R('trapped', None, '%s', steps + {pos + 1}, cost + {prefix[pos + 1]})"
+                d = None if ins.result is None else reg(ins.result)
+                ops = [val(op) for op in ins.operands]
+                if ins.opcode == "alloca":
+                    code.append((f"{d} = len(cells); cells.append(U)", None))
+                elif ins.opcode == "load":
+                    code.append((f"if ({d} := cells[{ops[0]}]) is U: " + trap % "UninitLoad", pos))
+                elif ins.opcode == "store":
+                    code.append((f"cells[{ops[1]}] = {ops[0]}", None))
+                elif ins.opcode == "select":
+                    code.append((f"{d} = {ops[1]} if {ops[0]} else {ops[2]}", None))
+                else:
+                    if ins.opcode in ("udiv", "urem") and not (
+                            isinstance(ins.operands[1], Literal) and ins.operands[1].value):
+                        code.append((f"if not {ops[1]}: " + trap % "DivByZero", pos))
+                    code.append((f"{d} = " + _BINOP_EXPR[ins.opcode].format(a=ops[0], b=ops[1]), None))
+            term = rest[n_body]
+            if term.opcode == "ret":
+                end = [f"return R('returned', {val(term.operands[0])}, None, steps + {length}, cost + {total})"]
+            else:
+                targets = [index[lbl] for lbl in term.labels]
+                end = [f"steps += {length}; cost += {total}"]
+                if has_phis.intersection(targets):
+                    end.append(f"prev = {i}")
+                end.append(f"cur = {targets[0]}" if term.opcode == "br" else
+                           f"cur = {targets[0]} if {val(term.operands[0])} else {targets[1]}")
+            # on a cut, only the code up to the last instruction that may trap runs
+            last = max((k for k, (_, p) in enumerate(code) if p is not None), default=-1)
+            cut = ["t = limit - steps"] * (last >= 0)
+            cut += [line for line, p in code[:last + 1]
+                    for line in ([f"if t <= {p}: break"] * (p is not None) + [line])]
+            src += [f"  {'el' * (i > 0)}if cur == {i}:", f"   if steps + {length} > limit:"]
+            src += ["    " + line for line in cut] + ["    break"]
+            src += ["   " + line for line, _ in code] + ["   " + line for line in end]
+        src += [" t = max(limit - steps, 0)",
+                " return R('steplimit', None, None, steps + t + 1, cost + P[cur][t + 1])"]
+        namespace = {"R": ExecResult, "U": _UNINIT, "P": tuple(prefixes)}
+        exec(compile("\n".join(src), f"<lowered @{f.name}>", "exec"), namespace)
+        self.run: Callable[[tuple[int, ...] | list[int], int], ExecResult] = namespace["run"]
 
 
 def interpret(

@@ -597,7 +597,19 @@ def validate_function(f: Function) -> list[ValidationError]:
             if not needs_result and ins.result is not None:
                 err("StructureError", where, f"'{ins.opcode}' cannot define a value")
 
-    # operand references and pointer-kind discipline
+    # operand references and pointer-kind discipline. A value loaded from a
+    # cell that holds an address is an address too; both grow to a fixpoint.
+    mem = [(ins.opcode, [op.name for op in ins.operands], ins.result)
+           for b in f.blocks for ins in b.instrs
+           if ins.opcode in ("load", "store") and len(ins.operands) == _ARITY[ins.opcode]
+           and all(isinstance(op, ValueRef) for op in ins.operands)]
+    addrs = set(alloca_vals)
+    while True:
+        holders = {ops[1] for opc, ops, _ in mem if opc == "store" and ops[0] in addrs}
+        loaded = {res for opc, ops, res in mem if opc == "load" and ops[0] in holders}
+        if loaded <= addrs:
+            break
+        addrs |= loaded
     for b in f.blocks:
         for ins in b.instrs:
             where = b.label
@@ -609,10 +621,11 @@ def validate_function(f: Function) -> list[ValidationError]:
                 if ptr_slot:
                     if not (isinstance(op, ValueRef) and op.name in alloca_vals):
                         err("KindError", where, f"'{ins.opcode}' pointer operand must be an alloca result")
-                elif isinstance(op, ValueRef) and op.name in alloca_vals:
+                elif isinstance(op, ValueRef) and op.name in addrs:
                     # addresses may only flow through store *value* position (escape)
                     if not (ins.opcode == "store" and j == 0):
-                        err("KindError", where, f"alloca %{op.name} used as int32 operand")
+                        what = "alloca" if op.name in alloca_vals else "loaded address"
+                        err("KindError", where, f"{what} %{op.name} used as int32 operand")
 
     # phi incomings match predecessors exactly
     for b in f.blocks:

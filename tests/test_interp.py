@@ -1,15 +1,21 @@
 """Interpreter: values, traps, costs, step-limit cuts, differential checking,
 and agreement with the tree-walking reference interpreter."""
 
+import re
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bidiropt import interp
 from bidiropt.cost import CostModel
 from bidiropt.interp import (
+    BINOP_FUNCS,
     DEFAULT_STEP_LIMIT,
     MAX_MISMATCHES,
     ExecResult,
+    LoweredFunction,
     Workload,
     WorkloadDiverged,
     default_workload,
@@ -18,11 +24,19 @@ from bidiropt.interp import (
     interpret,
     load_workload,
 )
-from bidiropt.ir import parse_function
+from bidiropt.ir import BINOPS, parse_function, validate_function
 from bidiropt.passes import FORWARD_PASSES, apply_pass
 from bidiropt.reverse import REVERSE_PASSES, reverse_variants
 
-from conftest import VALID_FILES, WORKLOADS, load, reference_interpret, straightline
+from conftest import (
+    VALID,
+    VALID_FILES,
+    WORKLOADS,
+    load,
+    reference_binop,
+    reference_interpret,
+    straightline,
+)
 
 
 # Hand-checked outputs. bin2bcd(45) = 0x45 is the whole point of the fixture.
@@ -346,3 +360,129 @@ def test_curated_workloads_load():
     for p in sorted(WORKLOADS.glob("*.json")):
         w = load_workload(p)
         assert len(w.args) > 0
+
+
+# --- the generated code -------------------------------------------------------
+
+EDGES = (0, 1, 2**31 - 1, 2**31, 2**32 - 1, 31, 32, 33, 64)
+
+
+@pytest.mark.parametrize("opcode", BINOPS)
+def test_binops_match_the_reference_on_32_bit_boundaries(opcode):
+    # BINOP_FUNCS (const-fold) and the generated expressions come from one
+    # table; both must agree with the reference on every boundary pair,
+    # shift amounts of 32 and more included.
+    for a, b in product(EDGES, EDGES):
+        want, trap = reference_binop(opcode, a, b)
+        if trap is None:
+            assert BINOP_FUNCS[opcode](a, b) == want, (a, b)
+    texts = [f"%r = {opcode} %a, %b"]
+    texts += [f"%r = {opcode} {a}, %b" for a in EDGES] + [f"%r = {opcode} %a, {b}" for b in EDGES]
+    for text in texts:
+        f = parse_function(f"func @f(%a, %b) {{\nentry:\n  {text}\n  ret %r\n}}\n")
+        lowered = LoweredFunction(f)
+        for args in product(EDGES, EDGES):
+            assert interpret(f, args, lowered=lowered) == reference_interpret(f, args), (text, args)
+
+
+# A loop whose head traps behind its phi group: udiv by %i when %n is even
+# (after %n/2 turns), a load of a never-stored cell on exit when %m is 0, and
+# a run past any budget when %n is 2**32-1.
+TRAP_BEHIND_PHIS = """func @f(%n, %m) {
+entry:
+  %p = alloca
+  %z = icmp.eq %m, 0
+  condbr %z, head, init
+init:
+  store %m, %p
+  br head
+head:
+  %i = phi [%n, entry], [%n, init], [%i2, head]
+  %k = phi [0, entry], [0, init], [%k2, head]
+  %q = udiv 12, %i
+  %k2 = add %k, %q
+  %i2 = sub %i, 2
+  %c = icmp.ne %i, 1
+  condbr %c, head, exit
+exit:
+  %v = load %p
+  %r = add %k2, %v
+  ret %r
+}
+"""
+
+# rows 0, 8, 16 and 24 of each curated loop workload (nested_loop's first
+# eight rows never enter the outer loop)
+CUT_CASES = [(p.stem, load(p.stem), [list(r) for r in load_workload(p).args[:25:8]])
+             for p in sorted(WORKLOADS.glob("*.json")) if (VALID / f"{p.stem}.ir").exists()]
+CUT_CASES.append(("trap_behind_phis", parse_function(TRAP_BEHIND_PHIS),
+                  [[0, 0], [1, 0], [3, 5], [4, 3], [6, 0], [2**32 - 1, 1]]))
+
+
+@pytest.mark.parametrize("model", [None, HEAVY], ids=["default", "heavy"])
+@pytest.mark.parametrize("name,f,rows", CUT_CASES, ids=[c[0] for c in CUT_CASES])
+def test_every_cut_position_matches_the_reference(name, f, rows, model):
+    lowered = LoweredFunction(f, model)
+    outcomes = set()
+    for args in rows:
+        full = reference_interpret(f, args, 300, model)
+        outcomes.add(full.reason or full.outcome)
+        for limit in range(min(full.steps, 300) + 1):
+            assert interpret(f, args, limit, model, lowered) == reference_interpret(
+                f, args, limit, model), (args, limit)
+    if name == "trap_behind_phis":
+        assert outcomes == {"returned", "DivByZero", "UninitLoad", "steplimit"}
+
+
+IR_NAMES_AS_PYTHON = """func @exec(%while, %exec, %args) {
+import:
+  %v1 = add %while, 1
+  %cells = alloca
+  store %v1, %cells
+  %limit = load %cells
+  %None = icmp.ult %limit, %exec
+  condbr %None, return, lambda
+lambda:
+  %R = mul %limit, %args
+  br return
+return:
+  %prev = phi [%limit, import], [%R, lambda]
+  %U = phi [%args, import], [%v1, lambda]
+  %t = udiv %prev, %U
+  ret %t
+}
+"""
+
+
+def test_ir_names_never_reach_the_generated_code():
+    f = parse_function(IR_NAMES_AS_PYTHON)
+    assert validate_function(f) == []
+    code = LoweredFunction(f).run.__code__
+    assert code.co_filename == "<lowered @exec>"
+    fixed = {"args", "limit", "cells", "steps", "cost", "cur", "prev", "t"}
+    assert all(n in fixed or re.fullmatch(r"v\d+", n) for n in code.co_varnames)
+    assert set(code.co_names) <= {"R", "U", "P", "len", "max", "append", "AssertionError"}
+    strings = {c for c in code.co_consts if isinstance(c, str)}
+    assert all(s in {"returned", "trapped", "steplimit", "DivByZero", "UninitLoad"}
+               or re.fullmatch(r"phis in block \d+ have no incoming for ", s) for s in strings)
+    for args in product((0, 1, 7, 2**32 - 1), repeat=3):
+        for limit in (0, 3, 9, DEFAULT_STEP_LIMIT):
+            assert interpret(f, args, limit) == reference_interpret(f, args, limit), (args, limit)
+
+
+def test_dynamic_cost_total_lowers_once_and_interprets_each_row(monkeypatch):
+    lowerings, runs = [], []
+
+    class Counting(interp.LoweredFunction):
+        def __init__(self, *a, **k):
+            lowerings.append(a)
+            super().__init__(*a, **k)
+
+    real = interp.interpret
+    monkeypatch.setattr(interp, "LoweredFunction", Counting)
+    monkeypatch.setattr(interp, "interpret", lambda *a, **k: runs.append(a) or real(*a, **k))
+    wl = load_workload(WORKLOADS / "loop_sum.json")
+    total = dynamic_cost_total(load("loop_sum"), wl)
+    assert total == sum(reference_interpret(load("loop_sum"), r).dynamic_cost for r in wl.args)
+    assert len(lowerings) == 1
+    assert len(runs) == len(wl.args)

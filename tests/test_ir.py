@@ -108,6 +108,52 @@ def test_cross_block_dominance_rejected(right, join, where):
     assert [(e.kind, e.where) for e in errs] == [("DominanceError", where)]
 
 
+def test_value_loaded_from_a_cell_holding_an_address_is_not_an_int32():
+    # The interpreter reads %a back as %e's cell index, so mem2reg, which
+    # promotes %u and renumbers the cells, would change the result from 2 to 1.
+    f = parse_function("""func @f(%x) {
+entry:
+  %u = alloca
+  %e = alloca
+  %h = alloca
+  store 1, %u
+  store %e, %h
+  %a = load %h
+  %b = load %u
+  %s = add %a, %b
+  ret %s
+}
+""")
+    errs = validate_function(f)
+    assert [(e.kind, e.where) for e in errs] == [("KindError", "entry")]
+    assert "%a" in errs[0].message
+
+
+@pytest.mark.parametrize("use,ok", [
+    ("store %b, %u", True),     # passed on through a store's value position
+    ("%s = add %b, 1", False),  # two cells away from the alloca, still an address
+    ("%s = select %x, %b, 1", False),
+    ("ret %b", False),
+])
+def test_addresses_are_followed_through_cells_to_a_fixpoint(use, ok):
+    f = parse_function(f"""func @f(%x) {{
+entry:
+  %e = alloca
+  %h = alloca
+  %g = alloca
+  %u = alloca
+  store %e, %h
+  %a = load %h
+  store %a, %g
+  %b = load %g
+  {use}
+  ret %x
+}}
+""".replace("  ret %x\n", "" if use.startswith("ret") else "  ret %x\n"))
+    kinds = [e.kind for e in validate_function(f)]
+    assert kinds == ([] if ok else ["KindError"])
+
+
 # --- canonicalization ------------------------------------------------------
 
 def test_canonical_text_round_trip_is_a_fixpoint():
