@@ -32,9 +32,11 @@ def show(title, f):
 
 
 def replay(f, step):
-    """One provenance step: a forward pass, or name@index of a reverse pass."""
+    """One provenance step: a forward pass, or name@site of a reverse pass."""
     name, _, index = step.partition("@")
-    return reverse_variants(name, f)[int(index)].function if index else apply_pass(name, f).function
+    if not index:
+        return apply_pass(name, f).function
+    return next(v.function for v in reverse_variants(name, f) if v.site_index == int(index))
 
 
 def main(argv=None):

@@ -14,6 +14,7 @@ as indented key: value lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -187,6 +188,7 @@ def _ibo_json(out: IboOutcome, f: Function, cfg: Config, workload=None) -> dict:
                 "iteration": it.iteration,
                 "frontier_size": it.frontier_size,
                 "variants_generated": it.variants_generated,
+                "independent": it.independent,
                 "searches_run": it.searches_run,
                 "cache_hits": it.cache_hits,
                 "best_key": _key_json(it.best_key),
@@ -491,6 +493,7 @@ def _budgets(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every main()
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bidiropt",

@@ -326,15 +326,19 @@ def per_function(analysis):
     reused while the entry lives. Callers share the result, so the analysis
     must return immutable containers."""
     cache: dict[int, tuple[Function, object]] = {}
+    last: tuple = (None, None)  # the most recent entry, already last in cache
 
     @functools.wraps(analysis)
     def cached(f: Function):
+        nonlocal last
+        if last[0] is f:
+            return last[1]
         entry = cache.pop(id(f), None)
         if entry is None:
             entry = (f, analysis(f))
             if len(cache) >= PER_FUNCTION_LIMIT:
                 del cache[next(iter(cache))]  # least recently used
-        cache[id(f)] = entry
+        cache[id(f)] = last = entry
         return entry[1]
 
     return cached

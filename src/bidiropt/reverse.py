@@ -12,6 +12,7 @@ efficient than the input.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .analysis import compute_dominators, find_natural_loops, known_bits, use_def
 from .ir import (
@@ -53,10 +54,38 @@ class Variant:
     reverse_name: str
     site_index: int
     function: Function
+    touched: frozenset[str]  # see _touched
 
     @property
     def step(self) -> str:
         return f"{self.reverse_name}@{self.site_index}"
+
+
+class Variants(tuple):
+    """reverse_variants' result: the variants in site order, and in
+    `independent` the number of candidate sites its `near` filter skipped."""
+
+    independent = 0
+
+
+# An enumerator yields one (touched, build) pair per candidate site, in RPO
+# site order, before it builds anything: `touched` is the touched set of the
+# site's rewrite, and build() makes the variant. The touched set holds the
+# result and the value operands of every instruction the rewrite inserts,
+# replaces or erases, old and new version alike; an instruction moved
+# unchanged counts as neither.
+
+def _touched(*instrs: Instruction) -> frozenset[str]:
+    names = {ins.result for ins in instrs if ins.result is not None}
+    for ins in instrs:
+        names.update(op.name for op in ins.operands if isinstance(op, ValueRef))
+    return frozenset(names)
+
+
+def _splice(f: Function, lbl: str, i: int, new: list[Instruction]) -> Function:
+    blocks = edit(f)
+    blocks[lbl][i:i + 1] = new
+    return freeze(f, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +108,6 @@ def _rev_instexpand_rem(f: Function):
                 if same or (dlbl != lbl and dt.dominates(dlbl, lbl)):
                     existing = dins.result
                     break
-        blocks = edit(f)
         if existing is None:
             qn, mn = fresh_names(f, "x", 2)
             expansion = [
@@ -93,8 +121,7 @@ def _rev_instexpand_rem(f: Function):
                 Instruction(mn, "mul", (ValueRef(existing), c)),
                 Instruction(ins.result, "sub", (x, ValueRef(mn))),
             ]
-        blocks[lbl][i:i + 1] = expansion
-        yield freeze(f, blocks)
+        yield _touched(ins, *expansion), partial(_splice, f, lbl, i, expansion)
 
 
 def _rev_instexpand_shl(f: Function):
@@ -105,9 +132,8 @@ def _rev_instexpand_shl(f: Function):
         k = ins.operands[1].value
         if not 1 <= k <= 31:
             continue
-        blocks = edit(f)
-        blocks[lbl][i] = Instruction(ins.result, "mul", (ins.operands[0], Literal(1 << k)))
-        yield freeze(f, blocks)
+        new = Instruction(ins.result, "mul", (ins.operands[0], Literal(1 << k)))
+        yield _touched(ins), partial(_splice, f, lbl, i, [new])
 
 
 def _rev_instexpand_or(f: Function):
@@ -116,9 +142,7 @@ def _rev_instexpand_or(f: Function):
     for lbl, i, ins in rpo_instrs(f):
         if ins.opcode != "or" or not disjoint_bits(kb, *ins.operands):
             continue
-        blocks = edit(f)
-        blocks[lbl][i] = replace(ins, opcode="add")
-        yield freeze(f, blocks)
+        yield _touched(ins), partial(_splice, f, lbl, i, [replace(ins, opcode="add")])
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +152,8 @@ def _rev_reassociate(f: Function):
     """Perturb add trees: swap operands, or rotate a nested single-use add
     (which the rotation absorbs). A perturbation is kept only where
     reassociate rewrites the tree it lands in (a swap onto canonical leaf
-    order is already reassociate's form)."""
+    order is already reassociate's form); that test needs the built
+    variant, so build() returns None for a candidate that fails it."""
     ud = use_def(f)
 
     def single_use_add(op: Operand) -> Instruction | None:
@@ -141,60 +166,71 @@ def _rev_reassociate(f: Function):
         if ins.opcode != "add":
             continue
         a, b = ins.operands
-        perturbed = [(None, [replace(ins, operands=(b, a))])]
+        perturbed = [(None, [replace(ins, operands=(b, a))], _touched(ins))]
         (tn,) = fresh_names(f, "x", 1)
         inner = single_use_add(a)
         if inner is not None:
             # (p + q) + b  ->  p + (q + b)
             p, q = inner.operands
-            perturbed.append((ud.defs[inner.result],
-                              [Instruction(tn, "add", (q, b)),
-                               Instruction(ins.result, "add", (p, ValueRef(tn)))]))
+            new = [Instruction(tn, "add", (q, b)),
+                   Instruction(ins.result, "add", (p, ValueRef(tn)))]
+            perturbed.append((ud.defs[inner.result], new, _touched(ins, inner, *new)))
         inner = single_use_add(b)
         if inner is not None:
             # a + (p + q)  ->  (a + p) + q
             p, q = inner.operands
-            perturbed.append((ud.defs[inner.result],
-                              [Instruction(tn, "add", (a, p)),
-                               Instruction(ins.result, "add", (ValueRef(tn), q))]))
-        for site, new in perturbed:
-            blocks = edit(f)
-            if site is not None:
-                blocks[site[0]][site[1]] = None  # its one use was ins
-            blocks[lbl][i:i + 1] = new
-            g = freeze(f, blocks)
-            if reassociate_rewrites(g, ins.result):
-                yield g
+            new = [Instruction(tn, "add", (a, p)),
+                   Instruction(ins.result, "add", (ValueRef(tn), q))]
+            perturbed.append((ud.defs[inner.result], new, _touched(ins, inner, *new)))
+        for site, new, touched in perturbed:
+            yield touched, partial(_perturb, f, lbl, i, site, new)
+
+
+def _perturb(f: Function, lbl: str, i: int, site, new: list[Instruction]) -> Function | None:
+    blocks = edit(f)
+    if site is not None:
+        blocks[site[0]][site[1]] = None  # its one use was the add at (lbl, i)
+    blocks[lbl][i:i + 1] = new
+    g = freeze(f, blocks)
+    return g if reassociate_rewrites(g, new[-1].result) else None
 
 
 def _rev_split_block(f: Function):
-    """Cut a block in two at a legal boundary, joined by an unconditional br."""
+    """Cut a block in two at a legal boundary, joined by an unconditional br.
+    The tail moves unchanged, so only the successor phis retargeted onto
+    the new block are touched."""
     reach = set(rpo_order(f))
+    index = {b.label: b for b in f.blocks}
     for b in f.blocks:
         if b.label not in reach:
             continue
-        nphis = len(b.phis)
+        targets = successors(b)
+        touched = _touched(*(ins for t in set(targets) for ins in index[t].instrs
+                             if ins.is_phi and b.label in ins.labels))
+        new_lbl = fresh_label(f, f"{b.label}_tail")
         # head keeps instrs[:i] (never the terminator); the phi group stays put
-        for i in range(nphis, len(b.instrs)):
-            new_lbl = fresh_label(f, f"{b.label}_tail")
-            head = list(b.instrs[:i]) + [Instruction(None, "br", (), (new_lbl,))]
-            tail = list(b.instrs[i:])
-            blocks = edit(f)
-            blocks[b.label] = head
-            blocks[new_lbl] = tail
-            # successor phis still name the old block on the moved edge
-            retarget_incomings(blocks, successors(b), b.label, new_lbl)
-            order = []
-            for x in f.blocks:
-                order.append(x.label)
-                if x.label == b.label:
-                    order.append(new_lbl)
-            yield freeze(f, blocks, order=order)
+        for i in range(len(b.phis), len(b.instrs)):
+            yield touched, partial(_split, f, b, i, new_lbl)
+
+
+def _split(f: Function, b, i: int, new_lbl: str) -> Function:
+    blocks = edit(f)
+    blocks[b.label] = list(b.instrs[:i]) + [Instruction(None, "br", (), (new_lbl,))]
+    blocks[new_lbl] = list(b.instrs[i:])
+    # successor phis still name the old block on the moved edge
+    retarget_incomings(blocks, successors(b), b.label, new_lbl)
+    order = []
+    for x in f.blocks:
+        order.append(x.label)
+        if x.label == b.label:
+            order.append(new_lbl)
+    return freeze(f, blocks, order=order)
 
 
 def _rev_licm_sink(f: Function):
     """Push a pure preheader computation used only inside the loop into the
-    loop header (right after the phis)."""
+    loop header (right after the phis). The instruction moves unchanged, so
+    the touched set is empty."""
     ud = use_def(f)
     index = {b.label: b for b in f.blocks}
     for lp in find_natural_loops(f):
@@ -207,12 +243,14 @@ def _rev_licm_sink(f: Function):
             uses = ud.uses[ins.result]
             if not uses or not all(u[0] in lp.body for u in uses):
                 continue
-            blocks = edit(f)
-            del blocks[lp.preheader][i]
-            head = blocks[lp.header]
-            at = len(index[lp.header].phis)
-            head.insert(at, ins)
-            yield freeze(f, blocks)
+            yield frozenset(), partial(_sink, f, lp, i, len(index[lp.header].phis))
+
+
+def _sink(f: Function, lp, i: int, at: int) -> Function:
+    blocks = edit(f)
+    ins = blocks[lp.preheader].pop(i)
+    blocks[lp.header].insert(at, ins)
+    return freeze(f, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +262,7 @@ def _reg2mem(f: Function):
     predecessor block)."""
     ud = use_def(f)
     reach = set(rpo_order(f))
+    index = {b.label: b for b in f.blocks}
     for lbl, i, ins in rpo_instrs(f):
         if ins.result is None or ins.opcode == "alloca":
             continue
@@ -233,56 +272,67 @@ def _reg2mem(f: Function):
         v = ins.result
         (pname,) = fresh_names(f, f"{v}_m", 1)
         load_names = fresh_names(f, f"{v}_l", len(uses))
+        users = {(u[0], u[1]) for u in uses}
+        touched = _touched(*(index[ulbl].instrs[ui] for ulbl, ui in users))
+        touched = touched.union((v, pname), load_names)
+        yield touched, partial(_demote, f, lbl, ins, uses, pname, load_names)
 
-        blocks = edit(f)
-        # loads first, rewriting whole users bottom-up so indices stay valid
-        per_block: dict[str, dict[int, list[tuple[int, str]]]] = {}
-        for (ulbl, ui, uj), ln in zip(uses, load_names):
-            per_block.setdefault(ulbl, {}).setdefault(ui, []).append((uj, ln))
-        for ulbl, by_user in per_block.items():
-            instrs = blocks[ulbl]
-            for ui in sorted(by_user, reverse=True):
-                user = instrs[ui]
-                ops = list(user.operands)
-                for uj, ln in by_user[ui]:
-                    ops[uj] = ValueRef(ln)
-                instrs[ui] = replace(user, operands=tuple(ops))
-                for uj, ln in sorted(by_user[ui], reverse=True):
-                    if user.is_phi:
-                        # the value crosses the edge, so read it at the tail
-                        # of that edge's predecessor
-                        pb = blocks[user.labels[uj]]
-                        pb.insert(len(pb) - 1, Instruction(ln, "load", (ValueRef(pname),)))
-                    else:
-                        instrs.insert(ui, Instruction(ln, "load", (ValueRef(pname),)))
-        # store directly after the def (after the whole phi group for a phi)
-        dlist = blocks[lbl]
-        if ins.is_phi:
-            at = 0
-            while at < len(dlist) and dlist[at].is_phi:
-                at += 1
-        else:
-            at = dlist.index(ins) + 1
-        dlist.insert(at, Instruction(None, "store", (ValueRef(v), ValueRef(pname))))
-        entry = blocks[f.blocks[0].label]
-        entry.insert(0, Instruction(pname, "alloca", ()))
-        yield freeze(f, blocks)
+
+def _demote(f: Function, lbl: str, ins: Instruction, uses, pname: str,
+            load_names: list[str]) -> Function:
+    v = ins.result
+    blocks = edit(f)
+    # loads first, rewriting whole users bottom-up so indices stay valid
+    per_block: dict[str, dict[int, list[tuple[int, str]]]] = {}
+    for (ulbl, ui, uj), ln in zip(uses, load_names):
+        per_block.setdefault(ulbl, {}).setdefault(ui, []).append((uj, ln))
+    for ulbl, by_user in per_block.items():
+        instrs = blocks[ulbl]
+        for ui in sorted(by_user, reverse=True):
+            user = instrs[ui]
+            ops = list(user.operands)
+            for uj, ln in by_user[ui]:
+                ops[uj] = ValueRef(ln)
+            instrs[ui] = replace(user, operands=tuple(ops))
+            for uj, ln in sorted(by_user[ui], reverse=True):
+                if user.is_phi:
+                    # the value crosses the edge, so read it at the tail
+                    # of that edge's predecessor
+                    pb = blocks[user.labels[uj]]
+                    pb.insert(len(pb) - 1, Instruction(ln, "load", (ValueRef(pname),)))
+                else:
+                    instrs.insert(ui, Instruction(ln, "load", (ValueRef(pname),)))
+    # store directly after the def (after the whole phi group for a phi)
+    dlist = blocks[lbl]
+    if ins.is_phi:
+        at = 0
+        while at < len(dlist) and dlist[at].is_phi:
+            at += 1
+    else:
+        at = dlist.index(ins) + 1
+    dlist.insert(at, Instruction(None, "store", (ValueRef(v), ValueRef(pname))))
+    entry = blocks[f.blocks[0].label]
+    entry.insert(0, Instruction(pname, "alloca", ()))
+    return freeze(f, blocks)
 
 
 def _rev_insert_dead_store(f: Function):
     """Append a never-read stack cell write at the end of a block."""
     reach = set(rpo_order(f))
+    (pname,) = fresh_names(f, "dead", 1)
     for b in f.blocks:
-        if b.label not in reach:
-            continue
-        (pname,) = fresh_names(f, "dead", 1)
-        blocks = edit(f)
-        instrs = blocks[b.label]
-        instrs[len(instrs) - 1:len(instrs) - 1] = [
-            Instruction(pname, "alloca", ()),
-            Instruction(None, "store", (Literal(0), ValueRef(pname))),
-        ]
-        yield freeze(f, blocks)
+        if b.label in reach:
+            yield frozenset((pname,)), partial(_dead_store, f, b.label, pname)
+
+
+def _dead_store(f: Function, lbl: str, pname: str) -> Function:
+    blocks = edit(f)
+    instrs = blocks[lbl]
+    instrs[len(instrs) - 1:len(instrs) - 1] = [
+        Instruction(pname, "alloca", ()),
+        Instruction(None, "store", (Literal(0), ValueRef(pname))),
+    ]
+    return freeze(f, blocks)
 
 
 _ENUMERATORS = {
@@ -299,18 +349,50 @@ _ENUMERATORS = {
 REVERSE_PASSES = tuple(_ENUMERATORS)
 
 
-def reverse_variants(name: str, f: Function, cap: int | None = None) -> tuple[Variant, ...]:
+def reverse_variants(name: str, f: Function, cap: int | None = None,
+                     near: frozenset[str] | None = None) -> Variants:
     """Enumerate variants of f under one reverse pass, in deterministic site
-    order, dropping variants identical to f. `cap` keeps the first `cap`, so
-    a site index is stable for a given (function, config)."""
+    order. A site's index is its position in the full enumeration, and `cap`
+    keeps the sites numbered below it, so an index is stable for a given
+    (function, config). A variant identical to f takes its index but is
+    dropped.
+
+    With `near`, a site whose touched set misses it is skipped before
+    anything is built or hashed; it still takes its index and counts toward
+    the cap. A rev-reassociate candidate is a site only if its built variant
+    passes reassociate's test, so a skipped one is built after all when a
+    later site's index depends on it."""
     if name not in _ENUMERATORS:
         raise KeyError(f"unknown reverse pass '{name}'")
-    h0 = canonical_hash(f)
+    maybe = name == "rev-reassociate"
+    h0 = None
     out: list[Variant] = []
-    for g in _ENUMERATORS[name](f):
-        if canonical_hash(g) == h0:
-            continue
-        out.append(Variant(name, len(out), g))
-        if cap is not None and len(out) >= cap:
+    site = 0
+    skipped = 0
+    pending = []  # skipped rev-reassociate builds, not yet known to be sites
+    for touched, build in _ENUMERATORS[name](f):
+        if cap is not None and site >= cap:
             break
-    return tuple(out)
+        if near is not None and touched.isdisjoint(near):
+            skipped += 1
+            if maybe:
+                pending.append(build)
+            else:
+                site += 1
+            continue
+        if pending:
+            site += sum(b() is not None for b in pending)
+            pending.clear()
+            if cap is not None and site >= cap:
+                break
+        g = build()
+        if g is None:
+            continue
+        if h0 is None:
+            h0 = canonical_hash(f)
+        if canonical_hash(g) != h0:
+            out.append(Variant(name, site, g, touched))
+        site += 1
+    result = Variants(out)
+    result.independent = skipped
+    return result

@@ -156,6 +156,7 @@ class IboIteration:
     iteration: int
     frontier_size: int
     variants_generated: int
+    independent: int  # candidate sites skipped as independent of their parent's rewrite
     searches_run: int
     cache_hits: int
     best_key: tuple
@@ -188,6 +189,16 @@ def ibo(f: Function,
     to every frontier program, exhaustively re-optimizes each variant, and
     keeps the result only when strictly better. The frontier then becomes the
     variants themselves, cheapest first, truncated to ibo_max_frontier.
+
+    From iteration 2 on, a frontier member's variants are only those whose
+    rewrite depends on the rewrite that made the member: their touched sets
+    (see reverse._touched) must meet. An independent detour commutes with
+    the step before it and works on another part of the program, which the
+    forward passes re-optimize on its own; dropping such chains is
+    partial-order reduction (Godefroid, LNCS 1032, 1996). It is a pruning
+    rule, not a proof, checked by keeping every corpus result. Each
+    iteration counts the sites it skipped in `independent`.
+
     max_programs_explored bounds the programs of all searches together; when
     it runs out, the best result so far is returned with budget_exceeded set
     and the cut iteration left out of iterations.
@@ -204,19 +215,23 @@ def ibo(f: Function,
     spent = baseline.budget_exceeded
 
     # frontier members carry the reverse-step provenance that produced them,
-    # and their digest
-    frontier: list[tuple[Function, tuple[str, ...], CanonicalDigest]] = [
-        (f, (), canonical_hash(f))]
+    # their digest, and the touched set of the rewrite that made them (None
+    # for the input, whose variants are all kept)
+    frontier: list[tuple[Function, tuple[str, ...], CanonicalDigest, frozenset | None]] = [
+        (f, (), canonical_hash(f), None)]
 
     for it in range(1, iterations + 1):
         if spent:
             break
-        produced: list[tuple[Function, tuple[str, ...], CanonicalDigest]] = []
+        produced: list[tuple[Function, tuple[str, ...], CanonicalDigest, frozenset]] = []
         seen: set[CanonicalDigest] = set()
         generated = 0
-        for member, prov, _ in frontier:
+        independent = 0
+        for member, prov, _, near in frontier:
             for rname in reverses:
-                for v in reverse_variants(rname, member, cap=limits.cap_per_pass):
+                variants = reverse_variants(rname, member, limits.cap_per_pass, near)
+                independent += variants.independent
+                for v in variants:
                     generated += 1
                     if static_size(v.function) > limits.max_instructions_per_program:
                         continue
@@ -224,7 +239,7 @@ def ibo(f: Function,
                     if d in seen:
                         continue
                     seen.add(d)
-                    produced.append((v.function, prov + (v.step,), d))
+                    produced.append((v.function, prov + (v.step,), d, v.touched))
 
         produced.sort(key=lambda t: cache.rank(t[0], t[2], model, workload, limits.step_limit))
         produced = produced[:limits.ibo_max_frontier]
@@ -232,7 +247,7 @@ def ibo(f: Function,
         hits = 0
         searched = 0
         improved = False
-        for g, prov, d in produced:
+        for g, prov, d, _ in produced:
             sub = cache.searches.get(d)
             if sub is not None:
                 hits += 1
@@ -256,8 +271,8 @@ def ibo(f: Function,
                 break
         if spent:
             break
-        trace.append(IboIteration(it, len(frontier), generated, searched, hits,
-                                  best_key, improved))
+        trace.append(IboIteration(it, len(frontier), generated, independent, searched,
+                                  hits, best_key, improved))
         frontier = produced
 
     return IboOutcome(best_fn, best_key, best_prov, baseline, tuple(trace), total, spent)
@@ -366,19 +381,20 @@ def check_closure(graph: ClassGraph) -> ClosureReport:
 
 def replay_sequence(f: Function, steps, limits: SearchLimits = SearchLimits()) -> Function:
     """Re-run a provenance sequence: bare names are forward passes,
-    name@index picks that variant from the reverse enumeration. Diverges
-    loudly instead of silently drifting."""
+    name@index picks the variant at that site of the reverse enumeration.
+    Diverges loudly instead of silently drifting."""
     g = f
     for step in steps:
         if "@" in step:
             rname, _, idx = step.partition("@")
             if not idx.isdecimal():
                 raise ReplayDiverged(f"{step}: variant index is not a decimal number")
-            variants = reverse_variants(rname, g, cap=limits.cap_per_pass)
             i = int(idx)
-            if i >= len(variants):
-                raise ReplayDiverged(f"{step}: only {len(variants)} variants here")
-            g = variants[i].function
+            hit = [v for v in reverse_variants(rname, g, cap=limits.cap_per_pass)
+                   if v.site_index == i]
+            if not hit:
+                raise ReplayDiverged(f"{step}: no variant at site {i} here")
+            g = hit[0].function
         else:
             out = apply_pass(step, g)
             if not out.changed:

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -489,6 +490,21 @@ def rename_blocks(f, mapping):
 def all_reverse_variants(f, cap=None):
     """Every variant of f under every reverse pass, in REVERSE_PASSES order."""
     return tuple(v for name in REVERSE_PASSES for v in reverse_variants(name, f, cap=cap))
+
+
+def reference_touched(parent, child):
+    """The touched set of the rewrite from parent to child, by instruction
+    diff: the result and the value operands of every instruction that is in
+    one program and not the other, counted as multisets, so an instruction
+    moved unchanged drops out. Each enumerator must report exactly this."""
+    a = Counter(ins for b in parent.blocks for ins in b.instrs)
+    b = Counter(ins for b in child.blocks for ins in b.instrs)
+    names = set()
+    for ins in (a - b) + (b - a):
+        if ins.result is not None:
+            names.add(ins.result)
+        names.update(op.name for op in ins.operands if isinstance(op, ValueRef))
+    return frozenset(names)
 
 
 def one_step_neighbours(f):

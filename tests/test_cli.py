@@ -443,3 +443,32 @@ def test_reports_are_byte_deterministic():
     c = run_cli("ibo", VALID / "bin2bcd.ir", "-k", "2")
     d = run_cli("ibo", VALID / "bin2bcd.ir", "-k", "2")
     assert c == d
+
+
+def test_one_parser_serves_every_main_call():
+    # main() builds its parser once per process; a reused parser must leave
+    # no trace of an earlier call, such as a --format text before a default
+    from bidiropt.cli import _build_parser
+
+    seed = VALID / "bin2bcd.ir"
+    calls = [
+        ("--format", "text", "search", seed),
+        ("search", seed),
+        ("ibo", seed, "-k", "1", "--format", "text"),
+        ("ibo", seed, "-k", "1"),
+        ("opt", seed, "--passes", "rev-instexpand-rem@0"),
+        ("opt", seed, "--passes", "rev-instexpand-rem@0", "--format", "text"),
+        ("validate", VALID / "diamond.ir"),
+        ("run", seed, "42"),
+        ("search", VALID / "branch_clone.ir", "--budget-programs", "2"),
+        ("opt", seed, "--passes", "not-a-pass"),
+        ("ibo", seed),
+        ("search", seed),
+    ]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run_cli(*argv))
+    assert [code for code, _ in fresh] == [0, 0, 0, 0, 0, 0, 0, 0, 3, 2, 2, 0]
+    assert [run_cli(*argv) for argv in calls] == fresh
+    assert _build_parser() is _build_parser()

@@ -227,18 +227,20 @@ def _derived(f):
 @pytest.mark.parametrize("name", [p.stem for p in VALID_FILES])
 def test_matches_reference_interpreter_on_corpus_and_neighbours(name):
     for g in _derived(load(name)):
+        lowered = LoweredFunction(g)
         for args in _rows(len(g.params)):
             for limit in LIMITS:
-                got = interpret(g, args, limit)
+                got = interpret(g, args, limit, lowered=lowered)
                 assert got == reference_interpret(g, args, limit), (g, args, limit)
 
 
 @pytest.mark.parametrize("name", ["loop_counter_alloca", "phi_swap", "bin2bcd"])
 def test_matches_reference_interpreter_under_another_model(name):
     for g in _derived(load(name)):
+        lowered = LoweredFunction(g, HEAVY)
         for args in _rows(len(g.params)):
             for limit in LIMITS:
-                assert interpret(g, args, limit, HEAVY) == reference_interpret(
+                assert interpret(g, args, limit, HEAVY, lowered) == reference_interpret(
                     g, args, limit, HEAVY), (g, args, limit)
 
 

@@ -340,6 +340,32 @@ def test_analysis_cache_lets_go_of_a_function():
         assert (alive() is None) == (n >= PER_FUNCTION_LIMIT), n
 
 
+def test_analysis_cache_never_holds_more_than_the_limit():
+    runs = []
+
+    @ir.per_function
+    def analysis(f):
+        runs.append(f)
+        return len(runs)
+
+    texts = [p.read_text() for p in VALID_FILES]
+    refs = []
+    for n in range(3 * PER_FUNCTION_LIMIT):
+        f = parse_function(texts[n % len(texts)])
+        refs.append(weakref.ref(f))
+        runs.clear()
+        first = analysis(f)
+        assert analysis(f) == first  # the entry seen last
+        older = refs[n // 2]()
+        if older is not None:  # still cached, so not analysed again
+            analysis(older)
+        assert len(runs) == 1
+        del f, older
+        runs.clear()
+        assert sum(r() is not None for r in refs) <= PER_FUNCTION_LIMIT, n
+    assert sum(r() is not None for r in refs) == PER_FUNCTION_LIMIT
+
+
 # --- parse errors and literals ---------------------------------------------
 
 def test_literal_max_accepted():

@@ -1,6 +1,7 @@
 """Reverse passes: anti-improving rewrites the forward passes can undo."""
 
 import pytest
+from hypothesis import given, settings
 
 from bidiropt.cost import rank_key, static_cost
 from bidiropt.interp import differential_check
@@ -14,12 +15,17 @@ from bidiropt.ir import (
 from bidiropt.passes import FORWARD_PASSES, apply_pass
 from bidiropt.reverse import PAIRINGS, REVERSE_PASSES, reverse_variants
 
+from bidiropt.search import ReplayDiverged, replay_sequence
+
 from conftest import (
     all_reverse_variants,
     load,
+    memory_cfg,
     one_step_neighbours,
     reference_interpret,
+    reference_touched,
     same_modulo_name,
+    straightline,
     workload_for,
 )
 
@@ -257,6 +263,78 @@ def test_enumeration_is_deterministic(corpus_function):
     b = all_reverse_variants(corpus_function)
     assert [v.step for v in a] == [v.step for v in b]
     assert [canonical_hash(v.function) for v in a] == [canonical_hash(v.function) for v in b]
+
+
+def test_an_identical_variant_takes_its_site_index():
+    # swapping add %x, %x changes nothing, yet reassociate rewrites the tree
+    # around it; the swap is site 0 and is dropped, the next site keeps 1
+    f = parse_function("func @f(%x, %y) {\nentry:\n  %t = add %x, %x\n"
+                       "  %u = sub %t, %x\n  %v = add %u, %y\n  ret %v\n}\n")
+    (v,) = reverse_variants("rev-reassociate", f)
+    assert v.step == "rev-reassociate@1"
+    assert "%v = add %y, %u" in print_function(v.function)
+    assert replay_sequence(f, [v.step]) == v.function
+    with pytest.raises(ReplayDiverged):
+        replay_sequence(f, ["rev-reassociate@0"])
+    assert reverse_variants("rev-reassociate", f, cap=1) == ()
+
+
+# --- touched sets and the near filter --------------------------------------------
+
+def _assert_touched_is_the_diff(f):
+    for v in all_reverse_variants(f):
+        assert v.touched == reference_touched(f, v.function), (print_function(f), v.step)
+
+
+def test_touched_set_is_the_instruction_diff(corpus_function):
+    for f in [corpus_function, *one_step_neighbours(corpus_function)]:
+        _assert_touched_is_the_diff(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(straightline())
+def test_touched_set_is_the_instruction_diff_on_generated_straightline(text):
+    _assert_touched_is_the_diff(parse_function(text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(memory_cfg())
+def test_touched_set_is_the_instruction_diff_on_generated_memory_programs(text):
+    _assert_touched_is_the_diff(parse_function(text))
+
+
+def test_moves_touch_nothing_but_the_phis_they_retarget():
+    f = load("loop_hoisted")
+    (sunk,) = reverse_variants("rev-licm-sink", f)
+    assert sunk.touched == frozenset()
+    assert reverse_variants("rev-licm-sink", f, near=frozenset(f.params)) == ()
+    # a cut in small or big moves that block's edge into join's phi; entry
+    # and join have no successor phis to retarget
+    splits = reverse_variants("rev-split-block", load("diamond"))
+    assert [sorted(v.touched) for v in splits] == [[]] * 2 + [["a", "b", "m"]] * 4 + [[]]
+
+
+def _seen(variants):
+    return [(v.step, v.touched, print_function(v.function)) for v in variants]
+
+
+def test_near_keeps_exactly_the_sites_that_meet_it(corpus_function):
+    # as ibo uses it: a variant's own touched set filters its variants
+    for u in all_reverse_variants(corpus_function):
+        for name in REVERSE_PASSES:
+            for cap in (None, 8, 2):
+                full = reverse_variants(name, u.function, cap)
+                got = reverse_variants(name, u.function, cap, near=u.touched)
+                want = [v for v in full if not v.touched.isdisjoint(u.touched)]
+                assert _seen(got) == _seen(want), (u.step, name, cap)
+
+
+def test_near_counts_skipped_sites():
+    f = load("diamond")
+    full = reverse_variants("rev-split-block", f)
+    none = reverse_variants("rev-split-block", f, near=frozenset())
+    assert none == () and none.independent == len(full)
+    assert reverse_variants("rev-split-block", f).independent == 0
 
 
 # --- corpus-wide invariants ------------------------------------------------------

@@ -7,6 +7,7 @@ from bidiropt.cost import rank_key
 from bidiropt.interp import differential_check, load_workload
 from bidiropt.ir import canonical_hash, parse_function, print_function
 from bidiropt.passes import FORWARD_PASSES, apply_pass
+from bidiropt.reverse import reverse_variants
 from bidiropt.search import (
     ClassGraph,
     PassCache,
@@ -19,7 +20,7 @@ from bidiropt.search import (
     replay_sequence,
 )
 
-from conftest import WORKLOADS, load, workload_for
+from conftest import ROOT, VALID_FILES, WORKLOADS, load, workload_for
 
 MICRO = ["straightline_ret", "const_expr", "identities", "divmul", "dce_chain",
          "strength", "cse_dup", "reassoc_cancel"]
@@ -146,7 +147,32 @@ def test_ibo_beats_exhaustive_on_seed():
     assert out.best_provenance == (
         "rev-instexpand-rem@0", "rev-instexpand-shl@0", "reassociate")
     assert out.baseline.best_key[:2] == (11, 5)
-    assert out.total_programs == 960
+    assert out.total_programs == 274
+
+
+def test_ibo_chains_only_dependent_detours():
+    out = ibo(load("bin2bcd"), 3)
+    first, *later = out.iterations
+    assert first.independent == 0
+    assert all(it.independent > 0 for it in later)
+    # the winning chain is dependent: the rem expansion reuses %q, which the
+    # shl expansion reads
+    assert out.best_provenance[:2] == ("rev-instexpand-rem@0", "rev-instexpand-shl@0")
+    (rem,) = reverse_variants("rev-instexpand-rem", load("bin2bcd"))
+    (shl,) = reverse_variants("rev-instexpand-shl", rem.function, near=rem.touched)
+    assert rem.touched & shl.touched == {"q"}
+
+
+def test_crowd2_keeps_the_winning_chain_in_the_frontier():
+    # detours of the add trees and the diamond no longer crowd the
+    # or/rem/shl chain out of the 256-member frontier
+    f = parse_function((ROOT / "corpus" / "regress" / "crowd2.ir").read_text())
+    out = ibo(f, 3)
+    assert out.baseline.best_key[:2] == (18, 13)
+    assert out.best_key[:2] == (16, 12)
+    assert out.total_programs == 4658
+    assert print_function(replay_sequence(f, out.best_provenance)) == print_function(
+        out.best_function)
 
 
 def test_ibo_monotone_in_iterations():
@@ -312,6 +338,15 @@ def test_replay_reproduces_ibo_provenance():
     out = ibo(f, 2)
     g = replay_sequence(f, list(out.best_provenance))
     assert print_function(g) == print_function(out.best_function)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_replay_rebuilds_every_corpus_provenance(k):
+    for path in VALID_FILES:
+        f = parse_function(path.read_text())
+        out = ibo(f, k)
+        g = replay_sequence(f, list(out.best_provenance))
+        assert print_function(g) == print_function(out.best_function), (f.name, k)
 
 
 def test_replay_rejects_non_firing_forward():
