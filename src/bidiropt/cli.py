@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import Config, ConfigError, load_config, override
+from .config import FORMATS, METRICS, SETTINGS, Config, ConfigError, load_config, override
 from .cost import rank_key
 from .interp import (
     WorkloadDiverged,
@@ -92,14 +92,25 @@ def _report(command: str, cfg: Config, **fields) -> dict:
     return rep
 
 
-def _load(path: str, function: str | None = None) -> Function:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _write(path: str, text: str) -> None:
     try:
-        m = parse_module(text)
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        print(f"error: cannot write {path}: {e}", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _load(path: str, function: str | None = None) -> Function:
+    try:
+        m = parse_module(_read(path))
     except ParseError as e:
         print(f"{path}:{e.line}:{e.col}: {e.message}", file=sys.stderr)
         raise SystemExit(1)
@@ -127,18 +138,17 @@ def _input_json(path: str, f: Function, cfg: Config) -> dict:
             "key": _key_json(rank_key(f, cfg.model()))}
 
 
-def _workload(cfg: Config, f: Function, path: str | None, count: int = 1000):
-    chosen = path or cfg.workload
-    if chosen:
+def _workload(cfg: Config, f: Function, count: int = 1000):
+    if cfg.workload:
         try:
-            wl = load_workload(Path(chosen), f.name)
+            wl = load_workload(Path(cfg.workload), f.name)
             for row in wl.args:
                 if len(row) != len(f.params):
                     raise ValueError(f"row {list(row)} has {len(row)} value(s), "
                                      f"@{f.name} takes {len(f.params)}")
             return wl
         except (OSError, ValueError) as e:
-            print(f"error: cannot load workload {chosen}: {e}", file=sys.stderr)
+            print(f"error: cannot load workload {cfg.workload}: {e}", file=sys.stderr)
             raise SystemExit(2)
     return default_workload(f, seed=cfg.seed, count=count)
 
@@ -148,7 +158,7 @@ def _trace(f: Function, steps, cfg: Config, workload=None) -> list:
     rows = []
     g = f
     for step in steps:
-        g = replay_sequence(g, [step], cfg.limits())
+        g = replay_sequence(g, [step])
         cost = None if workload is None else dynamic_cost_total(
             g, workload, cfg.step_limit, cfg.model())
         key = rank_key(g, cfg.model(), cost)
@@ -204,11 +214,7 @@ def _ibo_json(out: IboOutcome, f: Function, cfg: Config, workload=None) -> dict:
 # subcommands
 
 def cmd_validate(args, cfg: Config) -> int:
-    try:
-        text = Path(args.file).read_text()
-    except OSError as e:
-        print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
-        return 2
+    text = _read(args.file)
     report = _report("validate", cfg, input={"file": args.file})
     try:
         m = parse_module(text)
@@ -234,15 +240,14 @@ def cmd_validate(args, cfg: Config) -> int:
 def cmd_run(args, cfg: Config) -> int:
     f = _load(args.file, args.function)
     report = _report("run", cfg, input=_input_json(args.file, f, cfg))
-    if args.workload or cfg.workload:
-        wl = _workload(cfg, f, args.workload)
+    if cfg.workload:
+        wl = _workload(cfg, f)
         try:
             total = dynamic_cost_total(f, wl, limit=cfg.step_limit, model=cfg.model())
         except WorkloadDiverged as e:
             report["outcome"] = _diverged_json(wl, e)
-            _emit(report, cfg)
-            return 0
-        report["outcome"] = {"cases": len(wl.args), "dynamic_cost_total": total}
+        else:
+            report["outcome"] = {"cases": len(wl.args), "dynamic_cost_total": total}
         _emit(report, cfg)
         return 0
     try:
@@ -265,7 +270,7 @@ def cmd_run(args, cfg: Config) -> int:
 
 def cmd_opt(args, cfg: Config) -> int:
     f = _load(args.file, args.function)
-    steps = [s for s in args.passes.split(",") if s]
+    steps = [s for s in args.pipeline.split(",") if s]
     for step in steps:
         name, at, idx = step.partition("@")
         if not ((name in FORWARD_PASSES and not at)
@@ -279,7 +284,7 @@ def cmd_opt(args, cfg: Config) -> int:
         for step in steps:
             # replay fails a non-firing forward step; lenient mode skips it
             if args.strict or "@" in step:
-                g = replay_sequence(g, [step], cfg.limits())
+                g = replay_sequence(g, [step])
                 applied.append(step)
             else:
                 out = apply_pass(step, g)
@@ -290,7 +295,7 @@ def cmd_opt(args, cfg: Config) -> int:
         print(f"error: replay diverged: {e}", file=sys.stderr)
         return 1
     if args.output:
-        Path(args.output).write_text(print_function(g))
+        _write(args.output, print_function(g))
     if cfg.format == "text" and not args.report:
         sys.stdout.write(print_function(g))
         return 0
@@ -306,7 +311,7 @@ def cmd_opt(args, cfg: Config) -> int:
 
 def cmd_search(args, cfg: Config) -> int:
     f = _load(args.file, args.function)
-    wl = _workload(cfg, f, args.workload) if cfg.metric == "dynamic" else None
+    wl = _workload(cfg, f) if cfg.metric == "dynamic" else None
     report = _report("search", cfg, input=_input_json(args.file, f, cfg))
     try:
         out = exhaustive_search(f, cfg.passes, cfg.limits(), cfg.model(), wl)
@@ -325,7 +330,7 @@ def cmd_ibo(args, cfg: Config) -> int:
         print(f"error: -k must be >= 0, got {args.iterations}", file=sys.stderr)
         return 2
     f = _load(args.file, args.function)
-    wl = _workload(cfg, f, args.workload) if cfg.metric == "dynamic" else None
+    wl = _workload(cfg, f) if cfg.metric == "dynamic" else None
     report = _report("ibo", cfg, input=_input_json(args.file, f, cfg),
                      iterations_requested=args.iterations)
     try:
@@ -346,7 +351,7 @@ def cmd_equiv_class(args, cfg: Config) -> int:
     graph = explore_sep_class(f, cfg.passes, cfg.reverses, cfg.limits())
     rep = check_closure(graph)
     if args.dot:
-        Path(args.dot).write_text(_dot(graph, cfg))
+        _write(args.dot, _dot(graph, cfg))
     report = _report("equiv-class", cfg, input=_input_json(args.file, f, cfg))
     report["outcome"] = {
         "nodes": len(graph.nodes), "edges": len(graph.edges),
@@ -391,7 +396,7 @@ def cmd_compare(args, cfg: Config) -> int:
     any_budget = any_diverged = any_inequivalent = False
     for fp in files:
         f = _load(str(fp))
-        wl = _workload(cfg, f, args.workload, count=64)
+        wl = _workload(cfg, f, count=64)
         swl = wl if cfg.metric == "dynamic" else None
         row = {"file": str(fp), "function": f.name,
                "input_key": _key_json(rank_key(f, model))}
@@ -478,9 +483,14 @@ def _common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     # also accepted after the subcommand; SUPPRESS keeps the top-level value
     p.add_argument("--config", default=argparse.SUPPRESS,
                    help="JSON config file (or $BIDIROPT_CONFIG)")
-    p.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS,
+    p.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS,
                    help="report format")
     return p
+
+
+def _names(text: str) -> tuple[str, ...] | None:
+    # an empty flag value leaves the configured subset in place
+    return tuple(s for s in text.split(",") if s) if text else None
 
 
 def _budgets(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -493,13 +503,30 @@ def _budgets(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     return p
 
 
+def _ranking(p: argparse.ArgumentParser,
+             workload: str = "JSON workload file (dynamic metric)") -> argparse.ArgumentParser:
+    p.add_argument("--passes", type=_names, help="comma-separated forward pass subset")
+    p.add_argument("--metric", choices=METRICS)
+    p.add_argument("--workload", help=workload)
+    p.add_argument("--seed", type=int, help="seed for generated workloads")
+    return p
+
+
+def _detours(p: argparse.ArgumentParser, frontier: bool = True) -> argparse.ArgumentParser:
+    p.add_argument("--reverses", type=_names, help="comma-separated reverse pass subset")
+    p.add_argument("--cap-per-pass", type=int, dest="cap_per_pass")
+    if frontier:
+        p.add_argument("--max-frontier", type=int, dest="ibo_max_frontier")
+    return p
+
+
 @functools.cache  # parsing leaves the parser as it was, so one serves every main()
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bidiropt",
         description="mini-IR laboratory for bi-directional pass pipelines")
     ap.add_argument("--config", help="JSON config file (or $BIDIROPT_CONFIG)")
-    ap.add_argument("--format", choices=("json", "text"), help="report format")
+    ap.add_argument("--format", choices=FORMATS, help="report format")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = _common(sub.add_parser("validate", help="parse and validate a module"))
@@ -510,86 +537,55 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("args", nargs="*", help="integer arguments")
     p.add_argument("--function", help="function name (for multi-function files)")
     p.add_argument("--workload", help="JSON workload; prints dynamic_cost_total")
-    p.add_argument("--seed", type=int, help="seed for generated workloads")
     p.add_argument("--step-limit", type=int, dest="step_limit")
 
     p = _common(sub.add_parser("opt", help="apply a pass pipeline"))
     p.add_argument("file")
     p.add_argument("--function")
-    p.add_argument("--passes", required=True,
+    p.add_argument("--passes", required=True, dest="pipeline", metavar="PASSES",
                    help="comma-separated: forward names, or reverse name@index")
     p.add_argument("--strict", action="store_true",
                    help="fail if any forward step does not fire (replay mode)")
     p.add_argument("--output", help="write resulting IR to a file")
     p.add_argument("--report", action="store_true",
                    help="emit the report even in text format")
-    p.add_argument("--cap-per-pass", type=int, dest="cap_per_pass")
 
-    p = _budgets(_common(sub.add_parser(
-        "search", help="exhaustive forward phase-ordering search")))
+    p = _ranking(_budgets(_common(sub.add_parser(
+        "search", help="exhaustive forward phase-ordering search"))))
     p.add_argument("file")
     p.add_argument("--function")
-    p.add_argument("--passes", help="comma-separated forward pass subset")
-    p.add_argument("--metric", choices=("static", "dynamic"))
-    p.add_argument("--workload", help="JSON workload file (dynamic metric)")
-    p.add_argument("--seed", type=int)
 
-    p = _budgets(_common(sub.add_parser("ibo", help="iterative reverse-then-optimize")))
+    p = _detours(_ranking(_budgets(_common(sub.add_parser(
+        "ibo", help="iterative reverse-then-optimize")))))
     p.add_argument("file")
     p.add_argument("-k", "--iterations", type=int, required=True, dest="iterations",
                    help="number of reverse-then-optimize iterations")
     p.add_argument("--function")
-    p.add_argument("--passes", help="comma-separated forward pass subset")
-    p.add_argument("--reverses", help="comma-separated reverse pass subset")
-    p.add_argument("--metric", choices=("static", "dynamic"))
-    p.add_argument("--workload")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cap-per-pass", type=int, dest="cap_per_pass")
-    p.add_argument("--max-frontier", type=int, dest="ibo_max_frontier")
 
-    p = _budgets(_common(sub.add_parser(
-        "equiv-class", help="explore the rewrite neighborhood")))
+    p = _detours(_budgets(_common(sub.add_parser(
+        "equiv-class", help="explore the rewrite neighborhood"))), frontier=False)
     p.add_argument("file")
     p.add_argument("--function")
-    p.add_argument("--reverses")
     p.add_argument("--dot", help="write the class graph as DOT")
-    p.add_argument("--cap-per-pass", type=int, dest="cap_per_pass")
 
-    p = _budgets(_common(sub.add_parser(
-        "compare", help="table: exhaustive search vs ibo over a file or directory")))
+    p = _detours(_ranking(_budgets(_common(sub.add_parser(
+        "compare", help="table: exhaustive search vs ibo over a file or directory"))),
+        "JSON workload file; with a directory it applies to every "
+        "function, so all of them must take the same number of arguments"))
     p.add_argument("path", help=".ir file or a directory of .ir files")
     p.add_argument("-k", type=int, default=3, dest="k_max",
                    help="max ibo iterations per function (default 3)")
-    p.add_argument("--passes")
-    p.add_argument("--reverses")
-    p.add_argument("--metric", choices=("static", "dynamic"))
-    p.add_argument("--workload",
-                   help="JSON workload file; with a directory it applies to every "
-                        "function, so all of them must take the same number of arguments")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cap-per-pass", type=int, dest="cap_per_pass")
-    p.add_argument("--max-frontier", type=int, dest="ibo_max_frontier")
 
     return ap
-
-
-_CFG_FLAGS = ("format", "metric", "step_limit", "seed", "max_sequence_length",
-              "max_programs_explored", "max_instructions_per_program",
-              "cap_per_pass", "ibo_max_frontier")
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        updates = {k: getattr(args, k) for k in _CFG_FLAGS if hasattr(args, k)}
-        for name in ("passes", "reverses"):
-            if getattr(args, name, None):
-                updates[name] = tuple(s for s in getattr(args, name).split(",") if s)
-        if args.command == "opt":
-            updates.pop("passes", None)  # opt's --passes is a pipeline, not a subset
-        cfg = override(cfg, **updates)
+        # a flag whose dest is a Config field is a setting; every other flag is an operand
+        settings = {k: v for k, v in vars(args).items() if k in SETTINGS}
+        cfg = override(load_config(args.config), **settings)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -606,9 +602,6 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args, cfg)
     except SystemExit as e:
         return int(e.code or 0)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -20,16 +20,20 @@ class ConfigError(Exception):
     pass
 
 
+METRICS = ("static", "dynamic")
+FORMATS = ("json", "text")
+
+
 @dataclass(frozen=True)
 class Config(SearchLimits):
     """The search budgets, inherited with their defaults from SearchLimits,
     and the rest of a run's settings."""
     costs: dict[str, int] = field(default_factory=dict)
-    metric: str = "static"                  # "static" | "dynamic"
+    metric: str = "static"                  # one of METRICS
     passes: tuple[str, ...] | None = None   # None = all forward passes
     reverses: tuple[str, ...] | None = None
     workload: str | None = None             # path to a JSON arg-vector list
-    format: str = "json"                    # "json" | "text"
+    format: str = "json"                    # one of FORMATS
     seed: int = 0
 
     def limits(self) -> SearchLimits:
@@ -39,33 +43,38 @@ class Config(SearchLimits):
         return CostModel(dict(self.costs))
 
 
-_FIELDS = {f.name: f for f in fields(Config)}
+SETTINGS = frozenset(f.name for f in fields(Config))
 
 
 def _check(cfg: Config) -> Config:
     from .passes import FORWARD_PASSES
     from .reverse import REVERSE_PASSES
 
-    if cfg.metric not in ("static", "dynamic"):
-        raise ConfigError(f"metric must be 'static' or 'dynamic', got {cfg.metric!r}")
-    if cfg.format not in ("json", "text"):
-        raise ConfigError(f"format must be 'json' or 'text', got {cfg.format!r}")
+    for key, allowed in (("metric", METRICS), ("format", FORMATS)):
+        if getattr(cfg, key) not in allowed:
+            raise ConfigError(f"{key} must be one of {allowed}, got {getattr(cfg, key)!r}")
+    if not isinstance(cfg.costs, dict):
+        raise ConfigError(f"costs must be an object of opcode costs, got {cfg.costs!r}")
     for name, value in cfg.costs.items():
         if name not in _DEFAULT_COSTS:
             raise ConfigError(f"cost override for unknown opcode {name!r}")
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:  # type(), as a JSON true is no cost
             raise ConfigError(f"cost for {name!r} must be a non-negative integer")
-    if cfg.passes is not None:
-        for p in cfg.passes:
-            if p not in FORWARD_PASSES:
-                raise ConfigError(f"unknown pass {p!r}")
-    if cfg.reverses is not None:
-        for r in cfg.reverses:
-            if r not in REVERSE_PASSES:
-                raise ConfigError(f"unknown reverse pass {r!r}")
+    for key, kind, known in (("passes", "pass", FORWARD_PASSES),
+                             ("reverses", "reverse pass", REVERSE_PASSES)):
+        names = getattr(cfg, key)
+        if names is not None and not isinstance(names, tuple):
+            raise ConfigError(f"{key} must be a list of {kind} names, got {names!r}")
+        for n in names or ():
+            if not isinstance(n, str) or n not in known:
+                raise ConfigError(f"unknown {kind} {n!r}")
+    if cfg.workload is not None and not isinstance(cfg.workload, str):
+        raise ConfigError(f"workload must be a file name or null, got {cfg.workload!r}")
+    if type(cfg.seed) is not int:
+        raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
     for f in fields(SearchLimits):
         v = getattr(cfg, f.name)
-        if not isinstance(v, int) or v < 1:
+        if type(v) is not int or v < 1:
             raise ConfigError(f"{f.name} must be a positive integer, got {v!r}")
     return cfg
 
@@ -77,8 +86,8 @@ def load_config(path: str | Path | None = None) -> Config:
     if path is None:
         return _check(Config())
     try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as e:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
@@ -86,16 +95,12 @@ def load_config(path: str | Path | None = None) -> Config:
         raise ConfigError(f"config {path} must be a JSON object")
     kwargs = {}
     for key, value in raw.items():
-        if key not in _FIELDS:
+        if key not in SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
         if key in ("passes", "reverses") and isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
-    try:
-        cfg = Config(**kwargs)
-    except TypeError as e:
-        raise ConfigError(str(e)) from None
-    return _check(cfg)
+    return _check(Config(**kwargs))
 
 
 def override(cfg: Config, **updates) -> Config:

@@ -353,9 +353,9 @@ def reverse_variants(name: str, f: Function, cap: int | None = None,
                      near: frozenset[str] | None = None) -> Variants:
     """Enumerate variants of f under one reverse pass, in deterministic site
     order. A site's index is its position in the full enumeration, and `cap`
-    keeps the sites numbered below it, so an index is stable for a given
-    (function, config). A variant identical to f takes its index but is
-    dropped.
+    keeps the sites numbered below it, so an index names the same site of
+    a given function whatever the cap. A variant identical to f takes its
+    index but is dropped.
 
     With `near`, a site whose touched set misses it is skipped before
     anything is built or hashed; it still takes its index and counts toward

@@ -379,10 +379,11 @@ def check_closure(graph: ClassGraph) -> ClosureReport:
 # ---------------------------------------------------------------------------
 # provenance replay
 
-def replay_sequence(f: Function, steps, limits: SearchLimits = SearchLimits()) -> Function:
+def replay_sequence(f: Function, steps) -> Function:
     """Re-run a provenance sequence: bare names are forward passes,
     name@index picks the variant at that site of the reverse enumeration.
-    Diverges loudly instead of silently drifting."""
+    A site's index is its position in the full enumeration, so no cap
+    changes what a step names. Diverges loudly instead of silently drifting."""
     g = f
     for step in steps:
         if "@" in step:
@@ -390,8 +391,7 @@ def replay_sequence(f: Function, steps, limits: SearchLimits = SearchLimits()) -
             if not idx.isdecimal():
                 raise ReplayDiverged(f"{step}: variant index is not a decimal number")
             i = int(idx)
-            hit = [v for v in reverse_variants(rname, g, cap=limits.cap_per_pass)
-                   if v.site_index == i]
+            hit = [v for v in reverse_variants(rname, g, cap=i + 1) if v.site_index == i]
             if not hit:
                 raise ReplayDiverged(f"{step}: no variant at site {i} here")
             g = hit[0].function

@@ -1,11 +1,17 @@
 """End-to-end CLI behavior: exit codes, report schema, determinism."""
 
+import argparse
 import json
 import shutil
 
 import pytest
 
-from conftest import INVALID, VALID, run_cli
+from bidiropt.cli import _build_parser
+from bidiropt.config import SETTINGS
+from bidiropt.ir import print_function
+from bidiropt.reverse import reverse_variants
+
+from conftest import INVALID, VALID, WORKLOADS, load, run_cli
 
 
 def _json(out):
@@ -36,6 +42,18 @@ def test_validate_rejects_invalid_corpus(path):
 def test_validate_missing_file():
     code, _ = run_cli("validate", "no/such/file.ir")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [("validate",), ("run", "1"), ("opt", "--passes", "dce"),
+                                  ("search",), ("ibo", "-k", "1"), ("equiv-class",),
+                                  ("compare",)], ids=lambda a: a[0])
+def test_non_utf8_input_is_a_usage_error(tmp_path, capsys, argv):
+    p = tmp_path / "bad.ir"
+    p.write_bytes(b"func @f(%x) {\nentry:\n  ret %x \xff\n}\n")
+    code, out = run_cli(argv[0], p, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith(f"error: cannot read {p}: ")
 
 
 # --- run --------------------------------------------------------------------
@@ -141,6 +159,37 @@ def test_opt_stale_reverse_index():
     code, _ = run_cli("opt", VALID / "bin2bcd.ir", "--passes",
                       "rev-instexpand-rem@9")
     assert code == 1
+
+
+def test_opt_replays_a_site_past_the_variant_cap():
+    # a site index is its position in the full enumeration; no cap hides it
+    sites = {v.site_index: v.function
+             for v in reverse_variants("rev-split-block", load("nested_loop"))}
+    assert 9 in sites and len(sites) > 8
+    code, out = run_cli("opt", VALID / "nested_loop.ir", "--strict",
+                        "--passes", "rev-split-block@9", "--format", "text")
+    assert code == 0
+    assert out == print_function(sites[9])
+
+
+def test_opt_output_file_holds_the_reported_ir(tmp_path):
+    dest = tmp_path / "out.ir"
+    code, out = run_cli("opt", VALID / "branch_clone.ir",
+                        "--passes", "cond-prop,const-fold,simplifycfg", "--output", dest)
+    assert code == 0
+    assert dest.read_text() == _json(out)["outcome"]["ir"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("opt", VALID / "bin2bcd.ir", "--passes", "dce", "--output"),
+    ("equiv-class", VALID / "straightline_ret.ir", "--budget-instrs", "4", "--dot"),
+], ids=lambda a: a[0])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    dest = tmp_path / "missing" / "out"
+    code, out = run_cli(*argv, dest)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith(f"error: cannot write {dest}: ")
 
 
 # --- search / ibo ----------------------------------------------------------------
@@ -408,6 +457,29 @@ def test_bad_config_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw", [
+    {"costs": []}, {"passes": 5}, {"workload": 7}, {"seed": "x"},
+    {"max_programs_explored": True}, {"costs": {"add": True}},
+], ids=json.dumps)
+def test_mistyped_config_key_is_a_config_error(tmp_path, capsys, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    code, out = run_cli("--config", cfg, "search", VALID / "divmul.ir")
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"seed": 1}\xff')
+    code, out = run_cli("--config", cfg, "search", VALID / "divmul.ir")
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg}: ")
+
+
 def test_flags_echo_into_config():
     code, out = run_cli("search", VALID / "bin2bcd.ir", "--seed", "5",
                         "--budget-seq", "3")
@@ -415,6 +487,36 @@ def test_flags_echo_into_config():
     rep = _json(out)
     assert rep["config"]["seed"] == 5
     assert rep["config"]["max_sequence_length"] == 3
+
+
+_SUBCOMMANDS = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+# operands that make each command quick; a flag under test is appended after them
+_BASE_ARGV = {"validate": [], "run": ["7"], "opt": ["--passes", ""], "search": [],
+              "ibo": ["-k", "1"], "equiv-class": ["--budget-instrs", "4"],
+              "compare": ["-k", "1"]}
+# dest -> a valid value unlike its default, as the report echoes it
+_SETTING_VALUES = {
+    "max_sequence_length": 3, "max_programs_explored": 999,
+    "max_instructions_per_program": 5, "cap_per_pass": 3, "ibo_max_frontier": 7,
+    "step_limit": 500, "seed": 5, "metric": "dynamic",
+    "passes": ["dce"], "reverses": ["reg2mem"],
+    "workload": str(WORKLOADS / "bin2bcd_spot.json"),
+}
+_SETTING_FLAGS = [(command, action.option_strings[0], action.dest)
+                  for command, parser in _SUBCOMMANDS.items()
+                  for action in parser._actions
+                  # --format changes the report's form; the text-mode tests cover it
+                  if action.dest in SETTINGS and action.dest != "format"]
+
+
+@pytest.mark.parametrize("command,flag,dest", _SETTING_FLAGS,
+                         ids=[f"{c} {f}" for c, f, _ in _SETTING_FLAGS])
+def test_every_setting_flag_reaches_the_report_config(command, flag, dest):
+    value = _SETTING_VALUES[dest]
+    text = ",".join(value) if isinstance(value, list) else str(value)
+    _, out = run_cli(command, VALID / "bin2bcd.ir", *_BASE_ARGV[command], flag, text)
+    assert _json(out)["config"][dest] == value
 
 
 def test_passes_subset_flag():

@@ -82,6 +82,15 @@ no:
     assert "br yes" in text
 
 
+@pytest.mark.parametrize("op", ["udiv", "urem"])
+def test_const_fold_leaves_a_division_by_literal_zero(op):
+    f = parse_function(f"func @f(%x) {{\nentry:\n  %a = {op} 7, 0\n  ret %a\n}}\n")
+    out = apply_pass("const-fold", f)
+    assert not out.changed
+    res = interpret(out.function, [1])
+    assert (res.outcome, res.reason) == ("trapped", "DivByZero")
+
+
 def test_identity_simplify_collapses_chain():
     out = apply_pass("identity-simplify", load("identities"))
     assert out.changed
@@ -288,6 +297,21 @@ next:
     out = apply_pass("simplifycfg", f)
     assert out.changed
     assert len(out.function.blocks) == 1
+
+
+def test_simplifycfg_turns_a_condbr_with_equal_targets_into_br():
+    f = parse_function("""func @f(%a, %b) {
+entry:
+  %c = icmp.ult %a, %b
+  condbr %c, next, next
+next:
+  ret %a
+}
+""")
+    out = apply_pass("simplifycfg", f)
+    assert out.changed
+    # the condition dies with the condbr; the lone-predecessor merge follows
+    assert print_function(out.function) == "func @f(%a, %b) {\nentry:\n  ret %a\n}\n"
 
 
 def test_simplifycfg_keeps_diamond():

@@ -3,7 +3,7 @@
 import pytest
 
 from bidiropt import interp
-from bidiropt.cost import rank_key
+from bidiropt.cost import rank_key, static_size
 from bidiropt.interp import differential_check, load_workload
 from bidiropt.ir import canonical_hash, parse_function, print_function
 from bidiropt.passes import FORWARD_PASSES, apply_pass
@@ -120,6 +120,16 @@ def test_depth_zero_returns_input():
     assert out.truncated
 
 
+def test_oversize_child_is_counted_and_never_explored():
+    # bin2bcd's one forward child (add-to-or) is as large as the input
+    f = load("bin2bcd")
+    limits = SearchLimits(max_instructions_per_program=static_size(f) - 1)
+    out = exhaustive_search(f, limits=limits)
+    assert out.skipped_oversize == 1
+    assert out.explored == 1
+    assert out.best_function is f
+
+
 def test_pass_cache_memoizes():
     cache = PassCache()
     f = load("branch_clone")
@@ -173,6 +183,17 @@ def test_crowd2_keeps_the_winning_chain_in_the_frontier():
     assert out.total_programs == 4658
     assert print_function(replay_sequence(f, out.best_provenance)) == print_function(
         out.best_function)
+
+
+def test_ibo_drops_oversize_reverse_variants():
+    # no reverse variant of bin2bcd is smaller than bin2bcd
+    f = load("bin2bcd")
+    out = ibo(f, 1, limits=SearchLimits(max_instructions_per_program=static_size(f) - 1))
+    (it,) = out.iterations
+    assert it.variants_generated > 0
+    assert (it.searches_run, it.cache_hits) == (0, 0)
+    assert out.total_programs == out.baseline.explored == 1
+    assert out.best_key == out.baseline.best_key
 
 
 def test_ibo_monotone_in_iterations():
