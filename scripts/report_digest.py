@@ -8,7 +8,15 @@ forward pass P on each .ir file of DIR (default corpus/valid), plus
 whose stem has a workload there, then `compare DIR -k 2`. Reports name their
 input file as given, so run it from the root of each checkout with the same
 DIR; a change that keeps every report byte-identical, exit code included,
-keeps this output identical:
+keeps this output identical.
+
+Then it checks each forward pass on its own, one line per pass, `name
+fired/applications sha256`: the pass runs on every program of DIR's two-step
+neighbourhood (the functions of DIR, every forward pass output and every
+reverse variant at cap 8 of them, and the same again of those; deduplicated
+by canonical digest, in digest order), and the digest covers each
+application's changed flag and printed output. A pass change that keeps
+these lines identical keeps every output of the pass identical on them:
 
     python3 scripts/report_digest.py > before.txt   # in the old checkout
     python3 scripts/report_digest.py > after.txt    # in the new one
@@ -22,7 +30,15 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from bidiropt.cli import main as cli
-from bidiropt.passes import FORWARD_PASSES
+from bidiropt.ir import (
+    ParseError,
+    canonical_hash,
+    parse_module,
+    print_function,
+    validate_module,
+)
+from bidiropt.passes import FORWARD_PASSES, apply_pass
+from bidiropt.reverse import REVERSE_PASSES, reverse_variants
 
 
 def digest(argv: list[str]) -> str:
@@ -32,12 +48,51 @@ def digest(argv: list[str]) -> str:
     return f"{code} {hashlib.sha256(buf.getvalue().encode()).hexdigest()} {' '.join(argv)}"
 
 
+def neighbourhood(paths: list[Path], steps: int = 2, cap: int = 8) -> list:
+    """The functions of paths and every program up to `steps` forward passes
+    or reverse variants away, one per canonical digest, in digest order."""
+    seen = {}
+    for path in paths:
+        try:
+            module = parse_module(path.read_text())
+        except ParseError:
+            continue  # passes take valid functions; the reports record the error
+        if not validate_module(module):
+            for f in module.functions:
+                seen.setdefault(canonical_hash(f), f)
+    frontier = list(seen.values())
+    for _ in range(steps):
+        found = []
+        for f in frontier:
+            outs = [apply_pass(name, f).function for name in FORWARD_PASSES]
+            outs += [v.function for name in REVERSE_PASSES
+                     for v in reverse_variants(name, f, cap=cap)]
+            for g in outs:
+                d = canonical_hash(g)
+                if d not in seen:
+                    seen[d] = g
+                    found.append(g)
+        frontier = found
+    return [seen[d] for d in sorted(seen)]
+
+
+def pass_digest(name: str, programs: list) -> str:
+    h = hashlib.sha256()
+    fired = 0
+    for f in programs:
+        out = apply_pass(name, f)
+        fired += out.changed
+        h.update(f"{out.changed}\n{print_function(out.function)}".encode())
+    return f"{name} {fired}/{len(programs)} {h.hexdigest()}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("dir", nargs="?", default="corpus/valid",
                     help="directory of .ir files (default: corpus/valid)")
     d = ap.parse_args(argv).dir
-    for path in sorted(Path(d).glob("*.ir")):
+    paths = sorted(Path(d).glob("*.ir"))
+    for path in paths:
         print(digest(["search", str(path)]), flush=True)
         print(digest(["ibo", str(path), "-k", "2"]), flush=True)
         for name in FORWARD_PASSES:
@@ -47,6 +102,9 @@ def main(argv=None):
             print(digest(["ibo", str(path), "-k", "1", "--metric", "dynamic",
                           "--workload", str(workload)]), flush=True)
     print(digest(["compare", d, "-k", "2"]), flush=True)
+    programs = neighbourhood(paths)
+    for name in FORWARD_PASSES:
+        print(pass_digest(name, programs), flush=True)
     return 0
 
 

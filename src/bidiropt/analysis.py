@@ -66,8 +66,6 @@ def compute_dominators(f: Function) -> DomTree:
         changed = False
         for lbl in order[1:]:
             ps = [p for p in preds[lbl] if p in idom]
-            if not ps:
-                continue
             new = ps[0]
             for p in ps[1:]:
                 new = intersect(new, p)

@@ -238,6 +238,9 @@ def cmd_validate(args, cfg: Config) -> int:
 
 
 def cmd_run(args, cfg: Config) -> int:
+    if cfg.workload and args.args:
+        print("error: run takes integer arguments or a workload, not both", file=sys.stderr)
+        return 2
     f = _load(args.file, args.function)
     report = _report("run", cfg, input=_input_json(args.file, f, cfg))
     if cfg.workload:

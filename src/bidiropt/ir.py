@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 MASK32 = (1 << 32) - 1
@@ -426,18 +426,6 @@ def resolve(op: Operand, mapping: dict[str, Operand]) -> Operand:
             break
         op = nxt
     return op
-
-
-def substitute(f: Function, mapping: dict[str, Operand]) -> Function:
-    """Rewrite every operand occurrence per mapping (defs untouched);
-    instructions the mapping does not touch are kept as they are."""
-    def sub(ins: Instruction) -> Instruction:
-        if not any(isinstance(o, ValueRef) and o.name in mapping for o in ins.operands):
-            return ins
-        return replace(ins, operands=tuple(resolve(o, mapping) for o in ins.operands))
-
-    blocks = tuple(BasicBlock(b.label, tuple(map(sub, b.instrs))) for b in f.blocks)
-    return Function(f.name, f.params, blocks)
 
 
 def fresh_names(f: Function, base: str, count: int = 1) -> list[str]:

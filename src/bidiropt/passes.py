@@ -1,8 +1,10 @@
 """Forward (efficiency-increasing) passes.
 
 One application = one deterministic whole-function sweep, visiting blocks in
-RPO and instructions in order. Rewrites erase the instructions they render
-dead immediately; nothing else is cleaned up (that is dce's job). Every pass
+RPO and instructions in order; const-fold, divmul-to-rem, simplifycfg and
+licm repeat their rewrite to a fixpoint within one application
+(_to_fixpoint). Rewrites erase the instructions they render dead
+immediately; nothing else is cleaned up (that is dce's job). Every pass
 takes and returns a valid Function and reports whether anything changed.
 """
 
@@ -38,7 +40,6 @@ from .ir import (
     resolve,
     rpo_instrs,
     rpo_order,
-    substitute,
     successors,
     value_order,
 )
@@ -73,49 +74,73 @@ def edit(f: Function) -> dict[str, list[Instruction | None]]:
 def freeze(f: Function, blocks: dict[str, list[Instruction | None]],
            subst: dict[str, Operand] | None = None,
            order: list[str] | None = None) -> Function:
+    """The Function of a working form: erased slots dropped, every operand
+    resolved through subst (defs untouched), blocks in f's order or `order`.
+    An instruction subst does not touch is kept as it is."""
     labels = order if order is not None else [b.label for b in f.blocks if b.label in blocks]
+
+    def resolved(ins: Instruction) -> Instruction:
+        if not any(isinstance(o, ValueRef) and o.name in subst for o in ins.operands):
+            return ins
+        return replace(ins, operands=tuple(resolve(o, subst) for o in ins.operands))
+
     # filter(None, ...) drops the erased slots; an Instruction is always truthy
-    out = Function(f.name, f.params, tuple(
-        BasicBlock(lbl, tuple(filter(None, blocks[lbl]))) for lbl in labels
-    ))
-    return substitute(out, subst) if subst else out
+    return Function(f.name, f.params, tuple(
+        BasicBlock(lbl, tuple(map(resolved, filter(None, blocks[lbl])) if subst
+                              else filter(None, blocks[lbl])))
+        for lbl in labels))
 
 
-def _use_counts(blocks: dict[str, list[Instruction | None]]) -> dict[str, int]:
-    counts: dict[str, int] = {}
+def _erase_dead(blocks: dict[str, list[Instruction | None]], seeds,
+                subst: dict[str, Operand] | None = None) -> bool:
+    """Transitively erase trap-free pure defs in `seeds` once nothing uses
+    them, feeding their operands back in as candidates. Uses are counted once,
+    with operands resolved through subst as freeze will, and decremented as
+    their users go; erasure is monotone, so the order does not matter.
+    Returns whether anything was erased."""
+    def refs(ins: Instruction) -> list[str]:
+        ops = [resolve(o, subst) for o in ins.operands] if subst else ins.operands
+        return [o.name for o in ops if isinstance(o, ValueRef)]
+
+    uses: dict[str, int] = {}
+    sites: dict[str, tuple[list, int]] = {}
     for instrs in blocks.values():
-        for ins in instrs:
+        for i, ins in enumerate(instrs):
             if ins is None:
                 continue
             for op in ins.operands:
+                if subst:
+                    op = resolve(op, subst)
                 if isinstance(op, ValueRef):
-                    counts[op.name] = counts.get(op.name, 0) + 1
-    return counts
-
-
-def _erase_dead(blocks: dict[str, list[Instruction | None]], seeds: set[str]) -> bool:
-    """Transitively erase trap-free pure defs in `seeds` once their use count
-    hits zero, feeding their operands back into the candidate set. Returns
-    whether anything was erased."""
-    worklist = set(seeds)
+                    uses[op.name] = uses.get(op.name, 0) + 1
+            if ins.result is not None:
+                sites[ins.result] = (instrs, i)
+    work = list(seeds)
     erased = False
-    while worklist:
-        counts = _use_counts(blocks)
-        progressed = False
-        for lbl, instrs in blocks.items():
-            for i, ins in enumerate(instrs):
-                if ins is None or ins.result not in worklist:
-                    continue
-                if counts.get(ins.result, 0) == 0 and erasable(ins):
-                    instrs[i] = None
-                    worklist.discard(ins.result)
-                    for op in ins.operands:
-                        if isinstance(op, ValueRef):
-                            worklist.add(op.name)
-                    progressed = erased = True
-        if not progressed:
-            break
+    while work:
+        name = work.pop()
+        if uses.get(name) or name not in sites:
+            continue
+        instrs, i = sites[name]
+        ins = instrs[i]
+        if not erasable(ins):
+            continue
+        del sites[name]
+        instrs[i] = None
+        erased = True
+        for n in refs(ins):
+            uses[n] -= 1
+            work.append(n)
     return erased
+
+
+def _to_fixpoint(step, f: Function) -> PassOutcome:
+    """Apply step, which makes one rewrite and returns the new Function or
+    None when it finds nothing, until it finds nothing."""
+    g = f
+    while (h := step(g)) is not None:
+        g = h
+    return PassOutcome(g is not f, g)
 
 
 def _drop_incomings(instrs: list[Instruction | None], gone: set[str]) -> None:
@@ -147,85 +172,50 @@ def _fold_binop(opcode: str, a: int, b: int) -> int | None:
     return BINOP_FUNCS[opcode](a, b)
 
 
+def _const_fold_step(f: Function) -> Function | None:
+    blocks = edit(f)
+    subst: dict[str, Operand] = {}
+    branches: list[str] = []  # blocks whose condbr became br
+    for lbl, instrs in blocks.items():
+        for i, ins in enumerate(instrs):
+            if ins.opcode in BINOPS and _is_lit(ins.operands[0]) and _is_lit(ins.operands[1]):
+                val = _fold_binop(ins.opcode, ins.operands[0].value, ins.operands[1].value)
+                if val is not None:
+                    subst[ins.result] = Literal(val)
+                    instrs[i] = None
+            elif ins.opcode == "condbr" and _is_lit(ins.operands[0]):
+                taken = ins.labels[0] if ins.operands[0].value != 0 else ins.labels[1]
+                dropped = ins.labels[1] if taken == ins.labels[0] else ins.labels[0]
+                instrs[i] = Instruction(None, "br", (), (taken,))
+                if dropped != taken:
+                    _drop_incomings(blocks[dropped], {lbl})
+                branches.append(lbl)
+    return freeze(f, blocks, subst) if subst or branches else None
+
+
 def apply_const_fold(f: Function) -> PassOutcome:
     """Evaluate binops over two literals; propagate to a fixpoint in one call.
     condbr on a literal becomes br (phi incomings on the dropped edge removed)."""
-    changed = False
-    while True:
-        blocks = edit(f)
-        subst: dict[str, Operand] = {}
-        fired = False
-        for lbl, instrs in blocks.items():
-            for i, ins in enumerate(instrs):
-                if ins is None:
-                    continue
-                if ins.opcode in BINOPS and _is_lit(ins.operands[0]) and _is_lit(ins.operands[1]):
-                    val = _fold_binop(ins.opcode, ins.operands[0].value, ins.operands[1].value)
-                    if val is not None:
-                        subst[ins.result] = Literal(val)
-                        instrs[i] = None
-                        fired = True
-                elif ins.opcode == "condbr" and _is_lit(ins.operands[0]):
-                    taken = ins.labels[0] if ins.operands[0].value != 0 else ins.labels[1]
-                    dropped = ins.labels[1] if taken == ins.labels[0] else ins.labels[0]
-                    instrs[i] = Instruction(None, "br", (), (taken,))
-                    if dropped != taken:
-                        _drop_incomings(blocks[dropped], {lbl})
-                    fired = True
-        if not fired:
-            return PassOutcome(changed, f)
-        changed = True
-        f = freeze(f, blocks, subst)
+    return _to_fixpoint(_const_fold_step, f)
 
 
 # ---------------------------------------------------------------------------
 # identity-simplify
 
-def _identity_result(ins: Instruction) -> Operand | None:
-    a, b = ins.operands
-    op = ins.opcode
-    if op == "add":
-        if _is_lit(b, 0):
-            return a
-        if _is_lit(a, 0):
-            return b
-    elif op == "sub":
-        if _is_lit(b, 0):
-            return a
-        if a == b:
-            return Literal(0)
-    elif op == "mul":
-        if _is_lit(b, 1):
-            return a
-        if _is_lit(a, 1):
-            return b
-        if _is_lit(b, 0) or _is_lit(a, 0):
-            return Literal(0)
-    elif op == "or":
-        if _is_lit(b, 0):
-            return a
-        if _is_lit(a, 0):
-            return b
-    elif op == "xor":
-        if _is_lit(b, 0):
-            return a
-        if _is_lit(a, 0):
-            return b
-        if a == b:
-            return Literal(0)
-    elif op == "and":
-        if a == b:
-            return a
-    elif op == "shl":
-        if _is_lit(b, 0):
-            return a
-    elif op == "udiv":
-        if _is_lit(b, 1):
-            return a
-    elif op == "urem":
-        if _is_lit(b, 1):
-            return Literal(0)
-    return None
+# x op e -> x and e op x -> x, for the identity e of each opcode
+_RIGHT_IDENTITY = {"add": 0, "sub": 0, "or": 0, "xor": 0, "shl": 0, "mul": 1, "udiv": 1}
+_LEFT_IDENTITY = {"add": 0, "or": 0, "xor": 0, "mul": 1}
+
+
+def _identity_result(op: str, a: Operand, b: Operand) -> Operand | None:
+    if op in _RIGHT_IDENTITY and _is_lit(b, _RIGHT_IDENTITY[op]):
+        return a
+    if op in _LEFT_IDENTITY and _is_lit(a, _LEFT_IDENTITY[op]):
+        return b
+    if ((op == "mul" and (_is_lit(a, 0) or _is_lit(b, 0))) or (op == "urem" and _is_lit(b, 1))
+            or (op in ("sub", "xor") and a == b)):
+        return Literal(0)
+    return a if op == "and" and a == b else None
 
 
 def apply_identity_simplify(f: Function) -> PassOutcome:
@@ -235,8 +225,7 @@ def apply_identity_simplify(f: Function) -> PassOutcome:
     for lbl, i, ins in rpo_instrs(f):
         if ins.opcode not in BINOPS or ins.result is None:
             continue
-        resolved = replace(ins, operands=tuple(resolve(o, subst) for o in ins.operands))
-        out = _identity_result(resolved)
+        out = _identity_result(ins.opcode, *(resolve(o, subst) for o in ins.operands))
         if out is not None:
             subst[ins.result] = out
             blocks[lbl][i] = None
@@ -266,37 +255,33 @@ def apply_strength_reduce(f: Function) -> PassOutcome:
 # ---------------------------------------------------------------------------
 # divmul-to-rem
 
+def _divmul_step(f: Function) -> Function | None:
+    ud = use_def(f)
+    for lbl, i, ins in rpo_instrs(f):
+        if ins.opcode != "sub" or not isinstance(ins.operands[1], ValueRef):
+            continue
+        x, uref = ins.operands
+        mul = ud.instrs.get(uref.name)
+        if mul is None or mul.opcode != "mul" or ud.use_count(uref.name) != 1:
+            continue
+        ma, mb = mul.operands
+        if _is_lit(ma) and isinstance(mb, ValueRef):
+            ma, mb = mb, ma
+        if not (isinstance(ma, ValueRef) and isinstance(mb, Literal) and mb.value >= 1):
+            continue
+        div = ud.instrs.get(ma.name)
+        if div is None or div.opcode != "udiv" or div.operands != (x, mb):
+            continue
+        blocks = edit(f)
+        blocks[lbl][i] = Instruction(ins.result, "urem", (x, mb))
+        _erase_dead(blocks, {uref.name, ma.name})
+        return freeze(f, blocks)
+    return None
+
+
 def apply_divmul_to_rem(f: Function) -> PassOutcome:
     """sub x, (mul (udiv x, c), c)  ->  urem x, c   (mul single-use, c >= 1)."""
-    changed = False
-    while True:
-        ud = use_def(f)
-        site = None
-        for lbl, i, ins in rpo_instrs(f):
-            if ins.opcode != "sub" or not isinstance(ins.operands[1], ValueRef):
-                continue
-            x, uref = ins.operands
-            mul = ud.instrs.get(uref.name)
-            if mul is None or mul.opcode != "mul" or ud.use_count(uref.name) != 1:
-                continue
-            ma, mb = mul.operands
-            if _is_lit(ma) and isinstance(mb, ValueRef):
-                ma, mb = mb, ma
-            if not (isinstance(ma, ValueRef) and isinstance(mb, Literal) and mb.value >= 1):
-                continue
-            div = ud.instrs.get(ma.name)
-            if div is None or div.opcode != "udiv" or div.operands != (x, mb):
-                continue
-            site = (lbl, i, ins.result, x, mb, uref.name, ma.name)
-            break
-        if site is None:
-            return PassOutcome(changed, f)
-        lbl, i, result, x, c, uname, tname = site
-        blocks = edit(f)
-        blocks[lbl][i] = Instruction(result, "urem", (x, c))
-        _erase_dead(blocks, {uname, tname})
-        f = freeze(f, blocks)
-        changed = True
+    return _to_fixpoint(_divmul_step, f)
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +474,9 @@ def _rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
     lbl, i = ud.defs[root_name]
     blocks = edit(f)
     blocks[lbl][i:i + 1] = emitted
-    candidate = freeze(f, blocks, {root_name: acc})
-    blocks = edit(candidate)
-    _erase_dead(blocks, set(absorbed))
-    candidate = freeze(candidate, blocks)
+    subst = {root_name: acc}
+    _erase_dead(blocks, absorbed, subst)
+    candidate = freeze(f, blocks, subst)
     return None if canonical_hash(candidate) == canonical_hash(f) else candidate
 
 
@@ -617,74 +601,53 @@ def apply_cond_prop(f: Function) -> PassOutcome:
 # ---------------------------------------------------------------------------
 # simplifycfg
 
+def _simplifycfg_step(f: Function) -> Function | None:
+    # condbr x, L, L  ->  br L, every such block at once
+    blocks = edit(f)
+    same = [instrs for instrs in blocks.values()
+            if instrs[-1].opcode == "condbr" and instrs[-1].labels[0] == instrs[-1].labels[1]]
+    if same:
+        spent: set[str] = set()
+        for instrs in same:
+            last = instrs[-1]
+            instrs[-1] = Instruction(None, "br", (), (last.labels[0],))
+            if isinstance(last.operands[0], ValueRef):
+                spent.add(last.operands[0].name)
+        _erase_dead(blocks, spent)
+        return freeze(f, blocks)
+
+    # drop unreachable blocks, trimming phi incomings from removed preds
+    reach = set(rpo_order(f))
+    if len(reach) < len(f.blocks):
+        order = [b.label for b in f.blocks if b.label in reach]
+        gone = set(blocks) - reach
+        for lbl in order:
+            _drop_incomings(blocks[lbl], gone)
+        # defs that lived only in dropped blocks cannot be referenced
+        # from reachable code (dominance), so no substitution needed
+        return freeze(f, blocks, order=order)
+
+    # merge B -> C when B ends with `br C` and C has no other predecessor
+    preds = predecessors(f)
+    for b in f.blocks:
+        last = b.instrs[-1]
+        if last.opcode != "br" or last.labels[0] == b.label or preds[last.labels[0]] != (b.label,):
+            continue
+        cblk = f.block(last.labels[0])
+        # single pred, so each phi has a single incoming
+        subst = {ins.result: ins.operands[0] for ins in cblk.phis}
+        blocks[b.label] = list(b.instrs[:-1]) + list(cblk.instrs[len(cblk.phis):])
+        del blocks[cblk.label]
+        # phis downstream still name C as the incoming edge
+        retarget_incomings(blocks, successors(cblk), cblk.label, b.label)
+        return freeze(f, blocks, subst)
+    return None
+
+
 def apply_simplifycfg(f: Function) -> PassOutcome:
     """condbr with equal targets becomes br; unreachable blocks go away;
     a block with a lone predecessor that jumps straight to it is merged."""
-    changed = False
-    while True:
-        fired = False
-
-        # condbr x, L, L  ->  br L
-        blocks = edit(f)
-        spent: set[str] = set()
-        for lbl, instrs in blocks.items():
-            last = instrs[-1]
-            if last is not None and last.opcode == "condbr" and last.labels[0] == last.labels[1]:
-                instrs[-1] = Instruction(None, "br", (), (last.labels[0],))
-                if isinstance(last.operands[0], ValueRef):
-                    spent.add(last.operands[0].name)
-                fired = True
-        if fired:
-            _erase_dead(blocks, spent)
-            f = freeze(f, blocks)
-            changed = True
-            continue
-
-        # drop unreachable blocks, trimming phi incomings from removed preds
-        reach = set(rpo_order(f))
-        if len(reach) < len(f.blocks):
-            blocks = edit(f)
-            order = [b.label for b in f.blocks if b.label in reach]
-            gone = set(blocks) - reach
-            for lbl in order:
-                _drop_incomings(blocks[lbl], gone)
-            # defs that lived only in dropped blocks cannot be referenced
-            # from reachable code (dominance), so no substitution needed
-            f = freeze(f, {l: blocks[l] for l in order}, order=order)
-            changed = True
-            continue
-
-        # merge B -> C when B ends with `br C` and C has no other predecessor
-        preds = predecessors(f)
-        merged = False
-        for b in f.blocks:
-            last = b.instrs[-1] if b.instrs else None
-            if last is None or last.opcode != "br":
-                continue
-            c = last.labels[0]
-            if c == b.label or preds.get(c) != (b.label,):
-                continue
-            cblk = f.block(c)
-            subst: dict[str, Operand] = {}
-            tail: list[Instruction] = []
-            for ins in cblk.instrs:
-                if ins.is_phi:
-                    subst[ins.result] = ins.operands[0]  # single pred, single incoming
-                else:
-                    tail.append(ins)
-            blocks = edit(f)
-            blocks[b.label] = list(b.instrs[:-1]) + tail
-            del blocks[c]
-            # phis downstream still name C as the incoming edge
-            retarget_incomings(blocks, successors(cblk), c, b.label)
-            order = [x.label for x in f.blocks if x.label != c]
-            f = freeze(f, blocks, subst, order=order)
-            merged = True
-            changed = True
-            break
-        if merged:
-            continue
-        return PassOutcome(changed, f)
+    return _to_fixpoint(_simplifycfg_step, f)
 
 
 # ---------------------------------------------------------------------------
@@ -797,36 +760,33 @@ def licm_movable(ins: Instruction) -> bool:
     return erasable(ins)  # same trap-free purity bar
 
 
-def apply_licm(f: Function) -> PassOutcome:
-    """Hoist trap-free pure instructions whose operands live outside the loop
-    into the preheader. Loads and stores never move."""
-    changed = False
-    while True:
-        defs = defined_values(f)
-        for lp in find_natural_loops(f):
-            if lp.preheader is None:
-                continue
+def _licm_step(f: Function) -> Function | None:
+    defs = defined_values(f)
+    for lp in find_natural_loops(f):
+        if lp.preheader is None:
+            continue
 
-            def outside(op: Operand) -> bool:
-                if isinstance(op, Literal):
-                    return True
-                site = defs.get(op.name)
-                return site is None or site[0] not in lp.body
+        def outside(op: Operand) -> bool:
+            if isinstance(op, Literal):
+                return True
+            site = defs.get(op.name)
+            return site is None or site[0] not in lp.body
 
-            hoist = next(((lbl, i, ins) for lbl, i, ins in rpo_instrs(f)
-                          if lbl in lp.body and licm_movable(ins)
-                          and all(outside(o) for o in ins.operands)), None)
-            if hoist is not None:
-                lbl, i, ins = hoist
+        for lbl, i, ins in rpo_instrs(f):
+            if lbl in lp.body and licm_movable(ins) and all(map(outside, ins.operands)):
                 blocks = edit(f)
                 blocks[lbl][i] = None
                 pre = blocks[lp.preheader]
                 pre.insert(len(pre) - 1, ins)
-                f = freeze(f, blocks)
-                changed = True
-                break
-        else:
-            return PassOutcome(changed, f)
+                return freeze(f, blocks)
+    return None
+
+
+def apply_licm(f: Function) -> PassOutcome:
+    """Hoist trap-free pure instructions whose operands live outside the loop
+    into the preheader, one at a time to a fixpoint. Loads and stores never
+    move."""
+    return _to_fixpoint(_licm_step, f)
 
 
 # ---------------------------------------------------------------------------

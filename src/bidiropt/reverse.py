@@ -63,7 +63,9 @@ class Variant:
 
 class Variants(tuple):
     """reverse_variants' result: the variants in site order, and in
-    `independent` the number of candidate sites its `near` filter skipped."""
+    `independent` the number of candidates its `near` filter skipped. A
+    skipped rev-reassociate candidate counts even when it would not have
+    been a site."""
 
     independent = 0
 

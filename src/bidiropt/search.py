@@ -156,7 +156,7 @@ class IboIteration:
     iteration: int
     frontier_size: int
     variants_generated: int
-    independent: int  # candidate sites skipped as independent of their parent's rewrite
+    independent: int  # candidates skipped as independent of their parent's rewrite
     searches_run: int
     cache_hits: int
     best_key: tuple
@@ -197,7 +197,7 @@ def ibo(f: Function,
     forward passes re-optimize on its own; dropping such chains is
     partial-order reduction (Godefroid, LNCS 1032, 1996). It is a pruning
     rule, not a proof, checked by keeping every corpus result. Each
-    iteration counts the sites it skipped in `independent`.
+    iteration counts the candidates it skipped in `independent`.
 
     max_programs_explored bounds the programs of all searches together; when
     it runs out, the best result so far is returned with budget_exceeded set

@@ -33,10 +33,10 @@ from bidiropt.passes import (
     FORWARD_PASSES,
     PassOutcome,
     _emit_linear,
-    _erase_dead,
     _linearize,
     apply_pass,
     edit,
+    erasable,
     freeze,
 )
 from bidiropt.reverse import REVERSE_PASSES, reverse_variants
@@ -214,6 +214,43 @@ def reference_interpret(
                 env[ins.result] = res
 
 
+def reference_use_counts(blocks: dict[str, list[Instruction | None]]) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for instrs in blocks.values():
+        for ins in instrs:
+            if ins is None:
+                continue
+            for op in ins.operands:
+                if isinstance(op, ValueRef):
+                    counts[op.name] = counts.get(op.name, 0) + 1
+    return counts
+
+
+def reference_erase_dead(blocks: dict[str, list[Instruction | None]], seeds: set[str]) -> bool:
+    """passes._erase_dead as it was before it counted uses once: each round
+    recounts every use in the working form. Kept as the oracle the
+    decrementing sweep must match slot for slot."""
+    worklist = set(seeds)
+    erased = False
+    while worklist:
+        counts = reference_use_counts(blocks)
+        progressed = False
+        for lbl, instrs in blocks.items():
+            for i, ins in enumerate(instrs):
+                if ins is None or ins.result not in worklist:
+                    continue
+                if counts.get(ins.result, 0) == 0 and erasable(ins):
+                    instrs[i] = None
+                    worklist.discard(ins.result)
+                    for op in ins.operands:
+                        if isinstance(op, ValueRef):
+                            worklist.add(op.name)
+                    progressed = erased = True
+        if not progressed:
+            break
+    return erased
+
+
 def reference_rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
     """passes._rewrite_tree as it was before it learned to recognize a tree
     already in place: it always builds the candidate and compares canonical
@@ -239,7 +276,7 @@ def reference_rewrite_tree(f: Function, ud, root_name: str, counter) -> Function
     blocks[lbl][i:i + 1] = emitted
     candidate = freeze(f, blocks, {root_name: acc})
     blocks = edit(candidate)
-    _erase_dead(blocks, set(absorbed))
+    reference_erase_dead(blocks, set(absorbed))
     candidate = freeze(candidate, blocks)
     return None if canonical_hash(candidate) == canonical_hash(f) else candidate
 
@@ -442,7 +479,7 @@ def reference_dse(f: Function) -> PassOutcome:
                     changed = True
     if not changed:
         return PassOutcome(False, f)
-    _erase_dead(blocks, spent)
+    reference_erase_dead(blocks, spent)
     return PassOutcome(True, freeze(f, blocks))
 
 

@@ -56,6 +56,41 @@ def test_non_utf8_input_is_a_usage_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith(f"error: cannot read {p}: ")
 
 
+def _error_lines(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.splitlines()
+
+
+_TWO_FUNCTIONS = ("func @f(%x) {\nentry:\n  ret %x\n}\n"
+                  "func @g(%x) {\nentry:\n  ret %x\n}\n")
+_BAD_INPUTS = {
+    "parse": ("func @f(%x) {\nentry:\n  %a = frob %x\n  ret %a\n}\n", [], 1,
+              "{p}:3:5: unknown or valueless opcode 'frob'"),
+    "validate": ("func @f(%x) {\nentry:\n  ret %y\n}\n", [], 1,
+                 "{p}: UseError at entry: use of undefined value %y"),
+    "unknown-function": (_TWO_FUNCTIONS, ["--function", "h"], 2, "error: no function @h in {p}"),
+    "many-functions": (_TWO_FUNCTIONS, [], 2,
+                       "error: {p} defines 2 functions (f, g); pass --function"),
+}
+# each command that loads one function; equiv-class takes no --function
+_BAD_INPUT_CASES = [(argv, case) for argv in [("run", "1"), ("opt", "--passes", "dce"),
+                                              ("search",), ("ibo", "-k", "1"), ("equiv-class",)]
+                    for case in _BAD_INPUTS
+                    if not (argv[0] == "equiv-class" and case == "unknown-function")]
+
+
+@pytest.mark.parametrize("argv,case", _BAD_INPUT_CASES,
+                         ids=[f"{case}-{argv[0]}" for argv, case in _BAD_INPUT_CASES])
+def test_bad_input_ends_with_one_error_line(tmp_path, capsys, argv, case):
+    text, extra, code, line = _BAD_INPUTS[case]
+    p = tmp_path / "in.ir"
+    p.write_text(text)
+    got, out = run_cli(argv[0], p, *argv[1:], *extra)
+    assert (got, out) == (code, "")
+    assert _error_lines(capsys) == [line.format(p=p)]
+
+
 # --- run --------------------------------------------------------------------
 
 def test_run_value():
@@ -78,6 +113,24 @@ def test_run_trap_is_still_exit_zero(tmp_path):
 def test_run_bad_arity():
     code, _ = run_cli("run", VALID / "bin2bcd.ir", "1", "2")
     assert code == 2
+
+
+def test_run_non_integer_argument_is_a_usage_error(capsys):
+    code, out = run_cli("run", VALID / "bin2bcd.ir", "4x")
+    assert (code, out) == (2, "")
+    assert _error_lines(capsys) == ["error: arguments must be integers"]
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_run_with_arguments_and_a_workload_is_a_usage_error(tmp_path, capsys, route):
+    w = str(WORKLOADS / "bin2bcd_spot.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workload": w}))
+    argv = (["run", VALID / "bin2bcd.ir", "7", "--workload", w] if route == "flag"
+            else ["--config", cfg, "run", VALID / "bin2bcd.ir", "7"])
+    code, out = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert _error_lines(capsys) == ["error: run takes integer arguments or a workload, not both"]
 
 
 def test_run_workload_prints_total(tmp_path):
@@ -392,6 +445,25 @@ def test_compare_dynamic_diverged_row_exit_2(tmp_path):
     assert ok["winner"] == "tie" and "workload_diverged" not in ok
 
 
+def test_compare_negative_k_is_a_usage_error(capsys):
+    code, out = run_cli("compare", VALID / "bin2bcd.ir", "-k", "-1")
+    assert (code, out) == (2, "")
+    assert _error_lines(capsys) == ["error: -k must be >= 0, got -1"]
+
+
+def test_compare_text_marks_a_diverged_row(tmp_path, capsys):
+    for n in ("nested_loop", "straightline_ret"):
+        shutil.copy(VALID / f"{n}.ir", tmp_path / f"{n}.ir")
+    code, out = run_cli("compare", tmp_path, "-k", "0", "--metric", "dynamic",
+                        "--format", "text")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[1] == f"{'nested_loop':<24} workload diverged"
+    assert lines[2].startswith(f"{'straightline_ret':<24} (")
+    assert lines[-1] == "functions: 2  ibo strictly better: 0  worse: 0  ties: 1"
+    assert _error_lines(capsys) == []
+
+
 def test_compare_empty_directory(tmp_path):
     code, _ = run_cli("compare", tmp_path)
     assert code == 2
@@ -515,7 +587,9 @@ _SETTING_FLAGS = [(command, action.option_strings[0], action.dest)
 def test_every_setting_flag_reaches_the_report_config(command, flag, dest):
     value = _SETTING_VALUES[dest]
     text = ",".join(value) if isinstance(value, list) else str(value)
-    _, out = run_cli(command, VALID / "bin2bcd.ir", *_BASE_ARGV[command], flag, text)
+    # run takes integer arguments or a workload, not both
+    base = [] if (command, dest) == ("run", "workload") else _BASE_ARGV[command]
+    _, out = run_cli(command, VALID / "bin2bcd.ir", *base, flag, text)
     assert _json(out)["config"][dest] == value
 
 

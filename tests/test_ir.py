@@ -1,16 +1,20 @@
 """Parser, printer, validator, canonicalization and the analysis cache."""
 
+import json
 import weakref
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidiropt import ir
 from bidiropt.analysis import compute_dominators, live_cells, use_def
 from bidiropt.ir import (
     PER_FUNCTION_LIMIT,
+    BasicBlock,
     Function,
+    Instruction,
     Literal,
     ParseError,
     ValueRef,
@@ -24,12 +28,11 @@ from bidiropt.ir import (
     print_function,
     resolve,
     rpo_order,
-    substitute,
     validate_function,
     validate_module,
     value_order,
 )
-from bidiropt.passes import FORWARD_PASSES, apply_pass
+from bidiropt.passes import FORWARD_PASSES, apply_pass, edit, freeze
 
 from conftest import (
     INVALID_FILES,
@@ -39,6 +42,7 @@ from conftest import (
     reference_canonical_text,
     rename_blocks,
     rename_values,
+    run_cli,
     straightline,
 )
 
@@ -410,6 +414,182 @@ def test_parse_function_rejects_multi_function_module():
         m.function("c")
 
 
+def _func(body: str, params: str = "%x") -> str:
+    return f"func @f({params}) {{\nentry:\n{body}}}\n"
+
+
+# every message the parser raises: (text, line, message)
+PARSE_ERRORS = {
+    "bad-value-name": (_func("  ret %1x\n"), 3, "bad value name '%1x'"),
+    "literal-range": (_func("  ret 4294967296\n"), 3, "literal out of 32-bit range: 4294967296"),
+    "bad-operand": (_func("  ret x\n"), 3, "bad operand 'x'"),
+    "phi-incomings": (_func("  br b\nb:\n  %p = phi [0 entry]\n  ret %p\n"), 5,
+                      "malformed phi incoming list"),
+    "alloca-operand": (_func("  %a = alloca 1\n  ret %x\n"), 3, "alloca takes no operands"),
+    "condbr-condition": (_func("  condbr\n"), 3, "condbr needs a condition"),
+    "br-labels": (_func("  br a, b\n"), 3, "br expects 1 label(s)"),
+    "condbr-labels": (_func("  condbr %x, a\n"), 3, "condbr expects 2 label(s)"),
+    "unknown-opcode": (_func("  %a = frob %x\n  ret %a\n"), 3,
+                       "unknown or valueless opcode 'frob'"),
+    "valueless-opcode": (_func("  %a = store 1, %x\n  ret %x\n"), 3,
+                         "unknown or valueless opcode 'store'"),
+    "not-an-instruction": (_func("  frob %x\n"), 3, "expected instruction, got 'frob %x'"),
+    "nested-func": (_func("func @g() {\n"), 3, "nested func (missing '}'?)"),
+    "func-header": ("func @f(%x)\n", 1, "malformed func header"),
+    "parameter": ("func @f(x) {\n", 1, "bad parameter 'x'"),
+    "stray-brace": ("}\n", 1, "'}' outside function"),
+    "outside-func": ("entry:\n", 1, "expected 'func', got 'entry:'"),
+    "no-label": ("func @f(%x) {\n  ret %x\n}\n", 2, "instruction before first block label"),
+    "unterminated": ("func @f(%x) {\nentry:\n  ret %x\n", 4,
+                     "unterminated function (missing '}')"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_table(case, tmp_path):
+    text, line, message = PARSE_ERRORS[case]
+    with pytest.raises(ParseError) as e:
+        parse_module(text)
+    assert (e.value.line, e.value.message) == (line, message)
+    path = tmp_path / "f.ir"
+    path.write_text(text)
+    code, out = run_cli("validate", path)
+    assert code == 1
+    assert json.loads(out)["outcome"]["errors"] == [
+        {"kind": "ParseError", "where": f"line {line}", "message": message}]
+
+
+_ALLOCA = "  %p = alloca\n  store 1, %p\n"
+_TWO_PREDS = "  condbr %x, a, b\na:\n  br j\nb:\n  br j\nj:\n"
+# every validation error that text can express: (text, kind, where, message)
+VALIDATION_ERRORS = {
+    "no-blocks": ("func @f(%x) {\n}\n", "StructureError", "@f", "function has no blocks"),
+    "duplicate-label": (_func("  br b\nb:\n  ret %x\nb:\n  ret %x\n"),
+                        "StructureError", "@f", "duplicate block labels"),
+    "duplicate-param": (_func("  ret %x\n", "%x, %x"), "SSAError", "@f",
+                        "duplicate parameter %x"),
+    "duplicate-def": (_func("  %a = add %x, 1\n  %a = add %x, 2\n  ret %a\n"),
+                      "SSAError", "entry", "%a defined more than once"),
+    "empty-block": (_func("  ret %x\nb:\n"), "TerminatorError", "b", "block has no terminator"),
+    "early-terminator": (_func("  ret %x\n  ret %x\n"), "TerminatorError", "entry",
+                         "'ret' before end of block"),
+    "no-terminator": (_func("  %a = add %x, 1\n"), "TerminatorError", "entry",
+                      "block does not end with a terminator"),
+    "phi-after-body": (_func(_TWO_PREDS + "  %a = add %x, 1\n  %p = phi [0, a], [1, b]\n"
+                             "  ret %p\n"), "PhiError", "j", "phi after non-phi instruction"),
+    "unknown-label": (_func("  br nowhere\n"), "LabelError", "entry", "unknown label 'nowhere'"),
+    "entry-pred": (_func("  br b\nb:\n  br entry\n"), "StructureError", "entry",
+                   "entry block has predecessors"),
+    "entry-phi": (_func("  %p = phi [0, entry]\n  br entry\n"), "PhiError", "entry",
+                  "phi in entry block"),
+    "arity": (_func("  %a = add %x\n  ret %a\n"), "ArityError", "entry",
+              "'add' wants 2 operand(s), got 1"),
+    "undefined": (_func("  ret %y\n"), "UseError", "entry", "use of undefined value %y"),
+    "pointer": (_func("  %a = load %x\n  ret %a\n"), "KindError", "entry",
+                "'load' pointer operand must be an alloca result"),
+    "alloca-as-int": (_func(_ALLOCA + "  %a = add %p, 1\n  ret %a\n"), "KindError", "entry",
+                      "alloca %p used as int32 operand"),
+    "loaded-address": (_func(_ALLOCA + "  %h = alloca\n  store %p, %h\n  %a = load %h\n"
+                             "  ret %a\n"), "KindError", "entry",
+                       "loaded address %a used as int32 operand"),
+    "phi-preds": (_func(_TWO_PREDS + "  %p = phi [0, a]\n  ret %p\n"), "PhiError", "j",
+                  "phi incomings ['a'] do not match predecessors ['a', 'b']"),
+    "phi-duplicate": (_func(_TWO_PREDS + "  %p = phi [0, a], [1, b], [2, a]\n  ret %p\n"),
+                      "PhiError", "j", "duplicate phi incoming labels"),
+    "phi-dominance": (_func("  condbr %x, a, b\na:\n  %v = add %x, 1\n  br j\nb:\n  br j\n"
+                            "j:\n  %p = phi [%v, a], [%v, b]\n  ret %p\n"),
+                      "DominanceError", "j", "phi incoming %v does not dominate end of b"),
+    "use-dominance": (_func("  %a = add %b, 1\n  %b = add %x, 1\n  ret %a\n"),
+                      "DominanceError", "entry", "use of %b not dominated by its definition"),
+    "duplicate-function": (_func("  ret %x\n") * 2, "StructureError", "module",
+                           "duplicate function names"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATION_ERRORS))
+def test_validation_error_table(case, tmp_path):
+    text, kind, where, message = VALIDATION_ERRORS[case]
+    path = tmp_path / "f.ir"
+    path.write_text(text)
+    code, out = run_cli("validate", path)
+    assert code == 1
+    errors = json.loads(out)["outcome"]["errors"]
+    assert {"kind": kind, "where": where, "message": message} in errors
+
+
+def _entry(*instrs):
+    return Function("f", ("x",), (BasicBlock("entry", tuple(instrs)),))
+
+
+_RET = Instruction(None, "ret", (ValueRef("x"),))
+# the validation errors no text can express, built as Functions
+FUNCTION_ONLY_ERRORS = {
+    "unknown-opcode": (_entry(Instruction("a", "frob", (ValueRef("x"),)), _RET),
+                       "OpcodeError", "unknown opcode 'frob'"),
+    "phi-arity": (Function("f", ("x",), (
+        BasicBlock("entry", (Instruction(None, "br", (), ("b",)),)),
+        BasicBlock("b", (Instruction("p", "phi", (Literal(0), Literal(1)), ("entry",)), _RET)))),
+        "PhiError", "phi operand/label count mismatch"),
+    "label-count": (_entry(Instruction(None, "ret", (ValueRef("x"),), ("entry",))),
+                    "ArityError", "'ret' has wrong label count"),
+    "must-define": (_entry(Instruction(None, "add", (ValueRef("x"), Literal(1))), _RET),
+                    "StructureError", "'add' must define a value"),
+    "cannot-define": (_entry(Instruction("r", "ret", (ValueRef("x"),))),
+                      "StructureError", "'ret' cannot define a value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUNCTION_ONLY_ERRORS))
+def test_validation_error_table_beyond_text(case):
+    f, kind, message = FUNCTION_ONLY_ERRORS[case]
+    errs = validate_function(f)
+    assert (kind, message) in [(e.kind, e.message) for e in errs]
+
+
+_CORPUS_TEXTS = [p.read_text() for p in VALID_FILES + INVALID_FILES]
+_JUNK = ["%", "[", "]", ",", "{", "}", "@f", "%x", "-1", "4294967296", "phi", "br", "ret",
+         "alloca", "store", "load", "entry:", "=", ";", "0x10", "%1x"]
+
+
+@st.composite
+def mutated_corpus_text(draw):
+    """A corpus text with 1-4 lines deleted, duplicated or swapped, or tokens
+    replaced or dropped."""
+    lines = draw(st.sampled_from(_CORPUS_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "drop"]))
+        if how == "delete":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(j, lines[i])
+        elif how == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            toks = lines[i].split(" ")
+            k = draw(st.integers(0, len(toks) - 1))
+            if how == "replace":
+                pool = _JUNK + " ".join(lines).split()
+                toks[k] = draw(st.sampled_from(pool))
+            else:
+                del toks[k]
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@given(mutated_corpus_text())
+@settings(max_examples=1000, deadline=None)
+def test_mutated_text_raises_only_parse_errors(text):
+    try:
+        m = parse_module(text)
+    except ParseError:
+        return
+    validate_module(m)
+
+
 # --- helpers used by every pass --------------------------------------------
 
 def test_rpo_starts_at_entry_and_skips_unreachable():
@@ -423,7 +603,7 @@ def test_rpo_starts_at_entry_and_skips_unreachable():
 
 def test_substitute_rewrites_uses_not_defs():
     f = load("bin2bcd")
-    g = substitute(f, {"q": Literal(7)})
+    g = freeze(f, edit(f), {"q": Literal(7)})
     text = print_function(g)
     assert "shl 7, 4" in text or "= shl 7" in text
     # the defining instruction itself is untouched
@@ -432,13 +612,13 @@ def test_substitute_rewrites_uses_not_defs():
 
 def test_substitute_with_value_ref():
     f = load("bin2bcd")
-    g = substitute(f, {"h": ValueRef("q")})
+    g = freeze(f, edit(f), {"h": ValueRef("q")})
     assert "add %q, %r" in print_function(g)
 
 
 def test_substitute_keeps_untouched_instructions():
     f = load("bin2bcd")
-    g = substitute(f, {"h": ValueRef("q")})
+    g = freeze(f, edit(f), {"h": ValueRef("q")})
     for b, c in zip(f.blocks, g.blocks):
         for old, new in zip(b.instrs, c.instrs):
             touched = any(o == ValueRef("h") for o in old.operands)

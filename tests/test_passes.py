@@ -6,6 +6,7 @@ every fixture must emit valid IR, preserve behavior on a workload, report
 according to its tier, and be idempotent.
 """
 
+import random
 from itertools import count
 
 import pytest
@@ -18,11 +19,20 @@ from bidiropt.interp import differential_check, interpret
 from bidiropt.ir import (
     canonical_hash,
     canonical_text,
+    defined_values,
     parse_function,
     print_function,
     validate_function,
 )
-from bidiropt.passes import FORWARD_PASSES, _rewrite_tree, _tree_roots, apply_pass, edit
+from bidiropt.passes import (
+    FORWARD_PASSES,
+    _erase_dead,
+    _rewrite_tree,
+    _tree_roots,
+    apply_pass,
+    edit,
+)
+from bidiropt.reverse import reverse_variants
 
 from conftest import (
     VALID_FILES,
@@ -30,6 +40,7 @@ from conftest import (
     memory_cfg,
     one_step_neighbours,
     reference_dse,
+    reference_erase_dead,
     reference_interpret,
     reference_mem2reg,
     reference_rewrite_tree,
@@ -106,6 +117,14 @@ def test_identity_x_minus_x():
     assert "ret 0" in print_function(out.function)
 
 
+@pytest.mark.parametrize("mul", ["mul %x, 0", "mul 0, %x"])
+def test_identity_simplify_folds_a_multiply_by_zero(mul):
+    f = parse_function(f"func @f(%x) {{\nentry:\n  %a = {mul}\n  ret %a\n}}\n")
+    out = apply_pass("identity-simplify", f)
+    assert out.changed
+    assert print_function(out.function) == "func @f(%x) {\nentry:\n  ret 0\n}\n"
+
+
 def test_strength_reduce_rewrites_pow2_mul():
     out = apply_pass("strength-reduce", load("strength"))
     assert out.changed
@@ -127,6 +146,38 @@ def test_divmul_to_rem_recovers_urem():
     body = print_function(out.function).split("\n", 1)[1]
     assert "urem %x, 7" in body
     assert "mul" not in body and "udiv" not in body
+
+
+def test_divmul_to_rem_takes_the_literal_first():
+    f = parse_function("""func @f(%x) {
+entry:
+  %q = udiv %x, 10
+  %m = mul 10, %q
+  %r = sub %x, %m
+  ret %r
+}
+""")
+    out = apply_pass("divmul-to-rem", f)
+    assert out.changed
+    assert print_function(out.function) == \
+        "func @f(%x) {\nentry:\n  %r = urem %x, 10\n  ret %r\n}\n"
+
+
+@pytest.mark.parametrize("div,mul", [("udiv %x, 10", "mul %q, %y"),
+                                     ("udiv %x, 0", "mul %q, 0"),
+                                     ("udiv %x, 0", "mul 0, %q"),
+                                     ("udiv %x, 10", "mul 10, 10")])
+def test_divmul_to_rem_wants_a_value_times_a_literal_of_at_least_one(div, mul):
+    f = parse_function(f"""func @f(%x, %y) {{
+entry:
+  %q = {div}
+  %m = {mul}
+  %r = sub %x, %m
+  %s = add %r, %q
+  ret %s
+}}
+""")
+    assert not apply_pass("divmul-to-rem", f).changed
 
 
 def test_add_to_or_needs_disjoint_bits():
@@ -158,6 +209,41 @@ def test_reassociate_collapses_expanded_form():
     out = apply_pass("reassociate", load("bin2bcd_expanded"))
     assert out.changed
     assert same_modulo_name(out.function, load("bin2bcd_mul6"))
+
+
+def test_reassociate_erases_a_leaf_whose_terms_cancel():
+    # %m's two terms cancel, so the rewritten tree no longer uses it
+    f = parse_function("""func @f(%p) {
+entry:
+  %y = xor %p, 5
+  %m = mul %p, 3
+  %a = add %y, %m
+  %b = sub %a, %m
+  %c = add %b, 1
+  ret %c
+}
+""")
+    out = apply_pass("reassociate", f)
+    assert out.changed
+    assert print_function(out.function) == \
+        "func @f(%p) {\nentry:\n  %y = xor %p, 5\n  %t0 = add %y, 1\n  ret %t0\n}\n"
+
+
+def test_reassociate_keeps_the_leaf_a_tree_collapses_to():
+    # the tree collapses to %y, which takes over the root's use in ret
+    f = parse_function("""func @f(%p) {
+entry:
+  %y = xor %p, 5
+  %m = mul %p, 3
+  %a = add %y, %m
+  %b = sub %a, %m
+  ret %b
+}
+""")
+    out = apply_pass("reassociate", f)
+    assert out.changed
+    assert print_function(out.function) == \
+        "func @f(%p) {\nentry:\n  %y = xor %p, 5\n  ret %y\n}\n"
 
 
 def _rewrite_both(f, root):
@@ -557,6 +643,38 @@ def test_licm_leaves_variant_ops():
     assert not apply_pass("licm", load("loop_sum")).changed
 
 
+# a loop whose header is entered from both arms of a condbr, so it has no
+# preheader; with `br head` instead, entry is its preheader
+NO_PREHEADER = """func @f(%x, %n) {
+entry:
+  %c = icmp.ult %x, 3
+  %m = mul %x, 3
+  ENTER
+head:
+  %i = phi [0, entry], [%i1, body]
+  %k = icmp.ult %i, %n
+  condbr %k, body, exit
+body:
+  %t = mul %x, 5
+  %u = add %t, %m
+  %i1 = add %i, %u
+  br head
+exit:
+  ret %i
+}
+"""
+
+
+def test_licm_and_its_reverse_skip_a_loop_without_a_preheader():
+    f = parse_function(NO_PREHEADER.replace("ENTER", "condbr %c, head, head"))
+    assert validate_function(f) == []
+    assert not apply_pass("licm", f).changed
+    assert reverse_variants("rev-licm-sink", f) == ()
+    control = parse_function(NO_PREHEADER.replace("ENTER", "br head"))
+    assert apply_pass("licm", control).changed
+    assert reverse_variants("rev-licm-sink", control) != ()
+
+
 def test_dse_removes_overwritten_store():
     out = apply_pass("dse", load("dead_store"))
     assert out.changed
@@ -599,6 +717,38 @@ entry:
     out = apply_pass("dce", f)
     assert out.changed
     assert rank_key(out.function)[:2] == (1, 1)
+
+
+# --- the dead-code sweep -------------------------------------------------------
+
+def _assert_sweep_matches_reference(f):
+    """_erase_dead erases the same slots and returns the same flag as the
+    round-by-round reference, seeded with every def and with random subsets."""
+    defs = sorted(defined_values(f))
+    rng = random.Random(canonical_hash(f).hex)
+    for seeds in [defs] + [rng.sample(defs, rng.randint(0, len(defs))) for _ in range(4)]:
+        ours, theirs = edit(f), edit(f)
+        assert _erase_dead(ours, set(seeds)) == reference_erase_dead(theirs, set(seeds))
+        assert ours == theirs, (print_function(f), seeds)
+
+
+@pytest.mark.parametrize("path", VALID_FILES, ids=[p.stem for p in VALID_FILES])
+def test_erase_dead_matches_reference_on_corpus_and_neighbours(path):
+    f = parse_function(path.read_text())
+    for g in [f, *one_step_neighbours(f)]:
+        _assert_sweep_matches_reference(g)
+
+
+@given(straightline())
+@settings(max_examples=150, deadline=None)
+def test_erase_dead_matches_reference_on_generated_straightline(text):
+    _assert_sweep_matches_reference(parse_function(text))
+
+
+@given(memory_cfg())
+@settings(max_examples=150, deadline=None)
+def test_erase_dead_matches_reference_on_generated_memory_programs(text):
+    _assert_sweep_matches_reference(parse_function(text))
 
 
 # --- whole-corpus invariants --------------------------------------------------

@@ -68,7 +68,8 @@ def test_report_digest(compare_report):
     corpus = compare_report.parent
     proc = _run("report_digest.py", corpus)
     assert proc.returncode == 0, proc.stderr
-    lines = [l.split(" ", 2) for l in proc.stdout.splitlines()]
+    out = proc.stdout.splitlines()
+    lines = [l.split(" ", 2) for l in out[:-len(FORWARD_PASSES)]]
     # only loop_counter_alloca has a workload file of the same stem
     dynamic = {"loop_counter_alloca": [
         f"ibo {corpus / 'loop_counter_alloca.ir'} -k 1 --metric dynamic"
@@ -84,3 +85,12 @@ def test_report_digest(compare_report):
     assert all(code == "0" for code, _, _ in lines)
     # the digest is of the report the CLI prints
     assert lines[-1][1] == hashlib.sha256(compare_report.read_bytes()).hexdigest()
+    # then one "name fired/applications sha256" line per forward pass, each
+    # applied to the same programs of the two-step neighbourhood
+    passes = [l.split() for l in out[-len(FORWARD_PASSES):]]
+    assert [name for name, _, _ in passes] == list(FORWARD_PASSES)
+    counts = [tuple(map(int, n.split("/"))) for _, n, _ in passes]
+    assert len({total for _, total in counts}) == 1
+    assert counts[0][1] > 3 and all(fired <= total for fired, total in counts)
+    assert sum(fired for fired, _ in counts) > 0
+    assert all(len(h) == 64 and int(h, 16) >= 0 for _, _, h in passes)
