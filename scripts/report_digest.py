@@ -5,10 +5,16 @@ Runs the CLI in-process and prints one line per report, `exit sha256
 command`: `search`, `ibo -k 2` and one `opt --passes P --report` for each
 forward pass P on each .ir file of DIR (default corpus/valid), plus
 `ibo -k 1 --metric dynamic --workload corpus/workloads/STEM.json` for a file
-whose stem has a workload there, then `compare DIR -k 2`. Reports name their
-input file as given, so run it from the root of each checkout with the same
-DIR; a change that keeps every report byte-identical, exit code included,
-keeps this output identical.
+whose stem has a workload there, and for a file that parses `equiv-class
+FILE --budget-instrs N --budget-programs 5000 --dot TMP`, where N is the
+instruction count of its (first) function and the digest covers the report
+and then the DOT text, written to a temporary file that the line names TMP;
+then `compare DIR -k 2`. Every class of corpus/valid closes within 5,000
+nodes (the largest has 3,710); the bound keeps a larger function's walk,
+such as corpus/regress/crowd2's, to seconds. Reports name their input file
+as given, so run it from the root of each checkout with the same DIR; a
+change that keeps every report byte-identical, exit code included, keeps
+this output identical.
 
 Then it checks each forward pass on its own, one line per pass, `name
 fired/applications sha256`: the pass runs on every program of DIR's two-step
@@ -26,10 +32,12 @@ these lines identical keeps every output of the pass identical on them:
 import argparse
 import hashlib
 import io
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
 from bidiropt.cli import main as cli
+from bidiropt.cost import static_size
 from bidiropt.ir import (
     ParseError,
     canonical_hash,
@@ -41,11 +49,27 @@ from bidiropt.passes import FORWARD_PASSES, apply_pass
 from bidiropt.reverse import REVERSE_PASSES, reverse_variants
 
 
-def digest(argv: list[str]) -> str:
+def digest(argv: list[str], dot: Path | None = None) -> str:
+    """With `dot`, the command also writes its DOT output there, the digest
+    covers that text after the report, and the line names the file TMP."""
+    if dot is not None:
+        dot.unlink(missing_ok=True)
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = cli(argv)
+        code = cli(argv if dot is None else [*argv, "--dot", str(dot)])
+    if dot is not None:
+        buf.write(dot.read_text() if dot.exists() else "")
+        argv = [*argv, "--dot", "TMP"]
     return f"{code} {hashlib.sha256(buf.getvalue().encode()).hexdigest()} {' '.join(argv)}"
+
+
+def size_of(path: Path) -> int | None:
+    """The instruction count of the first function of path, if it parses."""
+    try:
+        module = parse_module(path.read_text())
+    except ParseError:
+        return None
+    return static_size(module.functions[0]) if module.functions else None
 
 
 def neighbourhood(paths: list[Path], steps: int = 2, cap: int = 8) -> list:
@@ -92,15 +116,21 @@ def main(argv=None):
                     help="directory of .ir files (default: corpus/valid)")
     d = ap.parse_args(argv).dir
     paths = sorted(Path(d).glob("*.ir"))
-    for path in paths:
-        print(digest(["search", str(path)]), flush=True)
-        print(digest(["ibo", str(path), "-k", "2"]), flush=True)
-        for name in FORWARD_PASSES:
-            print(digest(["opt", str(path), "--passes", name, "--report"]), flush=True)
-        workload = Path("corpus/workloads") / f"{path.stem}.json"
-        if workload.exists():
-            print(digest(["ibo", str(path), "-k", "1", "--metric", "dynamic",
-                          "--workload", str(workload)]), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in paths:
+            print(digest(["search", str(path)]), flush=True)
+            print(digest(["ibo", str(path), "-k", "2"]), flush=True)
+            for name in FORWARD_PASSES:
+                print(digest(["opt", str(path), "--passes", name, "--report"]), flush=True)
+            workload = Path("corpus/workloads") / f"{path.stem}.json"
+            if workload.exists():
+                print(digest(["ibo", str(path), "-k", "1", "--metric", "dynamic",
+                              "--workload", str(workload)]), flush=True)
+            size = size_of(path)
+            if size is not None:
+                print(digest(["equiv-class", str(path), "--budget-instrs", str(size),
+                              "--budget-programs", "5000"], Path(tmp) / "class.dot"),
+                      flush=True)
     print(digest(["compare", d, "-k", "2"]), flush=True)
     programs = neighbourhood(paths)
     for name in FORWARD_PASSES:

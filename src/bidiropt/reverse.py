@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from .analysis import compute_dominators, find_natural_loops, known_bits, use_def
+from .cost import static_size
 from .ir import (
     Function,
     Instruction,
@@ -70,9 +71,10 @@ class Variants(tuple):
     independent = 0
 
 
-# An enumerator yields one (touched, build) pair per candidate site, in RPO
-# site order, before it builds anything: `touched` is the touched set of the
-# site's rewrite, and build() makes the variant. The touched set holds the
+# An enumerator yields one (touched, grow, build) triple per candidate site,
+# in RPO site order, before it builds anything: `touched` is the touched set
+# of the site's rewrite, `grow` the exact change in instruction count the
+# rewrite makes, and build() makes the variant. The touched set holds the
 # result and the value operands of every instruction the rewrite inserts,
 # replaces or erases, old and new version alike; an instruction moved
 # unchanged counts as neither.
@@ -123,7 +125,7 @@ def _rev_instexpand_rem(f: Function):
                 Instruction(mn, "mul", (ValueRef(existing), c)),
                 Instruction(ins.result, "sub", (x, ValueRef(mn))),
             ]
-        yield _touched(ins, *expansion), partial(_splice, f, lbl, i, expansion)
+        yield _touched(ins, *expansion), len(expansion) - 1, partial(_splice, f, lbl, i, expansion)
 
 
 def _rev_instexpand_shl(f: Function):
@@ -135,7 +137,7 @@ def _rev_instexpand_shl(f: Function):
         if not 1 <= k <= 31:
             continue
         new = Instruction(ins.result, "mul", (ins.operands[0], Literal(1 << k)))
-        yield _touched(ins), partial(_splice, f, lbl, i, [new])
+        yield _touched(ins), 0, partial(_splice, f, lbl, i, [new])
 
 
 def _rev_instexpand_or(f: Function):
@@ -144,7 +146,7 @@ def _rev_instexpand_or(f: Function):
     for lbl, i, ins in rpo_instrs(f):
         if ins.opcode != "or" or not disjoint_bits(kb, *ins.operands):
             continue
-        yield _touched(ins), partial(_splice, f, lbl, i, [replace(ins, opcode="add")])
+        yield _touched(ins), 0, partial(_splice, f, lbl, i, [replace(ins, opcode="add")])
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +187,7 @@ def _rev_reassociate(f: Function):
                    Instruction(ins.result, "add", (ValueRef(tn), q))]
             perturbed.append((ud.defs[inner.result], new, _touched(ins, inner, *new)))
         for site, new, touched in perturbed:
-            yield touched, partial(_perturb, f, lbl, i, site, new)
+            yield touched, 0, partial(_perturb, f, lbl, i, site, new)
 
 
 def _perturb(f: Function, lbl: str, i: int, site, new: list[Instruction]) -> Function | None:
@@ -212,7 +214,7 @@ def _rev_split_block(f: Function):
         new_lbl = fresh_label(f, f"{b.label}_tail")
         # head keeps instrs[:i] (never the terminator); the phi group stays put
         for i in range(len(b.phis), len(b.instrs)):
-            yield touched, partial(_split, f, b, i, new_lbl)
+            yield touched, 1, partial(_split, f, b, i, new_lbl)
 
 
 def _split(f: Function, b, i: int, new_lbl: str) -> Function:
@@ -245,7 +247,7 @@ def _rev_licm_sink(f: Function):
             uses = ud.uses[ins.result]
             if not uses or not all(u[0] in lp.body for u in uses):
                 continue
-            yield frozenset(), partial(_sink, f, lp, i, len(index[lp.header].phis))
+            yield frozenset(), 0, partial(_sink, f, lp, i, len(index[lp.header].phis))
 
 
 def _sink(f: Function, lp, i: int, at: int) -> Function:
@@ -277,7 +279,7 @@ def _reg2mem(f: Function):
         users = {(u[0], u[1]) for u in uses}
         touched = _touched(*(index[ulbl].instrs[ui] for ulbl, ui in users))
         touched = touched.union((v, pname), load_names)
-        yield touched, partial(_demote, f, lbl, ins, uses, pname, load_names)
+        yield touched, 2 + len(uses), partial(_demote, f, lbl, ins, uses, pname, load_names)
 
 
 def _demote(f: Function, lbl: str, ins: Instruction, uses, pname: str,
@@ -324,7 +326,7 @@ def _rev_insert_dead_store(f: Function):
     (pname,) = fresh_names(f, "dead", 1)
     for b in f.blocks:
         if b.label in reach:
-            yield frozenset((pname,)), partial(_dead_store, f, b.label, pname)
+            yield frozenset((pname,)), 2, partial(_dead_store, f, b.label, pname)
 
 
 def _dead_store(f: Function, lbl: str, pname: str) -> Function:
@@ -352,31 +354,38 @@ REVERSE_PASSES = tuple(_ENUMERATORS)
 
 
 def reverse_variants(name: str, f: Function, cap: int | None = None,
-                     near: frozenset[str] | None = None) -> Variants:
+                     near: frozenset[str] | None = None,
+                     max_size: int | None = None) -> Variants:
     """Enumerate variants of f under one reverse pass, in deterministic site
     order. A site's index is its position in the full enumeration, and `cap`
     keeps the sites numbered below it, so an index names the same site of
     a given function whatever the cap. A variant identical to f takes its
-    index but is dropped.
+    index but is dropped; only a variant of f's size is hashed to find out.
 
     With `near`, a site whose touched set misses it is skipped before
-    anything is built or hashed; it still takes its index and counts toward
-    the cap. A rev-reassociate candidate is a site only if its built variant
-    passes reassociate's test, so a skipped one is built after all when a
-    later site's index depends on it."""
+    anything is built or hashed; so is a site whose variant would have more
+    than `max_size` instructions. A skipped site still takes its index and
+    counts toward the cap, but only `near` adds to `independent`. A
+    rev-reassociate candidate is a site only if its built variant passes
+    reassociate's test, so a skipped one is built after all when a later
+    site's index depends on it. Its size never changes, so `max_size` skips
+    none of them: one is out of bounds only when f is, and is then built and
+    dropped, so the cap cuts where it would without `max_size`."""
     if name not in _ENUMERATORS:
         raise KeyError(f"unknown reverse pass '{name}'")
     maybe = name == "rev-reassociate"
-    h0 = None
+    room = max_size - static_size(f) if max_size is not None else float("inf")
     out: list[Variant] = []
     site = 0
     skipped = 0
     pending = []  # skipped rev-reassociate builds, not yet known to be sites
-    for touched, build in _ENUMERATORS[name](f):
+    for touched, grow, build in _ENUMERATORS[name](f):
         if cap is not None and site >= cap:
             break
-        if near is not None and touched.isdisjoint(near):
-            skipped += 1
+        far = near is not None and touched.isdisjoint(near)
+        fits = grow <= room
+        if far or not (fits or maybe):
+            skipped += far
             if maybe:
                 pending.append(build)
             else:
@@ -390,9 +399,7 @@ def reverse_variants(name: str, f: Function, cap: int | None = None,
         g = build()
         if g is None:
             continue
-        if h0 is None:
-            h0 = canonical_hash(f)
-        if canonical_hash(g) != h0:
+        if fits and (grow or canonical_hash(g) != canonical_hash(f)):
             out.append(Variant(name, site, g, touched))
         site += 1
     result = Variants(out)

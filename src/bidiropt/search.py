@@ -197,7 +197,8 @@ def ibo(f: Function,
     forward passes re-optimize on its own; dropping such chains is
     partial-order reduction (Godefroid, LNCS 1032, 1996). It is a pruning
     rule, not a proof, checked by keeping every corpus result. Each
-    iteration counts the candidates it skipped in `independent`.
+    iteration counts the candidates it skipped in `independent`. Oversize
+    variants are built, not skipped by max_size: `variants_generated` counts them.
 
     max_programs_explored bounds the programs of all searches together; when
     it runs out, the best result so far is returned with budget_exceeded set
@@ -306,8 +307,9 @@ def explore_sep_class(f: Function,
     Reverse rewrites can grow a program forever, so the class is only finite
     inside a size envelope: children over max_instructions_per_program are
     outside the class by definition (their edges are dropped, and that alone
-    does not mark the graph truncated). Truncation means the walk was cut
-    short by the depth or node budget while work remained.
+    does not mark the graph truncated), and reverse_variants' max_size skips
+    such reverse variants unbuilt. Truncation means the walk was cut short by
+    the depth or node budget while work remained.
     """
     names = tuple(passes) if passes is not None else tuple(FORWARD_PASSES)
     reverses = reverses if reverses is not None else REVERSE_PASSES
@@ -328,7 +330,8 @@ def explore_sep_class(f: Function,
                 if out.changed:
                     children.append((name, out.function))
             for rname in reverses:
-                for v in reverse_variants(rname, g, cap=limits.cap_per_pass):
+                for v in reverse_variants(rname, g, limits.cap_per_pass,
+                                          max_size=limits.max_instructions_per_program):
                     children.append((v.step, v.function))
             for label, child in children:
                 if static_size(child) > limits.max_instructions_per_program:

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings
 
-from bidiropt.cost import rank_key, static_cost
+from bidiropt import reverse
+from bidiropt.cost import rank_key, static_cost, static_size
 from bidiropt.interp import differential_check
 from bidiropt.ir import (
     canonical_hash,
@@ -18,6 +19,8 @@ from bidiropt.reverse import PAIRINGS, REVERSE_PASSES, reverse_variants
 from bidiropt.search import ReplayDiverged, replay_sequence
 
 from conftest import (
+    ROOT,
+    VALID_FILES,
     all_reverse_variants,
     load,
     memory_cfg,
@@ -335,6 +338,71 @@ def test_near_counts_skipped_sites():
     none = reverse_variants("rev-split-block", f, near=frozenset())
     assert none == () and none.independent == len(full)
     assert reverse_variants("rev-split-block", f).independent == 0
+
+
+# --- size growth and the envelope filter ----------------------------------------
+
+CORPUS_FILES = VALID_FILES + sorted((ROOT / "corpus" / "regress").glob("*.ir"))
+
+
+def _assert_grow_is_exact(f):
+    for name in REVERSE_PASSES:
+        for _, grow, build in reverse._ENUMERATORS[name](f):
+            g = build()
+            if g is not None:
+                assert static_size(g) == static_size(f) + grow, (print_function(f), name)
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
+def test_grow_is_the_exact_size_change(path):
+    f = parse_function(path.read_text())
+    for h in [f, *one_step_neighbours(f)]:
+        _assert_grow_is_exact(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(straightline())
+def test_grow_is_the_exact_size_change_on_generated_straightline(text):
+    _assert_grow_is_exact(parse_function(text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(memory_cfg())
+def test_grow_is_the_exact_size_change_on_generated_memory_programs(text):
+    _assert_grow_is_exact(parse_function(text))
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
+def test_max_size_is_a_pure_pre_filter(path):
+    f = parse_function(path.read_text())
+    size = static_size(f)
+    variants = all_reverse_variants(f)
+    nears = [None] + [v.touched for v in variants[:1] + variants[-1:]]
+    for name in REVERSE_PASSES:
+        for cap in (None, 2, 8):
+            for near in nears:
+                full = reverse_variants(name, f, cap, near)
+                for m in range(size - 1, size + 5):
+                    got = reverse_variants(name, f, cap, near, max_size=m)
+                    want = [v for v in full if static_size(v.function) <= m]
+                    assert _seen(got) == _seen(want), (name, cap, near, m)
+                    assert got.independent == full.independent, (name, cap, near, m)
+
+
+def test_an_out_of_envelope_site_is_never_built_or_hashed(monkeypatch):
+    calls = []
+    for fn in ("freeze", "canonical_hash"):
+        real = getattr(reverse, fn)
+        monkeypatch.setattr(reverse, fn, lambda *a, real=real, fn=fn, **kw:
+                            calls.append(fn) or real(*a, **kw))
+    f = load("diamond")
+    assert reverse_variants("rev-split-block", f, max_size=static_size(f)) == ()
+    assert calls == []
+    # one more instruction of room lets every cut in, and each one is built
+    # but, being one instruction larger than f, none is hashed
+    grown = reverse_variants("rev-split-block", f, max_size=static_size(f) + 1)
+    assert calls == ["freeze"] * len(grown)
+    assert len(grown) == len(reverse_variants("rev-split-block", f)) > 0
 
 
 # --- corpus-wide invariants ------------------------------------------------------

@@ -9,9 +9,10 @@ import sys
 
 import pytest
 
+from bidiropt.cost import static_size
 from bidiropt.passes import FORWARD_PASSES
 
-from conftest import ROOT, VALID, run_cli
+from conftest import ROOT, VALID, load, run_cli
 
 
 def _run(script, *args, stdin=None):
@@ -80,11 +81,20 @@ def test_report_digest(compare_report):
         for cmd in [f"search {corpus / f'{name}.ir'}", f"ibo {corpus / f'{name}.ir'} -k 2",
                     *(f"opt {corpus / f'{name}.ir'} --passes {p} --report"
                       for p in FORWARD_PASSES),
-                    *dynamic.get(name, [])]
+                    *dynamic.get(name, []),
+                    f"equiv-class {corpus / f'{name}.ir'} --budget-instrs"
+                    f" {static_size(load(name))} --budget-programs 5000 --dot TMP"]
     ] + [f"compare {corpus} -k 2"]
     assert all(code == "0" for code, _, _ in lines)
     # the digest is of the report the CLI prints
     assert lines[-1][1] == hashlib.sha256(compare_report.read_bytes()).hexdigest()
+    # and, for equiv-class, of its report followed by its DOT text
+    dot = compare_report.parent / "class.dot"
+    code, report = run_cli("equiv-class", corpus / "divmul.ir", "--budget-instrs",
+                           static_size(load("divmul")), "--budget-programs", 5000, "--dot", dot)
+    assert code == 0
+    (equiv,) = [h for _, h, cmd in lines if cmd.startswith(f"equiv-class {corpus / 'divmul.ir'}")]
+    assert equiv == hashlib.sha256((report + dot.read_text()).encode()).hexdigest()
     # then one "name fired/applications sha256" line per forward pass, each
     # applied to the same programs of the two-step neighbourhood
     passes = [l.split() for l in out[-len(FORWARD_PASSES):]]

@@ -1,5 +1,7 @@
 """Exhaustive search, reverse-then-optimize, class exploration, replay."""
 
+import hashlib
+
 import pytest
 
 from bidiropt import interp
@@ -296,6 +298,43 @@ def test_sep_class_closed_within_envelope():
     assert rep.components == 1
     assert rep.violations == ()
     assert canonical_hash(f) in g.nodes
+
+
+# (function, envelope, nodes, edges, verdict, sha256 of the edge list): the
+# equiv-class benchmark's fixtures, then divmul (4 instructions) started
+# outside its envelope, so its start has no reverse edge (as identities, at
+# 7 instructions, in an envelope of 5)
+CLASS_GRAPHS = [
+    ("straightline_ret", 4, 8, 26, "closed",
+     "58988c8e3746f646b77523bd63ecf027f612fab25029ec2a46804822e75463a0"),
+    ("identities", 5, 18, 70, "closed",
+     "ba2e8aec63516501e2ff7273d3508f881764f255cf4804926183dbb594fab02a"),
+    ("divmul", 5, 26, 89, "closed",
+     "ac0e91dc1586706ecc14459bd1f1ca7b68f4ac3253931dcdf12bec069d021176"),
+    ("cse_dup", 6, 71, 285, "closed",
+     "f78df139f4481c4dde8714632f4051f1eb6086b8a186930b3ea7ded5f0b73b14"),
+    ("dce_chain", 6, 106, 561, "closed",
+     "77cd243f56f33be9da9faa1f585ff0ace5c300a9f352677eb89e87679acb814a"),
+    ("strength", 5, 111, 510, "closed",
+     "d064659be15ac152a45724212c26087faec7051d59f5da5176668b9d525df4cc"),
+    ("const_expr", 6, 406, 2666, "closed",
+     "415455eb83322a68a03d769616735e9216345f58ca5cc083f92c9be3dbae3bdf"),
+    ("bin2bcd", 7, 624, 3098, "closed",
+     "f5ecc4041957c8b35db397d9908fa7fe55331a064a1495ddb76b64ef3341e2a1"),
+    ("divmul", 3, 4, 5, "closed",
+     "c017e3c0b4acd57eb83018fcb0ddf71a49a0fe954193b7dea233fe20fcb668cc"),
+]
+
+
+@pytest.mark.parametrize("name,envelope,nodes,edges,verdict,sha", CLASS_GRAPHS,
+                         ids=[f"{c[0]}@{c[1]}" for c in CLASS_GRAPHS])
+def test_class_graphs_are_pinned(name, envelope, nodes, edges, verdict, sha):
+    g = explore_sep_class(load(name), limits=SearchLimits(max_instructions_per_program=envelope))
+    assert (len(g.nodes), len(g.edges), g.truncated) == (nodes, edges, False)
+    assert check_closure(g).verdict == verdict
+    text = "".join(f"{a.hex} {label} {b.hex}\n" for a, label, b in g.edges)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+    assert all(static_size(h) <= envelope for d, h in g.nodes.items() if d != g.start)
 
 
 def test_sep_class_depth_cut_is_inconclusive_or_closed():
