@@ -21,8 +21,12 @@ fired/applications sha256`: the pass runs on every program of DIR's two-step
 neighbourhood (the functions of DIR, every forward pass output and every
 reverse variant at cap 8 of them, and the same again of those; deduplicated
 by canonical digest, in digest order), and the digest covers each
-application's changed flag and printed output. A pass change that keeps
-these lines identical keeps every output of the pass identical on them:
+application's changed flag and printed output. Last, one line per reverse
+pass, `name variants/programs sha256`: the pass enumerates its variants at
+cap 8 of every program of the same neighbourhood, and the digest covers
+each variant's step, sorted touched set and printed IR. A pass change that
+keeps these lines identical keeps every output of the pass identical on
+them:
 
     python3 scripts/report_digest.py > before.txt   # in the old checkout
     python3 scripts/report_digest.py > after.txt    # in the new one
@@ -110,6 +114,17 @@ def pass_digest(name: str, programs: list) -> str:
     return f"{name} {fired}/{len(programs)} {h.hexdigest()}"
 
 
+def reverse_digest(name: str, programs: list) -> str:
+    h = hashlib.sha256()
+    made = 0
+    for f in programs:
+        for v in reverse_variants(name, f, cap=8):
+            made += 1
+            h.update(f"{v.step}\n{' '.join(sorted(v.touched))}\n"
+                     f"{print_function(v.function)}".encode())
+    return f"{name} {made}/{len(programs)} {h.hexdigest()}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("dir", nargs="?", default="corpus/valid",
@@ -135,6 +150,8 @@ def main(argv=None):
     programs = neighbourhood(paths)
     for name in FORWARD_PASSES:
         print(pass_digest(name, programs), flush=True)
+    for name in REVERSE_PASSES:
+        print(reverse_digest(name, programs), flush=True)
     return 0
 
 

@@ -205,6 +205,8 @@ def load_workload(path: str | Path, name: str | None = None) -> Workload:
     if not isinstance(rows, list) or not all(
             isinstance(r, list) and all(type(v) is int for v in r) for r in rows):
         raise ValueError(f"workload {path} must be a JSON array of integer argument arrays")
+    if not rows:
+        raise ValueError(f"workload {path} has no rows")
     return Workload(name or Path(path).stem, tuple(tuple(v & MASK32 for v in r) for r in rows))
 
 

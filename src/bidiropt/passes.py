@@ -401,7 +401,7 @@ def _emit_linear(f: Function, terms: dict[str, int], const: int,
     return out, acc
 
 
-def _tree_roots(f: Function, ud) -> list[tuple[str, set[str]]]:
+def tree_roots(f: Function, ud) -> list[tuple[str, set[str]]]:
     """Roots of the maximal add/sub trees, each with the defs it absorbs, in
     program order. Scanned bottom-up so outer trees claim absorbable inner
     nodes."""
@@ -417,45 +417,14 @@ def _tree_roots(f: Function, ud) -> list[tuple[str, set[str]]]:
     return roots
 
 
-def _in_place(f: Function, ud, root_name: str, absorbed: set[str],
-              emitted: list[Instruction]) -> bool:
-    """Whether the tree already sits in its block as `emitted`: the
-    len(emitted) instructions ending at root_name define exactly the tree,
-    and each equals its emitted counterpart once emitted names are mapped in
-    order to the old ones (the last emitted value, which replaces the root,
-    to root_name). Re-emitting would then only rename values."""
-    if len(emitted) != len(absorbed) + 1:
-        return False
-    lbl, i = ud.defs[root_name]
-    start = i + 1 - len(emitted)
-    if start < 0:
-        return False
-    old = f.block(lbl).instrs[start:i + 1]
-    if {ins.result for ins in old} != absorbed | {root_name}:
-        return False
-    names: dict[str, str] = {}
-    for new, ins in zip(emitted, old):
-        ops = tuple(ValueRef(names.get(op.name, op.name)) if isinstance(op, ValueRef) else op
-                    for op in new.operands)
-        if new.opcode != ins.opcode or ops != ins.operands:
-            return False
-        names[new.result] = ins.result
-    return True
-
-
-def _rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
-    """f with the tree under root_name re-emitted in canonical form, or None
-    when that would cost more or change nothing. New values are named
-    t<n>, n drawn from counter; the form is emitted before either test, so
-    the counter advances alike whether or not a candidate is built.
-
-    A tree already in place in the form it would be emitted in is left
-    alone without building a candidate (_in_place): the candidate would be f
-    with those values renamed, and the canonical hash ignores names. Any
-    other tree is rewritten, and compared with f by canonical hash."""
-    root = ud.instrs.get(root_name)
-    if root is None:
-        return None
+def tree_form(f: Function, ud, root_name: str,
+              counter) -> tuple[list[Instruction], Operand, set[str]] | None:
+    """The form reassociate emits for the tree under root_name: the
+    instructions, the operand that replaces the root, and the absorbed defs;
+    None when the form would cost more than the tree. New values are named
+    t<n>, n drawn from counter; the form is emitted before the cost test, so
+    the counter advances alike either way."""
+    root = ud.instrs[root_name]
     terms, const, absorbed = _linearize(ud, root)
     taken = set(f.params) | set(ud.defs)
 
@@ -469,24 +438,55 @@ def _rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
     old_cost = model.cost(root.opcode) + sum(model.cost(ud.instrs[n].opcode) for n in absorbed)
     if sum(model.cost(ins.opcode) for ins in emitted) > old_cost:
         return None
-    if _in_place(f, ud, root_name, absorbed, emitted):
+    return emitted, acc, absorbed
+
+
+def in_place(instrs, i: int, absorbed: set[str], emitted: list[Instruction]) -> bool:
+    """Whether the tree rooted at instrs[i] already sits in the instruction
+    list instrs as `emitted`: the len(emitted) instructions ending at i
+    define exactly the root and `absorbed`, and each equals its emitted
+    counterpart once emitted names are mapped in order to the old ones (the
+    last emitted value, which replaces the root, to the root's). Re-emitting
+    would then only rename values."""
+    start = i + 1 - len(emitted)
+    if len(emitted) != len(absorbed) + 1 or start < 0:
+        return False
+    old = instrs[start:i + 1]
+    if {ins.result for ins in old} != absorbed | {instrs[i].result}:
+        return False
+    names: dict[str, str] = {}
+    for new, ins in zip(emitted, old):
+        ops = tuple(ValueRef(names.get(op.name, op.name)) if isinstance(op, ValueRef) else op
+                    for op in new.operands)
+        if new.opcode != ins.opcode or ops != ins.operands:
+            return False
+        names[new.result] = ins.result
+    return True
+
+
+def _rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
+    """f with the tree under root_name re-emitted in canonical form
+    (tree_form), or None when that would cost more or change nothing.
+
+    A tree already in place in the form it would be emitted in is left
+    alone without building a candidate (in_place): the candidate would be f
+    with those values renamed, and the canonical hash ignores names. Any
+    other tree is rewritten, and compared with f by canonical hash."""
+    if root_name not in ud.instrs:
         return None
+    form = tree_form(f, ud, root_name, counter)
+    if form is None:
+        return None
+    emitted, acc, absorbed = form
     lbl, i = ud.defs[root_name]
+    if in_place(f.block(lbl).instrs, i, absorbed, emitted):
+        return None
     blocks = edit(f)
     blocks[lbl][i:i + 1] = emitted
     subst = {root_name: acc}
     _erase_dead(blocks, absorbed, subst)
     candidate = freeze(f, blocks, subst)
     return None if canonical_hash(candidate) == canonical_hash(f) else candidate
-
-
-def reassociate_rewrites(f: Function, name: str) -> bool:
-    """Whether reassociate rewrites the add/sub tree that holds value name."""
-    ud = use_def(f)
-    for root, absorbed in _tree_roots(f, ud):
-        if name == root or name in absorbed:
-            return _rewrite_tree(f, ud, root, count()) is not None
-    return False
 
 
 def apply_reassociate(f: Function) -> PassOutcome:
@@ -496,7 +496,7 @@ def apply_reassociate(f: Function) -> PassOutcome:
     nothing."""
     g = f
     counter = count()
-    for root_name, _ in _tree_roots(f, use_def(f)):
+    for root_name, _ in tree_roots(f, use_def(f)):
         h = _rewrite_tree(g, use_def(g), root_name, counter)
         if h is not None:
             g = h

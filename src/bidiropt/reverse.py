@@ -3,16 +3,17 @@
 Where a forward pass is a function, a reverse pass is an enumerator: it
 yields one variant per applicable site, in RPO site order. Every reverse
 rewrite is paired with the forward pass that undoes it, and each enumerator
-emits only sites whose rewrite that pass undoes, deciding it with the pass's
-own rule; this keeps the detour inside optimizable territory (tests check
-the pairing on the corpus and its neighbours). Variants are never more
-efficient than the input.
+emits only sites whose rewrite that pass undoes, deciding each from the
+input with the pass's own rule before it builds anything; this keeps the
+detour inside optimizable territory (tests check the pairing on the corpus
+and its neighbours). Variants are never more efficient than the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import count, islice
 
 from .analysis import compute_dominators, find_natural_loops, known_bits, use_def
 from .cost import static_size
@@ -33,9 +34,11 @@ from .passes import (
     disjoint_bits,
     edit,
     freeze,
+    in_place,
     licm_movable,
-    reassociate_rewrites,
     retarget_incomings,
+    tree_form,
+    tree_roots,
 )
 
 PAIRINGS: dict[str, str] = {
@@ -64,17 +67,16 @@ class Variant:
 
 class Variants(tuple):
     """reverse_variants' result: the variants in site order, and in
-    `independent` the number of candidates its `near` filter skipped. A
-    skipped rev-reassociate candidate counts even when it would not have
-    been a site."""
+    `independent` the number of sites its `near` filter skipped."""
 
     independent = 0
 
 
-# An enumerator yields one (touched, grow, build) triple per candidate site,
-# in RPO site order, before it builds anything: `touched` is the touched set
-# of the site's rewrite, `grow` the exact change in instruction count the
-# rewrite makes, and build() makes the variant. The touched set holds the
+# An enumerator yields one (touched, grow, build) triple per site, in RPO
+# site order. It decides each site from f before it builds anything, so
+# every triple is a site and build() always makes its variant. `touched` is
+# the touched set of the site's rewrite and `grow` the exact change in
+# instruction count the rewrite makes. The touched set holds the
 # result and the value operands of every instruction the rewrite inserts,
 # replaces or erases, old and new version alike; an instruction moved
 # unchanged counts as neither.
@@ -154,11 +156,18 @@ def _rev_instexpand_or(f: Function):
 
 def _rev_reassociate(f: Function):
     """Perturb add trees: swap operands, or rotate a nested single-use add
-    (which the rotation absorbs). A perturbation is kept only where
-    reassociate rewrites the tree it lands in (a swap onto canonical leaf
-    order is already reassociate's form); that test needs the built
-    variant, so build() returns None for a candidate that fails it."""
+    (which the rotation absorbs). A perturbation keeps its tree's root, its
+    terms and the opcodes it absorbs, so reassociate's cost test gives the
+    same answer on the tree in f and in the variant. It is a site exactly
+    where reassociate rewrites the tree it lands in: the tree passes that
+    test, and the perturbed root block does not already hold the tree in the
+    form reassociate emits for it (a swap onto canonical leaf order)."""
     ud = use_def(f)
+    trees = {}  # add/sub value -> its tree (root, absorbed, emitted) if it passes the cost test
+    for root, absorbed in tree_roots(f, ud):
+        form = tree_form(f, ud, root, count())
+        if form is not None:
+            trees.update(dict.fromkeys(absorbed | {root}, (root, absorbed, form[0])))
 
     def single_use_add(op: Operand) -> Instruction | None:
         if not isinstance(op, ValueRef) or ud.use_count(op.name) != 1:
@@ -167,8 +176,9 @@ def _rev_reassociate(f: Function):
         return ins if ins is not None and ins.opcode == "add" else None
 
     for lbl, i, ins in rpo_instrs(f):
-        if ins.opcode != "add":
+        if ins.opcode != "add" or ins.result not in trees:
             continue
+        root, absorbed, emitted = trees[ins.result]
         a, b = ins.operands
         perturbed = [(None, [replace(ins, operands=(b, a))], _touched(ins))]
         (tn,) = fresh_names(f, "x", 1)
@@ -178,25 +188,34 @@ def _rev_reassociate(f: Function):
             p, q = inner.operands
             new = [Instruction(tn, "add", (q, b)),
                    Instruction(ins.result, "add", (p, ValueRef(tn)))]
-            perturbed.append((ud.defs[inner.result], new, _touched(ins, inner, *new)))
+            perturbed.append((inner.result, new, _touched(ins, inner, *new)))
         inner = single_use_add(b)
         if inner is not None:
             # a + (p + q)  ->  (a + p) + q
             p, q = inner.operands
             new = [Instruction(tn, "add", (a, p)),
                    Instruction(ins.result, "add", (ValueRef(tn), q))]
-            perturbed.append((ud.defs[inner.result], new, _touched(ins, inner, *new)))
-        for site, new, touched in perturbed:
-            yield touched, 0, partial(_perturb, f, lbl, i, site, new)
+            perturbed.append((inner.result, new, _touched(ins, inner, *new)))
+        for gone, new, touched in perturbed:
+            blocks = _perturb(f, ud, lbl, i, gone, new)
+            kept = [x for x in blocks[ud.defs[root][0]] if x is not None]
+            at = next(k for k, x in enumerate(kept) if x.result == root)
+            now_absorbed = absorbed - {gone} | {x.result for x in new[:-1]}
+            if not in_place(kept, at, now_absorbed, emitted):
+                yield touched, 0, partial(freeze, f, blocks)
 
 
-def _perturb(f: Function, lbl: str, i: int, site, new: list[Instruction]) -> Function | None:
+def _perturb(f: Function, ud, lbl: str, i: int, gone: str | None,
+             new: list[Instruction]) -> dict[str, list[Instruction | None]]:
+    """The working form of f with the add at (lbl, i) replaced by `new`, and
+    the inner add that defines `gone`, if any, erased: its one use was that
+    add."""
     blocks = edit(f)
-    if site is not None:
-        blocks[site[0]][site[1]] = None  # its one use was the add at (lbl, i)
+    if gone is not None:
+        glbl, j = ud.defs[gone]
+        blocks[glbl][j] = None
     blocks[lbl][i:i + 1] = new
-    g = freeze(f, blocks)
-    return g if reassociate_rewrites(g, new[-1].result) else None
+    return blocks
 
 
 def _rev_split_block(f: Function):
@@ -357,51 +376,27 @@ def reverse_variants(name: str, f: Function, cap: int | None = None,
                      near: frozenset[str] | None = None,
                      max_size: int | None = None) -> Variants:
     """Enumerate variants of f under one reverse pass, in deterministic site
-    order. A site's index is its position in the full enumeration, and `cap`
+    order. A site's index is its position in the enumeration, and `cap`
     keeps the sites numbered below it, so an index names the same site of
     a given function whatever the cap. A variant identical to f takes its
     index but is dropped; only a variant of f's size is hashed to find out.
 
     With `near`, a site whose touched set misses it is skipped before
-    anything is built or hashed; so is a site whose variant would have more
-    than `max_size` instructions. A skipped site still takes its index and
-    counts toward the cap, but only `near` adds to `independent`. A
-    rev-reassociate candidate is a site only if its built variant passes
-    reassociate's test, so a skipped one is built after all when a later
-    site's index depends on it. Its size never changes, so `max_size` skips
-    none of them: one is out of bounds only when f is, and is then built and
-    dropped, so the cap cuts where it would without `max_size`."""
+    anything is built or hashed, and counts in `independent`; so is a site
+    whose variant would have more than `max_size` instructions, which does
+    not count. A skipped site still takes its index."""
     if name not in _ENUMERATORS:
         raise KeyError(f"unknown reverse pass '{name}'")
-    maybe = name == "rev-reassociate"
     room = max_size - static_size(f) if max_size is not None else float("inf")
     out: list[Variant] = []
-    site = 0
     skipped = 0
-    pending = []  # skipped rev-reassociate builds, not yet known to be sites
-    for touched, grow, build in _ENUMERATORS[name](f):
-        if cap is not None and site >= cap:
-            break
-        far = near is not None and touched.isdisjoint(near)
-        fits = grow <= room
-        if far or not (fits or maybe):
-            skipped += far
-            if maybe:
-                pending.append(build)
-            else:
-                site += 1
-            continue
-        if pending:
-            site += sum(b() is not None for b in pending)
-            pending.clear()
-            if cap is not None and site >= cap:
-                break
-        g = build()
-        if g is None:
-            continue
-        if fits and (grow or canonical_hash(g) != canonical_hash(f)):
-            out.append(Variant(name, site, g, touched))
-        site += 1
+    for site, (touched, grow, build) in enumerate(islice(_ENUMERATORS[name](f), cap)):
+        if near is not None and touched.isdisjoint(near):
+            skipped += 1
+        elif grow <= room:
+            g = build()
+            if grow or canonical_hash(g) != canonical_hash(f):
+                out.append(Variant(name, site, g, touched))
     result = Variants(out)
     result.independent = skipped
     return result

@@ -156,7 +156,7 @@ class IboIteration:
     iteration: int
     frontier_size: int
     variants_generated: int
-    independent: int  # candidates skipped as independent of their parent's rewrite
+    independent: int  # sites skipped as independent of their parent's rewrite
     searches_run: int
     cache_hits: int
     best_key: tuple
@@ -197,8 +197,9 @@ def ibo(f: Function,
     forward passes re-optimize on its own; dropping such chains is
     partial-order reduction (Godefroid, LNCS 1032, 1996). It is a pruning
     rule, not a proof, checked by keeping every corpus result. Each
-    iteration counts the candidates it skipped in `independent`. Oversize
-    variants are built, not skipped by max_size: `variants_generated` counts them.
+    iteration counts the sites it skipped in `independent`. A variant larger
+    than max_instructions_per_program is never built (reverse_variants'
+    max_size), and `variants_generated` counts only the variants built.
 
     max_programs_explored bounds the programs of all searches together; when
     it runs out, the best result so far is returned with budget_exceeded set
@@ -230,12 +231,11 @@ def ibo(f: Function,
         independent = 0
         for member, prov, _, near in frontier:
             for rname in reverses:
-                variants = reverse_variants(rname, member, limits.cap_per_pass, near)
+                variants = reverse_variants(rname, member, limits.cap_per_pass, near,
+                                            limits.max_instructions_per_program)
                 independent += variants.independent
                 for v in variants:
                     generated += 1
-                    if static_size(v.function) > limits.max_instructions_per_program:
-                        continue
                     d = canonical_hash(v.function)
                     if d in seen:
                         continue

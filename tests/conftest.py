@@ -1,5 +1,6 @@
 from collections import Counter
 from dataclasses import replace
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from bidiropt.passes import (
     edit,
     erasable,
     freeze,
+    tree_roots,
 )
 from bidiropt.reverse import REVERSE_PASSES, reverse_variants
 
@@ -279,6 +281,60 @@ def reference_rewrite_tree(f: Function, ud, root_name: str, counter) -> Function
     reference_erase_dead(blocks, set(absorbed))
     candidate = freeze(candidate, blocks)
     return None if canonical_hash(candidate) == canonical_hash(f) else candidate
+
+
+def reference_reassociate_rewrites(f: Function, name: str) -> bool:
+    """The old passes.reassociate_rewrites: whether reassociate rewrites the
+    add/sub tree that holds value name, found by building its candidate."""
+    ud = use_def(f)
+    for root, absorbed in tree_roots(f, ud):
+        if name == root or name in absorbed:
+            return reference_rewrite_tree(f, ud, root, count()) is not None
+    return False
+
+
+def reference_reassociate_sites(f: Function) -> list[Function]:
+    """The variant of every rev-reassociate site of f, in site order, by the
+    rule it used before it decided sites from f: build each operand swap and
+    each rotation of a nested single-use add, and keep the ones in whose tree
+    reference_reassociate_rewrites finds a rewrite. Kept as the oracle the
+    rule that decides from f must match site for site."""
+    ud = use_def(f)
+
+    def single_use_add(op: Operand) -> Instruction | None:
+        if not isinstance(op, ValueRef) or ud.use_count(op.name) != 1:
+            return None
+        ins = ud.instrs.get(op.name)
+        return ins if ins is not None and ins.opcode == "add" else None
+
+    sites = []
+    for lbl, i, ins in rpo_instrs(f):
+        if ins.opcode != "add":
+            continue
+        a, b = ins.operands
+        candidates = [(None, [replace(ins, operands=(b, a))])]
+        (tn,) = fresh_names(f, "x", 1)
+        inner = single_use_add(a)
+        if inner is not None:
+            p, q = inner.operands
+            candidates.append((ud.defs[inner.result], [
+                Instruction(tn, "add", (q, b)),
+                Instruction(ins.result, "add", (p, ValueRef(tn)))]))
+        inner = single_use_add(b)
+        if inner is not None:
+            p, q = inner.operands
+            candidates.append((ud.defs[inner.result], [
+                Instruction(tn, "add", (a, p)),
+                Instruction(ins.result, "add", (ValueRef(tn), q))]))
+        for site, new in candidates:
+            blocks = edit(f)
+            if site is not None:
+                blocks[site[0]][site[1]] = None
+            blocks[lbl][i:i + 1] = new
+            g = freeze(f, blocks)
+            if reference_reassociate_rewrites(g, ins.result):
+                sites.append(g)
+    return sites
 
 
 def reference_promotable_allocas(f: Function) -> list[str]:

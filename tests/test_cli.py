@@ -158,6 +158,17 @@ def test_malformed_workload_is_a_usage_error(tmp_path, capsys, argv, rows):
     assert capsys.readouterr().err.startswith(f"error: cannot load workload {w}")
 
 
+@pytest.mark.parametrize("argv", [("run",), ("ibo", "-k", "1", "--metric", "dynamic"),
+                                  ("compare", "-k", "1")], ids=lambda a: a[0])
+def test_empty_workload_is_a_usage_error(tmp_path, capsys, argv):
+    # no row runs, so no row could tell a miscompile or a cost apart
+    w = tmp_path / "w.json"
+    w.write_text("[]")
+    code, out = run_cli(argv[0], VALID / "bin2bcd.ir", *argv[1:], "--workload", w)
+    assert (code, out) == (2, "")
+    assert _error_lines(capsys) == [f"error: cannot load workload {w}: workload {w} has no rows"]
+
+
 # --- opt ----------------------------------------------------------------------
 
 def test_opt_text_mode_prints_ir():

@@ -28,9 +28,9 @@ from bidiropt.passes import (
     FORWARD_PASSES,
     _erase_dead,
     _rewrite_tree,
-    _tree_roots,
     apply_pass,
     edit,
+    tree_roots,
 )
 from bidiropt.reverse import reverse_variants
 
@@ -256,7 +256,7 @@ def _rewrite_both(f, root):
 
 
 def _assert_rewrites_match_reference(f):
-    for root, _ in _tree_roots(f, use_def(f)):
+    for root, _ in tree_roots(f, use_def(f)):
         got, want, n_ours, n_theirs = _rewrite_both(f, root)
         assert (got is None) == (want is None), (print_function(f), root)
         if got is not None:
@@ -326,7 +326,7 @@ def test_rewrite_tree_leaves_every_canonical_tree_without_a_candidate(path, monk
     monkeypatch.setattr(passes, "edit", lambda g: built.append(g) or edit(g))
     monkeypatch.setattr(passes, "canonical_hash", lambda g: built.append(g) or canonical_hash(g))
     for g in programs:
-        for root, _ in _tree_roots(g, use_def(g)):
+        for root, _ in tree_roots(g, use_def(g)):
             if reference_rewrite_tree(g, use_def(g), root, count()) is not None:
                 continue
             built.clear()

@@ -26,6 +26,7 @@ from conftest import (
     memory_cfg,
     one_step_neighbours,
     reference_interpret,
+    reference_reassociate_sites,
     reference_touched,
     same_modulo_name,
     straightline,
@@ -340,6 +341,83 @@ def test_near_counts_skipped_sites():
     assert reverse_variants("rev-split-block", f).independent == 0
 
 
+# --- one site, one triple --------------------------------------------------------
+
+def _reference_sites(name, f):
+    """The touched set of each site of f under reverse pass name, in site
+    order; rev-reassociate's come from its old build-then-test rule."""
+    if name == "rev-reassociate":
+        return [reference_touched(f, g) for g in reference_reassociate_sites(f)]
+    return [touched for touched, _, _ in reverse._ENUMERATORS[name](f)]
+
+
+def test_independent_counts_the_sites_near_skips(corpus_function):
+    for f in [corpus_function, *one_step_neighbours(corpus_function)]:
+        nears = {v.touched for v in all_reverse_variants(f)}
+        for name in REVERSE_PASSES:
+            sites = _reference_sites(name, f)
+            for cap in (None, 2):
+                for near in nears:
+                    got = reverse_variants(name, f, cap, near).independent
+                    want = sum(t.isdisjoint(near) for t in sites[:cap])
+                    assert got == want, (print_function(f), name, cap, near)
+
+
+def _assert_reassociate_sites_match_reference(f):
+    sites = reference_reassociate_sites(f)
+    h = canonical_hash(f)
+    for cap in (None, 2):
+        want = [(f"rev-reassociate@{k}", reference_touched(f, g), print_function(g))
+                for k, g in enumerate(sites[:cap]) if canonical_hash(g) != h]
+        got = reverse_variants("rev-reassociate", f, cap)
+        assert _seen(got) == want, (print_function(f), cap)
+
+
+def test_reassociate_sites_match_the_reference_rule(corpus_function):
+    for f in [corpus_function, *one_step_neighbours(corpus_function)]:
+        _assert_reassociate_sites_match_reference(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(straightline())
+def test_reassociate_sites_match_the_reference_rule_on_generated_straightline(text):
+    _assert_reassociate_sites_match_reference(parse_function(text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(memory_cfg())
+def test_reassociate_sites_match_the_reference_rule_on_generated_memory_programs(text):
+    _assert_reassociate_sites_match_reference(parse_function(text))
+
+
+def test_reassociate_builds_only_the_sites_it_keeps(monkeypatch):
+    built = []
+    real = reverse.freeze
+    monkeypatch.setattr(reverse, "freeze", lambda *a, **kw: built.append(a[0]) or real(*a, **kw))
+    # swapping %s lands on reassociate's canonical order, so it is no site;
+    # swapping %z (site 0) is one, and so are the swaps of %t and %v
+    f = parse_function("""\
+func @f(%x, %y) {
+entry:
+  %a = shl %x, 4
+  %b = mul %x, 8
+  %s = add %a, %b
+  %z = add %y, 7
+  %t = add %x, %x
+  %u = sub %t, %x
+  %v = add %u, %y
+  %w = xor %s, %v
+  %r = xor %w, %z
+  ret %r
+}
+""")
+    # near misses %s and %z; the swap of %t is built and dropped as f itself
+    (v,) = reverse_variants("rev-reassociate", f, near=frozenset({"x", "v"}))
+    assert v.step == "rev-reassociate@2"
+    assert "%v = add %y, %u" in print_function(v.function)
+    assert built == [f, f]
+
+
 # --- size growth and the envelope filter ----------------------------------------
 
 CORPUS_FILES = VALID_FILES + sorted((ROOT / "corpus" / "regress").glob("*.ir"))
@@ -349,8 +427,7 @@ def _assert_grow_is_exact(f):
     for name in REVERSE_PASSES:
         for _, grow, build in reverse._ENUMERATORS[name](f):
             g = build()
-            if g is not None:
-                assert static_size(g) == static_size(f) + grow, (print_function(f), name)
+            assert static_size(g) == static_size(f) + grow, (print_function(f), name)
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)

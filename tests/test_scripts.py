@@ -11,6 +11,7 @@ import pytest
 
 from bidiropt.cost import static_size
 from bidiropt.passes import FORWARD_PASSES
+from bidiropt.reverse import REVERSE_PASSES
 
 from conftest import ROOT, VALID, load, run_cli
 
@@ -70,7 +71,8 @@ def test_report_digest(compare_report):
     proc = _run("report_digest.py", corpus)
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout.splitlines()
-    lines = [l.split(" ", 2) for l in out[:-len(FORWARD_PASSES)]]
+    tail = len(FORWARD_PASSES) + len(REVERSE_PASSES)
+    lines = [l.split(" ", 2) for l in out[:-tail]]
     # only loop_counter_alloca has a workload file of the same stem
     dynamic = {"loop_counter_alloca": [
         f"ibo {corpus / 'loop_counter_alloca.ir'} -k 1 --metric dynamic"
@@ -97,10 +99,18 @@ def test_report_digest(compare_report):
     assert equiv == hashlib.sha256((report + dot.read_text()).encode()).hexdigest()
     # then one "name fired/applications sha256" line per forward pass, each
     # applied to the same programs of the two-step neighbourhood
-    passes = [l.split() for l in out[-len(FORWARD_PASSES):]]
+    passes = [l.split() for l in out[-tail:-len(REVERSE_PASSES)]]
     assert [name for name, _, _ in passes] == list(FORWARD_PASSES)
     counts = [tuple(map(int, n.split("/"))) for _, n, _ in passes]
     assert len({total for _, total in counts}) == 1
     assert counts[0][1] > 3 and all(fired <= total for fired, total in counts)
     assert sum(fired for fired, _ in counts) > 0
     assert all(len(h) == 64 and int(h, 16) >= 0 for _, _, h in passes)
+    # and one "name variants/programs sha256" line per reverse pass, each
+    # enumerated at cap 8 on those same programs
+    reverses = [l.split() for l in out[-len(REVERSE_PASSES):]]
+    assert [name for name, _, _ in reverses] == list(REVERSE_PASSES)
+    made = [tuple(map(int, n.split("/"))) for _, n, _ in reverses]
+    assert {total for _, total in made} == {counts[0][1]}
+    assert sum(n for n, _ in made) > 0
+    assert all(len(h) == 64 and int(h, 16) >= 0 for _, _, h in reverses)
