@@ -4,8 +4,10 @@
 Runs the CLI in-process and prints one line per report, `exit sha256
 command`: `search`, `ibo -k 2` and one `opt --passes P --report` for each
 forward pass P on each .ir file of DIR (default corpus/valid), plus
-`ibo -k 1 --metric dynamic --workload corpus/workloads/STEM.json` for a file
-whose stem has a workload there, and for a file that parses `equiv-class
+`ibo -k 1 --metric dynamic --workload corpus/workloads/W.json` for each
+curated workload W of the file (W is the file's stem, or the stem and an
+`_` suffix, as bin2bcd_spot is bin2bcd's; a workload goes to the file with
+the longest such stem), and for a file that parses `equiv-class
 FILE --budget-instrs N --budget-programs 5000 --dot TMP`, where N is the
 instruction count of its (first) function and the digest covers the report
 and then the DOT text, written to a temporary file that the line names TMP;
@@ -21,12 +23,19 @@ fired/applications sha256`: the pass runs on every program of DIR's two-step
 neighbourhood (the functions of DIR, every forward pass output and every
 reverse variant at cap 8 of them, and the same again of those; deduplicated
 by canonical digest, in digest order), and the digest covers each
-application's changed flag and printed output. Last, one line per reverse
+application's changed flag and printed output. Then one line per reverse
 pass, `name variants/programs sha256`: the pass enumerates its variants at
 cap 8 of every program of the same neighbourhood, and the digest covers
 each variant's step, sorted touched set and printed IR. A pass change that
 keeps these lines identical keeps every output of the pass identical on
-them:
+them.
+
+Last, one line per curated workload W of a file of DIR, `W.json
+programs diverged@10000=N diverged@25=M sha256`: every program of that
+file's own two-step neighbourhood is measured by
+interp.dynamic_cost_total on W at the default step limit and at 25 steps,
+which cuts the curated loops mid-loop; the digest covers each total, or
+the diverged row, outcome and reason:
 
     python3 scripts/report_digest.py > before.txt   # in the old checkout
     python3 scripts/report_digest.py > after.txt    # in the new one
@@ -42,6 +51,7 @@ from pathlib import Path
 
 from bidiropt.cli import main as cli
 from bidiropt.cost import static_size
+from bidiropt.interp import DEFAULT_STEP_LIMIT, WorkloadDiverged, dynamic_cost_total, load_workload
 from bidiropt.ir import (
     ParseError,
     canonical_hash,
@@ -125,20 +135,54 @@ def reverse_digest(name: str, programs: list) -> str:
     return f"{name} {made}/{len(programs)} {h.hexdigest()}"
 
 
+WORKLOADS = Path("corpus/workloads")
+CUT_LIMIT = 25  # ends every curated loop workload's longer rows mid-loop
+
+
+def curated_workloads(paths: list[Path]) -> dict[Path, list[Path]]:
+    """The curated workloads of each file: a workload belongs to the file
+    with the longest stem that is its own stem or prefixes it before `_`."""
+    mine: dict[Path, list[Path]] = {p: [] for p in paths}
+    for w in sorted(WORKLOADS.glob("*.json")):
+        fits = [p for p in paths if w.stem == p.stem or w.stem.startswith(p.stem + "_")]
+        if fits:
+            mine[max(fits, key=lambda p: len(p.stem))].append(w)
+    return mine
+
+
+def dynamic_digest(path: Path, workload: Path) -> str:
+    programs = neighbourhood([path])
+    if not programs:
+        return f"{workload.name} 0"
+    wl = load_workload(workload, programs[0].name)
+    h = hashlib.sha256()
+    diverged = []
+    for limit in (DEFAULT_STEP_LIMIT, CUT_LIMIT):
+        n = 0
+        for f in programs:
+            try:
+                h.update(f"{limit} {dynamic_cost_total(f, wl, limit)}\n".encode())
+            except WorkloadDiverged as e:
+                n += 1
+                h.update(f"{limit} {list(e.args)} {e.result.outcome} {e.result.reason}\n".encode())
+        diverged.append(f"diverged@{limit}={n}")
+    return f"{workload.name} {len(programs)} {' '.join(diverged)} {h.hexdigest()}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("dir", nargs="?", default="corpus/valid",
                     help="directory of .ir files (default: corpus/valid)")
     d = ap.parse_args(argv).dir
     paths = sorted(Path(d).glob("*.ir"))
+    workloads = curated_workloads(paths)
     with tempfile.TemporaryDirectory() as tmp:
         for path in paths:
             print(digest(["search", str(path)]), flush=True)
             print(digest(["ibo", str(path), "-k", "2"]), flush=True)
             for name in FORWARD_PASSES:
                 print(digest(["opt", str(path), "--passes", name, "--report"]), flush=True)
-            workload = Path("corpus/workloads") / f"{path.stem}.json"
-            if workload.exists():
+            for workload in workloads[path]:
                 print(digest(["ibo", str(path), "-k", "1", "--metric", "dynamic",
                               "--workload", str(workload)]), flush=True)
             size = size_of(path)
@@ -152,6 +196,9 @@ def main(argv=None):
         print(pass_digest(name, programs), flush=True)
     for name in REVERSE_PASSES:
         print(reverse_digest(name, programs), flush=True)
+    for path in paths:
+        for workload in workloads[path]:
+            print(dynamic_digest(path, workload), flush=True)
     return 0
 
 

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation or equivalence failure, 2 usage or
-config error, or a dynamic-metric workload the program does not finish on
-(trap or step limit; the report names the case), 3 the program budget ran
-out before the search finished (the report holds the best result found and
-has budget_exceeded set).
+config error, or a dynamic-metric workload the input program does not
+finish on (trap or step limit; the report names the case), 3 the program
+budget ran out before the search finished (the report holds the best result
+found and has budget_exceeded set).
 
 Every report is a single JSON object {command, input, config, outcome} so
 runs are comparable across machines; --format text renders the same data
@@ -41,6 +41,7 @@ from .passes import FORWARD_PASSES, apply_pass
 from .reverse import REVERSE_PASSES
 from .search import (
     IboOutcome,
+    PassCache,
     ReplayDiverged,
     SearchOutcome,
     check_closure,
@@ -153,14 +154,15 @@ def _workload(cfg: Config, f: Function, count: int = 1000):
     return default_workload(f, seed=cfg.seed, count=count)
 
 
-def _trace(f: Function, steps, cfg: Config, workload=None) -> list:
-    """Replay a reported sequence step by step, recording the key after each."""
+def _trace(f: Function, steps, cfg: Config, workload=None, memo=None) -> list:
+    """Replay a reported sequence step by step, recording the key after each.
+    `memo` is the run's control-slice memo (interp.dynamic_cost_total)."""
     rows = []
     g = f
     for step in steps:
         g = replay_sequence(g, [step])
         cost = None if workload is None else dynamic_cost_total(
-            g, workload, cfg.step_limit, cfg.model())
+            g, workload, cfg.step_limit, cfg.model(), memo)
         key = rank_key(g, cfg.model(), cost)
         rows.append({"step": step, "key": _key_json(key)})
     return rows
@@ -171,12 +173,13 @@ def _diverged_json(wl, e: WorkloadDiverged) -> dict:
             "outcome": e.result.outcome, "reason": e.result.reason}
 
 
-def _search_json(out: SearchOutcome, f: Function, cfg: Config, workload=None) -> dict:
+def _search_json(out: SearchOutcome, f: Function, cfg: Config, workload=None,
+                 memo=None) -> dict:
     return {
         "best_ir": print_function(out.best_function),
         "best_key": _key_json(out.best_key),
         "sequence": list(out.best_sequence),
-        "trace": _trace(f, out.best_sequence, cfg, workload),
+        "trace": _trace(f, out.best_sequence, cfg, workload, memo),
         "start_key": _key_json(out.start_key),
         "explored": out.explored,
         "saturated_leaves": out.saturated_leaves,
@@ -186,13 +189,13 @@ def _search_json(out: SearchOutcome, f: Function, cfg: Config, workload=None) ->
     }
 
 
-def _ibo_json(out: IboOutcome, f: Function, cfg: Config, workload=None) -> dict:
+def _ibo_json(out: IboOutcome, f: Function, cfg: Config, workload=None, memo=None) -> dict:
     return {
         "best_ir": print_function(out.best_function),
         "best_key": _key_json(out.best_key),
         "sequence": list(out.best_provenance),
-        "trace": _trace(f, out.best_provenance, cfg, workload),
-        "baseline": _search_json(out.baseline, f, cfg, workload),
+        "trace": _trace(f, out.best_provenance, cfg, workload, memo),
+        "baseline": _search_json(out.baseline, f, cfg, workload, memo),
         "iterations": [
             {
                 "iteration": it.iteration,
@@ -316,13 +319,14 @@ def cmd_search(args, cfg: Config) -> int:
     f = _load(args.file, args.function)
     wl = _workload(cfg, f) if cfg.metric == "dynamic" else None
     report = _report("search", cfg, input=_input_json(args.file, f, cfg))
+    cache = PassCache()
     try:
-        out = exhaustive_search(f, cfg.passes, cfg.limits(), cfg.model(), wl)
+        out = exhaustive_search(f, cfg.passes, cfg.limits(), cfg.model(), wl, cache)
     except WorkloadDiverged as e:
         report["outcome"] = _diverged_json(wl, e)
         _emit(report, cfg)
         return 2
-    report["outcome"] = _search_json(out, f, cfg, wl)
+    report["outcome"] = _search_json(out, f, cfg, wl, cache.slices)
     report["budget_exceeded"] = out.budget_exceeded
     _emit(report, cfg)
     return 3 if out.budget_exceeded else 0
@@ -336,14 +340,15 @@ def cmd_ibo(args, cfg: Config) -> int:
     wl = _workload(cfg, f) if cfg.metric == "dynamic" else None
     report = _report("ibo", cfg, input=_input_json(args.file, f, cfg),
                      iterations_requested=args.iterations)
+    cache = PassCache()
     try:
         out = ibo(f, args.iterations, cfg.passes, cfg.reverses, cfg.limits(),
-                  cfg.model(), wl)
+                  cfg.model(), wl, cache)
     except WorkloadDiverged as e:
         report["outcome"] = _diverged_json(wl, e)
         _emit(report, cfg)
         return 2
-    report["outcome"] = _ibo_json(out, f, cfg, wl)
+    report["outcome"] = _ibo_json(out, f, cfg, wl, cache.slices)
     report["budget_exceeded"] = out.budget_exceeded
     _emit(report, cfg)
     return 3 if out.budget_exceeded else 0

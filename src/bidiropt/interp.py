@@ -1,17 +1,35 @@
 """Interpreter: wrapping int32, trapping udiv/urem-by-zero and uninitialized
-loads, parallel phi evaluation, per-run dynamic cost. Each function is
-compiled once per workload sweep into one generated Python function."""
+loads, parallel phi evaluation, per-run dynamic cost and block counts. Each
+function is compiled once per workload sweep into one generated Python
+function.
+
+A workload's dynamic cost is measured on the function's control slice
+(Weiser, IEEE TSE 1984): what decides the path a run takes and whether it
+traps. Block counts fix a run's cost (Ball & Larus, TOPLAS 1994), so every
+function with the same slice is measured by one run of the slice per row."""
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import mul
 from pathlib import Path
 from typing import Callable
 
-from .ir import MASK32, Function, Literal, Operand
+from .analysis import use_def
+from .ir import (
+    MASK32,
+    BasicBlock,
+    Function,
+    Instruction,
+    Literal,
+    Operand,
+    ValueRef,
+    block_order_with_unreachable,
+    canonical_text,
+)
 from .cost import CostModel, DEFAULT_COST_MODEL
 
 DEFAULT_STEP_LIMIT = 10_000
@@ -22,13 +40,19 @@ _UNINIT = object()
 
 @dataclass(frozen=True)
 class ExecResult:
-    """Outcome of one run: 'returned' | 'trapped' | 'steplimit'."""
+    """Outcome of one run: 'returned' | 'trapped' | 'steplimit'.
+
+    For a returned run, `blocks` counts the runs of each block, in block
+    order; it is () for a run that trapped or hit the step limit. It
+    profiles the run rather than being part of its outcome, so equality
+    ignores it."""
 
     outcome: str
     value: int | None = None
     reason: str | None = None
     steps: int = 0
     dynamic_cost: int = 0
+    blocks: tuple[int, ...] = field(default=(), compare=False)
 
     def matches(self, other: "ExecResult") -> bool:
         if self.outcome != other.outcome:
@@ -63,6 +87,24 @@ BINOP_FUNCS: dict[str, Callable[[int, int], int]] = {
     op: eval("lambda a, b: " + t.format(a="a", b="b")) for op, t in _BINOP_EXPR.items()}
 
 
+def may_trap(ins: Instruction) -> bool:
+    """A load, or a udiv/urem whose divisor is not a nonzero literal."""
+    if ins.opcode in ("udiv", "urem"):
+        d = ins.operands[1]
+        return not (isinstance(d, Literal) and d.value)
+    return ins.opcode == "load"
+
+
+def _run_order(b: BasicBlock) -> list[Instruction]:
+    """The instructions a run of b executes: its phis, then the rest up to
+    and including the first terminator."""
+    rest = [ins for ins in b.instrs if not ins.is_phi]
+    end = next((k for k, ins in enumerate(rest) if ins.is_terminator), None)
+    if end is None:
+        raise ValueError(f"block {b.label} has no terminator")
+    return [ins for ins in b.instrs if ins.is_phi] + rest[:end + 1]
+
+
 class LoweredFunction:
     """A Function compiled for execution under one cost model.
 
@@ -71,13 +113,14 @@ class LoweredFunction:
     a `while True` loop dispatches on the block index `cur`, and a block's
     phis are one tuple assignment chosen by the predecessor index `prev`.
     A block that fits in the remaining step budget runs as straight-line
-    code and adds its length and cost. Otherwise it runs only up to its last
-    instruction that can trap (a load, or a udiv/urem whose divisor is not a
-    nonzero literal), testing the budget `t` before each one, and the
-    block's prefix sums of costs give the exact steps and cost of the cut.
-    Steps count phis first, then the rest of the block in order, the
-    terminator last. Only value and block indices, integer literals and
-    fixed templates reach the source, never IR text.
+    code, adds its length and cost, and counts one more run of itself in
+    its local n0, n1, ...; a `ret` returns those counts (ExecResult.blocks).
+    Otherwise the block runs only up to its last instruction that can trap
+    (may_trap), testing the budget `t` before each one, and the block's
+    prefix sums of costs give the exact steps and cost of the cut. Steps
+    count phis first, then the rest of the block in order, the terminator
+    last. Only value and block indices, integer literals and fixed
+    templates reach the source, never IR text.
     """
 
     def __init__(self, f: Function, model: CostModel | None = None):
@@ -96,15 +139,14 @@ class LoweredFunction:
 
         src = ["def run(args, limit):"]
         src += [f" {reg(p)} = args[{i}] & 4294967295" for i, p in enumerate(f.params)]
-        src += [" cells = []; steps = cost = cur = 0; prev = -1", " while True:"]
+        counters = [f"n{i}" for i in range(len(f.blocks))]
+        src += [f" cells = []; steps = cost = cur = {' = '.join(counters + ['0'])}; prev = -1",
+                " while True:"]
         prefixes = []
         for i, b in enumerate(f.blocks):
-            phis = [ins for ins in b.instrs if ins.is_phi]
-            rest = [ins for ins in b.instrs if not ins.is_phi]
-            n_body = next((k for k, ins in enumerate(rest) if ins.is_terminator), None)
-            if n_body is None:
-                raise ValueError(f"block {b.label} has no terminator")
-            seq = phis + rest[:n_body + 1]
+            seq = _run_order(b)
+            phis = [ins for ins in seq if ins.is_phi]
+            body, term = seq[len(phis):-1], seq[-1]
             prefix = tuple(accumulate((model.cost(ins.opcode) for ins in seq), initial=0))
             prefixes.append(prefix)
             length, total = len(seq), prefix[-1]
@@ -122,7 +164,7 @@ class LoweredFunction:
                 code.append(("else: " * bool(arms) +
                              f"raise AssertionError(f'phis in block {i} have no incoming for {{prev}}')",
                              None))
-            for pos, ins in enumerate(rest[:n_body], len(phis)):
+            for pos, ins in enumerate(body, len(phis)):
                 trap = f"return R('trapped', None, '%s', steps + {pos + 1}, cost + {prefix[pos + 1]})"
                 d = None if ins.result is None else reg(ins.result)
                 ops = [val(op) for op in ins.operands]
@@ -135,16 +177,16 @@ class LoweredFunction:
                 elif ins.opcode == "select":
                     code.append((f"{d} = {ops[1]} if {ops[0]} else {ops[2]}", None))
                 else:
-                    if ins.opcode in ("udiv", "urem") and not (
-                            isinstance(ins.operands[1], Literal) and ins.operands[1].value):
+                    if may_trap(ins):
                         code.append((f"if not {ops[1]}: " + trap % "DivByZero", pos))
                     code.append((f"{d} = " + _BINOP_EXPR[ins.opcode].format(a=ops[0], b=ops[1]), None))
-            term = rest[n_body]
             if term.opcode == "ret":
-                end = [f"return R('returned', {val(term.operands[0])}, None, steps + {length}, cost + {total})"]
+                counts = "".join(f"{n}{' + 1' * (j == i)}, " for j, n in enumerate(counters))
+                end = [f"return R('returned', {val(term.operands[0])}, None, steps + {length}, "
+                       f"cost + {total}, ({counts}))"]
             else:
                 targets = [index[lbl] for lbl in term.labels]
-                end = [f"steps += {length}; cost += {total}"]
+                end = [f"steps += {length}; cost += {total}; n{i} += 1"]
                 if has_phis.intersection(targets):
                     end.append(f"prev = {i}")
                 end.append(f"cur = {targets[0]}" if term.opcode == "br" else
@@ -219,16 +261,86 @@ class WorkloadDiverged(Exception):
         self.result = result
 
 
+def control_slice(f: Function) -> Function:
+    """f cut down to the instructions that decide its path and its traps.
+
+    The roots are the branches and the instructions that may trap; with a
+    load among them, every alloca and store is a root too (in a valid
+    function an address reaches nothing but loads and stores). The slice
+    keeps the roots and every def they reach through use-def operands, so a
+    value that feeds only `ret` (a phi cycle included) drops out, and every
+    `ret` returns 0. Blocks keep their terminators and come in canonical
+    order (block_order_with_unreachable), so equal canonical_text means
+    equal block counts, block by block, on every input."""
+    instrs = [ins for b in f.blocks for ins in b.instrs]
+    memory = any(ins.opcode == "load" for ins in instrs)
+
+    def root(ins: Instruction) -> bool:
+        return (ins.opcode in ("br", "condbr") or may_trap(ins)
+                or (memory and ins.opcode in ("alloca", "store")))
+
+    defs = use_def(f).instrs
+    live: set[str] = set()
+    work = [ins for ins in instrs if root(ins)]
+    while work:
+        ins = work.pop()
+        for op in ins.operands:
+            if isinstance(op, ValueRef) and op.name not in live:
+                live.add(op.name)
+                if op.name in defs:
+                    work.append(defs[op.name])
+    ret0 = Instruction(None, "ret", (Literal(0),))
+    blocks = {b.label: b for b in f.blocks}
+    return Function(f.name, f.params, tuple(
+        BasicBlock(lbl, tuple(ret0 if ins.opcode == "ret" else ins
+                              for ins in blocks[lbl].instrs
+                              if ins.opcode == "ret" or root(ins) or ins.result in live))
+        for lbl in block_order_with_unreachable(f)))
+
+
 def dynamic_cost_total(
     f: Function,
     workload: Workload,
     limit: int = DEFAULT_STEP_LIMIT,
     model: CostModel | None = None,
+    memo: dict | None = None,
 ) -> int:
+    """The summed dynamic cost of f over the workload's rows, or
+    WorkloadDiverged for the first row on which f traps or runs past `limit`.
+
+    f takes its control slice's path on every row: an instruction outside
+    the slice neither traps nor steers. So the slice is lowered and run
+    once per row, and a row's cost is its block counts times f's block
+    costs, its steps the counts times f's block lengths. `memo` keeps the
+    counts by the slice's canonical text; it belongs to one workload and
+    step limit, and then every function with that slice is measured with no
+    run at all. f itself runs on a row only when the slice does not return
+    there or the row's steps in f exceed `limit`, so the divergence
+    reported is f's own.
+    """
+    model = model or DEFAULT_COST_MODEL
+    cut = control_slice(f)
+    key = canonical_text(cut)
+    counts = None if memo is None else memo.get(key)
+    if counts is None:
+        lowered_cut = LoweredFunction(cut, model)
+        counts = [r.blocks if r.outcome == "returned" else None
+                  for r in (interpret(cut, args, limit, model, lowered_cut)
+                            for args in workload.args)]
+        if memo is not None:
+            memo[key] = counts
+    index = {b.label: b for b in f.blocks}
+    seqs = [_run_order(index[lbl]) for lbl in block_order_with_unreachable(f)]
+    lengths = [len(seq) for seq in seqs]
+    costs = [sum(model.cost(ins.opcode) for ins in seq) for seq in seqs]
     total = 0
-    lowered = LoweredFunction(f, model)
-    for args in workload.args:
-        r = interpret(f, args, limit=limit, model=model, lowered=lowered)
+    lowered = None
+    for args, row in zip(workload.args, counts):
+        if row is not None and sum(map(mul, row, lengths)) <= limit:
+            total += sum(map(mul, row, costs))
+            continue
+        lowered = lowered or LoweredFunction(f, model)
+        r = interpret(f, args, limit, model, lowered)
         if r.outcome != "returned":
             raise WorkloadDiverged(tuple(args), r)
         total += r.dynamic_cost

@@ -23,7 +23,7 @@ from .analysis import (
     use_def,
 )
 from .cost import DEFAULT_COST_MODEL
-from .interp import BINOP_FUNCS
+from .interp import BINOP_FUNCS, may_trap
 from .ir import (
     BINOPS,
     MASK32,
@@ -57,11 +57,7 @@ def _is_lit(op: Operand, value: int | None = None) -> bool:
 
 def erasable(ins: Instruction) -> bool:
     """Pure and trap-free: safe to drop when the result is unused."""
-    if ins.result is None or ins.opcode in ("load", "store"):
-        return False
-    if ins.opcode in ("udiv", "urem"):
-        return _is_lit(ins.operands[1]) and ins.operands[1].value != 0
-    return True
+    return ins.result is not None and ins.opcode != "store" and not may_trap(ins)
 
 
 # The rewrite kit shared by forward and reverse passes: a mutable working

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from . import interp
 from .cost import CostModel, DEFAULT_COST_MODEL, rank_key, static_size
 from .ir import CanonicalDigest, Function, canonical_hash
-from .interp import DEFAULT_STEP_LIMIT
+from .interp import DEFAULT_STEP_LIMIT, WorkloadDiverged
 from .passes import FORWARD_PASSES, apply_pass
 from .reverse import REVERSE_PASSES, reverse_variants
 
@@ -51,12 +51,15 @@ class ReplayDiverged(Exception):
 class PassCache:
     """Digest-keyed memo of pass applications and dynamic costs, shared
     across the sub-searches of one ibo run so overlapping search spaces are
-    only walked, and each program's workload only run, once."""
+    only walked, and each program measured, once. `slices` is the run's
+    control-slice memo (interp.dynamic_cost_total), so each control slice
+    runs its workload once."""
 
     def __init__(self) -> None:
         self.apps: dict[tuple[CanonicalDigest, str], tuple[bool, Function]] = {}
         self.searches: dict[CanonicalDigest, SearchOutcome] = {}
-        self.dynamic: dict[CanonicalDigest, int] = {}
+        self.dynamic: dict[CanonicalDigest, int | WorkloadDiverged] = {}
+        self.slices: dict = {}
         self.hits = 0
 
     def apply(self, name: str, f: Function, digest: CanonicalDigest) -> tuple[bool, Function]:
@@ -73,13 +76,20 @@ class PassCache:
     def rank(self, f: Function, digest: CanonicalDigest, model: CostModel,
              workload, step_limit: int) -> tuple:
         """rank_key of f. The model, workload and step limit are fixed for one
-        cache's lifetime, so the dynamic cost is keyed on the digest alone."""
+        cache's lifetime, so the dynamic cost is keyed on the digest alone.
+        Raises WorkloadDiverged when f does not finish every row; that
+        outcome is memoized too."""
         if workload is None:
             return rank_key(f, model)
         cost = self.dynamic.get(digest)
         if cost is None:
-            cost = self.dynamic[digest] = interp.dynamic_cost_total(
-                f, workload, step_limit, model)
+            try:
+                cost = interp.dynamic_cost_total(f, workload, step_limit, model, self.slices)
+            except WorkloadDiverged as e:
+                cost = e
+            self.dynamic[digest] = cost
+        if isinstance(cost, WorkloadDiverged):
+            raise WorkloadDiverged(cost.args, cost.result)
         return rank_key(f, model, dynamic_cost=cost)
 
 
@@ -90,7 +100,11 @@ def exhaustive_search(f: Function,
                       workload=None,
                       cache: PassCache | None = None) -> SearchOutcome:
     """Depth-first enumeration of the forward phase-ordering space, children
-    in pass declaration order, revisits pruned by canonical digest."""
+    in pass declaration order, revisits pruned by canonical digest.
+
+    Under the dynamic metric (a workload), WorkloadDiverged from f ends the
+    search; a child that does not finish every row is left out, as a child
+    over max_instructions_per_program is: not ranked, kept or expanded."""
     names = tuple(passes) if passes is not None else tuple(FORWARD_PASSES)
     cache = cache if cache is not None else PassCache()
 
@@ -127,10 +141,14 @@ def exhaustive_search(f: Function,
                 continue
             if stats["explored"] >= limits.max_programs_explored:
                 return True
+            try:
+                key = cache.rank(child, cd, model, workload, limits.step_limit)
+            except WorkloadDiverged:
+                continue  # left out, as an oversize program is
             visited.add(cd)
             stats["explored"] += 1
             path.append(name)
-            consider(child, cache.rank(child, cd, model, workload, limits.step_limit))
+            consider(child, key)
             spent = walk(child, cd)
             path.pop()
             if spent:
@@ -180,7 +198,8 @@ def ibo(f: Function,
         reverses: tuple[str, ...] | None = None,
         limits: SearchLimits = SearchLimits(),
         model: CostModel = DEFAULT_COST_MODEL,
-        workload=None) -> IboOutcome:
+        workload=None,
+        cache: PassCache | None = None) -> IboOutcome:
     """Reverse-then-optimize around exhaustive search.
 
     Iteration zero is exhaustive search on the input; with iterations=0 the
@@ -200,13 +219,19 @@ def ibo(f: Function,
     iteration counts the sites it skipped in `independent`. A variant larger
     than max_instructions_per_program is never built (reverse_variants'
     max_size), and `variants_generated` counts only the variants built.
+    Under the dynamic metric, only f's own WorkloadDiverged ends the run; a
+    variant that does not finish every row is dropped before the frontier
+    is ranked, and the sub-searches leave out such programs too.
+
+    `cache` (a fresh PassCache by default) holds the run's memos; a caller
+    that passes one can reuse them, e.g. its control-slice memo.
 
     max_programs_explored bounds the programs of all searches together; when
     it runs out, the best result so far is returned with budget_exceeded set
     and the cut iteration left out of iterations.
     """
     reverses = reverses if reverses is not None else REVERSE_PASSES
-    cache = PassCache()
+    cache = cache if cache is not None else PassCache()
     baseline = exhaustive_search(f, passes, limits, model, workload, cache)
     cache.searches[canonical_hash(f)] = baseline
     total = baseline.explored
@@ -242,8 +267,14 @@ def ibo(f: Function,
                     seen.add(d)
                     produced.append((v.function, prov + (v.step,), d, v.touched))
 
-        produced.sort(key=lambda t: cache.rank(t[0], t[2], model, workload, limits.step_limit))
-        produced = produced[:limits.ibo_max_frontier]
+        ranked = []
+        for t in produced:
+            try:
+                ranked.append((cache.rank(t[0], t[2], model, workload, limits.step_limit), t))
+            except WorkloadDiverged:
+                continue  # left out, as an oversize variant is
+        ranked.sort(key=lambda kt: kt[0])
+        produced = [t for _, t in ranked[:limits.ibo_max_frontier]]
 
         hits = 0
         searched = 0

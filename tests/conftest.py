@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from bidiropt.analysis import compute_dominators, dominance_frontiers, use_def
 from bidiropt.cost import DEFAULT_COST_MODEL, CostModel
-from bidiropt.interp import DEFAULT_STEP_LIMIT, ExecResult, default_workload, load_workload
+from bidiropt.interp import (
+    DEFAULT_STEP_LIMIT,
+    ExecResult,
+    LoweredFunction,
+    WorkloadDiverged,
+    default_workload,
+    interpret,
+    load_workload,
+)
 from bidiropt.ir import (
     MASK32,
     BasicBlock,
@@ -142,7 +150,8 @@ def reference_interpret(
     model: CostModel | None = None,
 ) -> ExecResult:
     """The tree-walking interpreter that interp.interpret replaced, kept as
-    the oracle the lowered interpreter must match result for result."""
+    the oracle the lowered interpreter must match result for result. It
+    also counts the runs of each block of a returned run (ExecResult.blocks)."""
     model = model or DEFAULT_COST_MODEL
     if len(args) != len(f.params):
         raise ValueError(f"@{f.name} wants {len(f.params)} args, got {len(args)}")
@@ -153,6 +162,8 @@ def reference_interpret(
     prev: str | None = None
     steps = 0
     cost = 0
+    position = {b.label: i for i, b in enumerate(f.blocks)}
+    counts = [0] * len(f.blocks)
 
     while True:
         # phis read the environment as it was on entry to the block
@@ -184,9 +195,11 @@ def reference_interpret(
             if steps > limit:
                 return ExecResult("steplimit", steps=steps, dynamic_cost=cost)
             op = ins.opcode
+            if ins.is_terminator:
+                counts[position[cur.label]] += 1
             if op == "ret":
                 return ExecResult("returned", value=val(ins.operands[0]),
-                                  steps=steps, dynamic_cost=cost)
+                                  steps=steps, dynamic_cost=cost, blocks=tuple(counts))
             if op == "br":
                 prev, cur = cur.label, index[ins.labels[0]]
                 break
@@ -214,6 +227,22 @@ def reference_interpret(
                     return ExecResult("trapped", reason=trap,
                                       steps=steps, dynamic_cost=cost)
                 env[ins.result] = res
+
+
+def reference_dynamic_cost_total(f: Function, workload, limit: int = DEFAULT_STEP_LIMIT,
+                                 model: CostModel | None = None) -> int:
+    """interp.dynamic_cost_total as it was before it measured control slices:
+    f itself, lowered once and run on every row. Kept as the oracle the
+    slice measurement must match total for total and divergence for
+    divergence."""
+    total = 0
+    lowered = LoweredFunction(f, model)
+    for args in workload.args:
+        r = interpret(f, args, limit=limit, model=model, lowered=lowered)
+        if r.outcome != "returned":
+            raise WorkloadDiverged(tuple(args), r)
+        total += r.dynamic_cost
+    return total
 
 
 def reference_use_counts(blocks: dict[str, list[Instruction | None]]) -> dict[str, int]:

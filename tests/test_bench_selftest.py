@@ -85,9 +85,19 @@ def test_tracer_wraps_every_binding():
     assert tracer.counts["passes.divmul-to-rem.fires"] >= 1
 
 
-def test_tracer_sees_the_interpreter():
+def test_tracer_sees_the_interpreter(monkeypatch):
     # bench/selftest.py does not drive the interpreter, so check here that the
     # traced dynamic-ibo run still counts interpreter calls and steps
+    from bidiropt.search import PassCache
+
+    caches = []
+    real_init = PassCache.__init__
+
+    def init(cache):
+        real_init(cache)
+        caches.append(cache)
+
+    monkeypatch.setattr(PassCache, "__init__", init)
     Tracer = _tracer_class()
     workload = WORKLOADS / "bin2bcd_spot.json"
     cases = len(json.loads(workload.read_text()))
@@ -100,5 +110,11 @@ def test_tracer_sees_the_interpreter():
         tracer.uninstall()
     assert code == 0
     assert tracer.counts["interp.steps"] > 0
-    assert tracer.calls["interp.dynamic_cost_total"] > 0
-    assert tracer.calls["interp.interpret"] == tracer.calls["interp.dynamic_cost_total"] * cases
+    # every program ranked, and every step of the report's traces, is
+    # measured once, as before control slices
+    assert tracer.calls["interp.dynamic_cost_total"] == 31
+    # but the workload runs once per distinct control slice of the command,
+    # whose one slice memo the search and the report's traces share
+    (cache,) = caches
+    assert 1 < len(cache.slices) < 31
+    assert tracer.calls["interp.interpret"] == cases * len(cache.slices)

@@ -367,6 +367,36 @@ def test_dynamic_ranking_uses_configured_step_limit(tmp_path, command):
                  "reason": None}
 
 
+def test_only_the_inputs_divergence_ends_a_dynamic_run(tmp_path):
+    # loop_sum(5) takes 7*5+6 = 41 steps. Of its 17 reverse variants, all but
+    # the rev-reassociate swap need a 42nd; they are left out of the search,
+    # as oversize variants are, and the input's own run decides the exit.
+    w = tmp_path / "w.json"
+    w.write_text("[[5]]")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"step_limit": 41}))
+    f = VALID / "loop_sum.ir"
+    code, out = run_cli("--config", cfg, "run", f, "--workload", w)
+    assert code == 0
+    assert _json(out)["outcome"] == {"cases": 1, "dynamic_cost_total": 29}
+    code, out = run_cli("--config", cfg, "search", f, "--metric", "dynamic", "--workload", w)
+    assert code == 0
+    code, out = run_cli("--config", cfg, "ibo", f, "-k", "1", "--metric", "dynamic",
+                        "--workload", w)
+    assert code == 0
+    o = _json(out)["outcome"]
+    assert o["best_key"][2] == 29
+    (it,) = o["iterations"]
+    assert (it["variants_generated"], it["searches_run"]) == (17, 1)
+    # one step less, and the input itself runs out
+    cfg.write_text(json.dumps({"step_limit": 40}))
+    code, out = run_cli("--config", cfg, "ibo", f, "-k", "1", "--metric", "dynamic",
+                        "--workload", w)
+    assert code == 2
+    assert _json(out)["outcome"] == {"cases": 1, "diverged_args": [5],
+                                     "outcome": "steplimit", "reason": None}
+
+
 # --- equiv-class --------------------------------------------------------------------
 
 def test_equiv_class_closed(tmp_path):

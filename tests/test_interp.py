@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidiropt import interp
-from bidiropt.cost import CostModel
+from bidiropt.cost import DEFAULT_COST_MODEL, CostModel
 from bidiropt.interp import (
     BINOP_FUNCS,
     DEFAULT_STEP_LIMIT,
@@ -18,24 +18,30 @@ from bidiropt.interp import (
     LoweredFunction,
     Workload,
     WorkloadDiverged,
+    control_slice,
     default_workload,
     differential_check,
     dynamic_cost_total,
     interpret,
     load_workload,
 )
-from bidiropt.ir import BINOPS, parse_function, validate_function
+from bidiropt.ir import BINOPS, canonical_text, parse_function, print_function, validate_function
 from bidiropt.passes import FORWARD_PASSES, apply_pass
 from bidiropt.reverse import REVERSE_PASSES, reverse_variants
 
 from conftest import (
+    ROOT,
     VALID,
     VALID_FILES,
     WORKLOADS,
     load,
+    memory_cfg,
+    one_step_neighbours,
     reference_binop,
+    reference_dynamic_cost_total,
     reference_interpret,
     straightline,
+    workload_for,
 )
 
 
@@ -462,7 +468,8 @@ def test_ir_names_never_reach_the_generated_code():
     code = LoweredFunction(f).run.__code__
     assert code.co_filename == "<lowered @exec>"
     fixed = {"args", "limit", "cells", "steps", "cost", "cur", "prev", "t"}
-    assert all(n in fixed or re.fullmatch(r"v\d+", n) for n in code.co_varnames)
+    # values are v0, v1, ...; the block counters are n0, n1, ...
+    assert all(n in fixed or re.fullmatch(r"[vn]\d+", n) for n in code.co_varnames)
     assert set(code.co_names) <= {"R", "U", "P", "len", "max", "append", "AssertionError"}
     strings = {c for c in code.co_consts if isinstance(c, str)}
     assert all(s in {"returned", "trapped", "steplimit", "DivByZero", "UninitLoad"}
@@ -488,3 +495,155 @@ def test_dynamic_cost_total_lowers_once_and_interprets_each_row(monkeypatch):
     assert total == sum(reference_interpret(load("loop_sum"), r).dynamic_cost for r in wl.args)
     assert len(lowerings) == 1
     assert len(runs) == len(wl.args)
+
+
+# --- block counts and the control slice ------------------------------------
+
+@pytest.mark.parametrize("name", [p.stem for p in VALID_FILES])
+def test_block_counts_match_the_reference(name):
+    for g in _derived(load(name)):
+        lowered = LoweredFunction(g)
+        for args in _rows(len(g.params)):
+            for limit in LIMITS:
+                got, want = interpret(g, args, limit, lowered=lowered), reference_interpret(
+                    g, args, limit)
+                assert got.blocks == want.blocks, (g, args, limit)
+                if got.outcome == "returned":
+                    # a returned run's steps and cost are its counts times its blocks'
+                    sizes = [(len(b.instrs),
+                              sum(DEFAULT_COST_MODEL.cost(i.opcode) for i in b.instrs))
+                             for b in g.blocks]
+                    assert got.steps == sum(n * k for n, (k, _) in zip(got.blocks, sizes))
+                    assert got.dynamic_cost == sum(n * c for n, (_, c) in zip(got.blocks, sizes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(memory_cfg(), st.integers(0, 2**32 - 1), st.sampled_from(LIMITS))
+def test_block_counts_match_the_reference_on_generated(text, arg, limit):
+    f = parse_function(text)
+    assert interpret(f, [arg], limit).blocks == reference_interpret(f, [arg], limit).blocks
+
+
+def test_control_slice_keeps_what_decides_the_path():
+    f = load("loop_licm")
+    # the accumulator's phi cycle feeds only ret, and drops out with it
+    assert print_function(control_slice(f)) == """func @loop_licm(%n, %a, %b) {
+entry:
+  br head
+head:
+  %i = phi [0, entry], [%i2, body]
+  %c = icmp.ult %i, %n
+  condbr %c, body, exit
+exit:
+  ret 0
+body:
+  %i2 = add %i, 1
+  br head
+}
+"""
+    # a possible trap is kept with what it reads; with a load, all memory is
+    g = parse_function("""func @f(%x, %y) {
+entry:
+  %p = alloca
+  %q = alloca
+  %s = add %x, 1
+  store %s, %q
+  %d = udiv %y, %x
+  %k = udiv %y, 3
+  %v = load %p
+  %r = add %d, %k
+  ret %r
+}
+""")
+    assert [ins.result or ins.opcode for ins in control_slice(g).blocks[0].instrs] == [
+        "p", "q", "s", "store", "d", "v", "ret"]
+
+
+SWEEP_LIMITS = (DEFAULT_STEP_LIMIT, 12, 25, 60)
+SWEEP_FILES = VALID_FILES + sorted((ROOT / "corpus" / "regress").glob("*.ir"))
+
+
+def _sweep(measure, f, wl, limit):
+    """The total, or the args and result of the row that diverged."""
+    try:
+        return measure(f, wl, limit)
+    except WorkloadDiverged as e:
+        return e.args, e.result
+
+
+def _assert_sweeps_agree(programs, wl):
+    """dynamic_cost_total equals the per-row sweep on every program, at each
+    limit, with one memo per limit shared by all the programs."""
+    outcomes = set()
+    for limit in SWEEP_LIMITS:
+        memo = {}
+        for g in programs:
+            want = _sweep(reference_dynamic_cost_total, g, wl, limit)
+            got = _sweep(lambda g, wl, limit: dynamic_cost_total(g, wl, limit, memo=memo),
+                         g, wl, limit)
+            assert got == want, (print_function(g), limit)
+            outcomes.add(type(want) is int or want[1].reason or want[1].outcome)
+    return outcomes
+
+
+@pytest.mark.parametrize("path", SWEEP_FILES, ids=[p.stem for p in SWEEP_FILES])
+def test_dynamic_cost_total_matches_the_per_row_sweep(path):
+    f = parse_function(path.read_text())
+    outcomes = _assert_sweeps_agree([f, *one_step_neighbours(f)], workload_for(f))
+    if (WORKLOADS / f"{f.name}.json").exists():
+        # the short limits cut the curated loops mid-loop
+        assert "steplimit" in outcomes
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(memory_cfg(), straightline()))
+def test_dynamic_cost_total_matches_the_per_row_sweep_on_generated(text):
+    f = parse_function(text)
+    wl = Workload("rows", tuple(_rows(len(f.params))))
+    _assert_sweeps_agree([f, *one_step_neighbours(f)], wl)
+
+
+def _count_runs(monkeypatch):
+    """The functions lowered, and the interpret calls, from here on."""
+    lowered, runs = [], []
+
+    class Counting(interp.LoweredFunction):
+        def __init__(self, g, *a, **k):
+            lowered.append(g)
+            super().__init__(g, *a, **k)
+
+    real = interp.interpret
+    monkeypatch.setattr(interp, "LoweredFunction", Counting)
+    monkeypatch.setattr(interp, "interpret", lambda *a, **k: runs.append(a) or real(*a, **k))
+    return lowered, runs
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.glob("*.json")), ids=lambda p: p.stem)
+def test_a_finishing_fixture_runs_only_its_slice(monkeypatch, workload):
+    # each curated fixture finishes every row, so only its slice runs: with
+    # a load in the slice, the slice keeps the stores that load reads
+    lowered, runs = _count_runs(monkeypatch)
+    f = load(workload.stem.removesuffix("_spot"))
+    wl = load_workload(workload)
+    assert dynamic_cost_total(f, wl) == reference_dynamic_cost_total(f, wl)
+    assert [canonical_text(g) for g in lowered] == [canonical_text(control_slice(f))]
+    assert len(runs) == len(wl.args)
+
+
+def test_programs_with_one_control_slice_share_one_run_per_row(monkeypatch):
+    lowered, runs = _count_runs(monkeypatch)
+    f = load("loop_licm")
+    wl = load_workload(WORKLOADS / "loop_licm.json")
+    # licm moves the multiply out of the loop: other block costs, one slice
+    hoisted = apply_pass("licm", f).function
+    # this swap rewrites the operands of the loop counter's add
+    (swapped,) = [v.function for v in reverse_variants("rev-reassociate", f)
+                  if v.step == "rev-reassociate@1"]
+    memo = {}
+    totals = [dynamic_cost_total(g, wl, memo=memo) for g in (f, hoisted, swapped)]
+    assert totals == [reference_dynamic_cost_total(g, wl) for g in (f, hoisted, swapped)]
+    assert totals[0] != totals[1]
+    assert canonical_text(control_slice(f)) == canonical_text(control_slice(hoisted))
+    assert [canonical_text(g) for g in lowered] == [
+        canonical_text(control_slice(f)), canonical_text(control_slice(swapped))]
+    assert len(runs) == 2 * len(wl.args)

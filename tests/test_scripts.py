@@ -71,12 +71,14 @@ def test_report_digest(compare_report):
     proc = _run("report_digest.py", corpus)
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout.splitlines()
-    tail = len(FORWARD_PASSES) + len(REVERSE_PASSES)
+    curated = ("bin2bcd_spot", "loop_counter_alloca")
+    tail = len(FORWARD_PASSES) + len(REVERSE_PASSES) + len(curated)
     lines = [l.split(" ", 2) for l in out[:-tail]]
-    # only loop_counter_alloca has a workload file of the same stem
-    dynamic = {"loop_counter_alloca": [
-        f"ibo {corpus / 'loop_counter_alloca.ir'} -k 1 --metric dynamic"
-        " --workload corpus/workloads/loop_counter_alloca.json"]}
+    # bin2bcd's curated workload is bin2bcd_spot, loop_counter_alloca's has its stem
+    dynamic = {name: [f"ibo {corpus / f'{name}.ir'} -k 1 --metric dynamic"
+                      f" --workload corpus/workloads/{w}.json"]
+               for name, w in (("bin2bcd", "bin2bcd_spot"),
+                               ("loop_counter_alloca", "loop_counter_alloca"))}
     assert [cmd for _, _, cmd in lines] == [
         cmd
         for name in ("bin2bcd", "divmul", "loop_counter_alloca")
@@ -99,7 +101,7 @@ def test_report_digest(compare_report):
     assert equiv == hashlib.sha256((report + dot.read_text()).encode()).hexdigest()
     # then one "name fired/applications sha256" line per forward pass, each
     # applied to the same programs of the two-step neighbourhood
-    passes = [l.split() for l in out[-tail:-len(REVERSE_PASSES)]]
+    passes = [l.split() for l in out[-tail:-len(REVERSE_PASSES) - len(curated)]]
     assert [name for name, _, _ in passes] == list(FORWARD_PASSES)
     counts = [tuple(map(int, n.split("/"))) for _, n, _ in passes]
     assert len({total for _, total in counts}) == 1
@@ -108,9 +110,21 @@ def test_report_digest(compare_report):
     assert all(len(h) == 64 and int(h, 16) >= 0 for _, _, h in passes)
     # and one "name variants/programs sha256" line per reverse pass, each
     # enumerated at cap 8 on those same programs
-    reverses = [l.split() for l in out[-len(REVERSE_PASSES):]]
+    reverses = [l.split() for l in out[-len(REVERSE_PASSES) - len(curated):-len(curated)]]
     assert [name for name, _, _ in reverses] == list(REVERSE_PASSES)
     made = [tuple(map(int, n.split("/"))) for _, n, _ in reverses]
     assert {total for _, total in made} == {counts[0][1]}
     assert sum(n for n, _ in made) > 0
     assert all(len(h) == 64 and int(h, 16) >= 0 for _, _, h in reverses)
+    # and one line per curated workload: the dynamic cost, or the diverged row,
+    # of every program of its fixture's two-step neighbourhood, at the default
+    # step limit and at 25 steps
+    measured = [l.split() for l in out[-len(curated):]]
+    assert [w for w, *_ in measured] == [f"{w}.json" for w in curated]
+    for _, programs, default, cut, h in measured:
+        assert int(programs) > 1 and len(h) == 64 and int(h, 16) >= 0
+        assert default == "diverged@10000=0"
+        assert cut.startswith("diverged@25=")
+    # loop_counter_alloca's longer rows run past 25 steps; bin2bcd never does
+    assert [cut for *_, cut, _ in measured] == ["diverged@25=0",
+                                                f"diverged@25={measured[1][1]}"]
