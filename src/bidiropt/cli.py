@@ -48,6 +48,7 @@ from .search import (
     exhaustive_search,
     explore_sep_class,
     ibo,
+    is_site_index,
     replay_sequence,
 )
 
@@ -280,7 +281,7 @@ def cmd_opt(args, cfg: Config) -> int:
     for step in steps:
         name, at, idx = step.partition("@")
         if not ((name in FORWARD_PASSES and not at)
-                or (name in REVERSE_PASSES and idx.isdecimal())):
+                or (name in REVERSE_PASSES and is_site_index(idx))):
             print(f"error: bad step {step!r}: want a forward pass name or "
                   f"reverse-name@<index>", file=sys.stderr)
             return 2

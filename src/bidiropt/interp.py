@@ -1,12 +1,16 @@
 """Interpreter: wrapping int32, trapping udiv/urem-by-zero and uninitialized
 loads, parallel phi evaluation, per-run dynamic cost and block counts. Each
 function is compiled once per workload sweep into one generated Python
-function.
+function, whose binop expressions and trap tests come from the IR's int32
+semantics (ir.BINOP_EXPR, ir.may_trap; BINOP_FUNCS and may_trap are
+re-exported here).
 
 A workload's dynamic cost is measured on the function's control slice
 (Weiser, IEEE TSE 1984): what decides the path a run takes and whether it
-traps. Block counts fix a run's cost (Ball & Larus, TOPLAS 1994), so every
-function with the same slice is measured by one run of the slice per row."""
+traps, with its promotable cells promoted (passes.apply_mem2reg) and its
+`br` chains fused (passes.apply_simplifycfg). Block counts fix a run's cost
+(Ball & Larus, TOPLAS 1994), so every function with the same slice is
+measured by one run of the slice per row."""
 
 from __future__ import annotations
 
@@ -19,7 +23,10 @@ from pathlib import Path
 from typing import Callable
 
 from .analysis import use_def
-from .ir import (
+from .cost import CostModel, DEFAULT_COST_MODEL
+from .ir import (  # noqa: F401  (BINOP_FUNCS and may_trap are re-exported)
+    BINOP_EXPR,
+    BINOP_FUNCS,
     MASK32,
     BasicBlock,
     Function,
@@ -29,8 +36,11 @@ from .ir import (
     ValueRef,
     block_order_with_unreachable,
     canonical_text,
+    may_trap,
+    predecessors,
+    rpo_order,
 )
-from .cost import CostModel, DEFAULT_COST_MODEL
+from .passes import apply_mem2reg, apply_simplifycfg
 
 DEFAULT_STEP_LIMIT = 10_000
 MAX_MISMATCHES = 5  # differential_check stops after this many
@@ -62,37 +72,6 @@ class ExecResult:
         if self.outcome == "trapped":
             return self.reason == other.reason
         return True  # both hit the step limit
-
-
-# int32 semantics: one expression template per binop over the atoms {a} and
-# {b}. BINOP_FUNCS (shared with const-fold) and the generated code are both
-# made from it. udiv and urem by zero trap (DivByZero) before these run.
-_BINOP_EXPR = {
-    "add": "({a} + {b}) & 4294967295",
-    "sub": "({a} - {b}) & 4294967295",
-    "mul": "({a} * {b}) & 4294967295",
-    "udiv": "{a} // {b}",
-    "urem": "{a} % {b}",
-    "shl": "({a} << ({b} & 31)) & 4294967295",
-    "lshr": "{a} >> ({b} & 31)",
-    "and": "{a} & {b}",
-    "or": "{a} | {b}",
-    "xor": "{a} ^ {b}",
-    "icmp.eq": "1 if {a} == {b} else 0",
-    "icmp.ne": "1 if {a} != {b} else 0",
-    "icmp.ult": "1 if {a} < {b} else 0",
-    "icmp.ule": "1 if {a} <= {b} else 0",
-}
-BINOP_FUNCS: dict[str, Callable[[int, int], int]] = {
-    op: eval("lambda a, b: " + t.format(a="a", b="b")) for op, t in _BINOP_EXPR.items()}
-
-
-def may_trap(ins: Instruction) -> bool:
-    """A load, or a udiv/urem whose divisor is not a nonzero literal."""
-    if ins.opcode in ("udiv", "urem"):
-        d = ins.operands[1]
-        return not (isinstance(d, Literal) and d.value)
-    return ins.opcode == "load"
 
 
 def _run_order(b: BasicBlock) -> list[Instruction]:
@@ -179,7 +158,7 @@ class LoweredFunction:
                 else:
                     if may_trap(ins):
                         code.append((f"if not {ops[1]}: " + trap % "DivByZero", pos))
-                    code.append((f"{d} = " + _BINOP_EXPR[ins.opcode].format(a=ops[0], b=ops[1]), None))
+                    code.append((f"{d} = " + BINOP_EXPR[ins.opcode].format(a=ops[0], b=ops[1]), None))
             if term.opcode == "ret":
                 counts = "".join(f"{n}{' + 1' * (j == i)}, " for j, n in enumerate(counters))
                 end = [f"return R('returned', {val(term.operands[0])}, None, steps + {length}, "
@@ -261,17 +240,11 @@ class WorkloadDiverged(Exception):
         self.result = result
 
 
-def control_slice(f: Function) -> Function:
-    """f cut down to the instructions that decide its path and its traps.
-
-    The roots are the branches and the instructions that may trap; with a
-    load among them, every alloca and store is a root too (in a valid
-    function an address reaches nothing but loads and stores). The slice
-    keeps the roots and every def they reach through use-def operands, so a
-    value that feeds only `ret` (a phi cycle included) drops out, and every
-    `ret` returns 0. Blocks keep their terminators and come in canonical
-    order (block_order_with_unreachable), so equal canonical_text means
-    equal block counts, block by block, on every input."""
+def _weiser_slice(f: Function) -> Function:
+    """f cut down to its roots, the branches and the instructions that may
+    trap (with a load among them, every alloca and store too: in a valid
+    function an address reaches nothing but loads and stores), and every def
+    they reach through use-def operands. Every `ret` returns 0."""
     instrs = [ins for b in f.blocks for ins in b.instrs]
     memory = any(ins.opcode == "load" for ins in instrs)
 
@@ -290,12 +263,36 @@ def control_slice(f: Function) -> Function:
                 if op.name in defs:
                     work.append(defs[op.name])
     ret0 = Instruction(None, "ret", (Literal(0),))
-    blocks = {b.label: b for b in f.blocks}
     return Function(f.name, f.params, tuple(
-        BasicBlock(lbl, tuple(ret0 if ins.opcode == "ret" else ins
-                              for ins in blocks[lbl].instrs
-                              if ins.opcode == "ret" or root(ins) or ins.result in live))
-        for lbl in block_order_with_unreachable(f)))
+        BasicBlock(b.label, tuple(ret0 if ins.opcode == "ret" else ins for ins in b.instrs
+                                  if ins.opcode == "ret" or root(ins) or ins.result in live))
+        for b in f.blocks))
+
+
+def control_slice(f: Function) -> Function:
+    """f cut down to what decides its path and its traps, in a normal form.
+
+    First the Weiser slice (_weiser_slice), so a value that feeds only `ret`
+    (a phi cycle included) drops out. If that slice keeps a cell mem2reg
+    can promote (no load may read it before a store, so no UninitLoad is
+    lost), the cell is promoted and the result sliced again: a store whose
+    value is loaded only for `ret` drops out with its chain. Then
+    simplifycfg fuses each block into its lone predecessor where that
+    predecessor ends in `br`, and drops unreachable blocks. Blocks come in
+    canonical order (block_order_with_unreachable), so equal canonical_text
+    means equal block counts, block by block, on every input. Each block
+    of f runs as often as the slice block it was fused into, which bears
+    the label of the block itself or of its lone reachable predecessor,
+    followed transitively; an unreachable block of f never runs."""
+    cut = _weiser_slice(f)
+    if any(ins.opcode == "alloca" for b in cut.blocks for ins in b.instrs):
+        promoted = apply_mem2reg(cut)
+        if promoted.changed:
+            cut = _weiser_slice(promoted.function)
+    cut = apply_simplifycfg(cut).function
+    blocks = {b.label: b for b in cut.blocks}
+    return Function(f.name, f.params,
+                    tuple(blocks[lbl] for lbl in block_order_with_unreachable(cut)))
 
 
 def dynamic_cost_total(
@@ -311,12 +308,14 @@ def dynamic_cost_total(
     f takes its control slice's path on every row: an instruction outside
     the slice neither traps nor steers. So the slice is lowered and run
     once per row, and a row's cost is its block counts times f's block
-    costs, its steps the counts times f's block lengths. `memo` keeps the
-    counts by the slice's canonical text; it belongs to one workload and
-    step limit, and then every function with that slice is measured with no
-    run at all. f itself runs on a row only when the slice does not return
-    there or the row's steps in f exceed `limit`, so the divergence
-    reported is f's own.
+    costs, its steps the counts times f's block lengths. A slice block's
+    length and cost are the sums over the blocks of f fused into it: on a
+    returned run each of them runs exactly as often as the slice block.
+    `memo` keeps the counts by the slice's canonical text; it belongs to
+    one workload and step limit, and then every function with that slice
+    is measured with no run at all. f itself runs on a row only when the
+    slice does not return there or the row's steps in f exceed `limit`, so
+    the divergence reported is f's own.
     """
     model = model or DEFAULT_COST_MODEL
     cut = control_slice(f)
@@ -329,10 +328,16 @@ def dynamic_cost_total(
                             for args in workload.args)]
         if memo is not None:
             memo[key] = counts
+    pos = {b.label: k for k, b in enumerate(cut.blocks)}
+    preds = predecessors(f)
     index = {b.label: b for b in f.blocks}
-    seqs = [_run_order(index[lbl]) for lbl in block_order_with_unreachable(f)]
-    lengths = [len(seq) for seq in seqs]
-    costs = [sum(model.cost(ins.opcode) for ins in seq) for seq in seqs]
+    lengths, costs = [0] * len(pos), [0] * len(pos)
+    for lbl in rpo_order(f):  # a lone predecessor comes first in RPO
+        if lbl not in pos:
+            pos[lbl] = next(pos[p] for p in preds[lbl] if p in pos)
+        seq = _run_order(index[lbl])
+        lengths[pos[lbl]] += len(seq)
+        costs[pos[lbl]] += sum(model.cost(ins.opcode) for ins in seq)
     total = 0
     lowered = None
     for args, row in zip(workload.args, counts):

@@ -3,6 +3,12 @@
 Values are immutable; every rewrite builds a new Function. Blocks hold a flat
 instruction tuple (phis first, one terminator last once validated), which lets
 the parser stay lenient and validate() report structural breakage precisely.
+
+The IR's int32 semantics live here too: wrapping arithmetic, shift amounts
+taken mod 32, unsigned compares yielding 0 or 1 (BINOP_EXPR, from which
+BINOP_FUNCS and the interpreter's generated code are made), and which
+instructions may trap (may_trap: a load, which traps on a cell no store has
+written, and a udiv/urem whose divisor may be zero).
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import Callable
 
 MASK32 = (1 << 32) - 1
 
@@ -121,6 +128,40 @@ class ValidationError:
 
     def __str__(self) -> str:
         return f"{self.kind} at {self.where}: {self.message}"
+
+
+# ---------------------------------------------------------------------------
+# int32 semantics
+
+# One expression template per binop over the atoms {a} and {b}. BINOP_FUNCS
+# (const-fold) and the interpreter's generated code are both made from it.
+# udiv and urem by zero trap (DivByZero) before these run.
+BINOP_EXPR = {
+    "add": "({a} + {b}) & 4294967295",
+    "sub": "({a} - {b}) & 4294967295",
+    "mul": "({a} * {b}) & 4294967295",
+    "udiv": "{a} // {b}",
+    "urem": "{a} % {b}",
+    "shl": "({a} << ({b} & 31)) & 4294967295",
+    "lshr": "{a} >> ({b} & 31)",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "icmp.eq": "1 if {a} == {b} else 0",
+    "icmp.ne": "1 if {a} != {b} else 0",
+    "icmp.ult": "1 if {a} < {b} else 0",
+    "icmp.ule": "1 if {a} <= {b} else 0",
+}
+BINOP_FUNCS: dict[str, Callable[[int, int], int]] = {
+    op: eval("lambda a, b: " + t.format(a="a", b="b")) for op, t in BINOP_EXPR.items()}
+
+
+def may_trap(ins: Instruction) -> bool:
+    """A load, or a udiv/urem whose divisor is not a nonzero literal."""
+    if ins.opcode in ("udiv", "urem"):
+        d = ins.operands[1]
+        return not (isinstance(d, Literal) and d.value)
+    return ins.opcode == "load"
 
 
 # ---------------------------------------------------------------------------

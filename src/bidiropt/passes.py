@@ -23,8 +23,8 @@ from .analysis import (
     use_def,
 )
 from .cost import DEFAULT_COST_MODEL
-from .interp import BINOP_FUNCS, may_trap
 from .ir import (
+    BINOP_FUNCS,
     BINOPS,
     MASK32,
     BasicBlock,
@@ -36,6 +36,7 @@ from .ir import (
     canonical_hash,
     defined_values,
     fresh_names,
+    may_trap,
     predecessors,
     resolve,
     rpo_instrs,

@@ -10,6 +10,7 @@ order and every outcome is reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 from . import interp
@@ -413,6 +414,12 @@ def check_closure(graph: ClassGraph) -> ClosureReport:
 # ---------------------------------------------------------------------------
 # provenance replay
 
+def is_site_index(text: str) -> bool:
+    """Whether text spells a site index as Variant.step does: ASCII digits
+    with no leading zero."""
+    return re.fullmatch(r"0|[1-9][0-9]*", text) is not None
+
+
 def replay_sequence(f: Function, steps) -> Function:
     """Re-run a provenance sequence: bare names are forward passes,
     name@index picks the variant at that site of the reverse enumeration.
@@ -422,8 +429,8 @@ def replay_sequence(f: Function, steps) -> Function:
     for step in steps:
         if "@" in step:
             rname, _, idx = step.partition("@")
-            if not idx.isdecimal():
-                raise ReplayDiverged(f"{step}: variant index is not a decimal number")
+            if not is_site_index(idx):
+                raise ReplayDiverged(f"{step}: variant index is not a site index")
             i = int(idx)
             hit = [v for v in reverse_variants(rname, g, cap=i + 1) if v.site_index == i]
             if not hit:

@@ -116,5 +116,5 @@ def test_tracer_sees_the_interpreter(monkeypatch):
     # but the workload runs once per distinct control slice of the command,
     # whose one slice memo the search and the report's traces share
     (cache,) = caches
-    assert 1 < len(cache.slices) < 31
+    assert len(cache.slices) == 1
     assert tracer.calls["interp.interpret"] == cases * len(cache.slices)

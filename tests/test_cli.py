@@ -198,6 +198,17 @@ def test_opt_malformed_step_is_a_usage_error(step):
     assert code == 2
 
 
+@pytest.mark.parametrize("index", ["\u0660", "01", "\uff11", "1\u0660"],
+                         ids=["arabic-indic-0", "01", "fullwidth-1", "mixed"])
+def test_opt_site_index_is_ascii_digits_with_no_leading_zero(capsys, index):
+    # Variant.step spells a site index this way and no other
+    step = f"rev-instexpand-rem@{index}"
+    code, out = run_cli("opt", VALID / "bin2bcd.ir", "--passes", step)
+    assert code == 2 and out == ""
+    assert _error_lines(capsys) == [
+        f"error: bad step {step!r}: want a forward pass name or reverse-name@<index>"]
+
+
 def test_opt_strict_rejects_non_firing_step():
     code, _ = run_cli("opt", VALID / "straightline_ret.ir",
                       "--passes", "dce", "--strict")

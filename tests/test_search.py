@@ -429,6 +429,15 @@ def test_replay_rejects_non_decimal_index(index):
         replay_sequence(load("bin2bcd"), [f"rev-instexpand-shl@{index}"])
 
 
+@pytest.mark.parametrize("index", ["\u0660", "01", "00", "+1", " 1", "1_0", "\uff11"],
+                         ids=["arabic-indic-0", "01", "00", "plus", "space", "underscore",
+                              "fullwidth-1"])
+def test_replay_takes_a_site_index_only_as_variant_step_spells_it(index):
+    # int() reads every one of these as a site that exists here
+    with pytest.raises(ReplayDiverged, match="not a site index"):
+        replay_sequence(load("bin2bcd"), [f"rev-instexpand-rem@{index}"])
+
+
 def test_replay_unknown_pass():
     f = load("bin2bcd")
     with pytest.raises((KeyError, ReplayDiverged)):
