@@ -35,7 +35,7 @@ programs diverged@10000=N diverged@25=M sha256`: every program of that
 file's own two-step neighbourhood is measured by
 interp.dynamic_cost_total on W at the default step limit and at 25 steps,
 which cuts the curated loops mid-loop; the digest covers each total, or
-the diverged row, outcome and reason:
+the diverged row, outcome, reason, steps and dynamic cost:
 
     python3 scripts/report_digest.py > before.txt   # in the old checkout
     python3 scripts/report_digest.py > after.txt    # in the new one
@@ -164,7 +164,9 @@ def dynamic_digest(path: Path, workload: Path) -> str:
                 h.update(f"{limit} {dynamic_cost_total(f, wl, limit)}\n".encode())
             except WorkloadDiverged as e:
                 n += 1
-                h.update(f"{limit} {list(e.args)} {e.result.outcome} {e.result.reason}\n".encode())
+                r = e.result
+                h.update(f"{limit} {list(e.args)} {r.outcome} {r.reason} {r.steps} "
+                         f"{r.dynamic_cost}\n".encode())
         diverged.append(f"diverged@{limit}={n}")
     return f"{workload.name} {len(programs)} {' '.join(diverged)} {h.hexdigest()}"
 

@@ -33,6 +33,7 @@ from .interp import (
 from .ir import (
     Function,
     ParseError,
+    canonical_hash,
     parse_module,
     print_function,
     validate_module,
@@ -155,16 +156,15 @@ def _workload(cfg: Config, f: Function, count: int = 1000):
     return default_workload(f, seed=cfg.seed, count=count)
 
 
-def _trace(f: Function, steps, cfg: Config, workload=None, memo=None) -> list:
+def _trace(f: Function, steps, cfg: Config, cache: PassCache, workload=None) -> list:
     """Replay a reported sequence step by step, recording the key after each.
-    `memo` is the run's control-slice memo (interp.dynamic_cost_total)."""
+    Each key comes from the run's cache, so a program the search measured
+    is not measured again."""
     rows = []
     g = f
     for step in steps:
         g = replay_sequence(g, [step])
-        cost = None if workload is None else dynamic_cost_total(
-            g, workload, cfg.step_limit, cfg.model(), memo)
-        key = rank_key(g, cfg.model(), cost)
+        key = cache.rank(g, canonical_hash(g), cfg.model(), workload, cfg.step_limit)
         rows.append({"step": step, "key": _key_json(key)})
     return rows
 
@@ -174,13 +174,13 @@ def _diverged_json(wl, e: WorkloadDiverged) -> dict:
             "outcome": e.result.outcome, "reason": e.result.reason}
 
 
-def _search_json(out: SearchOutcome, f: Function, cfg: Config, workload=None,
-                 memo=None) -> dict:
+def _search_json(out: SearchOutcome, f: Function, cfg: Config, cache: PassCache,
+                 workload=None) -> dict:
     return {
         "best_ir": print_function(out.best_function),
         "best_key": _key_json(out.best_key),
         "sequence": list(out.best_sequence),
-        "trace": _trace(f, out.best_sequence, cfg, workload, memo),
+        "trace": _trace(f, out.best_sequence, cfg, cache, workload),
         "start_key": _key_json(out.start_key),
         "explored": out.explored,
         "saturated_leaves": out.saturated_leaves,
@@ -190,13 +190,14 @@ def _search_json(out: SearchOutcome, f: Function, cfg: Config, workload=None,
     }
 
 
-def _ibo_json(out: IboOutcome, f: Function, cfg: Config, workload=None, memo=None) -> dict:
+def _ibo_json(out: IboOutcome, f: Function, cfg: Config, cache: PassCache,
+              workload=None) -> dict:
     return {
         "best_ir": print_function(out.best_function),
         "best_key": _key_json(out.best_key),
         "sequence": list(out.best_provenance),
-        "trace": _trace(f, out.best_provenance, cfg, workload, memo),
-        "baseline": _search_json(out.baseline, f, cfg, workload, memo),
+        "trace": _trace(f, out.best_provenance, cfg, cache, workload),
+        "baseline": _search_json(out.baseline, f, cfg, cache, workload),
         "iterations": [
             {
                 "iteration": it.iteration,
@@ -327,7 +328,7 @@ def cmd_search(args, cfg: Config) -> int:
         report["outcome"] = _diverged_json(wl, e)
         _emit(report, cfg)
         return 2
-    report["outcome"] = _search_json(out, f, cfg, wl, cache.slices)
+    report["outcome"] = _search_json(out, f, cfg, cache, wl)
     report["budget_exceeded"] = out.budget_exceeded
     _emit(report, cfg)
     return 3 if out.budget_exceeded else 0
@@ -349,7 +350,7 @@ def cmd_ibo(args, cfg: Config) -> int:
         report["outcome"] = _diverged_json(wl, e)
         _emit(report, cfg)
         return 2
-    report["outcome"] = _ibo_json(out, f, cfg, wl, cache.slices)
+    report["outcome"] = _ibo_json(out, f, cfg, cache, wl)
     report["budget_exceeded"] = out.budget_exceeded
     _emit(report, cfg)
     return 3 if out.budget_exceeded else 0
@@ -366,7 +367,7 @@ def cmd_equiv_class(args, cfg: Config) -> int:
         "nodes": len(graph.nodes), "edges": len(graph.edges),
         "truncated": graph.truncated, "verdict": rep.verdict,
         "components": rep.components,
-        "violations": [[a.hex, l, b.hex] for a, l, b in rep.violations],
+        "violations": [list(v) for v in rep.violations],
     }
     _emit(report, cfg)
     return 0 if rep.verdict != "violated" else 1
@@ -377,10 +378,10 @@ def _dot(graph, cfg: Config) -> str:
     for d, g in graph.nodes.items():
         key = rank_key(g, cfg.model())
         extra = ", peripheries=2" if d == graph.start else ""
-        lines.append(f'  "{d.hex[:12]}" [label="{d.hex[:12]}\\n{key[0]},{key[1]}"{extra}];')
+        lines.append(f'  "{d[:12]}" [label="{d[:12]}\\n{key[0]},{key[1]}"{extra}];')
     for a, label, b in graph.edges:
         style = ', style=dashed' if "@" in label else ""
-        lines.append(f'  "{a.hex[:12]}" -> "{b.hex[:12]}" [label="{label}"{style}];')
+        lines.append(f'  "{a[:12]}" -> "{b[:12]}" [label="{label}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

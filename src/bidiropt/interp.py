@@ -2,8 +2,7 @@
 loads, parallel phi evaluation, per-run dynamic cost and block counts. Each
 function is compiled once per workload sweep into one generated Python
 function, whose binop expressions and trap tests come from the IR's int32
-semantics (ir.BINOP_EXPR, ir.may_trap; BINOP_FUNCS and may_trap are
-re-exported here).
+semantics (ir.BINOP_EXPR, ir.may_trap).
 
 A workload's dynamic cost is measured on the function's control slice
 (Weiser, IEEE TSE 1984): what decides the path a run takes and whether it
@@ -24,9 +23,8 @@ from typing import Callable
 
 from .analysis import use_def
 from .cost import CostModel, DEFAULT_COST_MODEL
-from .ir import (  # noqa: F401  (BINOP_FUNCS and may_trap are re-exported)
+from .ir import (
     BINOP_EXPR,
-    BINOP_FUNCS,
     MASK32,
     BasicBlock,
     Function,
@@ -91,12 +89,14 @@ class LoweredFunction:
     `dataclasses` uses for `__init__`): every value is a local v0, v1, ...,
     a `while True` loop dispatches on the block index `cur`, and a block's
     phis are one tuple assignment chosen by the predecessor index `prev`.
-    A block that fits in the remaining step budget runs as straight-line
-    code, adds its length and cost, and counts one more run of itself in
-    its local n0, n1, ...; a `ret` returns those counts (ExecResult.blocks).
-    Otherwise the block runs only up to its last instruction that can trap
-    (may_trap), testing the budget `t` before each one, and the block's
-    prefix sums of costs give the exact steps and cost of the cut. Steps
+    Each block is emitted once, as straight-line code that adds its length
+    and cost and counts one more run of itself in its local n0, n1, ...; a
+    `ret` returns those counts (ExecResult.blocks). The step budget is
+    tested only where running past it could be seen: before each
+    instruction that may trap (may_trap) and before the terminator. Past the
+    budget, an instruction that cannot trap writes only a local or a cell,
+    and the run ends in 'steplimit' at the next test; the block's prefix
+    sums of costs then give the exact steps and cost of the cut. Steps
     count phis first, then the rest of the block in order, the terminator
     last. Only value and block indices, integer literals and fixed
     templates reach the source, never IR text.
@@ -129,7 +129,7 @@ class LoweredFunction:
             prefix = tuple(accumulate((model.cost(ins.opcode) for ins in seq), initial=0))
             prefixes.append(prefix)
             length, total = len(seq), prefix[-1]
-            code: list[tuple[str, int | None]] = []  # (line, position if it may trap)
+            code: list[str] = []
             if phis:
                 dsts = ", ".join(reg(ins.result) for ins in phis)
                 arms = []
@@ -139,45 +139,41 @@ class LoweredFunction:
                             for ins in phis]
                     if None not in srcs:
                         arms.append(f"if prev == {index[lbl]}: {dsts} = {', '.join(map(val, srcs))}")
-                code += [("el" * (k > 0) + arm, None) for k, arm in enumerate(arms)]
-                code.append(("else: " * bool(arms) +
-                             f"raise AssertionError(f'phis in block {i} have no incoming for {{prev}}')",
-                             None))
+                code += ["el" * (k > 0) + arm for k, arm in enumerate(arms)]
+                code.append("else: " * bool(arms) +
+                            f"raise AssertionError(f'phis in block {i} have no incoming for {{prev}}')")
             for pos, ins in enumerate(body, len(phis)):
+                traps = may_trap(ins)
+                if traps:
+                    code.append(f"if steps + {pos} >= limit: break")
                 trap = f"return R('trapped', None, '%s', steps + {pos + 1}, cost + {prefix[pos + 1]})"
                 d = None if ins.result is None else reg(ins.result)
                 ops = [val(op) for op in ins.operands]
                 if ins.opcode == "alloca":
-                    code.append((f"{d} = len(cells); cells.append(U)", None))
+                    code.append(f"{d} = len(cells); cells.append(U)")
                 elif ins.opcode == "load":
-                    code.append((f"if ({d} := cells[{ops[0]}]) is U: " + trap % "UninitLoad", pos))
+                    code.append(f"if ({d} := cells[{ops[0]}]) is U: " + trap % "UninitLoad")
                 elif ins.opcode == "store":
-                    code.append((f"cells[{ops[1]}] = {ops[0]}", None))
+                    code.append(f"cells[{ops[1]}] = {ops[0]}")
                 elif ins.opcode == "select":
-                    code.append((f"{d} = {ops[1]} if {ops[0]} else {ops[2]}", None))
+                    code.append(f"{d} = {ops[1]} if {ops[0]} else {ops[2]}")
                 else:
-                    if may_trap(ins):
-                        code.append((f"if not {ops[1]}: " + trap % "DivByZero", pos))
-                    code.append((f"{d} = " + BINOP_EXPR[ins.opcode].format(a=ops[0], b=ops[1]), None))
+                    if traps:
+                        code.append(f"if not {ops[1]}: " + trap % "DivByZero")
+                    code.append(f"{d} = " + BINOP_EXPR[ins.opcode].format(a=ops[0], b=ops[1]))
+            code.append(f"if steps + {length} > limit: break")
             if term.opcode == "ret":
                 counts = "".join(f"{n}{' + 1' * (j == i)}, " for j, n in enumerate(counters))
-                end = [f"return R('returned', {val(term.operands[0])}, None, steps + {length}, "
-                       f"cost + {total}, ({counts}))"]
+                code.append(f"return R('returned', {val(term.operands[0])}, None, steps + {length}, "
+                            f"cost + {total}, ({counts}))")
             else:
                 targets = [index[lbl] for lbl in term.labels]
-                end = [f"steps += {length}; cost += {total}; n{i} += 1"]
+                code.append(f"steps += {length}; cost += {total}; n{i} += 1")
                 if has_phis.intersection(targets):
-                    end.append(f"prev = {i}")
-                end.append(f"cur = {targets[0]}" if term.opcode == "br" else
-                           f"cur = {targets[0]} if {val(term.operands[0])} else {targets[1]}")
-            # on a cut, only the code up to the last instruction that may trap runs
-            last = max((k for k, (_, p) in enumerate(code) if p is not None), default=-1)
-            cut = ["t = limit - steps"] * (last >= 0)
-            cut += [line for line, p in code[:last + 1]
-                    for line in ([f"if t <= {p}: break"] * (p is not None) + [line])]
-            src += [f"  {'el' * (i > 0)}if cur == {i}:", f"   if steps + {length} > limit:"]
-            src += ["    " + line for line in cut] + ["    break"]
-            src += ["   " + line for line, _ in code] + ["   " + line for line in end]
+                    code.append(f"prev = {i}")
+                code.append(f"cur = {targets[0]}" if term.opcode == "br" else
+                            f"cur = {targets[0]} if {val(term.operands[0])} else {targets[1]}")
+            src += [f"  {'el' * (i > 0)}if cur == {i}:"] + ["   " + line for line in code]
         src += [" t = max(limit - steps, 0)",
                 " return R('steplimit', None, None, steps + t + 1, cost + P[cur][t + 1])"]
         namespace = {"R": ExecResult, "U": _UNINIT, "P": tuple(prefixes)}

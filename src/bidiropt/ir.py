@@ -18,7 +18,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable
+from typing import Callable, NewType
 
 MASK32 = (1 << 32) - 1
 
@@ -494,14 +494,8 @@ def fresh_label(f: Function, base: str) -> str:
 # ---------------------------------------------------------------------------
 # canonicalization and hashing
 
-@dataclass(frozen=True, order=True)
-class CanonicalDigest:
-    """Stable content digest of the canonicalized text (128-bit hex)."""
-
-    hex: str
-
-    def __str__(self) -> str:
-        return self.hex
+# Stable content digest of the canonicalized text, as 32 hex digits.
+CanonicalDigest = NewType("CanonicalDigest", str)
 
 
 @per_function

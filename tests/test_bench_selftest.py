@@ -110,8 +110,9 @@ def test_tracer_sees_the_interpreter(monkeypatch):
         tracer.uninstall()
     assert code == 0
     assert tracer.counts["interp.steps"] > 0
-    # every program ranked, and every step of the report's traces, is
-    # measured once, as before control slices
+    # every program ranked is measured once, as before control slices; the
+    # report's traces read their keys from the run's cache (and bin2bcd's
+    # sequences are empty)
     assert tracer.calls["interp.dynamic_cost_total"] == 31
     # but the workload runs once per distinct control slice of the command,
     # whose one slice memo the search and the report's traces share

@@ -8,7 +8,7 @@ import pytest
 
 from bidiropt.cli import _build_parser
 from bidiropt.config import SETTINGS
-from bidiropt.ir import print_function
+from bidiropt.ir import canonical_hash, print_function
 from bidiropt.reverse import reverse_variants
 
 from conftest import INVALID, VALID, WORKLOADS, load, run_cli
@@ -376,6 +376,28 @@ def test_dynamic_ranking_uses_configured_step_limit(tmp_path, command):
     o = _json(out)["outcome"]
     assert o == {"cases": 256, "diverged_args": [0], "outcome": "steplimit",
                  "reason": None}
+
+
+@pytest.mark.parametrize("command", [["search"], ["ibo", "-k", "1"]], ids=["search", "ibo"])
+def test_a_dynamic_reports_trace_measures_no_program_twice(monkeypatch, command):
+    # every program on the reported sequence was ranked by the search, so
+    # its trace reads the keys from the run's cache
+    from bidiropt import cli, interp
+
+    measured = []
+    real = interp.dynamic_cost_total
+
+    def counting(f, *a, **k):
+        measured.append(canonical_hash(f))
+        return real(f, *a, **k)
+
+    monkeypatch.setattr(interp, "dynamic_cost_total", counting)
+    monkeypatch.setattr(cli, "dynamic_cost_total", counting)
+    code, out = run_cli(command[0], VALID / "loop_licm.ir", *command[1:], "--metric", "dynamic",
+                        "--workload", WORKLOADS / "loop_licm.json")
+    assert code == 0
+    assert len(_json(out)["outcome"]["trace"]) == 2
+    assert measured and len(measured) == len(set(measured))
 
 
 def test_only_the_inputs_divergence_ends_a_dynamic_run(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bidiropt import interp
 from bidiropt.cost import DEFAULT_COST_MODEL, CostModel
 from bidiropt.interp import (
-    BINOP_FUNCS,
     DEFAULT_STEP_LIMIT,
     MAX_MISMATCHES,
     ExecResult,
@@ -25,7 +24,15 @@ from bidiropt.interp import (
     interpret,
     load_workload,
 )
-from bidiropt.ir import BINOPS, canonical_text, parse_function, print_function, validate_function
+from bidiropt.ir import (
+    BINOP_FUNCS,
+    BINOPS,
+    canonical_text,
+    may_trap,
+    parse_function,
+    print_function,
+    validate_function,
+)
 from bidiropt.passes import FORWARD_PASSES, apply_pass
 from bidiropt.reverse import REVERSE_PASSES, reverse_variants
 
@@ -478,6 +485,49 @@ def test_ir_names_never_reach_the_generated_code():
     for args in product((0, 1, 7, 2**32 - 1), repeat=3):
         for limit in (0, 3, 9, DEFAULT_STEP_LIMIT):
             assert interpret(f, args, limit) == reference_interpret(f, args, limit), (args, limit)
+
+
+def _lowered_source(f):
+    """The source LoweredFunction generates for f."""
+    sources = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interp, "compile", lambda source, *a: sources.append(source) or compile(
+            source, *a), raising=False)
+        LoweredFunction(f)
+    (source,) = sources
+    return source
+
+
+def _assert_each_block_is_emitted_once(f):
+    source = _lowered_source(f)
+    # one dispatch arm per block, in block order
+    assert re.findall(r"^  (?:el)?if cur == (\d+):$", source, re.M) == [
+        str(i) for i in range(len(f.blocks))], source
+    traps = sum(may_trap(ins) for b in f.blocks for ins in b.instrs)
+    # one trap return per instruction that may trap, so no block has a second copy
+    assert source.count("'DivByZero'") + source.count("'UninitLoad'") == traps, source
+    # the budget is tested before each of them and before each terminator, nowhere else
+    assert source.count("limit: break") == traps + len(f.blocks), source
+
+
+@pytest.mark.parametrize("name", [p.stem for p in VALID_FILES])
+def test_the_generated_code_holds_each_block_once(name):
+    _assert_each_block_is_emitted_once(load(name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(memory_cfg(), st.integers(0, 2**32 - 1))
+def test_the_generated_code_holds_each_block_once_on_generated(text, arg):
+    # divide by each `_x` load instead of adding to it, so the program has
+    # loads and divisions by loaded values, which may be 0
+    f = parse_function(re.sub(r"(%\w+_x) = add (%\w+), (\d+)", r"\1 = udiv \3, \2", text))
+    assert validate_function(f) == []
+    _assert_each_block_is_emitted_once(f)
+    lowered = LoweredFunction(f)
+    full = reference_interpret(f, [arg])
+    for limit in {0, 1, full.steps // 2, full.steps - 1, full.steps, *LIMITS}:
+        assert interpret(f, [arg], limit, lowered=lowered) == reference_interpret(
+            f, [arg], limit), limit
 
 
 def test_dynamic_cost_total_lowers_once_and_interprets_each_row(monkeypatch):

@@ -725,7 +725,7 @@ def _assert_sweep_matches_reference(f):
     """_erase_dead erases the same slots and returns the same flag as the
     round-by-round reference, seeded with every def and with random subsets."""
     defs = sorted(defined_values(f))
-    rng = random.Random(canonical_hash(f).hex)
+    rng = random.Random(canonical_hash(f))
     for seeds in [defs] + [rng.sample(defs, rng.randint(0, len(defs))) for _ in range(4)]:
         ours, theirs = edit(f), edit(f)
         assert _erase_dead(ours, set(seeds)) == reference_erase_dead(theirs, set(seeds))
