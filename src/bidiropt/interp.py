@@ -6,10 +6,9 @@ semantics (ir.BINOP_EXPR, ir.may_trap).
 
 A workload's dynamic cost is measured on the function's control slice
 (Weiser, IEEE TSE 1984): what decides the path a run takes and whether it
-traps, with its promotable cells promoted (passes.apply_mem2reg) and its
-`br` chains fused (passes.apply_simplifycfg). Block counts fix a run's cost
-(Ball & Larus, TOPLAS 1994), so every function with the same slice is
-measured by one run of the slice per row."""
+traps, with its promotable cells promoted (passes.apply_mem2reg). Block
+counts fix a run's cost (Ball & Larus, TOPLAS 1994), so every function with
+the same slice is measured by one run of the slice per row."""
 
 from __future__ import annotations
 
@@ -35,10 +34,8 @@ from .ir import (
     block_order_with_unreachable,
     canonical_text,
     may_trap,
-    predecessors,
-    rpo_order,
 )
-from .passes import apply_mem2reg, apply_simplifycfg
+from .passes import apply_mem2reg
 
 DEFAULT_STEP_LIMIT = 10_000
 MAX_MISMATCHES = 5  # differential_check stops after this many
@@ -272,20 +269,15 @@ def control_slice(f: Function) -> Function:
     (a phi cycle included) drops out. If that slice keeps a cell mem2reg
     can promote (no load may read it before a store, so no UninitLoad is
     lost), the cell is promoted and the result sliced again: a store whose
-    value is loaded only for `ret` drops out with its chain. Then
-    simplifycfg fuses each block into its lone predecessor where that
-    predecessor ends in `br`, and drops unreachable blocks. Blocks come in
-    canonical order (block_order_with_unreachable), so equal canonical_text
-    means equal block counts, block by block, on every input. Each block
-    of f runs as often as the slice block it was fused into, which bears
-    the label of the block itself or of its lone reachable predecessor,
-    followed transitively; an unreachable block of f never runs."""
+    value is loaded only for `ret` drops out with its chain. The slice keeps
+    every block of f under its own label, in canonical order
+    (block_order_with_unreachable), so equal canonical_text means equal
+    block counts, block by block, on every input."""
     cut = _weiser_slice(f)
     if any(ins.opcode == "alloca" for b in cut.blocks for ins in b.instrs):
         promoted = apply_mem2reg(cut)
         if promoted.changed:
             cut = _weiser_slice(promoted.function)
-    cut = apply_simplifycfg(cut).function
     blocks = {b.label: b for b in cut.blocks}
     return Function(f.name, f.params,
                     tuple(blocks[lbl] for lbl in block_order_with_unreachable(cut)))
@@ -304,14 +296,13 @@ def dynamic_cost_total(
     f takes its control slice's path on every row: an instruction outside
     the slice neither traps nor steers. So the slice is lowered and run
     once per row, and a row's cost is its block counts times f's block
-    costs, its steps the counts times f's block lengths. A slice block's
-    length and cost are the sums over the blocks of f fused into it: on a
-    returned run each of them runs exactly as often as the slice block.
-    `memo` keeps the counts by the slice's canonical text; it belongs to
-    one workload and step limit, and then every function with that slice
-    is measured with no run at all. f itself runs on a row only when the
-    slice does not return there or the row's steps in f exceed `limit`, so
-    the divergence reported is f's own.
+    costs, its steps the counts times f's block lengths: each slice block
+    runs exactly as often as f's block with the same label. `memo` keeps
+    the counts by the slice's canonical text; it belongs to one workload
+    and step limit, and then every function with that slice is measured
+    with no run at all. f itself runs on a row only when the slice does
+    not return there or the row's steps in f exceed `limit`, so the
+    divergence reported is f's own.
     """
     model = model or DEFAULT_COST_MODEL
     cut = control_slice(f)
@@ -324,16 +315,10 @@ def dynamic_cost_total(
                             for args in workload.args)]
         if memo is not None:
             memo[key] = counts
-    pos = {b.label: k for k, b in enumerate(cut.blocks)}
-    preds = predecessors(f)
     index = {b.label: b for b in f.blocks}
-    lengths, costs = [0] * len(pos), [0] * len(pos)
-    for lbl in rpo_order(f):  # a lone predecessor comes first in RPO
-        if lbl not in pos:
-            pos[lbl] = next(pos[p] for p in preds[lbl] if p in pos)
-        seq = _run_order(index[lbl])
-        lengths[pos[lbl]] += len(seq)
-        costs[pos[lbl]] += sum(model.cost(ins.opcode) for ins in seq)
+    seqs = [_run_order(index[b.label]) for b in cut.blocks]
+    lengths = [len(seq) for seq in seqs]
+    costs = [sum(model.cost(ins.opcode) for ins in seq) for seq in seqs]
     total = 0
     lowered = None
     for args, row in zip(workload.args, counts):

@@ -483,14 +483,6 @@ def fresh_names(f: Function, base: str, count: int = 1) -> list[str]:
     return out
 
 
-def fresh_label(f: Function, base: str) -> str:
-    used = {b.label for b in f.blocks}
-    i = 0
-    while f"{base}{i}" in used:
-        i += 1
-    return f"{base}{i}"
-
-
 # ---------------------------------------------------------------------------
 # canonicalization and hashing
 

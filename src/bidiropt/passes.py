@@ -149,17 +149,6 @@ def _drop_incomings(instrs: list[Instruction | None], gone: set[str]) -> None:
                                 labels=tuple(l for _, l in keep))
 
 
-def retarget_incomings(blocks: dict[str, list[Instruction | None]], targets,
-                       old: str, new: str) -> None:
-    """In the phis of each block in `targets`, the edge from `old` now comes
-    from `new`."""
-    for t in targets:
-        instrs = blocks[t]
-        for j, ins in enumerate(instrs):
-            if ins is not None and ins.is_phi and old in ins.labels:
-                instrs[j] = replace(ins, labels=tuple(new if l == old else l for l in ins.labels))
-
-
 # ---------------------------------------------------------------------------
 # const-fold
 
@@ -636,7 +625,11 @@ def _simplifycfg_step(f: Function) -> Function | None:
         blocks[b.label] = list(b.instrs[:-1]) + list(cblk.instrs[len(cblk.phis):])
         del blocks[cblk.label]
         # phis downstream still name C as the incoming edge
-        retarget_incomings(blocks, successors(cblk), cblk.label, b.label)
+        for t in successors(cblk):
+            for j, ins in enumerate(blocks[t]):
+                if ins is not None and ins.is_phi and cblk.label in ins.labels:
+                    blocks[t][j] = replace(ins, labels=tuple(
+                        b.label if l == cblk.label else l for l in ins.labels))
         return freeze(f, blocks, subst)
     return None
 

@@ -24,11 +24,9 @@ from .ir import (
     Operand,
     ValueRef,
     canonical_hash,
-    fresh_label,
     fresh_names,
     rpo_instrs,
     rpo_order,
-    successors,
 )
 from .passes import (
     disjoint_bits,
@@ -36,7 +34,6 @@ from .passes import (
     freeze,
     in_place,
     licm_movable,
-    retarget_incomings,
     tree_form,
     tree_roots,
 )
@@ -46,7 +43,6 @@ PAIRINGS: dict[str, str] = {
     "rev-instexpand-shl": "strength-reduce",
     "rev-instexpand-or": "add-to-or",
     "rev-reassociate": "reassociate",
-    "rev-split-block": "simplifycfg",
     "rev-licm-sink": "licm",
     "reg2mem": "mem2reg",
     "rev-insert-dead-store": "dse",
@@ -218,38 +214,6 @@ def _perturb(f: Function, ud, lbl: str, i: int, gone: str | None,
     return blocks
 
 
-def _rev_split_block(f: Function):
-    """Cut a block in two at a legal boundary, joined by an unconditional br.
-    The tail moves unchanged, so only the successor phis retargeted onto
-    the new block are touched."""
-    reach = set(rpo_order(f))
-    index = {b.label: b for b in f.blocks}
-    for b in f.blocks:
-        if b.label not in reach:
-            continue
-        targets = successors(b)
-        touched = _touched(*(ins for t in set(targets) for ins in index[t].instrs
-                             if ins.is_phi and b.label in ins.labels))
-        new_lbl = fresh_label(f, f"{b.label}_tail")
-        # head keeps instrs[:i] (never the terminator); the phi group stays put
-        for i in range(len(b.phis), len(b.instrs)):
-            yield touched, 1, partial(_split, f, b, i, new_lbl)
-
-
-def _split(f: Function, b, i: int, new_lbl: str) -> Function:
-    blocks = edit(f)
-    blocks[b.label] = list(b.instrs[:i]) + [Instruction(None, "br", (), (new_lbl,))]
-    blocks[new_lbl] = list(b.instrs[i:])
-    # successor phis still name the old block on the moved edge
-    retarget_incomings(blocks, successors(b), b.label, new_lbl)
-    order = []
-    for x in f.blocks:
-        order.append(x.label)
-        if x.label == b.label:
-            order.append(new_lbl)
-    return freeze(f, blocks, order=order)
-
-
 def _rev_licm_sink(f: Function):
     """Push a pure preheader computation used only inside the loop into the
     loop header (right after the phis). The instruction moves unchanged, so
@@ -363,7 +327,6 @@ _ENUMERATORS = {
     "rev-instexpand-shl": _rev_instexpand_shl,
     "rev-instexpand-or": _rev_instexpand_or,
     "rev-reassociate": _rev_reassociate,
-    "rev-split-block": _rev_split_block,
     "rev-licm-sink": _rev_licm_sink,
     "reg2mem": _reg2mem,
     "rev-insert-dead-store": _rev_insert_dead_store,

@@ -1,3 +1,4 @@
+import signal
 from collections import Counter
 from dataclasses import replace
 from itertools import count
@@ -763,6 +764,33 @@ def memory_cfg(draw):
 @pytest.fixture(params=[p.stem for p in VALID_FILES])
 def corpus_function(request):
     return load(request.param)
+
+
+# Each test must finish within this many seconds, so a run that loses its
+# step budget fails instead of hanging; at least 4x the slowest test's time.
+WATCHDOG_S = 60
+
+
+class WatchdogExpired(BaseException):
+    """A test ran past WATCHDOG_S. Not an Exception, so neither hypothesis
+    nor the CLI's error handling mistakes it for the test's own failure."""
+
+
+@pytest.fixture(autouse=True)
+def watchdog():
+    """Raise WatchdogExpired in the main thread once the test has run
+    WATCHDOG_S seconds. The handler runs between bytecodes, so it also cuts
+    a loop in lowered code."""
+    def expire(signum, frame):
+        raise WatchdogExpired(f"test ran past {WATCHDOG_S} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, WATCHDOG_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def pytest_configure(config):

@@ -209,6 +209,28 @@ def test_opt_site_index_is_ascii_digits_with_no_leading_zero(capsys, index):
         f"error: bad step {step!r}: want a forward pass name or reverse-name@<index>"]
 
 
+# a deleted reverse pass is refused like any other unknown name, on every route
+@pytest.mark.parametrize("route,want", [
+    ("opt", "error: bad step 'rev-split-block@0': "
+            "want a forward pass name or reverse-name@<index>"),
+    ("flag", "config error: unknown reverse pass 'rev-split-block'"),
+    ("config", "config error: unknown reverse pass 'rev-split-block'"),
+])
+def test_a_removed_reverse_pass_is_refused(tmp_path, capsys, route, want):
+    f = VALID / "nested_loop.ir"
+    if route == "opt":
+        argv = ["opt", f, "--passes", "rev-split-block@0"]
+    elif route == "flag":
+        argv = ["ibo", f, "-k", "1", "--reverses", "rev-split-block"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reverses": ["rev-split-block"]}))
+        argv = ["--config", cfg, "ibo", f, "-k", "1"]
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert _error_lines(capsys) == [want]
+
+
 def test_opt_strict_rejects_non_firing_step():
     code, _ = run_cli("opt", VALID / "straightline_ret.ir",
                       "--passes", "dce", "--strict")
@@ -239,10 +261,10 @@ def test_opt_stale_reverse_index():
 def test_opt_replays_a_site_past_the_variant_cap():
     # a site index is its position in the full enumeration; no cap hides it
     sites = {v.site_index: v.function
-             for v in reverse_variants("rev-split-block", load("nested_loop"))}
+             for v in reverse_variants("reg2mem", load("nested_loop"))}
     assert 9 in sites and len(sites) > 8
     code, out = run_cli("opt", VALID / "nested_loop.ir", "--strict",
-                        "--passes", "rev-split-block@9", "--format", "text")
+                        "--passes", "reg2mem@9", "--format", "text")
     assert code == 0
     assert out == print_function(sites[9])
 
@@ -401,7 +423,7 @@ def test_a_dynamic_reports_trace_measures_no_program_twice(monkeypatch, command)
 
 
 def test_only_the_inputs_divergence_ends_a_dynamic_run(tmp_path):
-    # loop_sum(5) takes 7*5+6 = 41 steps. Of its 17 reverse variants, all but
+    # loop_sum(5) takes 7*5+6 = 41 steps. Of its 10 reverse variants, all but
     # the rev-reassociate swap need a 42nd; they are left out of the search,
     # as oversize variants are, and the input's own run decides the exit.
     w = tmp_path / "w.json"
@@ -420,7 +442,7 @@ def test_only_the_inputs_divergence_ends_a_dynamic_run(tmp_path):
     o = _json(out)["outcome"]
     assert o["best_key"][2] == 29
     (it,) = o["iterations"]
-    assert (it["variants_generated"], it["searches_run"]) == (17, 1)
+    assert (it["variants_generated"], it["searches_run"]) == (10, 1)
     # one step less, and the input itself runs out
     cfg.write_text(json.dumps({"step_limit": 40}))
     code, out = run_cli("--config", cfg, "ibo", f, "-k", "1", "--metric", "dynamic",

@@ -182,7 +182,7 @@ def test_canonical_text_matches_reference(path):
 
 @pytest.mark.parametrize("path", VALID_FILES, ids=lambda p: p.stem)
 def test_canonical_text_matches_reference_on_reverse_variants(path):
-    # split blocks, phis and allocas that the corpus alone does not have
+    # phis, allocas and loads that the corpus alone does not have
     for v in all_reverse_variants(parse_function(path.read_text()), cap=8):
         assert canonical_text(v.function) == reference_canonical_text(v.function), v.step
 

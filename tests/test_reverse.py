@@ -8,7 +8,6 @@ from bidiropt.cost import rank_key, static_cost, static_size
 from bidiropt.interp import differential_check
 from bidiropt.ir import (
     canonical_hash,
-    canonical_text,
     parse_function,
     print_function,
     validate_function,
@@ -25,7 +24,6 @@ from conftest import (
     load,
     memory_cfg,
     one_step_neighbours,
-    reference_interpret,
     reference_reassociate_sites,
     reference_touched,
     same_modulo_name,
@@ -36,7 +34,7 @@ from conftest import (
 
 def test_every_reverse_pairs_with_a_registered_forward():
     assert set(PAIRINGS) == set(REVERSE_PASSES)
-    assert len(REVERSE_PASSES) == 8
+    assert len(REVERSE_PASSES) == 7
     for fwd in PAIRINGS.values():
         assert fwd in FORWARD_PASSES
 
@@ -144,51 +142,6 @@ entry:
     assert reverse_variants("rev-reassociate", f) == ()
 
 
-def test_split_block_adds_one_block_and_fixes_phis():
-    f = load("diamond")
-    vs = reverse_variants("rev-split-block", f)
-    assert vs
-    for v in vs:
-        assert len(v.function.blocks) == len(f.blocks) + 1
-        assert validate_function(v.function) == []
-    undone = apply_pass("simplifycfg", vs[0].function)
-    assert undone.changed
-    assert same_modulo_name(undone.function, f)
-
-
-# No corpus function has a block that branches to itself.
-SELF_LOOP = """\
-func @self_loop(%n) {
-entry:
-  br loop
-loop:
-  %i = phi [0, entry], [%i1, loop]
-  %s = phi [0, entry], [%s1, loop]
-  %i1 = add %i, 1
-  %s1 = add %s, %i
-  %c = icmp.ult %i1, %n
-  condbr %c, loop, exit
-exit:
-  ret %s1
-}
-"""
-
-
-def test_split_block_retargets_a_self_loops_own_phis():
-    f = parse_function(SELF_LOOP)
-    vs = reverse_variants("rev-split-block", f)
-    # the tail of a split loop block branches back to its head, whose phis
-    # must now name the tail; simplifycfg then merges the tail back
-    assert any("[%i1, loop_tail0]" in print_function(v.function) for v in vs)
-    for v in vs:
-        g = v.function
-        assert validate_function(g) == [], v.step
-        for n in range(40):
-            want, got = reference_interpret(f, [n]), reference_interpret(g, [n])
-            assert (got.outcome, got.value) == (want.outcome, want.value), (v.step, n)
-        assert canonical_text(apply_pass("simplifycfg", g).function) == canonical_text(f), v.step
-
-
 def test_licm_sink_inverts_hoisting():
     f = load("loop_hoisted")
     vs = reverse_variants("rev-licm-sink", f)
@@ -253,10 +206,10 @@ def test_insert_dead_store_per_reachable_block():
 # --- enumeration contract -------------------------------------------------------
 
 def test_cap_keeps_the_first_site_indices():
-    f = load("diamond")
-    full = reverse_variants("rev-split-block", f)
-    capped = reverse_variants("rev-split-block", f, cap=2)
-    assert len(capped) == min(2, len(full))
+    f = load("nested_loop")
+    full = reverse_variants("reg2mem", f)
+    capped = reverse_variants("reg2mem", f, cap=3)
+    assert len(full) > 3 and len(capped) == 3
     for a, b in zip(capped, full):
         assert a.step == b.step
         assert canonical_hash(a.function) == canonical_hash(b.function)
@@ -312,10 +265,6 @@ def test_moves_touch_nothing_but_the_phis_they_retarget():
     (sunk,) = reverse_variants("rev-licm-sink", f)
     assert sunk.touched == frozenset()
     assert reverse_variants("rev-licm-sink", f, near=frozenset(f.params)) == ()
-    # a cut in small or big moves that block's edge into join's phi; entry
-    # and join have no successor phis to retarget
-    splits = reverse_variants("rev-split-block", load("diamond"))
-    assert [sorted(v.touched) for v in splits] == [[]] * 2 + [["a", "b", "m"]] * 4 + [[]]
 
 
 def _seen(variants):
@@ -334,11 +283,11 @@ def test_near_keeps_exactly_the_sites_that_meet_it(corpus_function):
 
 
 def test_near_counts_skipped_sites():
-    f = load("diamond")
-    full = reverse_variants("rev-split-block", f)
-    none = reverse_variants("rev-split-block", f, near=frozenset())
-    assert none == () and none.independent == len(full)
-    assert reverse_variants("rev-split-block", f).independent == 0
+    f = load("nested_loop")
+    full = reverse_variants("reg2mem", f)
+    none = reverse_variants("reg2mem", f, near=frozenset())
+    assert none == () and none.independent == len(full) > 1
+    assert full.independent == 0
 
 
 # --- one site, one triple --------------------------------------------------------
@@ -467,19 +416,23 @@ def test_max_size_is_a_pure_pre_filter(path):
 
 
 def test_an_out_of_envelope_site_is_never_built_or_hashed(monkeypatch):
+    f = load("nested_loop")
+    # a reg2mem site grows f by its store, its alloca and one load per use
+    grows = [static_size(v.function) - static_size(f) for v in reverse_variants("reg2mem", f)]
+    least = min(grows)
+    assert least > 0 and grows.count(least) < len(grows)
     calls = []
     for fn in ("freeze", "canonical_hash"):
         real = getattr(reverse, fn)
         monkeypatch.setattr(reverse, fn, lambda *a, real=real, fn=fn, **kw:
                             calls.append(fn) or real(*a, **kw))
-    f = load("diamond")
-    assert reverse_variants("rev-split-block", f, max_size=static_size(f)) == ()
+    assert reverse_variants("reg2mem", f, max_size=static_size(f) + least - 1) == ()
     assert calls == []
-    # one more instruction of room lets every cut in, and each one is built
-    # but, being one instruction larger than f, none is hashed
-    grown = reverse_variants("rev-split-block", f, max_size=static_size(f) + 1)
+    # room for the least growth lets in just the sites that grow that much;
+    # each one is built but, being larger than f, none is hashed
+    grown = reverse_variants("reg2mem", f, max_size=static_size(f) + least)
     assert calls == ["freeze"] * len(grown)
-    assert len(grown) == len(reverse_variants("rev-split-block", f)) > 0
+    assert len(grown) == grows.count(least)
 
 
 # --- corpus-wide invariants ------------------------------------------------------
