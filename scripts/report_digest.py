@@ -12,7 +12,7 @@ FILE --budget-instrs N --budget-programs 5000 --dot TMP`, where N is the
 instruction count of its (first) function and the digest covers the report
 and then the DOT text, written to a temporary file that the line names TMP;
 then `compare DIR -k 2`. Every class of corpus/valid closes within 5,000
-nodes (the largest has 3,710); the bound keeps a larger function's walk,
+nodes (the largest has 40); the bound keeps a larger function's walk,
 such as corpus/regress/crowd2's, to seconds. Reports name their input file
 as given, so run it from the root of each checkout with the same DIR; a
 change that keeps every report byte-identical, exit code included, keeps
@@ -26,9 +26,8 @@ by canonical digest, in digest order), and the digest covers each
 application's changed flag and printed output. Then one line per reverse
 pass, `name variants/programs sha256`: the pass enumerates its variants at
 cap 8 of every program of the same neighbourhood, and the digest covers
-each variant's step, sorted touched set and printed IR. A pass change that
-keeps these lines identical keeps every output of the pass identical on
-them.
+each variant's step and printed IR. A pass change that keeps these lines
+identical keeps every output of the pass identical on them.
 
 Last, one line per curated workload W of a file of DIR, `W.json
 programs diverged@10000=N diverged@25=M sha256`: every program of that
@@ -130,8 +129,7 @@ def reverse_digest(name: str, programs: list) -> str:
     for f in programs:
         for v in reverse_variants(name, f, cap=8):
             made += 1
-            h.update(f"{v.step}\n{' '.join(sorted(v.touched))}\n"
-                     f"{print_function(v.function)}".encode())
+            h.update(f"{v.step}\n{print_function(v.function)}".encode())
     return f"{name} {made}/{len(programs)} {h.hexdigest()}"
 
 

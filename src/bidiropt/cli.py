@@ -203,7 +203,6 @@ def _ibo_json(out: IboOutcome, f: Function, cfg: Config, cache: PassCache,
                 "iteration": it.iteration,
                 "frontier_size": it.frontier_size,
                 "variants_generated": it.variants_generated,
-                "independent": it.independent,
                 "searches_run": it.searches_run,
                 "cache_hits": it.cache_hits,
                 "best_key": _key_json(it.best_key),

@@ -269,7 +269,10 @@ def control_slice(f: Function) -> Function:
     (a phi cycle included) drops out. If that slice keeps a cell mem2reg
     can promote (no load may read it before a store, so no UninitLoad is
     lost), the cell is promoted and the result sliced again: a store whose
-    value is loaded only for `ret` drops out with its chain. The slice keeps
+    value is loaded only for `ret` drops out with its chain, and a program
+    that keeps a value in a cell shares the slice of the one that does not
+    (`ibo -k 1 --metric dynamic` on the seven curated workloads lowers 14
+    slices with the promotion and 20 without). The slice keeps
     every block of f under its own label, in canonical order
     (block_order_with_unreachable), so equal canonical_text means equal
     block counts, block by block, on every input."""

@@ -44,7 +44,6 @@ PAIRINGS: dict[str, str] = {
     "rev-instexpand-or": "add-to-or",
     "rev-reassociate": "reassociate",
     "rev-licm-sink": "licm",
-    "reg2mem": "mem2reg",
     "rev-insert-dead-store": "dse",
 }
 
@@ -54,35 +53,16 @@ class Variant:
     reverse_name: str
     site_index: int
     function: Function
-    touched: frozenset[str]  # see _touched
 
     @property
     def step(self) -> str:
         return f"{self.reverse_name}@{self.site_index}"
 
 
-class Variants(tuple):
-    """reverse_variants' result: the variants in site order, and in
-    `independent` the number of sites its `near` filter skipped."""
-
-    independent = 0
-
-
-# An enumerator yields one (touched, grow, build) triple per site, in RPO
-# site order. It decides each site from f before it builds anything, so
-# every triple is a site and build() always makes its variant. `touched` is
-# the touched set of the site's rewrite and `grow` the exact change in
-# instruction count the rewrite makes. The touched set holds the
-# result and the value operands of every instruction the rewrite inserts,
-# replaces or erases, old and new version alike; an instruction moved
-# unchanged counts as neither.
-
-def _touched(*instrs: Instruction) -> frozenset[str]:
-    names = {ins.result for ins in instrs if ins.result is not None}
-    for ins in instrs:
-        names.update(op.name for op in ins.operands if isinstance(op, ValueRef))
-    return frozenset(names)
-
+# An enumerator yields one (grow, build) pair per site, in RPO site order.
+# It decides each site from f before it builds anything, so every pair is a
+# site and build() always makes its variant. `grow` is the exact change in
+# instruction count the rewrite makes.
 
 def _splice(f: Function, lbl: str, i: int, new: list[Instruction]) -> Function:
     blocks = edit(f)
@@ -123,7 +103,7 @@ def _rev_instexpand_rem(f: Function):
                 Instruction(mn, "mul", (ValueRef(existing), c)),
                 Instruction(ins.result, "sub", (x, ValueRef(mn))),
             ]
-        yield _touched(ins, *expansion), len(expansion) - 1, partial(_splice, f, lbl, i, expansion)
+        yield len(expansion) - 1, partial(_splice, f, lbl, i, expansion)
 
 
 def _rev_instexpand_shl(f: Function):
@@ -135,7 +115,7 @@ def _rev_instexpand_shl(f: Function):
         if not 1 <= k <= 31:
             continue
         new = Instruction(ins.result, "mul", (ins.operands[0], Literal(1 << k)))
-        yield _touched(ins), 0, partial(_splice, f, lbl, i, [new])
+        yield 0, partial(_splice, f, lbl, i, [new])
 
 
 def _rev_instexpand_or(f: Function):
@@ -144,7 +124,7 @@ def _rev_instexpand_or(f: Function):
     for lbl, i, ins in rpo_instrs(f):
         if ins.opcode != "or" or not disjoint_bits(kb, *ins.operands):
             continue
-        yield _touched(ins), 0, partial(_splice, f, lbl, i, [replace(ins, opcode="add")])
+        yield 0, partial(_splice, f, lbl, i, [replace(ins, opcode="add")])
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +156,7 @@ def _rev_reassociate(f: Function):
             continue
         root, absorbed, emitted = trees[ins.result]
         a, b = ins.operands
-        perturbed = [(None, [replace(ins, operands=(b, a))], _touched(ins))]
+        perturbed = [(None, [replace(ins, operands=(b, a))])]
         (tn,) = fresh_names(f, "x", 1)
         inner = single_use_add(a)
         if inner is not None:
@@ -184,21 +164,21 @@ def _rev_reassociate(f: Function):
             p, q = inner.operands
             new = [Instruction(tn, "add", (q, b)),
                    Instruction(ins.result, "add", (p, ValueRef(tn)))]
-            perturbed.append((inner.result, new, _touched(ins, inner, *new)))
+            perturbed.append((inner.result, new))
         inner = single_use_add(b)
         if inner is not None:
             # a + (p + q)  ->  (a + p) + q
             p, q = inner.operands
             new = [Instruction(tn, "add", (a, p)),
                    Instruction(ins.result, "add", (ValueRef(tn), q))]
-            perturbed.append((inner.result, new, _touched(ins, inner, *new)))
-        for gone, new, touched in perturbed:
+            perturbed.append((inner.result, new))
+        for gone, new in perturbed:
             blocks = _perturb(f, ud, lbl, i, gone, new)
             kept = [x for x in blocks[ud.defs[root][0]] if x is not None]
             at = next(k for k, x in enumerate(kept) if x.result == root)
             now_absorbed = absorbed - {gone} | {x.result for x in new[:-1]}
             if not in_place(kept, at, now_absorbed, emitted):
-                yield touched, 0, partial(freeze, f, blocks)
+                yield 0, partial(freeze, f, blocks)
 
 
 def _perturb(f: Function, ud, lbl: str, i: int, gone: str | None,
@@ -216,8 +196,7 @@ def _perturb(f: Function, ud, lbl: str, i: int, gone: str | None,
 
 def _rev_licm_sink(f: Function):
     """Push a pure preheader computation used only inside the loop into the
-    loop header (right after the phis). The instruction moves unchanged, so
-    the touched set is empty."""
+    loop header (right after the phis)."""
     ud = use_def(f)
     index = {b.label: b for b in f.blocks}
     for lp in find_natural_loops(f):
@@ -230,7 +209,7 @@ def _rev_licm_sink(f: Function):
             uses = ud.uses[ins.result]
             if not uses or not all(u[0] in lp.body for u in uses):
                 continue
-            yield frozenset(), 0, partial(_sink, f, lp, i, len(index[lp.header].phis))
+            yield 0, partial(_sink, f, lp, i, len(index[lp.header].phis))
 
 
 def _sink(f: Function, lp, i: int, at: int) -> Function:
@@ -243,73 +222,13 @@ def _sink(f: Function, lp, i: int, at: int) -> Function:
 # ---------------------------------------------------------------------------
 # memory detours
 
-def _reg2mem(f: Function):
-    """Demote one SSA value to a stack cell: store after the def, a fresh
-    load in front of every use (phi uses load at the tail of the edge's
-    predecessor block)."""
-    ud = use_def(f)
-    reach = set(rpo_order(f))
-    index = {b.label: b for b in f.blocks}
-    for lbl, i, ins in rpo_instrs(f):
-        if ins.result is None or ins.opcode == "alloca":
-            continue
-        uses = ud.uses[ins.result]
-        if any(u[0] not in reach for u in uses):
-            continue
-        v = ins.result
-        (pname,) = fresh_names(f, f"{v}_m", 1)
-        load_names = fresh_names(f, f"{v}_l", len(uses))
-        users = {(u[0], u[1]) for u in uses}
-        touched = _touched(*(index[ulbl].instrs[ui] for ulbl, ui in users))
-        touched = touched.union((v, pname), load_names)
-        yield touched, 2 + len(uses), partial(_demote, f, lbl, ins, uses, pname, load_names)
-
-
-def _demote(f: Function, lbl: str, ins: Instruction, uses, pname: str,
-            load_names: list[str]) -> Function:
-    v = ins.result
-    blocks = edit(f)
-    # loads first, rewriting whole users bottom-up so indices stay valid
-    per_block: dict[str, dict[int, list[tuple[int, str]]]] = {}
-    for (ulbl, ui, uj), ln in zip(uses, load_names):
-        per_block.setdefault(ulbl, {}).setdefault(ui, []).append((uj, ln))
-    for ulbl, by_user in per_block.items():
-        instrs = blocks[ulbl]
-        for ui in sorted(by_user, reverse=True):
-            user = instrs[ui]
-            ops = list(user.operands)
-            for uj, ln in by_user[ui]:
-                ops[uj] = ValueRef(ln)
-            instrs[ui] = replace(user, operands=tuple(ops))
-            for uj, ln in sorted(by_user[ui], reverse=True):
-                if user.is_phi:
-                    # the value crosses the edge, so read it at the tail
-                    # of that edge's predecessor
-                    pb = blocks[user.labels[uj]]
-                    pb.insert(len(pb) - 1, Instruction(ln, "load", (ValueRef(pname),)))
-                else:
-                    instrs.insert(ui, Instruction(ln, "load", (ValueRef(pname),)))
-    # store directly after the def (after the whole phi group for a phi)
-    dlist = blocks[lbl]
-    if ins.is_phi:
-        at = 0
-        while at < len(dlist) and dlist[at].is_phi:
-            at += 1
-    else:
-        at = dlist.index(ins) + 1
-    dlist.insert(at, Instruction(None, "store", (ValueRef(v), ValueRef(pname))))
-    entry = blocks[f.blocks[0].label]
-    entry.insert(0, Instruction(pname, "alloca", ()))
-    return freeze(f, blocks)
-
-
 def _rev_insert_dead_store(f: Function):
     """Append a never-read stack cell write at the end of a block."""
     reach = set(rpo_order(f))
     (pname,) = fresh_names(f, "dead", 1)
     for b in f.blocks:
         if b.label in reach:
-            yield frozenset((pname,)), 2, partial(_dead_store, f, b.label, pname)
+            yield 2, partial(_dead_store, f, b.label, pname)
 
 
 def _dead_store(f: Function, lbl: str, pname: str) -> Function:
@@ -328,7 +247,6 @@ _ENUMERATORS = {
     "rev-instexpand-or": _rev_instexpand_or,
     "rev-reassociate": _rev_reassociate,
     "rev-licm-sink": _rev_licm_sink,
-    "reg2mem": _reg2mem,
     "rev-insert-dead-store": _rev_insert_dead_store,
 }
 
@@ -336,30 +254,21 @@ REVERSE_PASSES = tuple(_ENUMERATORS)
 
 
 def reverse_variants(name: str, f: Function, cap: int | None = None,
-                     near: frozenset[str] | None = None,
-                     max_size: int | None = None) -> Variants:
+                     max_size: int | None = None) -> tuple[Variant, ...]:
     """Enumerate variants of f under one reverse pass, in deterministic site
     order. A site's index is its position in the enumeration, and `cap`
     keeps the sites numbered below it, so an index names the same site of
     a given function whatever the cap. A variant identical to f takes its
     index but is dropped; only a variant of f's size is hashed to find out.
-
-    With `near`, a site whose touched set misses it is skipped before
-    anything is built or hashed, and counts in `independent`; so is a site
-    whose variant would have more than `max_size` instructions, which does
-    not count. A skipped site still takes its index."""
+    A site whose variant would have more than `max_size` instructions is
+    skipped before anything is built or hashed, and still takes its index."""
     if name not in _ENUMERATORS:
         raise KeyError(f"unknown reverse pass '{name}'")
     room = max_size - static_size(f) if max_size is not None else float("inf")
     out: list[Variant] = []
-    skipped = 0
-    for site, (touched, grow, build) in enumerate(islice(_ENUMERATORS[name](f), cap)):
-        if near is not None and touched.isdisjoint(near):
-            skipped += 1
-        elif grow <= room:
+    for site, (grow, build) in enumerate(islice(_ENUMERATORS[name](f), cap)):
+        if grow <= room:
             g = build()
             if grow or canonical_hash(g) != canonical_hash(f):
-                out.append(Variant(name, site, g, touched))
-    result = Variants(out)
-    result.independent = skipped
-    return result
+                out.append(Variant(name, site, g))
+    return tuple(out)

@@ -175,7 +175,6 @@ class IboIteration:
     iteration: int
     frontier_size: int
     variants_generated: int
-    independent: int  # sites skipped as independent of their parent's rewrite
     searches_run: int
     cache_hits: int
     best_key: tuple
@@ -209,16 +208,10 @@ def ibo(f: Function,
     to every frontier program, exhaustively re-optimizes each variant, and
     keeps the result only when strictly better. The frontier then becomes the
     variants themselves, cheapest first, truncated to ibo_max_frontier.
-
-    From iteration 2 on, a frontier member's variants are only those whose
-    rewrite depends on the rewrite that made the member: their touched sets
-    (see reverse._touched) must meet. An independent detour commutes with
-    the step before it and works on another part of the program, which the
-    forward passes re-optimize on its own; dropping such chains is
-    partial-order reduction (Godefroid, LNCS 1032, 1996). It is a pruning
-    rule, not a proof, checked by keeping every corpus result. Each
-    iteration counts the sites it skipped in `independent`. A variant larger
-    than max_instructions_per_program is never built (reverse_variants'
+    No chain of detours is pruned as independent of the step before it:
+    such a chain can be the only way to a win
+    (corpus/regress/bin2bcd_cell.ir). A variant larger than
+    max_instructions_per_program is never built (reverse_variants'
     max_size), and `variants_generated` counts only the variants built.
     Under the dynamic metric, only f's own WorkloadDiverged ends the run; a
     variant that does not finish every row is dropped before the frontier
@@ -242,31 +235,27 @@ def ibo(f: Function,
     trace: list[IboIteration] = []
     spent = baseline.budget_exceeded
 
-    # frontier members carry the reverse-step provenance that produced them,
-    # their digest, and the touched set of the rewrite that made them (None
-    # for the input, whose variants are all kept)
-    frontier: list[tuple[Function, tuple[str, ...], CanonicalDigest, frozenset | None]] = [
-        (f, (), canonical_hash(f), None)]
+    # frontier members carry the reverse-step provenance that produced them
+    # and their digest
+    frontier: list[tuple[Function, tuple[str, ...], CanonicalDigest]] = [
+        (f, (), canonical_hash(f))]
 
     for it in range(1, iterations + 1):
         if spent:
             break
-        produced: list[tuple[Function, tuple[str, ...], CanonicalDigest, frozenset]] = []
+        produced: list[tuple[Function, tuple[str, ...], CanonicalDigest]] = []
         seen: set[CanonicalDigest] = set()
         generated = 0
-        independent = 0
-        for member, prov, _, near in frontier:
+        for member, prov, _ in frontier:
             for rname in reverses:
-                variants = reverse_variants(rname, member, limits.cap_per_pass, near,
-                                            limits.max_instructions_per_program)
-                independent += variants.independent
-                for v in variants:
+                for v in reverse_variants(rname, member, limits.cap_per_pass,
+                                          limits.max_instructions_per_program):
                     generated += 1
                     d = canonical_hash(v.function)
                     if d in seen:
                         continue
                     seen.add(d)
-                    produced.append((v.function, prov + (v.step,), d, v.touched))
+                    produced.append((v.function, prov + (v.step,), d))
 
         ranked = []
         for t in produced:
@@ -280,7 +269,7 @@ def ibo(f: Function,
         hits = 0
         searched = 0
         improved = False
-        for g, prov, d, _ in produced:
+        for g, prov, d in produced:
             sub = cache.searches.get(d)
             if sub is not None:
                 hits += 1
@@ -304,8 +293,8 @@ def ibo(f: Function,
                 break
         if spent:
             break
-        trace.append(IboIteration(it, len(frontier), generated, independent, searched,
-                                  hits, best_key, improved))
+        trace.append(IboIteration(it, len(frontier), generated, searched, hits,
+                                  best_key, improved))
         frontier = produced
 
     return IboOutcome(best_fn, best_key, best_prov, baseline, tuple(trace), total, spent)

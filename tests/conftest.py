@@ -619,7 +619,7 @@ def reference_touched(parent, child):
     """The touched set of the rewrite from parent to child, by instruction
     diff: the result and the value operands of every instruction that is in
     one program and not the other, counted as multisets, so an instruction
-    moved unchanged drops out. Each enumerator must report exactly this."""
+    moved unchanged drops out."""
     a = Counter(ins for b in parent.blocks for ins in b.instrs)
     b = Counter(ins for b in child.blocks for ins in b.instrs)
     names = set()

@@ -8,10 +8,12 @@ import pytest
 
 from bidiropt.cli import _build_parser
 from bidiropt.config import SETTINGS
-from bidiropt.ir import canonical_hash, print_function
+from bidiropt.ir import canonical_hash, parse_function, print_function
 from bidiropt.reverse import reverse_variants
 
-from conftest import INVALID, VALID, WORKLOADS, load, run_cli
+from conftest import INVALID, ROOT, VALID, WORKLOADS, load, run_cli
+
+REGRESS = ROOT / "corpus" / "regress"
 
 
 def _json(out):
@@ -191,7 +193,7 @@ def test_opt_unknown_pass():
     assert code == 2
 
 
-@pytest.mark.parametrize("step", ["dce@0", "reg2mem", "rev-instexpand-rem@x",
+@pytest.mark.parametrize("step", ["dce@0", "reg2mem", "rev-reassociate", "rev-instexpand-rem@x",
                                   "rev-instexpand-rem@", "rev-instexpand-shl@-1"])
 def test_opt_malformed_step_is_a_usage_error(step):
     code, _ = run_cli("opt", VALID / "bin2bcd.ir", "--passes", step)
@@ -210,21 +212,25 @@ def test_opt_site_index_is_ascii_digits_with_no_leading_zero(capsys, index):
 
 
 # a deleted reverse pass is refused like any other unknown name, on every route
-@pytest.mark.parametrize("route,want", [
-    ("opt", "error: bad step 'rev-split-block@0': "
-            "want a forward pass name or reverse-name@<index>"),
-    ("flag", "config error: unknown reverse pass 'rev-split-block'"),
-    ("config", "config error: unknown reverse pass 'rev-split-block'"),
-])
-def test_a_removed_reverse_pass_is_refused(tmp_path, capsys, route, want):
+_REFUSALS = [
+    ("opt", "error: bad step '{}@0': want a forward pass name or reverse-name@<index>"),
+    ("flag", "config error: unknown reverse pass '{}'"),
+    ("config", "config error: unknown reverse pass '{}'"),
+]
+
+
+@pytest.mark.parametrize("name,route,want", [
+    pytest.param(name, route, want.format(name), id=f"{route}-{want.format(name)}")
+    for name in ("rev-split-block", "reg2mem") for route, want in _REFUSALS])
+def test_a_removed_reverse_pass_is_refused(tmp_path, capsys, name, route, want):
     f = VALID / "nested_loop.ir"
     if route == "opt":
-        argv = ["opt", f, "--passes", "rev-split-block@0"]
+        argv = ["opt", f, "--passes", f"{name}@0"]
     elif route == "flag":
-        argv = ["ibo", f, "-k", "1", "--reverses", "rev-split-block"]
+        argv = ["ibo", f, "-k", "1", "--reverses", name]
     else:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"reverses": ["rev-split-block"]}))
+        cfg.write_text(json.dumps({"reverses": [name]}))
         argv = ["--config", cfg, "ibo", f, "-k", "1"]
     code, out = run_cli(*argv)
     assert code == 2 and out == ""
@@ -260,11 +266,12 @@ def test_opt_stale_reverse_index():
 
 def test_opt_replays_a_site_past_the_variant_cap():
     # a site index is its position in the full enumeration; no cap hides it
+    crowd2 = REGRESS / "crowd2.ir"
     sites = {v.site_index: v.function
-             for v in reverse_variants("reg2mem", load("nested_loop"))}
+             for v in reverse_variants("rev-reassociate", parse_function(crowd2.read_text()))}
     assert 9 in sites and len(sites) > 8
-    code, out = run_cli("opt", VALID / "nested_loop.ir", "--strict",
-                        "--passes", "reg2mem@9", "--format", "text")
+    code, out = run_cli("opt", crowd2, "--strict",
+                        "--passes", "rev-reassociate@9", "--format", "text")
     assert code == 0
     assert out == print_function(sites[9])
 
@@ -423,7 +430,7 @@ def test_a_dynamic_reports_trace_measures_no_program_twice(monkeypatch, command)
 
 
 def test_only_the_inputs_divergence_ends_a_dynamic_run(tmp_path):
-    # loop_sum(5) takes 7*5+6 = 41 steps. Of its 10 reverse variants, all but
+    # loop_sum(5) takes 7*5+6 = 41 steps. Of its 5 reverse variants, all but
     # the rev-reassociate swap need a 42nd; they are left out of the search,
     # as oversize variants are, and the input's own run decides the exit.
     w = tmp_path / "w.json"
@@ -442,7 +449,7 @@ def test_only_the_inputs_divergence_ends_a_dynamic_run(tmp_path):
     o = _json(out)["outcome"]
     assert o["best_key"][2] == 29
     (it,) = o["iterations"]
-    assert (it["variants_generated"], it["searches_run"]) == (10, 1)
+    assert (it["variants_generated"], it["searches_run"]) == (5, 1)
     # one step less, and the input itself runs out
     cfg.write_text(json.dumps({"step_limit": 40}))
     code, out = run_cli("--config", cfg, "ibo", f, "-k", "1", "--metric", "dynamic",
@@ -668,7 +675,7 @@ _SETTING_VALUES = {
     "max_sequence_length": 3, "max_programs_explored": 999,
     "max_instructions_per_program": 5, "cap_per_pass": 3, "ibo_max_frontier": 7,
     "step_limit": 500, "seed": 5, "metric": "dynamic",
-    "passes": ["dce"], "reverses": ["reg2mem"],
+    "passes": ["dce"], "reverses": ["rev-licm-sink"],
     "workload": str(WORKLOADS / "bin2bcd_spot.json"),
 }
 _SETTING_FLAGS = [(command, action.option_strings[0], action.dest)

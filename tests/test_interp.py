@@ -750,11 +750,35 @@ def test_programs_with_one_control_slice_share_one_run_per_row(monkeypatch):
     assert len(runs) == 2 * len(wl.args)
 
 
+# loop_sum with its loop counter kept in a cell
+LOOP_SUM_IN_MEMORY = """func @loop_sum(%n) {
+entry:
+  %i_m0 = alloca
+  br head
+head:
+  %i = phi [0, entry], [%i2, body]
+  %acc = phi [0, entry], [%acc2, body]
+  store %i, %i_m0
+  %i_l0 = load %i_m0
+  %c = icmp.ult %i_l0, %n
+  condbr %c, body, exit
+body:
+  %i_l1 = load %i_m0
+  %acc2 = add %acc, %i_l1
+  %i_l2 = load %i_m0
+  %i2 = add %i_l2, 1
+  br head
+exit:
+  ret %acc
+}
+"""
+
+
 def test_a_detour_through_memory_shares_its_slice(monkeypatch):
     f = load("loop_sum")
     wl = load_workload(WORKLOADS / "loop_sum.json")
-    # reg2mem@0 keeps the loop counter in a cell, which the slice promotes back
-    programs = [f, reverse_variants("reg2mem", f)[0].function]
+    # the slice promotes the cell back, so both programs share one slice
+    programs = [f, parse_function(LOOP_SUM_IN_MEMORY)]
     lowered, runs = _count_runs(monkeypatch)
     memo = {}
     totals = [dynamic_cost_total(g, wl, memo=memo) for g in programs]
@@ -766,7 +790,7 @@ def test_a_detour_through_memory_shares_its_slice(monkeypatch):
 
 def test_a_dynamic_ibo_round_lowers_each_control_path_once(monkeypatch):
     # `ibo -k 1 --metric dynamic` on each curated workload, the benchmark's
-    # dynamic-ibo round: its 160 measured programs take 14 control paths
+    # dynamic-ibo round: its 87 measured programs take 14 control paths
     lowered, runs = _count_runs(monkeypatch)
     for workload in sorted(WORKLOADS.glob("*.json")):
         fixture = VALID / f"{workload.stem.removesuffix('_spot')}.ir"

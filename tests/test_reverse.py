@@ -34,7 +34,7 @@ from conftest import (
 
 def test_every_reverse_pairs_with_a_registered_forward():
     assert set(PAIRINGS) == set(REVERSE_PASSES)
-    assert len(REVERSE_PASSES) == 7
+    assert len(REVERSE_PASSES) == 6
     for fwd in PAIRINGS.values():
         assert fwd in FORWARD_PASSES
 
@@ -179,18 +179,6 @@ exit:
     assert reverse_variants("rev-licm-sink", f) == ()
 
 
-def test_reg2mem_round_trips_through_mem2reg():
-    f = load("bin2bcd")
-    vs = reverse_variants("reg2mem", f)
-    assert vs
-    for v in vs:
-        body = print_function(v.function).split("\n", 1)[1]
-        assert "alloca" in body and "store" in body and "load" in body
-        g = apply_pass("mem2reg", v.function).function
-        g = apply_pass("dce", g).function
-        assert same_modulo_name(g, f), v.step
-
-
 def test_insert_dead_store_per_reachable_block():
     f = load("diamond")
     vs = reverse_variants("rev-insert-dead-store", f)
@@ -206,9 +194,9 @@ def test_insert_dead_store_per_reachable_block():
 # --- enumeration contract -------------------------------------------------------
 
 def test_cap_keeps_the_first_site_indices():
-    f = load("nested_loop")
-    full = reverse_variants("reg2mem", f)
-    capped = reverse_variants("reg2mem", f, cap=3)
+    f = parse_function((ROOT / "corpus" / "regress" / "crowd2.ir").read_text())
+    full = reverse_variants("rev-reassociate", f)
+    capped = reverse_variants("rev-reassociate", f, cap=3)
     assert len(full) > 3 and len(capped) == 3
     for a, b in zip(capped, full):
         assert a.step == b.step
@@ -236,11 +224,15 @@ def test_an_identical_variant_takes_its_site_index():
     assert reverse_variants("rev-reassociate", f, cap=1) == ()
 
 
-# --- touched sets and the near filter --------------------------------------------
+# --- touched sets: a move rewrites nothing, every other site something ------------
 
 def _assert_touched_is_the_diff(f):
+    # only rev-licm-sink moves an instruction unchanged; every other site
+    # rewrites at least one, so its instruction diff names something
     for v in all_reverse_variants(f):
-        assert v.touched == reference_touched(f, v.function), (print_function(f), v.step)
+        moved = v.reverse_name == "rev-licm-sink"
+        assert moved == (reference_touched(f, v.function) == frozenset()), (
+            print_function(f), v.step)
 
 
 def test_touched_set_is_the_instruction_diff(corpus_function):
@@ -263,60 +255,19 @@ def test_touched_set_is_the_instruction_diff_on_generated_memory_programs(text):
 def test_moves_touch_nothing_but_the_phis_they_retarget():
     f = load("loop_hoisted")
     (sunk,) = reverse_variants("rev-licm-sink", f)
-    assert sunk.touched == frozenset()
-    assert reverse_variants("rev-licm-sink", f, near=frozenset(f.params)) == ()
+    assert reference_touched(f, sunk.function) == frozenset()
+    assert canonical_hash(sunk.function) != canonical_hash(f)
 
 
 def _seen(variants):
-    return [(v.step, v.touched, print_function(v.function)) for v in variants]
-
-
-def test_near_keeps_exactly_the_sites_that_meet_it(corpus_function):
-    # as ibo uses it: a variant's own touched set filters its variants
-    for u in all_reverse_variants(corpus_function):
-        for name in REVERSE_PASSES:
-            for cap in (None, 8, 2):
-                full = reverse_variants(name, u.function, cap)
-                got = reverse_variants(name, u.function, cap, near=u.touched)
-                want = [v for v in full if not v.touched.isdisjoint(u.touched)]
-                assert _seen(got) == _seen(want), (u.step, name, cap)
-
-
-def test_near_counts_skipped_sites():
-    f = load("nested_loop")
-    full = reverse_variants("reg2mem", f)
-    none = reverse_variants("reg2mem", f, near=frozenset())
-    assert none == () and none.independent == len(full) > 1
-    assert full.independent == 0
-
-
-# --- one site, one triple --------------------------------------------------------
-
-def _reference_sites(name, f):
-    """The touched set of each site of f under reverse pass name, in site
-    order; rev-reassociate's come from its old build-then-test rule."""
-    if name == "rev-reassociate":
-        return [reference_touched(f, g) for g in reference_reassociate_sites(f)]
-    return [touched for touched, _, _ in reverse._ENUMERATORS[name](f)]
-
-
-def test_independent_counts_the_sites_near_skips(corpus_function):
-    for f in [corpus_function, *one_step_neighbours(corpus_function)]:
-        nears = {v.touched for v in all_reverse_variants(f)}
-        for name in REVERSE_PASSES:
-            sites = _reference_sites(name, f)
-            for cap in (None, 2):
-                for near in nears:
-                    got = reverse_variants(name, f, cap, near).independent
-                    want = sum(t.isdisjoint(near) for t in sites[:cap])
-                    assert got == want, (print_function(f), name, cap, near)
+    return [(v.step, print_function(v.function)) for v in variants]
 
 
 def _assert_reassociate_sites_match_reference(f):
     sites = reference_reassociate_sites(f)
     h = canonical_hash(f)
     for cap in (None, 2):
-        want = [(f"rev-reassociate@{k}", reference_touched(f, g), print_function(g))
+        want = [(f"rev-reassociate@{k}", print_function(g))
                 for k, g in enumerate(sites[:cap]) if canonical_hash(g) != h]
         got = reverse_variants("rev-reassociate", f, cap)
         assert _seen(got) == want, (print_function(f), cap)
@@ -360,11 +311,12 @@ entry:
   ret %r
 }
 """)
-    # near misses %s and %z; the swap of %t is built and dropped as f itself
-    (v,) = reverse_variants("rev-reassociate", f, near=frozenset({"x", "v"}))
-    assert v.step == "rev-reassociate@2"
+    # the swap of %t (site 1) is built and dropped as f itself
+    z, v = reverse_variants("rev-reassociate", f)
+    assert (z.step, v.step) == ("rev-reassociate@0", "rev-reassociate@2")
+    assert "%z = add 7, %y" in print_function(z.function)
     assert "%v = add %y, %u" in print_function(v.function)
-    assert built == [f, f]
+    assert built == [f, f, f]
 
 
 # --- size growth and the envelope filter ----------------------------------------
@@ -374,7 +326,7 @@ CORPUS_FILES = VALID_FILES + sorted((ROOT / "corpus" / "regress").glob("*.ir"))
 
 def _assert_grow_is_exact(f):
     for name in REVERSE_PASSES:
-        for _, grow, build in reverse._ENUMERATORS[name](f):
+        for grow, build in reverse._ENUMERATORS[name](f):
             g = build()
             assert static_size(g) == static_size(f) + grow, (print_function(f), name)
 
@@ -402,37 +354,33 @@ def test_grow_is_the_exact_size_change_on_generated_memory_programs(text):
 def test_max_size_is_a_pure_pre_filter(path):
     f = parse_function(path.read_text())
     size = static_size(f)
-    variants = all_reverse_variants(f)
-    nears = [None] + [v.touched for v in variants[:1] + variants[-1:]]
     for name in REVERSE_PASSES:
         for cap in (None, 2, 8):
-            for near in nears:
-                full = reverse_variants(name, f, cap, near)
-                for m in range(size - 1, size + 5):
-                    got = reverse_variants(name, f, cap, near, max_size=m)
-                    want = [v for v in full if static_size(v.function) <= m]
-                    assert _seen(got) == _seen(want), (name, cap, near, m)
-                    assert got.independent == full.independent, (name, cap, near, m)
+            full = reverse_variants(name, f, cap)
+            for m in range(size - 1, size + 5):
+                got = reverse_variants(name, f, cap, max_size=m)
+                want = [v for v in full if static_size(v.function) <= m]
+                assert _seen(got) == _seen(want), (name, cap, m)
 
 
 def test_an_out_of_envelope_site_is_never_built_or_hashed(monkeypatch):
     f = load("nested_loop")
-    # a reg2mem site grows f by its store, its alloca and one load per use
-    grows = [static_size(v.function) - static_size(f) for v in reverse_variants("reg2mem", f)]
-    least = min(grows)
-    assert least > 0 and grows.count(least) < len(grows)
+    # a dead-store site grows f by its alloca and its store, in each of 7 blocks
+    grows = [static_size(v.function) - static_size(f)
+             for v in reverse_variants("rev-insert-dead-store", f)]
+    assert grows == [2] * 7
     calls = []
     for fn in ("freeze", "canonical_hash"):
         real = getattr(reverse, fn)
         monkeypatch.setattr(reverse, fn, lambda *a, real=real, fn=fn, **kw:
                             calls.append(fn) or real(*a, **kw))
-    assert reverse_variants("reg2mem", f, max_size=static_size(f) + least - 1) == ()
+    assert reverse_variants("rev-insert-dead-store", f, max_size=static_size(f) + 1) == ()
     assert calls == []
-    # room for the least growth lets in just the sites that grow that much;
-    # each one is built but, being larger than f, none is hashed
-    grown = reverse_variants("reg2mem", f, max_size=static_size(f) + least)
-    assert calls == ["freeze"] * len(grown)
-    assert len(grown) == grows.count(least)
+    # room for the growth lets every site in; each one is built but, being
+    # larger than f, none is hashed
+    grown = reverse_variants("rev-insert-dead-store", f, max_size=static_size(f) + 2)
+    assert calls == ["freeze"] * 7
+    assert len(grown) == 7
 
 
 # --- corpus-wide invariants ------------------------------------------------------
