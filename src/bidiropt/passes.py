@@ -782,15 +782,13 @@ def apply_licm(f: Function) -> PassOutcome:
 # ---------------------------------------------------------------------------
 # dse
 
-def apply_dse(f: Function) -> PassOutcome:
-    """Erase stores whose value can never be observed: the next access to the
-    cell in the block is a store, or there is none and no successor has the
-    cell in live_cells."""
+def dead_stores(f: Function) -> list[tuple[str, int]]:
+    """The (block, index) of every store in a reachable block whose value can
+    never be observed: the next access to the cell in the block is a store,
+    or there is none and no successor has the cell in live_cells."""
     live = live_cells(f)
     index = {b.label: b for b in f.blocks}
-    blocks = edit(f)
-    spent: set[str] = set()
-    changed = False
+    dead = []
     for lbl in rpo_order(f):
         instrs = index[lbl].instrs
         # cells a load after this point may read before any store writes them
@@ -804,12 +802,21 @@ def apply_dse(f: Function) -> PassOutcome:
                 read.add(p)
                 continue
             if p not in read:
-                blocks[lbl][i] = None
-                spent.update(op.name for op in ins.operands if isinstance(op, ValueRef))
-                changed = True
+                dead.append((lbl, i))
             read.discard(p)
-    if not changed:
+    return dead
+
+
+def apply_dse(f: Function) -> PassOutcome:
+    """Erase every store dead_stores finds, and the values only they used."""
+    dead = dead_stores(f)
+    if not dead:
         return PassOutcome(False, f)
+    blocks = edit(f)
+    spent: set[str] = set()
+    for lbl, i in dead:
+        spent.update(op.name for op in blocks[lbl][i].operands if isinstance(op, ValueRef))
+        blocks[lbl][i] = None
     _erase_dead(blocks, spent)
     return PassOutcome(True, freeze(f, blocks))
 

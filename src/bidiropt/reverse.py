@@ -6,7 +6,10 @@ rewrite is paired with the forward pass that undoes it, and each enumerator
 emits only sites whose rewrite that pass undoes, deciding each from the
 input with the pass's own rule before it builds anything; this keeps the
 detour inside optimizable territory (tests check the pairing on the corpus
-and its neighbours). Variants are never more efficient than the input.
+and its neighbours). Where the forward pass sweeps the whole function, as
+dse erases every dead store in one application, the input must give the
+pass nothing else to do, so that undoing the variant gives back the input
+itself. Variants are never more efficient than the input.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .ir import (
     rpo_order,
 )
 from .passes import (
+    dead_stores,
     disjoint_bits,
     edit,
     freeze,
@@ -223,7 +227,12 @@ def _sink(f: Function, lp, i: int, at: int) -> Function:
 # memory detours
 
 def _rev_insert_dead_store(f: Function):
-    """Append a never-read stack cell write at the end of a block."""
+    """Append a never-read stack cell write at the end of a block. dse erases
+    every dead store in f at once, so it gives back f exactly only where the
+    new store is the one dead store: f with any dead store of its own has no
+    site, and a dead-store variant never grows another."""
+    if dead_stores(f):
+        return
     reach = set(rpo_order(f))
     (pname,) = fresh_names(f, "dead", 1)
     for b in f.blocks:

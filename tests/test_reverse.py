@@ -191,6 +191,32 @@ def test_insert_dead_store_per_reachable_block():
         assert same_modulo_name(undone.function, f)
 
 
+def _assert_dse_undoes_exactly_the_dead_store(f):
+    # dse erases every dead store at once, so it gives back f itself only
+    # where the inserted store is the one it finds
+    for v in reverse_variants("rev-insert-dead-store", f):
+        assert same_modulo_name(apply_pass("dse", v.function).function, f), (
+            print_function(f), v.step)
+
+
+def test_dse_undoes_exactly_the_dead_store(corpus_function):
+    for f in [corpus_function, *one_step_neighbours(corpus_function)]:
+        _assert_dse_undoes_exactly_the_dead_store(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(memory_cfg())
+def test_dse_undoes_exactly_the_dead_store_on_generated_memory_programs(text):
+    _assert_dse_undoes_exactly_the_dead_store(parse_function(text))
+
+
+@pytest.mark.parametrize("name", ["dead_store", "dead_alloca"])
+def test_no_dead_store_site_where_f_has_a_dead_store(name):
+    f = load(name)
+    assert apply_pass("dse", f).changed
+    assert reverse_variants("rev-insert-dead-store", f) == ()
+
+
 # --- enumeration contract -------------------------------------------------------
 
 def test_cap_keeps_the_first_site_indices():
