@@ -256,7 +256,8 @@ def _kb_transfer(ins: Instruction, get) -> KnownBits:
     return UNKNOWN
 
 
-def known_bits(f: Function) -> dict[str, KnownBits]:
+@per_function
+def known_bits(f: Function) -> MappingProxyType[str, KnownBits]:
     """Sound fixpoint from the all-unknown start; knowledge only grows."""
     kb: dict[str, KnownBits] = {p: UNKNOWN for p in f.params}
     for b in f.blocks:
@@ -279,7 +280,7 @@ def known_bits(f: Function) -> dict[str, KnownBits]:
             if new != kb[ins.result]:
                 kb[ins.result] = new
                 changed = True
-    return kb
+    return MappingProxyType(kb)
 
 
 # ---------------------------------------------------------------------------

@@ -158,12 +158,13 @@ def _workload(cfg: Config, f: Function, count: int = 1000):
 
 def _trace(f: Function, steps, cfg: Config, cache: PassCache, workload=None) -> list:
     """Replay a reported sequence step by step, recording the key after each.
-    Each key comes from the run's cache, so a program the search measured
-    is not measured again."""
+    Each key comes from the run's cache, and each replayed program is
+    interned there, so a program the search measured is not measured or
+    printed again."""
     rows = []
     g = f
     for step in steps:
-        g = replay_sequence(g, [step])
+        g = cache.intern(replay_sequence(g, [step]))
         key = cache.rank(g, canonical_hash(g), cfg.model(), workload, cfg.step_limit)
         rows.append({"step": step, "key": _key_json(key)})
     return rows

@@ -167,45 +167,64 @@ def may_trap(ins: Instruction) -> bool:
 # ---------------------------------------------------------------------------
 # printing
 
-def _fmt_operand(op: Operand, vals: dict[str, str]) -> str:
-    return f"%{vals.get(op.name, op.name)}" if isinstance(op, ValueRef) else str(op.value)
-
-
-def _fmt_instr(ins: Instruction, vals: dict[str, str], lbls: dict[str, str]) -> str:
-    """One instruction, renamed through vals / lbls (absent names print as they are)."""
+def _fmt_instr(ins: Instruction, ops: list[str], vals: dict[str, str],
+               lbls: dict[str, str]) -> str:
+    """One instruction line; its operands are already formatted as ops, its
+    result prints as vals has it and a label as lbls has it (absent labels
+    print as they are)."""
+    if ins.result is None:  # store and the terminators
+        if ins.labels:
+            ops = ops + [lbls.get(lbl, lbl) for lbl in ins.labels]
+        return f"  {ins.opcode} {', '.join(ops)}"
     if ins.opcode == "phi":
-        inc = ", ".join(
-            f"[{_fmt_operand(v, vals)}, {lbls.get(lbl, lbl)}]"
-            for v, lbl in zip(ins.operands, ins.labels)
-        )
-        return f"%{vals.get(ins.result, ins.result)} = phi {inc}"
-    if ins.opcode == "alloca":
-        return f"%{vals.get(ins.result, ins.result)} = alloca"
-    if ins.opcode == "store":
-        return f"store {_fmt_operand(ins.operands[0], vals)}, {_fmt_operand(ins.operands[1], vals)}"
-    if ins.opcode == "ret":
-        return f"ret {_fmt_operand(ins.operands[0], vals)}"
-    if ins.opcode == "br":
-        return f"br {lbls.get(ins.labels[0], ins.labels[0])}"
-    if ins.opcode == "condbr":
-        t, e = ins.labels
-        return f"condbr {_fmt_operand(ins.operands[0], vals)}, {lbls.get(t, t)}, {lbls.get(e, e)}"
-    args = ", ".join(_fmt_operand(o, vals) for o in ins.operands)
-    return f"%{vals.get(ins.result, ins.result)} = {ins.opcode} {args}"
+        inc = ", ".join(f"[{o}, {lbls.get(lbl, lbl)}]" for o, lbl in zip(ops, ins.labels))
+        return f"  {vals[ins.result]} = phi {inc}"
+    if ops:
+        return f"  {vals[ins.result]} = {ins.opcode} {', '.join(ops)}"
+    return f"  {vals[ins.result]} = {ins.opcode}"
 
 
-def _print(f: Function, blocks, vals: dict[str, str], lbls: dict[str, str]) -> str:
-    lines = [f"func @{f.name}({', '.join('%' + vals.get(p, p) for p in f.params)}) {{"]
+def _print(f: Function, canonical: bool) -> str:
+    """The one printer, in one sweep over the blocks. Plain, it prints f as
+    it is. Canonical, it prints blocks b0, b1, ... in _canonical_order and
+    numbers values v0, v1, ... as the sweep meets them: params first, then
+    each result at its first definition, which is value_order's rule over
+    value_order's block sequence. A line that uses a value the sweep has not
+    met yet (a phi incoming on a back edge) is formatted after the sweep; a
+    name still unmet then is undefined and prints as it is, as an unknown
+    label does."""
+    if canonical:
+        pos, blocks = _canonical_order(f)
+        lbls = {lbl: f"b{i}" for lbl, i in pos.items()}
+    else:
+        blocks, lbls = f.blocks, {}
+    vals: dict[str, str] = {}
+    for p in f.params:
+        vals[p] = f"%v{len(vals)}" if canonical else "%" + p
+    lines = [f"func @{f.name}({', '.join(vals[p] for p in f.params)}) {{"]
+    later: list[tuple[int, Instruction]] = []
     for b in blocks:
         lines.append(f"{lbls.get(b.label, b.label)}:")
         for ins in b.instrs:
-            lines.append(f"  {_fmt_instr(ins, vals, lbls)}")
+            r = ins.result
+            if r is not None and r not in vals:
+                vals[r] = f"%v{len(vals)}" if canonical else "%" + r
+            ops = [str(o.value) if type(o) is Literal else vals.get(o.name) for o in ins.operands]
+            if None in ops:
+                later.append((len(lines), ins))
+                lines.append("")
+            else:
+                lines.append(_fmt_instr(ins, ops, vals, lbls))
+    for at, ins in later:
+        ops = [str(o.value) if type(o) is Literal else vals.get(o.name, "%" + o.name)
+               for o in ins.operands]
+        lines[at] = _fmt_instr(ins, ops, vals, lbls)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def print_function(f: Function) -> str:
-    return _print(f, f.blocks, {}, {})
+    return _print(f, False)
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +509,23 @@ def fresh_names(f: Function, base: str, count: int = 1) -> list[str]:
 CanonicalDigest = NewType("CanonicalDigest", str)
 
 
+def _canonical_order(f: Function) -> tuple[dict[str, int], list[BasicBlock]]:
+    """Each label's canonical block number, and f's blocks in that order:
+    block_order_with_unreachable, so RPO first and unreachables after."""
+    pos = {lbl: i for i, lbl in enumerate(block_order_with_unreachable(f))}
+    return pos, sorted(f.blocks, key=lambda b: pos[b.label])
+
+
 @per_function
 def value_order(f: Function) -> MappingProxyType[str, int]:
-    """Canonical value numbering: params first, then definitions in
-    block_order_with_unreachable order."""
-    index = {b.label: b for b in f.blocks}
+    """Canonical value numbering: params first, then each result at its
+    first definition, blocks in _canonical_order. canonical_text's sweep
+    numbers values by this same rule."""
     num: dict[str, int] = {}
     for p in f.params:
         num[p] = len(num)
-    for lbl in block_order_with_unreachable(f):
-        for ins in index[lbl].instrs:
+    for b in _canonical_order(f)[1]:
+        for ins in b.instrs:
             if ins.result is not None and ins.result not in num:
                 num[ins.result] = len(num)
     return MappingProxyType(num)
@@ -508,15 +534,12 @@ def value_order(f: Function) -> MappingProxyType[str, int]:
 def canonical_text(f: Function) -> str:
     """Alpha-normal text: blocks b0,b1,... in RPO (unreachables appended in
     original order), values v0,v1,... in value_order; operand order is kept.
-    Memoized in the instance __dict__, since a Function is immutable."""
+    One sweep of _print numbers the values and formats the lines. Memoized
+    in the instance __dict__, since a Function is immutable; the searches
+    intern equal programs (search.PassCache), so the memo serves those too."""
     text = f.__dict__.get("_canonical_text")
     if text is None:
-        order = block_order_with_unreachable(f)
-        pos = {lbl: i for i, lbl in enumerate(order)}
-        lbls = {lbl: f"b{i}" for lbl, i in pos.items()}
-        vals = {name: f"v{i}" for name, i in value_order(f).items()}
-        blocks = sorted(f.blocks, key=lambda b: pos[b.label])
-        text = f.__dict__["_canonical_text"] = _print(f, blocks, vals, lbls)
+        text = f.__dict__["_canonical_text"] = _print(f, True)
     return text
 
 

@@ -10,8 +10,10 @@ takes and returns a valid Function and reports whether anything changed.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from itertools import count
+from types import MappingProxyType
 
 from .analysis import (
     accessed_cell,
@@ -22,7 +24,7 @@ from .analysis import (
     live_cells,
     use_def,
 )
-from .cost import DEFAULT_COST_MODEL
+from .cost import DEFAULT_COST_MODEL, static_size
 from .ir import (
     BINOP_FUNCS,
     BINOPS,
@@ -37,6 +39,7 @@ from .ir import (
     defined_values,
     fresh_names,
     may_trap,
+    per_function,
     predecessors,
     resolve,
     rpo_instrs,
@@ -149,6 +152,13 @@ def _drop_incomings(instrs: list[Instruction | None], gone: set[str]) -> None:
                                 labels=tuple(l for _, l in keep))
 
 
+# What a pass looks for before it builds an analysis: without it, the pass
+# can change nothing, so it returns f at once.
+
+def _has_opcode(f: Function, *opcodes: str) -> bool:
+    return any(ins.opcode in opcodes for b in f.blocks for ins in b.instrs)
+
+
 # ---------------------------------------------------------------------------
 # const-fold
 
@@ -159,24 +169,27 @@ def _fold_binop(opcode: str, a: int, b: int) -> int | None:
 
 
 def _const_fold_step(f: Function) -> Function | None:
-    blocks = edit(f)
+    """One sweep; the working form is made at the first hit, so a sweep that
+    finds nothing copies nothing. Dropping a phi incoming makes no new hit."""
+    blocks = None
     subst: dict[str, Operand] = {}
-    branches: list[str] = []  # blocks whose condbr became br
-    for lbl, instrs in blocks.items():
-        for i, ins in enumerate(instrs):
+    for b in f.blocks:
+        for i, ins in enumerate(b.instrs):
             if ins.opcode in BINOPS and _is_lit(ins.operands[0]) and _is_lit(ins.operands[1]):
                 val = _fold_binop(ins.opcode, ins.operands[0].value, ins.operands[1].value)
-                if val is not None:
-                    subst[ins.result] = Literal(val)
-                    instrs[i] = None
+                if val is None:
+                    continue
+                blocks = blocks or edit(f)
+                subst[ins.result] = Literal(val)
+                blocks[b.label][i] = None
             elif ins.opcode == "condbr" and _is_lit(ins.operands[0]):
+                blocks = blocks or edit(f)
                 taken = ins.labels[0] if ins.operands[0].value != 0 else ins.labels[1]
                 dropped = ins.labels[1] if taken == ins.labels[0] else ins.labels[0]
-                instrs[i] = Instruction(None, "br", (), (taken,))
+                blocks[b.label][i] = Instruction(None, "br", (), (taken,))
                 if dropped != taken:
-                    _drop_incomings(blocks[dropped], {lbl})
-                branches.append(lbl)
-    return freeze(f, blocks, subst) if subst or branches else None
+                    _drop_incomings(blocks[dropped], {b.label})
+    return freeze(f, blocks, subst) if blocks else None
 
 
 def apply_const_fold(f: Function) -> PassOutcome:
@@ -205,47 +218,50 @@ def _identity_result(op: str, a: Operand, b: Operand) -> Operand | None:
 
 
 def apply_identity_simplify(f: Function) -> PassOutcome:
-    blocks = edit(f)
+    """Replace each binop with an identity by its result. The substitution
+    only grows from a first hit on f's own operands, so the working form is
+    made at that hit."""
+    blocks = None
     subst: dict[str, Operand] = {}
-    changed = False
     for lbl, i, ins in rpo_instrs(f):
         if ins.opcode not in BINOPS or ins.result is None:
             continue
         out = _identity_result(ins.opcode, *(resolve(o, subst) for o in ins.operands))
         if out is not None:
+            blocks = blocks or edit(f)
             subst[ins.result] = out
             blocks[lbl][i] = None
-            changed = True
-    return PassOutcome(changed, freeze(f, blocks, subst) if changed else f)
+    return PassOutcome(True, freeze(f, blocks, subst)) if blocks else PassOutcome(False, f)
 
 
 # ---------------------------------------------------------------------------
 # strength-reduce
 
 def apply_strength_reduce(f: Function) -> PassOutcome:
-    blocks = edit(f)
-    changed = False
-    for lbl, instrs in blocks.items():
-        for i, ins in enumerate(instrs):
-            if ins is None or ins.opcode != "mul":
+    blocks = None
+    for blk in f.blocks:
+        for i, ins in enumerate(blk.instrs):
+            if ins.opcode != "mul":
                 continue
             a, b = ins.operands
             if _is_lit(a) and not _is_lit(b):
                 a, b = b, a
             if isinstance(b, Literal) and b.value >= 2 and b.value & (b.value - 1) == 0:
-                instrs[i] = Instruction(ins.result, "shl", (a, Literal(b.value.bit_length() - 1)))
-                changed = True
-    return PassOutcome(changed, freeze(f, blocks) if changed else f)
+                blocks = blocks or edit(f)
+                shift = Literal(b.value.bit_length() - 1)
+                blocks[blk.label][i] = Instruction(ins.result, "shl", (a, shift))
+    return PassOutcome(True, freeze(f, blocks)) if blocks else PassOutcome(False, f)
 
 
 # ---------------------------------------------------------------------------
 # divmul-to-rem
 
 def _divmul_step(f: Function) -> Function | None:
-    ud = use_def(f)
+    ud = None  # built at the first sub of a value: without one there is no site
     for lbl, i, ins in rpo_instrs(f):
         if ins.opcode != "sub" or not isinstance(ins.operands[1], ValueRef):
             continue
+        ud = ud or use_def(f)
         x, uref = ins.operands
         mul = ud.instrs.get(uref.name)
         if mul is None or mul.opcode != "mul" or ud.use_count(uref.name) != 1:
@@ -273,7 +289,7 @@ def apply_divmul_to_rem(f: Function) -> PassOutcome:
 # ---------------------------------------------------------------------------
 # add-to-or
 
-def disjoint_bits(kb: dict, a: Operand, b: Operand) -> bool:
+def disjoint_bits(kb: Mapping, a: Operand, b: Operand) -> bool:
     """add a, b and or a, b agree: no bit position can be one in both
     operands (kb is known_bits of the function). A literal-0 operand does not
     count; that add is identity-simplify's."""
@@ -288,6 +304,8 @@ def disjoint_bits(kb: dict, a: Operand, b: Operand) -> bool:
 
 def apply_add_to_or(f: Function) -> PassOutcome:
     """add a, b -> or a, b when their bits are disjoint."""
+    if not _has_opcode(f, "add"):
+        return PassOutcome(False, f)
     kb = known_bits(f)
     blocks = edit(f)
     changed = False
@@ -346,7 +364,7 @@ def _linearize(ud, root: Instruction) -> tuple[dict[str, int], int, set[str]]:
     return terms, const, absorbed
 
 
-def _emit_linear(f: Function, terms: dict[str, int], const: int,
+def _emit_linear(f: Function, terms: Mapping[str, int], const: int,
                  namer) -> tuple[list[Instruction], Operand]:
     """Re-emit sum(coeff * leaf) + const in canonical leaf order: positive
     terms as mul/add, negative ones as sub, the constant last."""
@@ -387,16 +405,31 @@ def _emit_linear(f: Function, terms: dict[str, int], const: int,
     return out, acc
 
 
-def tree_roots(f: Function, ud) -> list[tuple[str, set[str]]]:
+def _linearized(f: Function, ud, root_name: str
+                ) -> tuple[Mapping[str, int], int, frozenset[str]]:
+    """_linearize of the tree under root_name in f (ud is use_def(f)),
+    memoized on the Function instance as canonical_text is: reassociate and
+    rev-reassociate meet the same program further apart than the
+    per_function window. It holds no emitted name; those take the caller's
+    counter."""
+    memo = f.__dict__.setdefault("_linearized", {})
+    lin = memo.get(root_name)
+    if lin is None:
+        terms, const, absorbed = _linearize(ud, ud.instrs[root_name])
+        lin = memo[root_name] = (MappingProxyType(terms), const, frozenset(absorbed))
+    return lin
+
+
+def tree_roots(f: Function, ud) -> list[tuple[str, frozenset[str]]]:
     """Roots of the maximal add/sub trees, each with the defs it absorbs, in
     program order. Scanned bottom-up so outer trees claim absorbable inner
     nodes."""
-    roots: list[tuple[str, set[str]]] = []
+    roots: list[tuple[str, frozenset[str]]] = []
     claimed: set[str] = set()
     for _, _, ins in reversed(list(rpo_instrs(f))):
         if ins.opcode not in ("add", "sub") or ins.result in claimed:
             continue
-        absorbed = _linearize(ud, ins)[2]
+        absorbed = _linearized(f, ud, ins.result)[2]
         claimed |= absorbed
         roots.append((ins.result, absorbed))
     roots.reverse()
@@ -404,14 +437,14 @@ def tree_roots(f: Function, ud) -> list[tuple[str, set[str]]]:
 
 
 def tree_form(f: Function, ud, root_name: str,
-              counter) -> tuple[list[Instruction], Operand, set[str]] | None:
+              counter) -> tuple[list[Instruction], Operand, frozenset[str]] | None:
     """The form reassociate emits for the tree under root_name: the
     instructions, the operand that replaces the root, and the absorbed defs;
     None when the form would cost more than the tree. New values are named
     t<n>, n drawn from counter; the form is emitted before the cost test, so
     the counter advances alike either way."""
     root = ud.instrs[root_name]
-    terms, const, absorbed = _linearize(ud, root)
+    terms, const, absorbed = _linearized(f, ud, root_name)
     taken = set(f.params) | set(ud.defs)
 
     def namer() -> str:
@@ -427,7 +460,7 @@ def tree_form(f: Function, ud, root_name: str,
     return emitted, acc, absorbed
 
 
-def in_place(instrs, i: int, absorbed: set[str], emitted: list[Instruction]) -> bool:
+def in_place(instrs, i: int, absorbed: frozenset[str], emitted: list[Instruction]) -> bool:
     """Whether the tree rooted at instrs[i] already sits in the instruction
     list instrs as `emitted`: the len(emitted) instructions ending at i
     define exactly the root and `absorbed`, and each equals its emitted
@@ -457,7 +490,7 @@ def _rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
     A tree already in place in the form it would be emitted in is left
     alone without building a candidate (in_place): the candidate would be f
     with those values renamed, and the canonical hash ignores names. Any
-    other tree is rewritten, and compared with f by canonical hash."""
+    other tree is rewritten, and compared with f (_same_program)."""
     if root_name not in ud.instrs:
         return None
     form = tree_form(f, ud, root_name, counter)
@@ -472,7 +505,14 @@ def _rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
     subst = {root_name: acc}
     _erase_dead(blocks, absorbed, subst)
     candidate = freeze(f, blocks, subst)
-    return None if canonical_hash(candidate) == canonical_hash(f) else candidate
+    return None if _same_program(candidate, f) else candidate
+
+
+def _same_program(g: Function, f: Function) -> bool:
+    """Whether g and f have one canonical form. Every instruction prints as
+    one line of it, so a g of another size differs from f unprinted; the
+    search then interns it before it is printed (search.PassCache)."""
+    return g is f or (static_size(g) == static_size(f) and canonical_hash(g) == canonical_hash(f))
 
 
 def apply_reassociate(f: Function) -> PassOutcome:
@@ -480,13 +520,15 @@ def apply_reassociate(f: Function) -> PassOutcome:
     coefficient): combine like terms, order leaves by canonical value index,
     re-emit. A root is skipped when re-emission would cost more or change
     nothing."""
+    if not _has_opcode(f, "add", "sub"):
+        return PassOutcome(False, f)
     g = f
     counter = count()
     for root_name, _ in tree_roots(f, use_def(f)):
         h = _rewrite_tree(g, use_def(g), root_name, counter)
         if h is not None:
             g = h
-    changed = canonical_hash(g) != canonical_hash(f)
+    changed = not _same_program(g, f)
     return PassOutcome(changed, g if changed else f)
 
 
@@ -496,9 +538,29 @@ def apply_reassociate(f: Function) -> PassOutcome:
 _PURE_FOR_CSE = set(BINOPS) | {"select"}
 
 
+@per_function
+def _has_duplicate_expression(f: Function) -> bool:
+    """Whether two pure instructions of f have equal (opcode, operands): cse's
+    first hit is such a pair, before any substitution, and so is a clone
+    that cond-prop folds with the condition's definition. Both test it before
+    they build the dominator tree, so neither builds it where the other
+    would not."""
+    seen = set()
+    for b in f.blocks:
+        for ins in b.instrs:
+            if ins.opcode in _PURE_FOR_CSE and ins.result is not None:
+                key = (ins.opcode, ins.operands)
+                if key in seen:
+                    return True
+                seen.add(key)
+    return False
+
+
 def apply_cse(f: Function) -> PassOutcome:
     """Dominance-scoped common subexpression elimination; operand order is
     semantic, loads are impure here."""
+    if not _has_duplicate_expression(f):
+        return PassOutcome(False, f)
     dt = compute_dominators(f)
     index = {b.label: b for b in f.blocks}
     subst: dict[str, Operand] = {}
@@ -539,6 +601,8 @@ def apply_cond_prop(f: Function) -> PassOutcome:
     copies of the branch condition are constants: clones of the defining
     instruction fold to 1 on the true edge (icmp only; any nonzero value takes
     it) and to 0 on the false edge."""
+    if not _has_duplicate_expression(f):
+        return PassOutcome(False, f)
     dt = compute_dominators(f)
     preds = predecessors(f)
     ud = use_def(f)
@@ -650,10 +714,12 @@ def _promotable_allocas(f: Function) -> list[str]:
     and no load may read it before a store (that load traps, and promotion
     would turn the trap into a value). In a valid function an alloca's only
     other use is as the value of a store, where its address escapes."""
+    allocas = [(lbl, ins.result) for lbl, _, ins in rpo_instrs(f) if ins.opcode == "alloca"]
+    if not allocas:
+        return []
     ud = use_def(f)
     live = live_cells(f)
     index = {b.label: b for b in f.blocks}
-    allocas = [(lbl, ins.result) for lbl, _, ins in rpo_instrs(f) if ins.opcode == "alloca"]
     addresses = {ValueRef(p) for _, p in allocas}
 
     def kept_in_memory(lbl: str, i: int, j: int) -> bool:
@@ -750,6 +816,16 @@ def licm_movable(ins: Instruction) -> bool:
     return erasable(ins)  # same trap-free purity bar
 
 
+def _has_back_edge(f: Function) -> bool:
+    """Whether a CFG edge runs from a reachable block to one at or before it
+    in rpo_order. The header of a natural loop dominates its latch, so it
+    comes first in RPO (or is the latch): without such an edge there is no
+    loop, and licm has nothing to hoist."""
+    rank = {lbl: i for i, lbl in enumerate(rpo_order(f))}
+    return any(s in rank and rank[s] <= rank[b.label]
+               for b in f.blocks if b.label in rank for s in successors(b))
+
+
 def _licm_step(f: Function) -> Function | None:
     defs = defined_values(f)
     for lp in find_natural_loops(f):
@@ -775,7 +851,10 @@ def _licm_step(f: Function) -> Function | None:
 def apply_licm(f: Function) -> PassOutcome:
     """Hoist trap-free pure instructions whose operands live outside the loop
     into the preheader, one at a time to a fixpoint. Loads and stores never
-    move."""
+    move. Hoisting changes no edge, so one test for a back edge covers every
+    step."""
+    if not _has_back_edge(f):
+        return PassOutcome(False, f)
     return _to_fixpoint(_licm_step, f)
 
 
@@ -786,6 +865,8 @@ def dead_stores(f: Function) -> list[tuple[str, int]]:
     """The (block, index) of every store in a reachable block whose value can
     never be observed: the next access to the cell in the block is a store,
     or there is none and no successor has the cell in live_cells."""
+    if not _has_opcode(f, "store"):
+        return []
     live = live_cells(f)
     index = {b.label: b for b in f.blocks}
     dead = []

@@ -54,14 +54,30 @@ class PassCache:
     across the sub-searches of one ibo run so overlapping search spaces are
     only walked, and each program measured, once. `slices` is the run's
     control-slice memo (interp.dynamic_cost_total), so each control slice
-    runs its workload once."""
+    runs its workload once.
+
+    It also interns the run's programs (hash-consing): ibo's input, each
+    changed pass output and each reverse variant that equals, field for
+    field, a Function the run already holds is replaced by that object.
+    Equal Functions have the same names and instructions, so nothing printed
+    or ranked changes, but the held object's memos (canonical text and
+    digest, per_function analyses, tree linearizations) serve the duplicate:
+    two passes that return the same program, as mem2reg and dse do on a
+    dead-store variant, cost one print and one hash. An unchanged output is
+    f itself and is not looked up, since that lookup would only add
+    hashing."""
 
     def __init__(self) -> None:
         self.apps: dict[tuple[CanonicalDigest, str], tuple[bool, Function]] = {}
         self.searches: dict[CanonicalDigest, SearchOutcome] = {}
         self.dynamic: dict[CanonicalDigest, int | WorkloadDiverged] = {}
         self.slices: dict = {}
+        self.programs: dict[Function, Function] = {}
         self.hits = 0
+
+    def intern(self, f: Function) -> Function:
+        """The run's one Function equal to f: f itself the first time."""
+        return self.programs.setdefault(f, f)
 
     def apply(self, name: str, f: Function, digest: CanonicalDigest) -> tuple[bool, Function]:
         key = (digest, name)
@@ -70,7 +86,7 @@ class PassCache:
             self.hits += 1
             return got
         out = apply_pass(name, f)
-        got = (out.changed, out.function)
+        got = (True, self.intern(out.function)) if out.changed else (False, f)
         self.apps[key] = got
         return got
 
@@ -226,6 +242,7 @@ def ibo(f: Function,
     """
     reverses = reverses if reverses is not None else REVERSE_PASSES
     cache = cache if cache is not None else PassCache()
+    f = cache.intern(f)
     baseline = exhaustive_search(f, passes, limits, model, workload, cache)
     cache.searches[canonical_hash(f)] = baseline
     total = baseline.explored
@@ -249,7 +266,7 @@ def ibo(f: Function,
         for member, prov, _ in frontier:
             for rname in reverses:
                 for v in reverse_variants(rname, member, limits.cap_per_pass,
-                                          limits.max_instructions_per_program):
+                                          limits.max_instructions_per_program, cache.intern):
                     generated += 1
                     d = canonical_hash(v.function)
                     if d in seen:
@@ -331,11 +348,22 @@ def explore_sep_class(f: Function,
     does not mark the graph truncated), and reverse_variants' max_size skips
     such reverse variants unbuilt. Truncation means the walk was cut short by
     the depth or node budget while work remained.
+
+    Children are interned before they are hashed: a child equal, field for
+    field, to one the walk already holds is replaced by that object, whose
+    canonical digest is memoized, so it is not printed again. Most children
+    are such repeats, since a node's passes and its neighbours' passes often
+    give back the same program.
     """
     names = tuple(passes) if passes is not None else tuple(FORWARD_PASSES)
     reverses = reverses if reverses is not None else REVERSE_PASSES
     start = canonical_hash(f)
     nodes: dict[CanonicalDigest, Function] = {start: f}
+    interned: dict[Function, Function] = {f: f}
+
+    def intern(child: Function) -> Function:
+        return interned.setdefault(child, child)
+
     edges: list[tuple[CanonicalDigest, str, CanonicalDigest]] = []
     frontier = [start]
     truncated = False
@@ -349,10 +377,10 @@ def explore_sep_class(f: Function,
             for name in names:
                 out = apply_pass(name, g)
                 if out.changed:
-                    children.append((name, out.function))
+                    children.append((name, intern(out.function)))
             for rname in reverses:
                 for v in reverse_variants(rname, g, limits.cap_per_pass,
-                                          max_size=limits.max_instructions_per_program):
+                                          limits.max_instructions_per_program, intern):
                     children.append((v.step, v.function))
             for label, child in children:
                 if static_size(child) > limits.max_instructions_per_program:

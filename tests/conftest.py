@@ -32,7 +32,6 @@ from bidiropt.ir import (
     fresh_names,
     parse_function,
     predecessors,
-    print_function,
     resolve,
     rpo_instrs,
     rpo_order,
@@ -642,15 +641,45 @@ def one_step_neighbours(f):
     return list(out.values())
 
 
+def reference_print(f):
+    """The textual form, one opcode at a time and apart from ir's printer,
+    so that the printer is never checked against itself."""
+    def op(o):
+        return f"%{o.name}" if isinstance(o, ValueRef) else str(o.value)
+
+    def line(ins):
+        if ins.opcode == "phi":
+            inc = ", ".join(f"[{op(v)}, {lbl}]" for v, lbl in zip(ins.operands, ins.labels))
+            return f"%{ins.result} = phi {inc}"
+        if ins.opcode == "alloca":
+            return f"%{ins.result} = alloca"
+        if ins.opcode == "store":
+            return f"store {op(ins.operands[0])}, {op(ins.operands[1])}"
+        if ins.opcode == "ret":
+            return f"ret {op(ins.operands[0])}"
+        if ins.opcode == "br":
+            return f"br {ins.labels[0]}"
+        if ins.opcode == "condbr":
+            return f"condbr {op(ins.operands[0])}, {ins.labels[0]}, {ins.labels[1]}"
+        return f"%{ins.result} = {ins.opcode} {', '.join(map(op, ins.operands))}"
+
+    lines = [f"func @{f.name}({', '.join('%' + p for p in f.params)}) {{"]
+    for b in f.blocks:
+        lines.append(f"{b.label}:")
+        lines.extend(f"  {line(ins)}" for ins in b.instrs)
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 def reference_canonical_text(f):
     """The canonical form built the long way: rename values, rename blocks,
-    sort the blocks, print. ir.canonical_text must match it byte for byte."""
+    sort the blocks, print (reference_print). ir.canonical_text must match
+    it byte for byte."""
     order = block_order_with_unreachable(f)
     bmap = {lbl: f"b{i}" for i, lbl in enumerate(order)}
     vmap = {name: f"v{i}" for name, i in value_order(f).items()}
     g = rename_blocks(rename_values(f, vmap), bmap)
     blocks = sorted(g.blocks, key=lambda b: int(b.label[1:]))
-    return print_function(Function(g.name, g.params, tuple(blocks)))
+    return reference_print(Function(g.name, g.params, tuple(blocks)))
 
 
 OPS2 = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "udiv", "urem",

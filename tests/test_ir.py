@@ -36,10 +36,13 @@ from bidiropt.passes import FORWARD_PASSES, apply_pass, edit, freeze
 
 from conftest import (
     INVALID_FILES,
+    ROOT,
     VALID_FILES,
     all_reverse_variants,
     load,
+    memory_cfg,
     reference_canonical_text,
+    reference_print,
     rename_blocks,
     rename_values,
     run_cli,
@@ -212,6 +215,43 @@ def test_canonical_text_of_odd_shapes(text, lines, expected):
     f = parse_function(text)
     assert canonical_text(f) == reference_canonical_text(f)
     assert canonical_text(f).splitlines()[lines] == expected
+
+
+# The one-sweep printer against the reference, which renames first and
+# prints one opcode at a time: on every corpus function, on the shapes where
+# the sweep meets a use before its definition (a phi on a back edge, an
+# unreachable block, an undefined name), and on generated programs with
+# cells, loads, stores, diamonds and loops.
+REGRESS_FILES = sorted((ROOT / "corpus" / "regress").glob("*.ir"))
+
+
+def _assert_printers_match(f):
+    assert canonical_text(f) == reference_canonical_text(f)
+    assert print_function(f) == reference_print(f)
+
+
+@pytest.mark.parametrize("path", VALID_FILES + REGRESS_FILES,
+                         ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_printers_match_the_reference_on_the_corpus(path):
+    _assert_printers_match(parse_function(path.read_text()))
+
+
+@pytest.mark.parametrize("text", [UNREACHABLE_BLOCK, UNDEFINED_NAMES],
+                         ids=["unreachable-block", "undefined-names"])
+def test_printers_match_the_reference_on_odd_shapes(text):
+    _assert_printers_match(parse_function(text))
+
+
+@given(straightline())
+@settings(max_examples=100, deadline=None)
+def test_printers_match_the_reference_on_generated_straightline(text):
+    _assert_printers_match(parse_function(text))
+
+
+@given(memory_cfg())
+@settings(max_examples=200, deadline=None)
+def test_printers_match_the_reference_on_generated_memory_cfg(text):
+    _assert_printers_match(parse_function(text))
 
 
 # --- the per-object memo -----------------------------------------------------

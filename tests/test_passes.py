@@ -11,8 +11,9 @@ from itertools import count
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bidiropt import passes
+from bidiropt import analysis, passes
 from bidiropt.analysis import use_def
 from bidiropt.cost import rank_key, static_cost
 from bidiropt.interp import differential_check, interpret
@@ -26,6 +27,7 @@ from bidiropt.ir import (
 )
 from bidiropt.passes import (
     FORWARD_PASSES,
+    PassOutcome,
     _erase_dead,
     _rewrite_tree,
     apply_pass,
@@ -785,6 +787,78 @@ def test_pass_idempotent_on_corpus(pass_name, corpus_function):
     once = apply_pass(pass_name, corpus_function).function
     again = apply_pass(pass_name, once)
     assert not again.changed, (pass_name, corpus_function.name)
+
+
+@given(st.one_of(straightline(), memory_cfg()))
+@settings(max_examples=150, deadline=None)
+def test_pass_idempotent_on_generated(text):
+    f = parse_function(text)
+    for name in FORWARD_PASSES:
+        once = apply_pass(name, f).function
+        assert not apply_pass(name, once).changed, (name, print_function(f))
+
+
+# --- a pass looks for its site before it builds an analysis ------------------
+
+_DIAMOND = """func @f(%x, %y) {{
+entry:
+{entry}
+  %c = icmp.ult %x, 5
+  condbr %c, hi, lo
+hi:
+{hi}
+  br join
+lo:
+  br join
+join:
+  %r = phi [%h, hi], [%x, lo]
+  ret %r
+}}
+"""
+
+# Per pass, a valid program with shapes near that pass's site but no site.
+NO_SITE = {
+    "const-fold": _DIAMOND.format(entry="  %q = udiv 7, 0\n  %a = add %x, %q",
+                                  hi="  %h = add %a, 3"),
+    "identity-simplify": _DIAMOND.format(entry="  %a = sub %x, %y\n  %m = mul %a, 3",
+                                         hi="  %h = udiv %m, 2"),
+    "strength-reduce": _DIAMOND.format(entry="  %m = mul %x, 3\n  %n = mul %m, %y",
+                                       hi="  %h = shl %n, 2"),
+    "divmul-to-rem": _DIAMOND.format(entry="  %q = udiv %x, 3\n  %m = mul %q, 3",
+                                     hi="  %h = sub %m, 1"),
+    "add-to-or": _DIAMOND.format(entry="  %a = shl %x, 4\n  %b = and %y, 15",
+                                 hi="  %h = or %a, %b"),
+    "reassociate": _DIAMOND.format(entry="  %a = mul %x, 3\n  %b = xor %a, %y",
+                                   hi="  %h = or %b, %a"),
+    "cse": _DIAMOND.format(entry="  %a = icmp.ult %x, 6\n  %b = icmp.ult %y, 5",
+                           hi="  %h = icmp.ult 5, %x"),
+    "cond-prop": _DIAMOND.format(entry="  %a = icmp.ult %x, 6\n  %b = icmp.ult %y, 5",
+                                 hi="  %h = icmp.ult %x, 4"),
+    "simplifycfg": _DIAMOND.format(entry="  %a = add %x, 1", hi="  %h = add %a, %y"),
+    "mem2reg": _DIAMOND.format(entry="  %a = add %x, 1", hi="  %h = add %a, %y"),
+    "licm": _DIAMOND.format(entry="  %a = add %x, 1", hi="  %h = mul %x, %y"),
+    "dse": _DIAMOND.format(entry="  %p = alloca", hi="  %h = load %p"),
+    "dce": _DIAMOND.format(entry="  %a = add %x, 1", hi="  %h = add %a, %y"),
+}
+
+
+def _no_analysis(monkeypatch):
+    def boom(*args):
+        raise AssertionError("an analysis ran")
+
+    for name in ("use_def", "known_bits", "compute_dominators", "live_cells",
+                 "find_natural_loops"):
+        for module in (analysis, passes):  # passes imports each by name
+            monkeypatch.setattr(module, name, boom)
+
+
+@pytest.mark.parametrize("pass_name", sorted(FORWARD_PASSES))
+def test_a_pass_without_a_site_returns_f_before_any_analysis(pass_name, monkeypatch):
+    f = parse_function(NO_SITE[pass_name])
+    assert validate_function(f) == []
+    _no_analysis(monkeypatch)
+    out = apply_pass(pass_name, f)
+    assert out == PassOutcome(False, f) and out.function is f
 
 
 # No corpus file or forward neighbour has an unreachable block, the one shape

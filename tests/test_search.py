@@ -1,10 +1,11 @@
 """Exhaustive search, reverse-then-optimize, class exploration, replay."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
-from bidiropt import interp
+from bidiropt import interp, ir, search
 from bidiropt.cost import rank_key, static_size
 from bidiropt.interp import differential_check, load_workload
 from bidiropt.ir import canonical_hash, parse_function, print_function
@@ -291,6 +292,45 @@ def test_ibo_equivalence_end_to_end():
     f = load("bin2bcd")
     out = ibo(f, 2)
     assert differential_check(f, out.best_function, workload_for(f)).equivalent
+
+
+# --- interning ---------------------------------------------------------------------
+
+def test_mem2reg_and_dse_give_back_one_object_on_a_dead_store_variant(monkeypatch):
+    # Both erase the variant's one dead cell, so both return the program it
+    # was made from; the run's PassCache holds that program once.
+    variants = []
+    real = search.reverse_variants
+
+    def recording(name, *args, **kwargs):
+        out = real(name, *args, **kwargs)
+        if name == "rev-insert-dead-store":
+            variants.extend(v.function for v in out)
+        return out
+
+    monkeypatch.setattr(search, "reverse_variants", recording)
+    cache = PassCache()
+    ibo(load("loop_sum"), 2, cache=cache)
+    assert variants
+    for v in variants:
+        d = canonical_hash(v)
+        m_changed, m_out = cache.apply("mem2reg", v, d)
+        d_changed, d_out = cache.apply("dse", v, d)
+        assert m_changed and d_changed and m_out is d_out
+
+
+def test_ibo_prints_each_distinct_program_once(monkeypatch):
+    printed = Counter()
+    real = ir._print
+
+    def counting(f, *args):
+        printed[(f.name, f.params, f.blocks)] += 1
+        return real(f, *args)
+
+    monkeypatch.setattr(ir, "_print", counting)
+    ibo(load("loop_sum"), 2)
+    assert len(printed) > 10
+    assert max(printed.values()) == 1
 
 
 # --- class exploration and closure ------------------------------------------------
