@@ -79,7 +79,8 @@ def compute_dominators(f: Function) -> DomTree:
     return DomTree(idom=MappingProxyType(idom), rpo=order, children=children)
 
 
-def dominance_frontiers(f: Function, dt: DomTree) -> dict[str, set[str]]:
+def dominance_frontiers(f: Function) -> dict[str, set[str]]:
+    dt = compute_dominators(f)
     preds = predecessors(f)
     df: dict[str, set[str]] = {lbl: set() for lbl in dt.rpo}
     for lbl in dt.rpo:
@@ -100,7 +101,6 @@ class Loop:
 
     header: str
     body: frozenset[str]
-    latches: tuple[str, ...]
     preheader: str | None
 
 
@@ -133,7 +133,7 @@ def find_natural_loops(f: Function) -> tuple[Loop, ...]:
         pre = None
         if len(outside) == 1 and len(successors(index[outside[0]])) == 1:
             pre = outside[0]
-        loops.append(Loop(header, frozenset(body), tuple(sorted(back[header])), pre))
+        loops.append(Loop(header, frozenset(body), pre))
     return tuple(sorted(loops, key=lambda lp: (len(lp.body), lp.header)))
 
 

@@ -374,32 +374,21 @@ def parse_function(text: str) -> Function:
 # ---------------------------------------------------------------------------
 # CFG helpers
 
-# How many Functions each per_function analysis remembers; a search step
-# runs all forward passes on one program, so its analyses are reused within
-# a handful of calls of each other.
-PER_FUNCTION_LIMIT = 16
-
-
 def per_function(analysis):
-    """Memoize a pure analysis of a Function on the last PER_FUNCTION_LIMIT
-    objects it saw, by identity. Each entry holds its Function, so no id is
-    reused while the entry lives. Callers share the result, so the analysis
-    must return immutable containers."""
-    cache: dict[int, tuple[Function, object]] = {}
-    last: tuple = (None, None)  # the most recent entry, already last in cache
+    """Memoize a pure analysis of a Function on the last object it saw, by
+    identity: a search step runs every pass on one program, and each pass
+    asks for its analyses itself, so repeats come back to back. The slot
+    holds its Function, so its identity is never another's while the slot
+    lives. Callers share the result, so the analysis must return immutable
+    containers."""
+    last: tuple = (None, None)
 
     @functools.wraps(analysis)
     def cached(f: Function):
         nonlocal last
-        if last[0] is f:
-            return last[1]
-        entry = cache.pop(id(f), None)
-        if entry is None:
-            entry = (f, analysis(f))
-            if len(cache) >= PER_FUNCTION_LIMIT:
-                del cache[next(iter(cache))]  # least recently used
-        cache[id(f)] = last = entry
-        return entry[1]
+        if last[0] is not f:
+            last = (f, analysis(f))
+        return last[1]
 
     return cached
 

@@ -405,22 +405,22 @@ def _emit_linear(f: Function, terms: Mapping[str, int], const: int,
     return out, acc
 
 
-def _linearized(f: Function, ud, root_name: str
-                ) -> tuple[Mapping[str, int], int, frozenset[str]]:
-    """_linearize of the tree under root_name in f (ud is use_def(f)),
-    memoized on the Function instance as canonical_text is: reassociate and
-    rev-reassociate meet the same program further apart than the
-    per_function window. It holds no emitted name; those take the caller's
+def _linearized(f: Function, root_name: str) -> tuple[Mapping[str, int], int, frozenset[str]]:
+    """_linearize of the tree under root_name in f, memoized on the Function
+    instance as canonical_text is: reassociate and rev-reassociate meet the
+    same program further apart than the one Function a per_function
+    analysis remembers. It holds no emitted name; those take the caller's
     counter."""
     memo = f.__dict__.setdefault("_linearized", {})
     lin = memo.get(root_name)
     if lin is None:
+        ud = use_def(f)
         terms, const, absorbed = _linearize(ud, ud.instrs[root_name])
         lin = memo[root_name] = (MappingProxyType(terms), const, frozenset(absorbed))
     return lin
 
 
-def tree_roots(f: Function, ud) -> list[tuple[str, frozenset[str]]]:
+def tree_roots(f: Function) -> list[tuple[str, frozenset[str]]]:
     """Roots of the maximal add/sub trees, each with the defs it absorbs, in
     program order. Scanned bottom-up so outer trees claim absorbable inner
     nodes."""
@@ -429,22 +429,23 @@ def tree_roots(f: Function, ud) -> list[tuple[str, frozenset[str]]]:
     for _, _, ins in reversed(list(rpo_instrs(f))):
         if ins.opcode not in ("add", "sub") or ins.result in claimed:
             continue
-        absorbed = _linearized(f, ud, ins.result)[2]
+        absorbed = _linearized(f, ins.result)[2]
         claimed |= absorbed
         roots.append((ins.result, absorbed))
     roots.reverse()
     return roots
 
 
-def tree_form(f: Function, ud, root_name: str,
+def tree_form(f: Function, root_name: str,
               counter) -> tuple[list[Instruction], Operand, frozenset[str]] | None:
     """The form reassociate emits for the tree under root_name: the
     instructions, the operand that replaces the root, and the absorbed defs;
     None when the form would cost more than the tree. New values are named
     t<n>, n drawn from counter; the form is emitted before the cost test, so
     the counter advances alike either way."""
+    ud = use_def(f)
     root = ud.instrs[root_name]
-    terms, const, absorbed = _linearized(f, ud, root_name)
+    terms, const, absorbed = _linearized(f, root_name)
     taken = set(f.params) | set(ud.defs)
 
     def namer() -> str:
@@ -483,7 +484,7 @@ def in_place(instrs, i: int, absorbed: frozenset[str], emitted: list[Instruction
     return True
 
 
-def _rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
+def _rewrite_tree(f: Function, root_name: str, counter) -> Function | None:
     """f with the tree under root_name re-emitted in canonical form
     (tree_form), or None when that would cost more or change nothing.
 
@@ -491,9 +492,10 @@ def _rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
     alone without building a candidate (in_place): the candidate would be f
     with those values renamed, and the canonical hash ignores names. Any
     other tree is rewritten, and compared with f (_same_program)."""
+    ud = use_def(f)
     if root_name not in ud.instrs:
         return None
-    form = tree_form(f, ud, root_name, counter)
+    form = tree_form(f, root_name, counter)
     if form is None:
         return None
     emitted, acc, absorbed = form
@@ -524,8 +526,8 @@ def apply_reassociate(f: Function) -> PassOutcome:
         return PassOutcome(False, f)
     g = f
     counter = count()
-    for root_name, _ in tree_roots(f, use_def(f)):
-        h = _rewrite_tree(g, use_def(g), root_name, counter)
+    for root_name, _ in tree_roots(f):
+        h = _rewrite_tree(g, root_name, counter)
         if h is not None:
             g = h
     changed = not _same_program(g, f)
@@ -748,7 +750,7 @@ def apply_mem2reg(f: Function) -> PassOutcome:
         return PassOutcome(False, f)
     live = live_cells(f)
     dt = compute_dominators(f)
-    df = dominance_frontiers(f, dt)
+    df = dominance_frontiers(f)
     index = {b.label: b for b in f.blocks}
     uses = use_def(f).uses
     phis: dict[str, list[tuple[str, str]]] = {}  # block -> [(cell, phi name)]

@@ -144,8 +144,8 @@ def _rev_reassociate(f: Function):
     form reassociate emits for it (a swap onto canonical leaf order)."""
     ud = use_def(f)
     trees = {}  # add/sub value -> its tree (root, absorbed, emitted) if it passes the cost test
-    for root, absorbed in tree_roots(f, ud):
-        form = tree_form(f, ud, root, count())
+    for root, absorbed in tree_roots(f):
+        form = tree_form(f, root, count())
         if form is not None:
             trees.update(dict.fromkeys(absorbed | {root}, (root, absorbed, form[0])))
 
@@ -177,7 +177,7 @@ def _rev_reassociate(f: Function):
                    Instruction(ins.result, "add", (ValueRef(tn), q))]
             perturbed.append((inner.result, new))
         for gone, new in perturbed:
-            blocks = _perturb(f, ud, lbl, i, gone, new)
+            blocks = _perturb(f, lbl, i, gone, new)
             kept = [x for x in blocks[ud.defs[root][0]] if x is not None]
             at = next(k for k, x in enumerate(kept) if x.result == root)
             now_absorbed = absorbed - {gone} | {x.result for x in new[:-1]}
@@ -185,14 +185,14 @@ def _rev_reassociate(f: Function):
                 yield 0, partial(freeze, f, blocks)
 
 
-def _perturb(f: Function, ud, lbl: str, i: int, gone: str | None,
+def _perturb(f: Function, lbl: str, i: int, gone: str | None,
              new: list[Instruction]) -> dict[str, list[Instruction | None]]:
     """The working form of f with the add at (lbl, i) replaced by `new`, and
     the inner add that defines `gone`, if any, erased: its one use was that
     add."""
     blocks = edit(f)
     if gone is not None:
-        glbl, j = ud.defs[gone]
+        glbl, j = use_def(f).defs[gone]
         blocks[glbl][j] = None
     blocks[lbl][i:i + 1] = new
     return blocks

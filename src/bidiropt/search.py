@@ -61,11 +61,10 @@ class PassCache:
     field, a Function the run already holds is replaced by that object.
     Equal Functions have the same names and instructions, so nothing printed
     or ranked changes, but the held object's memos (canonical text and
-    digest, per_function analyses, tree linearizations) serve the duplicate:
-    two passes that return the same program, as mem2reg and dse do on a
-    dead-store variant, cost one print and one hash. An unchanged output is
-    f itself and is not looked up, since that lookup would only add
-    hashing."""
+    digest, tree linearizations) serve the duplicate: two passes that
+    return the same program, as mem2reg and dse do on a dead-store variant,
+    cost one print and one hash. An unchanged output is f itself and is not
+    looked up, since that lookup would only add hashing."""
 
     def __init__(self) -> None:
         self.apps: dict[tuple[CanonicalDigest, str], tuple[bool, Function]] = {}
@@ -359,11 +358,8 @@ def explore_sep_class(f: Function,
     reverses = reverses if reverses is not None else REVERSE_PASSES
     start = canonical_hash(f)
     nodes: dict[CanonicalDigest, Function] = {start: f}
-    interned: dict[Function, Function] = {f: f}
-
-    def intern(child: Function) -> Function:
-        return interned.setdefault(child, child)
-
+    intern = PassCache().intern
+    intern(f)
     edges: list[tuple[CanonicalDigest, str, CanonicalDigest]] = []
     frontier = [start]
     truncated = False

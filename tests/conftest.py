@@ -316,7 +316,7 @@ def reference_reassociate_rewrites(f: Function, name: str) -> bool:
     """The old passes.reassociate_rewrites: whether reassociate rewrites the
     add/sub tree that holds value name, found by building its candidate."""
     ud = use_def(f)
-    for root, absorbed in tree_roots(f, ud):
+    for root, absorbed in tree_roots(f):
         if name == root or name in absorbed:
             return reference_rewrite_tree(f, ud, root, count()) is not None
     return False
@@ -434,7 +434,7 @@ def reference_promote_one(f: Function, p: str) -> Function | None:
         return None
 
     # pruned SSA: phis at the iterated dominance frontier, where live
-    df = dominance_frontiers(f, dt)
+    df = dominance_frontiers(f)
     phiblocks: set[str] = set()
     work = list(stores)
     while work:

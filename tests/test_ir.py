@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidiropt import ir
-from bidiropt.analysis import compute_dominators, live_cells, use_def
+from bidiropt.analysis import compute_dominators, known_bits, live_cells, use_def
 from bidiropt.ir import (
-    PER_FUNCTION_LIMIT,
     BasicBlock,
     Function,
     Instruction,
@@ -335,7 +334,7 @@ def test_canonical_blocks_and_values_are_sequential():
 # --- the per-function analysis cache ---------------------------------------
 
 CACHED_ANALYSES = (rpo_order, predecessors, defined_values, use_def, compute_dominators,
-                   live_cells, value_order)
+                   live_cells, value_order, known_bits)
 
 
 def test_cached_analyses_return_immutable_containers():
@@ -358,8 +357,8 @@ def test_cached_analyses_return_immutable_containers():
 @pytest.mark.parametrize("analysis", CACHED_ANALYSES, ids=lambda a: a.__name__)
 def test_cached_analysis_of_a_new_function_is_its_own(analysis):
     # A Function built right after another is dropped usually takes over its
-    # memory, and so its id. The cache pins the Function of every entry, so
-    # that id can never name a stale entry.
+    # memory, and so its id. The cache's slot pins the Function it
+    # remembers, so a new Function can never be taken for it.
     texts = [p.read_text() for p in VALID_FILES]
     parsed = [parse_function(t) for t in texts]
     want = [analysis(parse_function(t)) for t in texts]
@@ -371,20 +370,18 @@ def test_cached_analysis_of_a_new_function_is_its_own(analysis):
 
 
 def test_analysis_cache_lets_go_of_a_function():
-    f = load("loop_sum")
-    alive = weakref.ref(f)
+    # each analysis remembers only the last Function it saw
     for analysis in CACHED_ANALYSES:
+        f = load("loop_sum")
+        g = Function(f.name, f.params, f.blocks)
+        alive = weakref.ref(f)
         analysis(f)
-    del f
-    others = [parse_function(p.read_text()) for p in VALID_FILES[:PER_FUNCTION_LIMIT]]
-    for n, g in enumerate(others, start=1):
-        for analysis in CACHED_ANALYSES:
-            analysis(g)
-        # held while it is among the last PER_FUNCTION_LIMIT, dropped after
-        assert (alive() is None) == (n >= PER_FUNCTION_LIMIT), n
+        del f
+        analysis(g)
+        assert alive() is None, analysis.__name__
 
 
-def test_analysis_cache_never_holds_more_than_the_limit():
+def test_analysis_cache_runs_once_per_function_and_holds_one():
     runs = []
 
     @ir.per_function
@@ -392,22 +389,15 @@ def test_analysis_cache_never_holds_more_than_the_limit():
         runs.append(f)
         return len(runs)
 
-    texts = [p.read_text() for p in VALID_FILES]
-    refs = []
-    for n in range(3 * PER_FUNCTION_LIMIT):
-        f = parse_function(texts[n % len(texts)])
-        refs.append(weakref.ref(f))
-        runs.clear()
-        first = analysis(f)
-        assert analysis(f) == first  # the entry seen last
-        older = refs[n // 2]()
-        if older is not None:  # still cached, so not analysed again
-            analysis(older)
-        assert len(runs) == 1
-        del f, older
-        runs.clear()
-        assert sum(r() is not None for r in refs) <= PER_FUNCTION_LIMIT, n
-    assert sum(r() is not None for r in refs) == PER_FUNCTION_LIMIT
+    fs = [parse_function(p.read_text()) for p in VALID_FILES[:3]]
+    refs = [weakref.ref(f) for f in fs]
+    assert analysis(fs[0]) == analysis(fs[0]) == 1  # a repeat call runs it once
+    assert analysis(fs[1]) == 2
+    assert analysis(fs[2]) == 3
+    assert analysis(fs[0]) == 4  # fs[0] was let go, so it runs again
+    runs.clear()
+    del fs
+    assert [r() is not None for r in refs] == [True, False, False]
 
 
 # --- parse errors and literals ---------------------------------------------

@@ -252,13 +252,13 @@ def _rewrite_both(f, root):
     """_rewrite_tree and reference_rewrite_tree on one root, each with its
     own fresh counter; returns both results and both counters' next value."""
     ours, theirs = count(), count()
-    got = _rewrite_tree(f, use_def(f), root, ours)
+    got = _rewrite_tree(f, root, ours)
     want = reference_rewrite_tree(f, use_def(f), root, theirs)
     return got, want, next(ours), next(theirs)
 
 
 def _assert_rewrites_match_reference(f):
-    for root, _ in tree_roots(f, use_def(f)):
+    for root, _ in tree_roots(f):
         got, want, n_ours, n_theirs = _rewrite_both(f, root)
         assert (got is None) == (want is None), (print_function(f), root)
         if got is not None:
@@ -328,11 +328,11 @@ def test_rewrite_tree_leaves_every_canonical_tree_without_a_candidate(path, monk
     monkeypatch.setattr(passes, "edit", lambda g: built.append(g) or edit(g))
     monkeypatch.setattr(passes, "canonical_hash", lambda g: built.append(g) or canonical_hash(g))
     for g in programs:
-        for root, _ in tree_roots(g, use_def(g)):
+        for root, _ in tree_roots(g):
             if reference_rewrite_tree(g, use_def(g), root, count()) is not None:
                 continue
             built.clear()
-            assert _rewrite_tree(g, use_def(g), root, count()) is None
+            assert _rewrite_tree(g, root, count()) is None
             assert built == [], (print_function(g), root)
 
 
