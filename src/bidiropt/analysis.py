@@ -79,6 +79,21 @@ def compute_dominators(f: Function) -> DomTree:
     return DomTree(idom=MappingProxyType(idom), rpo=order, children=children)
 
 
+def dom_tree_walk(f: Function, root: str | None = None):
+    """Walk f's dominator tree below root (default the entry) in preorder,
+    children in RPO: yields (label, True) on entering a block and
+    (label, False) on leaving it, after its whole subtree. An explicit
+    stack, so a deep tree does not exhaust the recursion limit."""
+    dt = compute_dominators(f)
+    stack = [(dt.rpo[0] if root is None else root, True)]
+    while stack:
+        lbl, enter = stack.pop()
+        yield lbl, enter
+        if enter:
+            stack.append((lbl, False))
+            stack.extend((c, True) for c in reversed(dt.children[lbl]))
+
+
 def dominance_frontiers(f: Function) -> dict[str, set[str]]:
     dt = compute_dominators(f)
     preds = predecessors(f)

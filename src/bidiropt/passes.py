@@ -18,13 +18,14 @@ from types import MappingProxyType
 from .analysis import (
     accessed_cell,
     compute_dominators,
+    dom_tree_walk,
     dominance_frontiers,
     find_natural_loops,
     known_bits,
     live_cells,
     use_def,
 )
-from .cost import DEFAULT_COST_MODEL, static_size
+from .cost import DEFAULT_COST_MODEL
 from .ir import (
     BINOP_FUNCS,
     BINOPS,
@@ -35,7 +36,6 @@ from .ir import (
     Literal,
     Operand,
     ValueRef,
-    canonical_hash,
     defined_values,
     fresh_names,
     may_trap,
@@ -330,37 +330,31 @@ def _linearize(ud, root: Instruction) -> tuple[dict[str, int], int, set[str]]:
     terms: dict[str, int] = {}
     const = 0
     absorbed: set[str] = set()
-
-    def walk(op: Operand, coeff: int) -> None:
-        nonlocal const
+    # (operand, coefficient) still to visit, the left operand on top
+    work = [(root.operands[1], (1 << 32) - 1 if root.opcode == "sub" else 1),
+            (root.operands[0], 1)]
+    while work:
+        op, coeff = work.pop()
         coeff &= MASK32
         if isinstance(op, Literal):
             const = (const + coeff * op.value) & MASK32
-            return
+            continue
         ins = ud.instrs.get(op.name)
         if ins is not None and ud.use_count(op.name) == 1:
-            if ins.opcode == "add":
+            if ins.opcode in ("add", "sub"):
                 absorbed.add(op.name)
-                walk(ins.operands[0], coeff)
-                walk(ins.operands[1], coeff)
-                return
-            if ins.opcode == "sub":
-                absorbed.add(op.name)
-                walk(ins.operands[0], coeff)
-                walk(ins.operands[1], -coeff)
-                return
+                work.append((ins.operands[1], coeff if ins.opcode == "add" else -coeff))
+                work.append((ins.operands[0], coeff))
+                continue
             if ins.opcode == "mul":
                 a, b = ins.operands
                 if _is_lit(a) and not _is_lit(b):
                     a, b = b, a
                 if isinstance(b, Literal):
                     absorbed.add(op.name)
-                    walk(a, coeff * b.value)
-                    return
+                    work.append((a, coeff * b.value))
+                    continue
         terms[op.name] = (terms.get(op.name, 0) + coeff) & MASK32
-
-    walk(root.operands[0], 1)
-    walk(root.operands[1], (1 << 32) - 1 if root.opcode == "sub" else 1)
     return terms, const, absorbed
 
 
@@ -490,8 +484,9 @@ def _rewrite_tree(f: Function, root_name: str, counter) -> Function | None:
 
     A tree already in place in the form it would be emitted in is left
     alone without building a candidate (in_place): the candidate would be f
-    with those values renamed, and the canonical hash ignores names. Any
-    other tree is rewritten, and compared with f (_same_program)."""
+    with those values renamed. Any other tree is rewritten, and the
+    candidate differs from f; whether it is a program the search has seen
+    is the search's question, not the pass's."""
     ud = use_def(f)
     if root_name not in ud.instrs:
         return None
@@ -506,22 +501,14 @@ def _rewrite_tree(f: Function, root_name: str, counter) -> Function | None:
     blocks[lbl][i:i + 1] = emitted
     subst = {root_name: acc}
     _erase_dead(blocks, absorbed, subst)
-    candidate = freeze(f, blocks, subst)
-    return None if _same_program(candidate, f) else candidate
-
-
-def _same_program(g: Function, f: Function) -> bool:
-    """Whether g and f have one canonical form. Every instruction prints as
-    one line of it, so a g of another size differs from f unprinted; the
-    search then interns it before it is printed (search.PassCache)."""
-    return g is f or (static_size(g) == static_size(f) and canonical_hash(g) == canonical_hash(f))
+    return freeze(f, blocks, subst)
 
 
 def apply_reassociate(f: Function) -> PassOutcome:
     """Canonicalize maximal add/sub trees (mul-by-literal absorbed as a
     coefficient): combine like terms, order leaves by canonical value index,
     re-emit. A root is skipped when re-emission would cost more or change
-    nothing."""
+    nothing, so the pass changed f exactly when it rewrote a root."""
     if not _has_opcode(f, "add", "sub"):
         return PassOutcome(False, f)
     g = f
@@ -530,8 +517,7 @@ def apply_reassociate(f: Function) -> PassOutcome:
         h = _rewrite_tree(g, root_name, counter)
         if h is not None:
             g = h
-    changed = not _same_program(g, f)
-    return PassOutcome(changed, g if changed else f)
+    return PassOutcome(g is not f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +549,17 @@ def apply_cse(f: Function) -> PassOutcome:
     semantic, loads are impure here."""
     if not _has_duplicate_expression(f):
         return PassOutcome(False, f)
-    dt = compute_dominators(f)
     index = {b.label: b for b in f.blocks}
     subst: dict[str, Operand] = {}
     dead: list[tuple[str, int]] = []
     table: dict[tuple, str] = {}
-
-    def walk(lbl: str) -> None:
-        added: list[tuple] = []
+    added: dict[str, list[tuple]] = {}  # block -> the keys it put in table
+    for lbl, enter in dom_tree_walk(f):
+        if not enter:
+            for key in added.pop(lbl):
+                del table[key]
+            continue
+        keys = added[lbl] = []
         for i, ins in enumerate(index[lbl].instrs):
             if ins.opcode not in _PURE_FOR_CSE or ins.result is None:
                 continue
@@ -580,13 +569,7 @@ def apply_cse(f: Function) -> PassOutcome:
                 dead.append((lbl, i))
             else:
                 table[key] = ins.result
-                added.append(key)
-        for child in dt.children[lbl]:
-            walk(child)
-        for key in added:
-            del table[key]
-
-    walk(dt.rpo[0])
+                keys.append(key)
     if not dead:
         return PassOutcome(False, f)
     blocks = edit(f)
@@ -612,12 +595,6 @@ def apply_cond_prop(f: Function) -> PassOutcome:
     spent: set[str] = set()
     changed = False
 
-    def subtree(lbl: str) -> list[str]:
-        out = [lbl]
-        for c in dt.children[lbl]:
-            out.extend(subtree(c))
-        return out
-
     blocks = edit(f)
     for lbl in rpo_order(f):
         term = blocks[lbl][-1]  # only valued clones are erased below
@@ -634,7 +611,7 @@ def apply_cond_prop(f: Function) -> PassOutcome:
                 continue
             if lit == 1 and not dins.opcode.startswith("icmp"):
                 continue  # true edge only proves "nonzero" for non-boolean defs
-            for rlbl in subtree(tgt):
+            for rlbl in (b for b, enter in dom_tree_walk(f, tgt) if enter):
                 for i, ins in enumerate(blocks[rlbl]):
                     if (ins is not None and ins.result is not None
                             and ins.result != dins.result
@@ -770,12 +747,16 @@ def apply_mem2reg(f: Function) -> PassOutcome:
     blocks = edit(f)
     subst: dict[str, Operand] = {}
     stacks: dict[str, list[Operand]] = {p: [] for p in cells}
-
-    def walk(lbl: str) -> None:
-        pushed = []
+    pushed: dict[str, list[str]] = {}  # block -> the cells it pushed a value for
+    for lbl, enter in dom_tree_walk(f):
+        if not enter:
+            for p in pushed.pop(lbl):
+                stacks[p].pop()
+            continue
+        cells_pushed = pushed[lbl] = []
         for p, name in phis.get(lbl, ()):
             stacks[p].append(ValueRef(name))
-            pushed.append(p)
+            cells_pushed.append(p)
         for i, ins in enumerate(index[lbl].instrs):
             p = ins.result if ins.opcode == "alloca" else accessed_cell(ins)
             if p not in stacks:
@@ -784,17 +765,11 @@ def apply_mem2reg(f: Function) -> PassOutcome:
                 subst[ins.result] = stacks[p][-1]
             elif ins.opcode == "store":
                 stacks[p].append(resolve(ins.operands[0], subst))
-                pushed.append(p)
+                cells_pushed.append(p)
             blocks[lbl][i] = None
         for s in successors(index[lbl]):
             for p, _ in phis.get(s, ()):
                 incoming.setdefault((s, p), {})[lbl] = stacks[p][-1]
-        for child in dt.children[lbl]:
-            walk(child)
-        for p in pushed:
-            stacks[p].pop()
-
-    walk(dt.rpo[0])
 
     preds = predecessors(f)
     for lbl, new in phis.items():

@@ -26,7 +26,6 @@ from .ir import (
     Literal,
     Operand,
     ValueRef,
-    canonical_hash,
     fresh_names,
     rpo_instrs,
     rpo_order,
@@ -263,24 +262,23 @@ REVERSE_PASSES = tuple(_ENUMERATORS)
 
 
 def reverse_variants(name: str, f: Function, cap: int | None = None,
-                     max_size: int | None = None, intern=None) -> tuple[Variant, ...]:
+                     max_size: int | None = None) -> tuple[Variant, ...]:
     """Enumerate variants of f under one reverse pass, in deterministic site
     order. A site's index is its position in the enumeration, and `cap`
     keeps the sites numbered below it, so an index names the same site of
-    a given function whatever the cap. A variant identical to f takes its
-    index but is dropped; only a variant of f's size is hashed to find out.
-    A site whose variant would have more than `max_size` instructions is
-    skipped before anything is built or hashed, and still takes its index.
-    `intern`, when given, maps each built variant to the caller's one
-    Function equal to it (search.PassCache.intern) before it is hashed, so
-    a variant the caller already holds is not printed again."""
+    a given function whatever the cap. A variant equal to f field for field
+    takes its index but is dropped. A site whose variant would have more
+    than `max_size` instructions is skipped before anything is built, and
+    still takes its index. Nothing is printed or hashed here: whether a
+    variant is a program the caller already holds is the caller's question
+    (search.PassCache.intern)."""
     if name not in _ENUMERATORS:
         raise KeyError(f"unknown reverse pass '{name}'")
     room = max_size - static_size(f) if max_size is not None else float("inf")
     out: list[Variant] = []
     for site, (grow, build) in enumerate(islice(_ENUMERATORS[name](f), cap)):
         if grow <= room:
-            g = build() if intern is None else intern(build())
-            if grow or canonical_hash(g) != canonical_hash(f):
+            g = build()
+            if g != f:
                 out.append(Variant(name, site, g))
     return tuple(out)

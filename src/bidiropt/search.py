@@ -56,15 +56,17 @@ class PassCache:
     control-slice memo (interp.dynamic_cost_total), so each control slice
     runs its workload once.
 
-    It also interns the run's programs (hash-consing): ibo's input, each
+    It also interns the run's programs (hash-consing), the one place where
+    a program is found to be one the run has seen: ibo's input, each
     changed pass output and each reverse variant that equals, field for
-    field, a Function the run already holds is replaced by that object.
-    Equal Functions have the same names and instructions, so nothing printed
-    or ranked changes, but the held object's memos (canonical text and
-    digest, tree linearizations) serve the duplicate: two passes that
-    return the same program, as mem2reg and dse do on a dead-store variant,
-    cost one print and one hash. An unchanged output is f itself and is not
-    looked up, since that lookup would only add hashing."""
+    field, a Function the run already holds is replaced by that object
+    before it is hashed. Equal Functions have the same names and
+    instructions, so nothing printed or ranked changes, but the held
+    object's memos (canonical text and digest, tree linearizations) serve
+    the duplicate: two passes that return the same program, as mem2reg and
+    dse do on a dead-store variant, cost one print and one hash. An
+    unchanged output is f itself and is not looked up, since that lookup
+    would only add hashing."""
 
     def __init__(self) -> None:
         self.apps: dict[tuple[CanonicalDigest, str], tuple[bool, Function]] = {}
@@ -265,13 +267,14 @@ def ibo(f: Function,
         for member, prov, _ in frontier:
             for rname in reverses:
                 for v in reverse_variants(rname, member, limits.cap_per_pass,
-                                          limits.max_instructions_per_program, cache.intern):
+                                          limits.max_instructions_per_program):
                     generated += 1
-                    d = canonical_hash(v.function)
+                    g = cache.intern(v.function)
+                    d = canonical_hash(g)
                     if d in seen:
                         continue
                     seen.add(d)
-                    produced.append((v.function, prov + (v.step,), d))
+                    produced.append((g, prov + (v.step,), d))
 
         ranked = []
         for t in produced:
@@ -348,7 +351,8 @@ def explore_sep_class(f: Function,
     such reverse variants unbuilt. Truncation means the walk was cut short by
     the depth or node budget while work remained.
 
-    Children are interned before they are hashed: a child equal, field for
+    Children, pass outputs and reverse variants alike, are interned
+    (PassCache.intern) before they are hashed: a child equal, field for
     field, to one the walk already holds is replaced by that object, whose
     canonical digest is memoized, so it is not printed again. Most children
     are such repeats, since a node's passes and its neighbours' passes often
@@ -376,8 +380,8 @@ def explore_sep_class(f: Function,
                     children.append((name, intern(out.function)))
             for rname in reverses:
                 for v in reverse_variants(rname, g, limits.cap_per_pass,
-                                          limits.max_instructions_per_program, intern):
-                    children.append((v.step, v.function))
+                                          limits.max_instructions_per_program):
+                    children.append((v.step, intern(v.function)))
             for label, child in children:
                 if static_size(child) > limits.max_instructions_per_program:
                     continue

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from bidiropt.analysis import (
     KnownBits,
     compute_dominators,
+    dom_tree_walk,
     dominance_frontiers,
     find_natural_loops,
     known_bits,
@@ -69,6 +70,22 @@ def test_dominator_children_table(corpus_function):
             kids = sorted((l for l, p in dt.idom.items() if p == lbl and l != lbl),
                           key=lambda l: rank[l])
             assert dt.children[lbl] == tuple(kids), (f.name, lbl)
+
+
+def _recursive_walk(dt, lbl):
+    """The dominator-tree walk by recursion, as the passes once walked it."""
+    yield lbl, True
+    for c in dt.children[lbl]:
+        yield from _recursive_walk(dt, c)
+    yield lbl, False
+
+
+def test_dom_tree_walk_is_the_recursive_preorder(corpus_function):
+    for f in [corpus_function, *one_step_neighbours(corpus_function)]:
+        dt = compute_dominators(f)
+        assert list(dom_tree_walk(f)) == list(_recursive_walk(dt, dt.rpo[0])), f.name
+        for lbl in dt.rpo:
+            assert list(dom_tree_walk(f, lbl)) == list(_recursive_walk(dt, lbl)), (f.name, lbl)
 
 
 def test_dominance_frontier_diamond():

@@ -751,3 +751,57 @@ def test_one_parser_serves_every_main_call():
     assert [code for code, _ in fresh] == [0, 0, 0, 0, 0, 0, 0, 0, 3, 2, 2, 0]
     assert [run_cli(*argv) for argv in calls] == fresh
     assert _build_parser() is _build_parser()
+
+
+# --- deep programs ----------------------------------------------------------
+
+DEEP = 1200  # past Python's default recursion limit of 1000
+
+
+def _chain(first, last, start="entry"):
+    """A br chain start -> c1 -> ... -> cDEEP: `first` opens start, `last`
+    ends cDEEP, so the dominator tree is DEEP blocks deep."""
+    lines = [f"{start}:", *first, "  br c1"]
+    for i in range(1, DEEP):
+        lines += [f"c{i}:", f"  br c{i + 1}"]
+    return lines + [f"c{DEEP}:", *last]
+
+
+def _func(params, body):
+    return f"func @f({', '.join('%' + p for p in params)}) {{\n" + "\n".join(body) + "\n}\n"
+
+
+DEEP_PROGRAMS = {
+    # cse walks the dominator tree to the duplicate add
+    "cse": _func(["x"], _chain(["  %a = add %x, 1"],
+                               ["  %b = add %x, 1", "  %r = add %a, %b", "  ret %r"])),
+    # cond-prop walks the region under the true edge to the recomputed icmp
+    "cond-prop": _func(["x"], ["entry:", "  %c = icmp.eq %x, 0", "  condbr %c, d0, out",
+                               "out:", "  ret 7"]
+                       + _chain([], ["  %d = icmp.eq %x, 0", "  ret %d"], start="d0")),
+    # mem2reg walks the dominator tree to the load of the promotable cell
+    "mem2reg": _func(["x"], _chain(["  %p = alloca", "  store %x, %p"],
+                                   ["  %v = load %p", "  ret %v"])),
+    # reassociate and rev-reassociate linearize one add tree DEEP adds deep
+    "reassociate": _func(["x", "y"], ["entry:", "  %a0 = add %x, %y",
+                                      *(f"  %a{i} = add %a{i - 1}, %y" for i in range(1, DEEP)),
+                                      f"  ret %a{DEEP - 1}"]),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(DEEP_PROGRAMS))
+def test_a_deep_program_gets_a_report_not_a_traceback(tmp_path, walk):
+    path = tmp_path / f"{walk}.ir"
+    path.write_text(DEEP_PROGRAMS[walk])
+    code, out = run_cli("opt", path, "--passes", "cse,cond-prop,mem2reg,reassociate")
+    assert code == 0
+    assert _json(out)["outcome"]["applied"]
+    code, out = run_cli("opt", path, "--passes", walk)
+    assert code == 0
+    assert _json(out)["outcome"]["applied"] == [walk]
+    code, out = run_cli("search", path, "--budget-programs", "20")
+    assert code == 0
+    assert _json(out)["outcome"]["explored"] > 1
+    if walk == "reassociate":
+        code, out = run_cli("opt", path, "--passes", "rev-reassociate@0")
+        assert code == 0

@@ -1,12 +1,15 @@
 """Reverse passes: anti-improving rewrites the forward passes can undo."""
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 
-from bidiropt import reverse
+from bidiropt import ir, reverse
 from bidiropt.cost import rank_key, static_cost, static_size
 from bidiropt.interp import differential_check
 from bidiropt.ir import (
+    Function,
     canonical_hash,
     parse_function,
     print_function,
@@ -396,17 +399,108 @@ def test_an_out_of_envelope_site_is_never_built_or_hashed(monkeypatch):
              for v in reverse_variants("rev-insert-dead-store", f)]
     assert grows == [2] * 7
     calls = []
-    for fn in ("freeze", "canonical_hash"):
-        real = getattr(reverse, fn)
-        monkeypatch.setattr(reverse, fn, lambda *a, real=real, fn=fn, **kw:
-                            calls.append(fn) or real(*a, **kw))
+    real = reverse.freeze
+    monkeypatch.setattr(reverse, "freeze", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     assert reverse_variants("rev-insert-dead-store", f, max_size=static_size(f) + 1) == ()
     assert calls == []
-    # room for the growth lets every site in; each one is built but, being
-    # larger than f, none is hashed
+    # room for the growth lets every site in, and each one is built once
     grown = reverse_variants("rev-insert-dead-store", f, max_size=static_size(f) + 2)
-    assert calls == ["freeze"] * 7
+    assert len(calls) == 7
     assert len(grown) == 7
+
+
+# --- program identity is the search's question -----------------------------------
+
+def _fresh(f):
+    """An equal Function with no memoized canonical text or digest."""
+    return Function(f.name, f.params, f.blocks)
+
+
+@contextmanager
+def _canonical_prints():
+    """The Functions ir's printer prints in canonical form while open: every
+    canonical text or digest of a fresh object is one such print."""
+    printed = []
+    real = ir._print
+
+    def counted(g, canonical):
+        if canonical:
+            printed.append(g)
+        return real(g, canonical)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ir, "_print", counted)
+        yield printed
+
+
+def _assert_nothing_prints(programs):
+    with _canonical_prints() as printed:
+        for f in programs:
+            for name in FORWARD_PASSES:
+                apply_pass(name, _fresh(f))
+                assert printed == [], (print_function(f), name)
+            for name in REVERSE_PASSES:
+                reverse_variants(name, _fresh(f))
+                assert printed == [], (print_function(f), name)
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
+def test_no_pass_or_enumeration_prints(path):
+    f = parse_function(path.read_text())
+    _assert_nothing_prints([f, *one_step_neighbours(f)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(straightline())
+def test_no_pass_or_enumeration_prints_on_generated_programs(text):
+    _assert_nothing_prints([parse_function(text)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(memory_cfg())
+def test_no_pass_or_enumeration_prints_on_generated_memory_programs(text):
+    _assert_nothing_prints([parse_function(text)])
+
+
+def _identical_sites(f) -> int:
+    """Build every site of every enumerator, before reverse_variants' drop,
+    and check the drop rule against the canonical digest: a variant equals
+    f field for field exactly when it has f's canonical form. Returns how
+    many sites give back f."""
+    h = canonical_hash(f)
+    same = 0
+    for name, enumerate_sites in reverse._ENUMERATORS.items():
+        for site, (_, build) in enumerate(enumerate_sites(f)):
+            g = build()
+            assert (g == f) == (canonical_hash(g) == h), (print_function(f), name, site)
+            same += g == f
+    return same
+
+
+def test_the_drop_rule_sees_an_identical_variant():
+    # the swap of add %x, %x is the one site that gives back its input
+    f = parse_function("func @f(%x, %y) {\nentry:\n  %t = add %x, %x\n"
+                       "  %u = sub %t, %x\n  %v = add %u, %y\n  ret %v\n}\n")
+    assert _identical_sites(f) == 1
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
+def test_the_drop_rule_is_the_digest_rule(path):
+    f = parse_function(path.read_text())
+    for g in [f, *one_step_neighbours(f)]:
+        _identical_sites(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(straightline())
+def test_the_drop_rule_is_the_digest_rule_on_generated_programs(text):
+    _identical_sites(parse_function(text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(memory_cfg())
+def test_the_drop_rule_is_the_digest_rule_on_generated_memory_programs(text):
+    _identical_sites(parse_function(text))
 
 
 # --- corpus-wide invariants ------------------------------------------------------
