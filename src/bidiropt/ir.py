@@ -265,9 +265,10 @@ def _split_args(rest: str) -> list[str]:
 
 def _parse_op_body(result: str | None, opcode: str, rest: str, lineno: int) -> Instruction:
     if opcode == "phi":
+        # no incomings at all is a phi of a block without predecessors
         incomings = _RE_PHI_INC.findall(rest)
         leftover = _RE_PHI_INC.sub("", rest).replace(",", "").strip()
-        if not incomings or leftover:
+        if leftover or (rest.strip() and not incomings):
             raise ParseError(lineno, 1, "malformed phi incoming list")
         ops = tuple(_parse_operand(v, lineno) for v, _ in incomings)
         lbls = tuple(lbl for _, lbl in incomings)

@@ -1,11 +1,11 @@
 """Forward (efficiency-increasing) passes.
 
-One application = one deterministic whole-function sweep, visiting blocks in
-RPO and instructions in order; const-fold, divmul-to-rem, simplifycfg and
-licm repeat their rewrite to a fixpoint within one application
-(_to_fixpoint). Rewrites erase the instructions they render dead
-immediately; nothing else is cleaned up (that is dce's job). Every pass
-takes and returns a valid Function and reports whether anything changed.
+One application = one deterministic whole-function sweep on one working
+form (edit), frozen once; blocks are visited in RPO and instructions in
+order unless a pass says otherwise. Rewrites erase the instructions they
+render dead immediately; nothing else is cleaned up (that is dce's job).
+Every pass takes and returns a valid Function and reports whether
+anything changed.
 """
 
 from __future__ import annotations
@@ -72,13 +72,10 @@ def edit(f: Function) -> dict[str, list[Instruction | None]]:
 
 
 def freeze(f: Function, blocks: dict[str, list[Instruction | None]],
-           subst: dict[str, Operand] | None = None,
-           order: list[str] | None = None) -> Function:
+           subst: dict[str, Operand] | None = None) -> Function:
     """The Function of a working form: erased slots dropped, every operand
-    resolved through subst (defs untouched), blocks in f's order or `order`.
-    An instruction subst does not touch is kept as it is."""
-    labels = order if order is not None else [b.label for b in f.blocks if b.label in blocks]
-
+    resolved through subst (defs untouched), blocks in f's order. An
+    instruction subst does not touch is kept as it is."""
     def resolved(ins: Instruction) -> Instruction:
         if not any(isinstance(o, ValueRef) and o.name in subst for o in ins.operands):
             return ins
@@ -86,9 +83,9 @@ def freeze(f: Function, blocks: dict[str, list[Instruction | None]],
 
     # filter(None, ...) drops the erased slots; an Instruction is always truthy
     return Function(f.name, f.params, tuple(
-        BasicBlock(lbl, tuple(map(resolved, filter(None, blocks[lbl])) if subst
-                              else filter(None, blocks[lbl])))
-        for lbl in labels))
+        BasicBlock(b.label, tuple(map(resolved, filter(None, blocks[b.label])) if subst
+                                  else filter(None, blocks[b.label])))
+        for b in f.blocks if b.label in blocks))
 
 
 def _erase_dead(blocks: dict[str, list[Instruction | None]], seeds,
@@ -134,15 +131,6 @@ def _erase_dead(blocks: dict[str, list[Instruction | None]], seeds,
     return erased
 
 
-def _to_fixpoint(step, f: Function) -> PassOutcome:
-    """Apply step, which makes one rewrite and returns the new Function or
-    None when it finds nothing, until it finds nothing."""
-    g = f
-    while (h := step(g)) is not None:
-        g = h
-    return PassOutcome(g is not f, g)
-
-
 def _drop_incomings(instrs: list[Instruction | None], gone: set[str]) -> None:
     """Remove phi incomings whose predecessor label is in `gone`."""
     for j, ins in enumerate(instrs):
@@ -168,34 +156,42 @@ def _fold_binop(opcode: str, a: int, b: int) -> int | None:
     return BINOP_FUNCS[opcode](a, b)
 
 
-def _const_fold_step(f: Function) -> Function | None:
-    """One sweep; the working form is made at the first hit, so a sweep that
-    finds nothing copies nothing. Dropping a phi incoming makes no new hit."""
-    blocks = None
-    subst: dict[str, Operand] = {}
-    for b in f.blocks:
-        for i, ins in enumerate(b.instrs):
-            if ins.opcode in BINOPS and _is_lit(ins.operands[0]) and _is_lit(ins.operands[1]):
-                val = _fold_binop(ins.opcode, ins.operands[0].value, ins.operands[1].value)
-                if val is None:
-                    continue
-                blocks = blocks or edit(f)
-                subst[ins.result] = Literal(val)
-                blocks[b.label][i] = None
-            elif ins.opcode == "condbr" and _is_lit(ins.operands[0]):
-                blocks = blocks or edit(f)
-                taken = ins.labels[0] if ins.operands[0].value != 0 else ins.labels[1]
-                dropped = ins.labels[1] if taken == ins.labels[0] else ins.labels[0]
-                blocks[b.label][i] = Instruction(None, "br", (), (taken,))
-                if dropped != taken:
-                    _drop_incomings(blocks[dropped], {b.label})
-    return freeze(f, blocks, subst) if blocks else None
-
-
 def apply_const_fold(f: Function) -> PassOutcome:
-    """Evaluate binops over two literals; propagate to a fixpoint in one call.
-    condbr on a literal becomes br (phi incomings on the dropped edge removed)."""
-    return _to_fixpoint(_const_fold_step, f)
+    """Evaluate binops over two literals; condbr on a literal becomes br (phi
+    incomings on the dropped edge removed). A sparse work list over every
+    block starts at the instructions over literals only; a fold adds the
+    users of its value (use_def of f). Folds only make literals, so any
+    order of visits agrees."""
+    work = [(b.label, i) for b in f.blocks for i, ins in enumerate(b.instrs)
+            if (ins.opcode in BINOPS or ins.opcode == "condbr")
+            and all(map(_is_lit, ins.operands))]
+    if not work:
+        return PassOutcome(False, f)
+    blocks = edit(f)
+    subst: dict[str, Operand] = {}
+    changed = False
+    while work:
+        lbl, i = work.pop()
+        ins = blocks[lbl][i]
+        if ins is None:
+            continue
+        if ins.opcode in BINOPS:
+            a, b = (resolve(o, subst) for o in ins.operands)
+            val = _fold_binop(ins.opcode, a.value, b.value) if _is_lit(a) and _is_lit(b) else None
+            if val is None:
+                continue
+            subst[ins.result] = Literal(val)
+            blocks[lbl][i] = None
+            work.extend((ulbl, ui) for ulbl, ui, _ in use_def(f).uses[ins.result])
+        elif ins.opcode == "condbr" and _is_lit(cond := resolve(ins.operands[0], subst)):
+            taken, dropped = ins.labels if cond.value != 0 else ins.labels[::-1]
+            blocks[lbl][i] = Instruction(None, "br", (), (taken,))
+            if dropped != taken:
+                _drop_incomings(blocks[dropped], {lbl})
+        else:
+            continue
+        changed = True
+    return PassOutcome(True, freeze(f, blocks, subst)) if changed else PassOutcome(False, f)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +252,11 @@ def apply_strength_reduce(f: Function) -> PassOutcome:
 # ---------------------------------------------------------------------------
 # divmul-to-rem
 
-def _divmul_step(f: Function) -> Function | None:
+def apply_divmul_to_rem(f: Function) -> PassOutcome:
+    """sub x, (mul (udiv x, c), c)  ->  urem x, c   (mul single-use, c >= 1).
+    A rewrite makes a urem and changes no mul's use count, so every site is
+    decided on f's own use_def and one sweep finds them all."""
+    blocks = None
     ud = None  # built at the first sub of a value: without one there is no site
     for lbl, i, ins in rpo_instrs(f):
         if ins.opcode != "sub" or not isinstance(ins.operands[1], ValueRef):
@@ -274,16 +274,10 @@ def _divmul_step(f: Function) -> Function | None:
         div = ud.instrs.get(ma.name)
         if div is None or div.opcode != "udiv" or div.operands != (x, mb):
             continue
-        blocks = edit(f)
+        blocks = blocks or edit(f)
         blocks[lbl][i] = Instruction(ins.result, "urem", (x, mb))
         _erase_dead(blocks, {uref.name, ma.name})
-        return freeze(f, blocks)
-    return None
-
-
-def apply_divmul_to_rem(f: Function) -> PassOutcome:
-    """sub x, (mul (udiv x, c), c)  ->  urem x, c   (mul single-use, c >= 1)."""
-    return _to_fixpoint(_divmul_step, f)
+    return PassOutcome(False, f) if blocks is None else PassOutcome(True, freeze(f, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +502,16 @@ def apply_reassociate(f: Function) -> PassOutcome:
     """Canonicalize maximal add/sub trees (mul-by-literal absorbed as a
     coefficient): combine like terms, order leaves by canonical value index,
     re-emit. A root is skipped when re-emission would cost more or change
-    nothing, so the pass changed f exactly when it rewrote a root."""
+    nothing, so the pass changed f exactly when it rewrote a root. A sweep
+    decides on its input's use counts, and a rewrite can leave a leaf of
+    another tree one use, so sweeps repeat until one rewrites nothing."""
     if not _has_opcode(f, "add", "sub"):
         return PassOutcome(False, f)
-    g = f
-    counter = count()
-    for root_name, _ in tree_roots(f):
-        h = _rewrite_tree(g, root_name, counter)
-        if h is not None:
-            g = h
+    g, h = None, f
+    while h is not g:
+        g, counter = h, count()
+        for root_name, _ in tree_roots(g):
+            h = _rewrite_tree(h, root_name, counter) or h
     return PassOutcome(g is not f, g)
 
 
@@ -630,57 +625,66 @@ def apply_cond_prop(f: Function) -> PassOutcome:
 # ---------------------------------------------------------------------------
 # simplifycfg
 
-def _simplifycfg_step(f: Function) -> Function | None:
-    # condbr x, L, L  ->  br L, every such block at once
-    blocks = edit(f)
-    same = [instrs for instrs in blocks.values()
-            if instrs[-1].opcode == "condbr" and instrs[-1].labels[0] == instrs[-1].labels[1]]
-    if same:
-        spent: set[str] = set()
-        for instrs in same:
-            last = instrs[-1]
-            instrs[-1] = Instruction(None, "br", (), (last.labels[0],))
-            if isinstance(last.operands[0], ValueRef):
-                spent.add(last.operands[0].name)
-        _erase_dead(blocks, spent)
-        return freeze(f, blocks)
-
-    # drop unreachable blocks, trimming phi incomings from removed preds
-    reach = set(rpo_order(f))
-    if len(reach) < len(f.blocks):
-        order = [b.label for b in f.blocks if b.label in reach]
-        gone = set(blocks) - reach
-        for lbl in order:
-            _drop_incomings(blocks[lbl], gone)
-        # defs that lived only in dropped blocks cannot be referenced
-        # from reachable code (dominance), so no substitution needed
-        return freeze(f, blocks, order=order)
-
-    # merge B -> C when B ends with `br C` and C has no other predecessor
-    preds = predecessors(f)
-    for b in f.blocks:
-        last = b.instrs[-1]
-        if last.opcode != "br" or last.labels[0] == b.label or preds[last.labels[0]] != (b.label,):
-            continue
-        cblk = f.block(last.labels[0])
-        # single pred, so each phi has a single incoming
-        subst = {ins.result: ins.operands[0] for ins in cblk.phis}
-        blocks[b.label] = list(b.instrs[:-1]) + list(cblk.instrs[len(cblk.phis):])
-        del blocks[cblk.label]
-        # phis downstream still name C as the incoming edge
-        for t in successors(cblk):
-            for j, ins in enumerate(blocks[t]):
-                if ins is not None and ins.is_phi and cblk.label in ins.labels:
-                    blocks[t][j] = replace(ins, labels=tuple(
-                        b.label if l == cblk.label else l for l in ins.labels))
-        return freeze(f, blocks, subst)
-    return None
-
-
 def apply_simplifycfg(f: Function) -> PassOutcome:
     """condbr with equal targets becomes br; unreachable blocks go away;
-    a block with a lone predecessor that jumps straight to it is merged."""
-    return _to_fixpoint(_simplifycfg_step, f)
+    a block with a lone predecessor that jumps straight to it is merged.
+    None of the three changes which blocks are reachable or how many
+    predecessors one has, so f's rpo_order and predecessors serve all."""
+    blocks = edit(f)
+
+    # condbr x, L, L  ->  br L, every such block at once
+    same = [instrs for instrs in blocks.values()
+            if instrs[-1].opcode == "condbr" and instrs[-1].labels[0] == instrs[-1].labels[1]]
+    spent: set[str] = set()
+    for instrs in same:
+        last = instrs[-1]
+        instrs[-1] = Instruction(None, "br", (), last.labels[:1])
+        spent.update(o.name for o in last.operands if isinstance(o, ValueRef))
+    if spent:
+        _erase_dead(blocks, spent)
+
+    # drop unreachable blocks, trimming phi incomings from removed preds;
+    # reachable code cannot use their defs (dominance)
+    reach = set(rpo_order(f))
+    gone = set(blocks) - reach
+    if gone:
+        for lbl in gone:
+            del blocks[lbl]
+        for instrs in blocks.values():
+            _drop_incomings(instrs, gone)
+
+    # merge B -> C when B ends with `br C` and C has no other predecessor,
+    # each br chain into its head in one walk. A head can come after part
+    # of its chain in f's order, so tails maps a head to f's label of the
+    # block whose terminator it now ends with: the next link's lone
+    # predecessor, and the edge phis downstream still name.
+    preds = predecessors(f)
+    subst: dict[str, Operand] = {}
+    tails: dict[str, str] = {}
+    for head in list(blocks):
+        if head not in blocks:
+            continue  # merged into an earlier head
+        instrs = blocks[head]
+        tail = head
+        while (instrs[-1].opcode == "br" and (c := instrs[-1].labels[0]) != head
+               and tuple(p for p in preds[c] if p in reach) == (tail,)):
+            merged = blocks.pop(c)
+            n = next(j for j, ins in enumerate(merged) if ins is not None and not ins.is_phi)
+            # single pred, so each phi has a single incoming
+            subst.update((ins.result, ins.operands[0]) for ins in merged[:n] if ins is not None)
+            instrs[-1:] = merged[n:]
+            tail = tails.pop(c, c)
+        if tail != head:
+            tails[head] = tail
+    if not (same or gone or tails):
+        return PassOutcome(False, f)
+    for head, tail in tails.items():
+        for t in blocks[head][-1].labels:
+            for j, ins in enumerate(blocks[t]):
+                if ins is not None and ins.is_phi and tail in ins.labels:
+                    blocks[t][j] = replace(ins, labels=tuple(
+                        head if l == tail else l for l in ins.labels))
+    return PassOutcome(True, freeze(f, blocks, subst))
 
 
 # ---------------------------------------------------------------------------
@@ -803,36 +807,30 @@ def _has_back_edge(f: Function) -> bool:
                for b in f.blocks if b.label in rank for s in successors(b))
 
 
-def _licm_step(f: Function) -> Function | None:
-    defs = defined_values(f)
+def apply_licm(f: Function) -> PassOutcome:
+    """Hoist trap-free pure instructions whose operands live outside the loop
+    into the preheader; loads and stores never move. Hoisting changes no
+    edge, so f's loops hold throughout: one RPO sweep per loop, innermost
+    first, with `home` following each hoisted value to its new block."""
+    if not _has_back_edge(f):
+        return PassOutcome(False, f)
+    blocks = edit(f)
+    home = {name: site[0] for name, site in defined_values(f).items() if site is not None}
+    changed = False
     for lp in find_natural_loops(f):
         if lp.preheader is None:
             continue
-
-        def outside(op: Operand) -> bool:
-            if isinstance(op, Literal):
-                return True
-            site = defs.get(op.name)
-            return site is None or site[0] not in lp.body
-
-        for lbl, i, ins in rpo_instrs(f):
-            if lbl in lp.body and licm_movable(ins) and all(map(outside, ins.operands)):
-                blocks = edit(f)
-                blocks[lbl][i] = None
-                pre = blocks[lp.preheader]
-                pre.insert(len(pre) - 1, ins)
-                return freeze(f, blocks)
-    return None
-
-
-def apply_licm(f: Function) -> PassOutcome:
-    """Hoist trap-free pure instructions whose operands live outside the loop
-    into the preheader, one at a time to a fixpoint. Loads and stores never
-    move. Hoisting changes no edge, so one test for a back edge covers every
-    step."""
-    if not _has_back_edge(f):
-        return PassOutcome(False, f)
-    return _to_fixpoint(_licm_step, f)
+        pre = blocks[lp.preheader]
+        for instrs in (blocks[lbl] for lbl in rpo_order(f) if lbl in lp.body):
+            for i, ins in enumerate(instrs):
+                if ins is not None and licm_movable(ins) and all(
+                        isinstance(o, Literal) or home.get(o.name) not in lp.body
+                        for o in ins.operands):
+                    instrs[i] = None
+                    pre.insert(len(pre) - 1, ins)
+                    home[ins.result] = lp.preheader
+                    changed = True
+    return PassOutcome(True, freeze(f, blocks)) if changed else PassOutcome(False, f)
 
 
 # ---------------------------------------------------------------------------

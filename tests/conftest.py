@@ -7,7 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from bidiropt.analysis import compute_dominators, dominance_frontiers, use_def
+from bidiropt.analysis import (
+    compute_dominators,
+    dominance_frontiers,
+    find_natural_loops,
+    use_def,
+)
 from bidiropt.cost import DEFAULT_COST_MODEL, CostModel
 from bidiropt.interp import (
     DEFAULT_STEP_LIMIT,
@@ -19,6 +24,7 @@ from bidiropt.interp import (
     load_workload,
 )
 from bidiropt.ir import (
+    BINOPS,
     MASK32,
     BasicBlock,
     Function,
@@ -29,6 +35,7 @@ from bidiropt.ir import (
     block_order_with_unreachable,
     canonical_hash,
     canonical_text,
+    defined_values,
     fresh_names,
     parse_function,
     predecessors,
@@ -41,12 +48,15 @@ from bidiropt.ir import (
 from bidiropt.passes import (
     FORWARD_PASSES,
     PassOutcome,
+    _drop_incomings,
     _emit_linear,
+    _fold_binop,
     _linearize,
     apply_pass,
     edit,
     erasable,
     freeze,
+    licm_movable,
     tree_roots,
 )
 from bidiropt.reverse import REVERSE_PASSES, reverse_variants
@@ -58,6 +68,23 @@ WORKLOADS = ROOT / "corpus" / "workloads"
 
 VALID_FILES = sorted(VALID.glob("*.ir"))
 INVALID_FILES = sorted(INVALID.glob("*.ir"))
+REGRESS_FILES = sorted((ROOT / "corpus" / "regress").glob("*.ir"))
+
+# const-fold's two hard shapes: a condbr on a literal that drops the only
+# incoming of a phi, which is left with none; and a fold in one unreachable
+# block that feeds a fold in another block earlier in f's order.
+CONST_FOLD_WITNESSES = {
+    "empty-phi": ("func @f(%p) {\nentry:\n  condbr 1, a, b\na:\n  ret %p\n"
+                  "b:\n  %f = phi [%p, entry]\n  ret %f\n}\n"),
+    "fold-feeds-an-earlier-block": ("func @f(%p) {\nentry:\n  ret %p\n"
+                                    "u1:\n  %w = add %v, 1\n  ret %w\n"
+                                    "u2:\n  %v = add 1, 2\n  br u1\n}\n"),
+}
+# The text of every corpus function and const-fold witness, by name.
+CORPUS_AND_WITNESSES = [
+    *(pytest.param(p.read_text(), id=f"{p.parent.name}/{p.stem}")
+      for p in VALID_FILES + REGRESS_FILES),
+    *(pytest.param(text, id=name) for name, text in CONST_FOLD_WITNESSES.items())]
 
 
 def load(name, directory=VALID):
@@ -506,6 +533,164 @@ def reference_mem2reg(f: Function) -> PassOutcome:
             return PassOutcome(changed, f)
 
 
+def reference_to_fixpoint(step, f: Function) -> PassOutcome:
+    """passes._to_fixpoint: apply step, which makes one rewrite and returns
+    the new Function or None when it finds nothing, until it finds nothing."""
+    g = f
+    while (h := step(g)) is not None:
+        g = h
+    return PassOutcome(g is not f, g)
+
+
+def _const_fold_step(f: Function) -> Function | None:
+    blocks = None
+    subst: dict[str, Operand] = {}
+    for b in f.blocks:
+        for i, ins in enumerate(b.instrs):
+            if ins.opcode in BINOPS and all(isinstance(o, Literal) for o in ins.operands):
+                val = _fold_binop(ins.opcode, ins.operands[0].value, ins.operands[1].value)
+                if val is None:
+                    continue
+                blocks = blocks or edit(f)
+                subst[ins.result] = Literal(val)
+                blocks[b.label][i] = None
+            elif ins.opcode == "condbr" and isinstance(ins.operands[0], Literal):
+                blocks = blocks or edit(f)
+                taken = ins.labels[0] if ins.operands[0].value != 0 else ins.labels[1]
+                dropped = ins.labels[1] if taken == ins.labels[0] else ins.labels[0]
+                blocks[b.label][i] = Instruction(None, "br", (), (taken,))
+                if dropped != taken:
+                    _drop_incomings(blocks[dropped], {b.label})
+    return freeze(f, blocks, subst) if blocks else None
+
+
+def reference_const_fold(f: Function) -> PassOutcome:
+    """passes.apply_const_fold as it was before it reached its fixpoint in
+    one working form: one sweep over f's blocks folds binops over two
+    literals and condbr on a literal, then freezes, and the next sweep sees
+    the folded values as literals. Kept, with the three below, as the oracle
+    the one-sweep passes must match output for output."""
+    return reference_to_fixpoint(_const_fold_step, f)
+
+
+def _divmul_step(f: Function) -> Function | None:
+    ud = None
+    for lbl, i, ins in rpo_instrs(f):
+        if ins.opcode != "sub" or not isinstance(ins.operands[1], ValueRef):
+            continue
+        ud = ud or use_def(f)
+        x, uref = ins.operands
+        mul = ud.instrs.get(uref.name)
+        if mul is None or mul.opcode != "mul" or ud.use_count(uref.name) != 1:
+            continue
+        ma, mb = mul.operands
+        if isinstance(ma, Literal) and isinstance(mb, ValueRef):
+            ma, mb = mb, ma
+        if not (isinstance(ma, ValueRef) and isinstance(mb, Literal) and mb.value >= 1):
+            continue
+        div = ud.instrs.get(ma.name)
+        if div is None or div.opcode != "udiv" or div.operands != (x, mb):
+            continue
+        blocks = edit(f)
+        blocks[lbl][i] = Instruction(ins.result, "urem", (x, mb))
+        reference_erase_dead(blocks, {uref.name, ma.name})
+        return freeze(f, blocks)
+    return None
+
+
+def reference_divmul_to_rem(f: Function) -> PassOutcome:
+    """passes.apply_divmul_to_rem as it was: rewrite the first site in RPO,
+    freeze, rebuild use_def, look again."""
+    return reference_to_fixpoint(_divmul_step, f)
+
+
+def _simplifycfg_step(f: Function) -> Function | None:
+    # condbr x, L, L  ->  br L, every such block at once
+    blocks = edit(f)
+    same = [instrs for instrs in blocks.values()
+            if instrs[-1].opcode == "condbr" and instrs[-1].labels[0] == instrs[-1].labels[1]]
+    if same:
+        spent: set[str] = set()
+        for instrs in same:
+            last = instrs[-1]
+            instrs[-1] = Instruction(None, "br", (), (last.labels[0],))
+            if isinstance(last.operands[0], ValueRef):
+                spent.add(last.operands[0].name)
+        reference_erase_dead(blocks, spent)
+        return freeze(f, blocks)
+
+    # drop unreachable blocks, trimming phi incomings from removed preds
+    reach = set(rpo_order(f))
+    if len(reach) < len(f.blocks):
+        order = [b.label for b in f.blocks if b.label in reach]
+        gone = set(blocks) - reach
+        for lbl in order:
+            _drop_incomings(blocks[lbl], gone)
+        return freeze(f, {lbl: blocks[lbl] for lbl in order})
+
+    # merge B -> C when B ends with `br C` and C has no other predecessor
+    preds = predecessors(f)
+    for b in f.blocks:
+        last = b.instrs[-1]
+        if last.opcode != "br" or last.labels[0] == b.label or preds[last.labels[0]] != (b.label,):
+            continue
+        cblk = f.block(last.labels[0])
+        subst = {ins.result: ins.operands[0] for ins in cblk.phis}
+        blocks[b.label] = list(b.instrs[:-1]) + list(cblk.instrs[len(cblk.phis):])
+        del blocks[cblk.label]
+        for t in successors(cblk):
+            for j, ins in enumerate(blocks[t]):
+                if ins is not None and ins.is_phi and cblk.label in ins.labels:
+                    blocks[t][j] = replace(ins, labels=tuple(
+                        b.label if l == cblk.label else l for l in ins.labels))
+        return freeze(f, blocks, subst)
+    return None
+
+
+def reference_simplifycfg(f: Function) -> PassOutcome:
+    """passes.apply_simplifycfg as it was: one rewrite a step (every condbr
+    L, L at once, then every unreachable block at once, then one merge),
+    each step on a fresh rpo_order and predecessors."""
+    return reference_to_fixpoint(_simplifycfg_step, f)
+
+
+def _licm_step(f: Function) -> Function | None:
+    defs = defined_values(f)
+    for lp in find_natural_loops(f):
+        if lp.preheader is None:
+            continue
+
+        def outside(op: Operand) -> bool:
+            if isinstance(op, Literal):
+                return True
+            site = defs.get(op.name)
+            return site is None or site[0] not in lp.body
+
+        for lbl, i, ins in rpo_instrs(f):
+            if lbl in lp.body and licm_movable(ins) and all(map(outside, ins.operands)):
+                blocks = edit(f)
+                blocks[lbl][i] = None
+                pre = blocks[lp.preheader]
+                pre.insert(len(pre) - 1, ins)
+                return freeze(f, blocks)
+    return None
+
+
+def reference_licm(f: Function) -> PassOutcome:
+    """passes.apply_licm as it was: hoist the first movable instruction of
+    the innermost loop that has one, freeze, find the loops again."""
+    return reference_to_fixpoint(_licm_step, f)
+
+
+# The fixpoint passes by name, each with the oracle it must match.
+REFERENCE_PASSES = {
+    "const-fold": reference_const_fold,
+    "divmul-to-rem": reference_divmul_to_rem,
+    "simplifycfg": reference_simplifycfg,
+    "licm": reference_licm,
+}
+
+
 def reference_dse(f: Function) -> PassOutcome:
     """passes.apply_dse as it was before it asked analysis.live_cells: a
     forward CFG walk from each store that is not decided in its own block.
@@ -787,6 +972,97 @@ def memory_cfg(draw):
     lines = ["func @gen(%p) {"]
     for lbl, instrs in body.items():
         lines += [f"{lbl}:", *instrs]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@st.composite
+def cfg_program(draw):
+    """Text of a random program over %p and %q with 2-9 blocks and random
+    br/condbr targets, so back edges, br chains and unreachable blocks all
+    come up; a condition is computed or a literal 0 or 1. Each block with
+    predecessors opens with one phi, one incoming per predecessor. A
+    reachable block uses the values of the blocks that dominate it; an
+    unreachable one also those of every reachable block and of every later
+    block, so a use may come before its definition but never in a cycle.
+    Some instructions are a `sub x, (mul (udiv x, c), c)` triple, the site
+    of divmul-to-rem."""
+    n = draw(st.integers(2, 9))
+    labels = ["entry", *(f"b{i}" for i in range(1, n))]
+
+    def target(i):
+        if i + 1 < n and draw(st.booleans()):
+            return labels[i + 1]  # the next block, so br chains are common
+        return draw(st.sampled_from(labels[1:]))  # never the entry
+
+    arity = {"ret": 0, "br": 1, "condbr": 2}
+    ends = []
+    for i in range(n):
+        kind = draw(st.sampled_from(("ret", "br", "br", "condbr")))
+        ends.append((kind, tuple(target(i) for _ in range(arity[kind]))))
+    skeleton = Function("gen", ("p",), tuple(
+        BasicBlock(lbl, (Instruction(None, kind, (Literal(0),) if kind != "br" else (), targets),))
+        for lbl, (kind, targets) in zip(labels, ends)))
+    preds = predecessors(skeleton)
+    dt = compute_dominators(skeleton)
+
+    # each block's phi, then its instructions: a binop, or a divmul triple
+    triples = [[draw(st.integers(0, 5)) == 0 for _ in range(draw(st.integers(0, 3)))]
+               for _ in labels]
+    values = []
+    for i, slots in enumerate(triples):
+        names = [f"h{i}"] if preds[labels[i]] else []
+        for k, triple in enumerate(slots):
+            names += [f"q{i}_{k}", f"m{i}_{k}", f"v{i}_{k}"] if triple else [f"v{i}_{k}"]
+        values.append(names)
+
+    def pool(i):
+        """The values a block may use before any of its own."""
+        lbl = labels[i]
+        if lbl in dt.idom:
+            return ["p", "q", *(v for j, other in enumerate(labels)
+                                if other != lbl and other in dt.idom and dt.dominates(other, lbl)
+                                for v in values[j])]
+        return ["p", "q", *(v for j, other in enumerate(labels)
+                            if other in dt.idom or j > i for v in values[j])]
+
+    lits = st.sampled_from(["0", "1", "2", "3", "7", "255"])
+
+    def operand(avail):
+        return f"%{draw(st.sampled_from(avail))}" if draw(st.booleans()) else draw(lits)
+
+    lines = ["func @gen(%p, %q) {"]
+    for i, lbl in enumerate(labels):
+        lines.append(f"{lbl}:")
+        avail = pool(i)
+        if preds[lbl]:
+            incomings = []
+            for pred in preds[lbl]:
+                j = labels.index(pred)
+                incomings.append(f"[{operand(pool(j) + values[j])}, {pred}]")
+            lines.append(f"  %h{i} = phi {', '.join(incomings)}")
+            avail = avail + [f"h{i}"]
+        for k, triple in enumerate(triples[i]):
+            if triple:
+                x, c = operand(avail), draw(st.sampled_from(["1", "3", "10"]))
+                lines += [f"  %q{i}_{k} = udiv {x}, {c}", f"  %m{i}_{k} = mul %q{i}_{k}, {c}",
+                          f"  %v{i}_{k} = sub {x}, %m{i}_{k}"]
+                avail = avail + [f"q{i}_{k}", f"m{i}_{k}"]
+            else:
+                op = draw(st.sampled_from(OPS2))
+                lines.append(f"  %v{i}_{k} = {op} {operand(avail)}, {operand(avail)}")
+            avail = avail + [f"v{i}_{k}"]
+        kind, targets = ends[i]
+        if kind == "ret":
+            lines.append(f"  ret {operand(avail)}")
+        elif kind == "br":
+            lines.append(f"  br {targets[0]}")
+        else:
+            cond = draw(st.sampled_from(["0", "1", None]))
+            if cond is None:
+                op = draw(st.sampled_from(["icmp.eq", "icmp.ne", "icmp.ult"]))
+                lines.append(f"  %c{i} = {op} {operand(avail)}, {operand(avail)}")
+                cond = f"%c{i}"
+            lines.append(f"  condbr {cond}, {targets[0]}, {targets[1]}")
     return "\n".join(lines + ["}"]) + "\n"
 
 

@@ -3,15 +3,19 @@
 import argparse
 import json
 import shutil
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
+from bidiropt import ir
 from bidiropt.cli import _build_parser
 from bidiropt.config import SETTINGS
 from bidiropt.ir import canonical_hash, parse_function, print_function
+from bidiropt.passes import apply_pass
 from bidiropt.reverse import reverse_variants
 
-from conftest import INVALID, ROOT, VALID, WORKLOADS, load, run_cli
+from conftest import CONST_FOLD_WITNESSES, INVALID, ROOT, VALID, WORKLOADS, load, run_cli
 
 REGRESS = ROOT / "corpus" / "regress"
 
@@ -282,6 +286,17 @@ def test_opt_output_file_holds_the_reported_ir(tmp_path):
                         "--passes", "cond-prop,const-fold,simplifycfg", "--output", dest)
     assert code == 0
     assert dest.read_text() == _json(out)["outcome"]["ir"]
+
+
+def test_an_opt_output_file_validates(tmp_path):
+    src, dest = tmp_path / "in.ir", tmp_path / "out.ir"
+    # const-fold leaves a phi with no incomings in a block without predecessors
+    src.write_text(CONST_FOLD_WITNESSES["empty-phi"])
+    code, out = run_cli("opt", src, "--passes", "const-fold", "--output", dest)
+    assert code == 0
+    assert "%f = phi \n" in dest.read_text()
+    code, out = run_cli("validate", dest)
+    assert code == 0, out
 
 
 @pytest.mark.parametrize("argv", [
@@ -787,6 +802,35 @@ DEEP_PROGRAMS = {
                                       *(f"  %a{i} = add %a{i - 1}, %y" for i in range(1, DEEP)),
                                       f"  ret %a{DEEP - 1}"]),
 }
+
+
+@contextmanager
+def _runs_of(analysis, runs):
+    """Count into runs[analysis.__name__] each run of the body of a
+    per_function analysis (its __wrapped__), a slot hit not counting: the
+    memo calls the body through its closure, so the cell is swapped."""
+    cell = analysis.__closure__[analysis.__code__.co_freevars.index("analysis")]
+    body = cell.cell_contents
+
+    def counted(f):
+        runs[analysis.__name__] += 1
+        return body(f)
+
+    cell.cell_contents = counted
+    try:
+        yield
+    finally:
+        cell.cell_contents = body
+
+
+def test_simplifycfg_merges_a_deep_chain_on_one_cfg_analysis():
+    # the entry and its 1,200 successors are one br chain, merged in one walk
+    f = parse_function(DEEP_PROGRAMS["cse"])
+    runs = Counter()
+    with _runs_of(ir.rpo_order, runs), _runs_of(ir.predecessors, runs):
+        out = apply_pass("simplifycfg", f)
+    assert out.changed and len(out.function.blocks) == 1
+    assert runs == {"rpo_order": 1, "predecessors": 1}
 
 
 @pytest.mark.parametrize("walk", sorted(DEEP_PROGRAMS))

@@ -34,12 +34,15 @@ from bidiropt.ir import (
 from bidiropt.passes import FORWARD_PASSES, apply_pass, edit, freeze
 
 from conftest import (
+    CORPUS_AND_WITNESSES,
     INVALID_FILES,
-    ROOT,
+    REGRESS_FILES,
     VALID_FILES,
     all_reverse_variants,
+    cfg_program,
     load,
     memory_cfg,
+    one_step_neighbours,
     reference_canonical_text,
     reference_print,
     rename_blocks,
@@ -58,6 +61,29 @@ def test_print_parse_round_trip(path):
     assert canonical_text(f) == canonical_text(g)
     # printing is a fixpoint
     assert print_function(g) == print_function(f)
+
+
+def _assert_pass_outputs_read_back(f):
+    for name in FORWARD_PASSES:
+        g = apply_pass(name, f).function
+        assert parse_function(print_function(g)) == g, (name, print_function(f))
+
+
+# Every forward pass output reads back as itself, so `opt --output` writes a
+# file that `validate` and the other commands accept.
+@pytest.mark.parametrize("text", CORPUS_AND_WITNESSES)
+def test_every_pass_output_reads_back_as_itself(text):
+    f = parse_function(text)
+    for g in [f, *one_step_neighbours(f)]:
+        _assert_pass_outputs_read_back(g)
+
+
+@given(st.one_of(straightline(), memory_cfg(), cfg_program()))
+@settings(max_examples=200, deadline=None)
+def test_every_pass_output_reads_back_as_itself_on_generated_programs(text):
+    f = parse_function(text)
+    assert validate_function(f) == []
+    _assert_pass_outputs_read_back(f)
 
 
 @pytest.mark.parametrize("path", VALID_FILES, ids=lambda p: p.stem)
@@ -221,7 +247,6 @@ def test_canonical_text_of_odd_shapes(text, lines, expected):
 # the sweep meets a use before its definition (a phi on a back edge, an
 # unreachable block, an undefined name), and on generated programs with
 # cells, loads, stores, diamonds and loops.
-REGRESS_FILES = sorted((ROOT / "corpus" / "regress").glob("*.ir"))
 
 
 def _assert_printers_match(f):

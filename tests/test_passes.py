@@ -8,6 +8,7 @@ according to its tier, and be idempotent.
 
 import random
 from itertools import count
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,10 @@ from bidiropt.passes import (
 from bidiropt.reverse import reverse_variants
 
 from conftest import (
+    CORPUS_AND_WITNESSES,
+    REFERENCE_PASSES,
     VALID_FILES,
+    cfg_program,
     load,
     memory_cfg,
     one_step_neighbours,
@@ -246,6 +250,23 @@ entry:
     assert out.changed
     assert print_function(out.function) == \
         "func @f(%p) {\nentry:\n  %y = xor %p, 5\n  ret %y\n}\n"
+
+
+@pytest.mark.parametrize("body, want", [
+    # %v0 - %v0 cancels, leaving %v0 one use, in %v1's tree
+    ("%v0 = add %p, 1\n  %v1 = add %v0, 1\n  %v2 = sub %v0, %v0\n  ret %v2",
+     "%t0 = add %p, 2\n  ret 0"),
+    # the dead tree %b is dropped, leaving %m one use, in %a's tree
+    ("%m = mul %p, 1\n  %a = sub 0, %m\n  %b = add 0, %m\n  ret %a",
+     "%t0 = sub 0, %p\n  ret %t0"),
+], ids=["cancel", "dead-tree"])
+def test_reassociate_absorbs_a_leaf_its_own_rewrite_left_single_use(body, want):
+    def func(b):
+        return f"func @f(%p) {{\nentry:\n  {b}\n}}\n"
+
+    out = apply_pass("reassociate", parse_function(func(body)))
+    assert print_function(out.function) == func(want)
+    assert not apply_pass("reassociate", out.function).changed
 
 
 def _rewrite_both(f, root):
@@ -634,6 +655,32 @@ def test_memory_passes_match_reference_on_generated_programs(text):
                 (before.outcome, before.value, before.reason), (name, x)
 
 
+# --- the fixpoint passes against the step-at-a-time oracle ------------------
+
+def _assert_fixpoint_passes_match_reference(f):
+    """Each of the four equals its reference and builds its output once."""
+    with mock.patch.object(passes, "freeze", wraps=passes.freeze) as freeze:
+        for name, reference in REFERENCE_PASSES.items():
+            freeze.reset_mock()
+            got, want = apply_pass(name, f), reference(f)
+            assert (got.changed, got.function) == (want.changed, want.function), \
+                (name, print_function(f))
+            assert freeze.call_count <= 1, (name, print_function(f))
+
+
+@pytest.mark.parametrize("text", CORPUS_AND_WITNESSES)
+def test_fixpoint_passes_match_reference(text):
+    f = parse_function(text)
+    for g in [f, *one_step_neighbours(f)]:
+        _assert_fixpoint_passes_match_reference(g)
+
+
+@given(st.one_of(straightline(), memory_cfg(), cfg_program()))
+@settings(max_examples=300, deadline=None)
+def test_fixpoint_passes_match_reference_on_generated_programs(text):
+    _assert_fixpoint_passes_match_reference(parse_function(text))
+
+
 def test_licm_hoists_invariant_mul():
     f = load("loop_licm")
     out = apply_pass("licm", f)
@@ -789,7 +836,7 @@ def test_pass_idempotent_on_corpus(pass_name, corpus_function):
     assert not again.changed, (pass_name, corpus_function.name)
 
 
-@given(st.one_of(straightline(), memory_cfg()))
+@given(st.one_of(straightline(), memory_cfg(), cfg_program()))
 @settings(max_examples=150, deadline=None)
 def test_pass_idempotent_on_generated(text):
     f = parse_function(text)
