@@ -8,7 +8,8 @@ A workload's dynamic cost is measured on the function's control slice
 (Weiser, IEEE TSE 1984): what decides the path a run takes and whether it
 traps, with its promotable cells promoted (passes.apply_mem2reg). Block
 counts fix a run's cost (Ball & Larus, TOPLAS 1994), so every function with
-the same slice is measured by one run of the slice per row."""
+an equal slice (field for field) is measured by one run of the slice per
+row, and nothing is printed to measure it."""
 
 from __future__ import annotations
 
@@ -31,8 +32,6 @@ from .ir import (
     Literal,
     Operand,
     ValueRef,
-    block_order_with_unreachable,
-    canonical_text,
     may_trap,
 )
 from .passes import apply_mem2reg
@@ -263,7 +262,7 @@ def _weiser_slice(f: Function) -> Function:
 
 
 def control_slice(f: Function) -> Function:
-    """f cut down to what decides its path and its traps, in a normal form.
+    """f cut down to what decides its path and its traps.
 
     First the Weiser slice (_weiser_slice), so a value that feeds only `ret`
     (a phi cycle included) drops out. If that slice keeps a cell mem2reg
@@ -273,17 +272,14 @@ def control_slice(f: Function) -> Function:
     that keeps a value in a cell shares the slice of the one that does not
     (`ibo -k 1 --metric dynamic` on the seven curated workloads lowers 14
     slices with the promotion and 20 without). The slice keeps
-    every block of f under its own label, in canonical order
-    (block_order_with_unreachable), so equal canonical_text means equal
-    block counts, block by block, on every input."""
+    every block of f under its own label, in f's order, so equal slices
+    have equal block counts, block by block, on every input."""
     cut = _weiser_slice(f)
     if any(ins.opcode == "alloca" for b in cut.blocks for ins in b.instrs):
         promoted = apply_mem2reg(cut)
         if promoted.changed:
             cut = _weiser_slice(promoted.function)
-    blocks = {b.label: b for b in cut.blocks}
-    return Function(f.name, f.params,
-                    tuple(blocks[lbl] for lbl in block_order_with_unreachable(cut)))
+    return cut
 
 
 def dynamic_cost_total(
@@ -301,23 +297,22 @@ def dynamic_cost_total(
     once per row, and a row's cost is its block counts times f's block
     costs, its steps the counts times f's block lengths: each slice block
     runs exactly as often as f's block with the same label. `memo` keeps
-    the counts by the slice's canonical text; it belongs to one workload
-    and step limit, and then every function with that slice is measured
-    with no run at all. f itself runs on a row only when the slice does
-    not return there or the row's steps in f exceed `limit`, so the
-    divergence reported is f's own.
+    the counts by the slice itself (equal fields, equal slice), so nothing
+    is printed; it belongs to one workload and step limit, and then every
+    function with that slice is measured with no run at all. f itself runs
+    on a row only when the slice does not return there or the row's steps
+    in f exceed `limit`, so the divergence reported is f's own.
     """
     model = model or DEFAULT_COST_MODEL
     cut = control_slice(f)
-    key = canonical_text(cut)
-    counts = None if memo is None else memo.get(key)
+    counts = None if memo is None else memo.get(cut)
     if counts is None:
         lowered_cut = LoweredFunction(cut, model)
         counts = [r.blocks if r.outcome == "returned" else None
                   for r in (interpret(cut, args, limit, model, lowered_cut)
                             for args in workload.args)]
         if memo is not None:
-            memo[key] = counts
+            memo[cut] = counts
     index = {b.label: b for b in f.blocks}
     seqs = [_run_order(index[b.label]) for b in cut.blocks]
     lengths = [len(seq) for seq in seqs]
@@ -345,10 +340,14 @@ class Mismatch:
 
 @dataclass(frozen=True)
 class DiffReport:
+    """`checked` counts the rows run: all of the workload's, or fewer when
+    the check stopped at MAX_MISMATCHES. `inconclusive` counts the rows
+    among those on which both sides hit the step limit."""
+
     equivalent: bool
     checked: int
     mismatches: tuple[Mismatch, ...] = ()
-    inconclusive: int = 0  # inputs on which both sides hit the step limit
+    inconclusive: int = 0
 
 
 def differential_check(
@@ -360,14 +359,15 @@ def differential_check(
     """Run both functions on every tuple; outcomes must match exactly
     (same value, or same trap reason, or both over the step limit)."""
     mism: list[Mismatch] = []
-    inconclusive = 0
+    inconclusive = checked = 0
     low1, low2 = LoweredFunction(f1), LoweredFunction(f2)
     for args in workload.args:
         r1 = interpret(f1, args, limit=limit, lowered=low1)
         r2 = interpret(f2, args, limit=limit, lowered=low2)
+        checked += 1
         inconclusive += r1.outcome == r2.outcome == "steplimit"
         if not r1.matches(r2):
             mism.append(Mismatch(tuple(args), r1, r2))
             if len(mism) >= MAX_MISMATCHES:
                 break
-    return DiffReport(not mism, len(workload.args), tuple(mism), inconclusive)
+    return DiffReport(not mism, checked, tuple(mism), inconclusive)

@@ -167,58 +167,36 @@ def may_trap(ins: Instruction) -> bool:
 # ---------------------------------------------------------------------------
 # printing
 
-def _fmt_instr(ins: Instruction, ops: list[str], vals: dict[str, str],
-               lbls: dict[str, str]) -> str:
-    """One instruction line; its operands are already formatted as ops, its
-    result prints as vals has it and a label as lbls has it (absent labels
-    print as they are)."""
-    if ins.result is None:  # store and the terminators
-        if ins.labels:
-            ops = ops + [lbls.get(lbl, lbl) for lbl in ins.labels]
-        return f"  {ins.opcode} {', '.join(ops)}"
-    if ins.opcode == "phi":
-        inc = ", ".join(f"[{o}, {lbls.get(lbl, lbl)}]" for o, lbl in zip(ops, ins.labels))
-        return f"  {vals[ins.result]} = phi {inc}"
-    if ops:
-        return f"  {vals[ins.result]} = {ins.opcode} {', '.join(ops)}"
-    return f"  {vals[ins.result]} = {ins.opcode}"
-
-
 def _print(f: Function, canonical: bool) -> str:
     """The one printer, in one sweep over the blocks. Plain, it prints f as
     it is. Canonical, it prints blocks b0, b1, ... in _canonical_order and
-    numbers values v0, v1, ... as the sweep meets them: params first, then
-    each result at its first definition, which is value_order's rule over
-    value_order's block sequence. A line that uses a value the sweep has not
-    met yet (a phi incoming on a back edge) is formatted after the sweep; a
-    name still unmet then is undefined and prints as it is, as an unknown
-    label does."""
+    values v0, v1, ... as value_order numbers them, so every name is known
+    before the sweep starts. A name with no definition prints as it is, as
+    an unknown label does."""
     if canonical:
         pos, blocks = _canonical_order(f)
         lbls = {lbl: f"b{i}" for lbl, i in pos.items()}
+        vals = {name: f"%v{i}" for name, i in value_order(f).items()}
     else:
-        blocks, lbls = f.blocks, {}
-    vals: dict[str, str] = {}
-    for p in f.params:
-        vals[p] = f"%v{len(vals)}" if canonical else "%" + p
-    lines = [f"func @{f.name}({', '.join(vals[p] for p in f.params)}) {{"]
-    later: list[tuple[int, Instruction]] = []
+        blocks, lbls, vals = f.blocks, {}, {}
+    lines = [f"func @{f.name}({', '.join(vals.get(p) or '%' + p for p in f.params)}) {{"]
     for b in blocks:
         lines.append(f"{lbls.get(b.label, b.label)}:")
         for ins in b.instrs:
-            r = ins.result
-            if r is not None and r not in vals:
-                vals[r] = f"%v{len(vals)}" if canonical else "%" + r
-            ops = [str(o.value) if type(o) is Literal else vals.get(o.name) for o in ins.operands]
-            if None in ops:
-                later.append((len(lines), ins))
-                lines.append("")
+            ops = [str(o.value) if type(o) is Literal else vals.get(o.name) or "%" + o.name
+                   for o in ins.operands]
+            if ins.result is None:  # store and the terminators
+                ops += [lbls.get(lbl, lbl) for lbl in ins.labels]
+                lines.append(f"  {ins.opcode} {', '.join(ops)}")
+                continue
+            r = vals.get(ins.result) or "%" + ins.result
+            if ins.opcode == "phi":
+                inc = ", ".join(f"[{o}, {lbls.get(lbl, lbl)}]" for o, lbl in zip(ops, ins.labels))
+                lines.append(f"  {r} = phi {inc}")
+            elif ops:
+                lines.append(f"  {r} = {ins.opcode} {', '.join(ops)}")
             else:
-                lines.append(_fmt_instr(ins, ops, vals, lbls))
-    for at, ins in later:
-        ops = [str(o.value) if type(o) is Literal else vals.get(o.name, "%" + o.name)
-               for o in ins.operands]
-        lines[at] = _fmt_instr(ins, ops, vals, lbls)
+                lines.append(f"  {r} = {ins.opcode}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -446,14 +424,6 @@ def rpo_instrs(f: Function):
             yield lbl, i, ins
 
 
-def block_order_with_unreachable(f: Function) -> list[str]:
-    """RPO followed by unreachable blocks in original order."""
-    order = list(rpo_order(f))
-    reached = set(order)
-    order.extend(b.label for b in f.blocks if b.label not in reached)
-    return order
-
-
 # ---------------------------------------------------------------------------
 # defs and renaming
 
@@ -499,18 +469,24 @@ def fresh_names(f: Function, base: str, count: int = 1) -> list[str]:
 CanonicalDigest = NewType("CanonicalDigest", str)
 
 
-def _canonical_order(f: Function) -> tuple[dict[str, int], list[BasicBlock]]:
+@per_function
+def _canonical_order(f: Function) -> tuple[MappingProxyType[str, int], tuple[BasicBlock, ...]]:
     """Each label's canonical block number, and f's blocks in that order:
-    block_order_with_unreachable, so RPO first and unreachables after."""
-    pos = {lbl: i for i, lbl in enumerate(block_order_with_unreachable(f))}
-    return pos, sorted(f.blocks, key=lambda b: pos[b.label])
+    reverse postorder from the entry, then the unreachable blocks in f's
+    order. _print and value_order share the one sort."""
+    order = rpo_order(f)
+    reached = set(order)
+    pos = {lbl: i for i, lbl in enumerate(
+        order + tuple(b.label for b in f.blocks if b.label not in reached))}
+    return MappingProxyType(pos), tuple(sorted(f.blocks, key=lambda b: pos[b.label]))
 
 
 @per_function
 def value_order(f: Function) -> MappingProxyType[str, int]:
     """Canonical value numbering: params first, then each result at its
-    first definition, blocks in _canonical_order. canonical_text's sweep
-    numbers values by this same rule."""
+    first definition, blocks in _canonical_order. The one numbering rule:
+    canonical_text prints these numbers, and reassociate orders a tree's
+    leaves by them."""
     num: dict[str, int] = {}
     for p in f.params:
         num[p] = len(num)
@@ -524,8 +500,8 @@ def value_order(f: Function) -> MappingProxyType[str, int]:
 def canonical_text(f: Function) -> str:
     """Alpha-normal text: blocks b0,b1,... in RPO (unreachables appended in
     original order), values v0,v1,... in value_order; operand order is kept.
-    One sweep of _print numbers the values and formats the lines. Memoized
-    in the instance __dict__, since a Function is immutable; the searches
+    Made for the search alone (cost.rank_key, canonical_hash). Memoized in
+    the instance __dict__, since a Function is immutable; the searches
     intern equal programs (search.PassCache), so the memo serves those too."""
     text = f.__dict__.get("_canonical_text")
     if text is None:

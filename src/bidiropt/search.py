@@ -53,8 +53,9 @@ class PassCache:
     """Digest-keyed memo of pass applications and dynamic costs, shared
     across the sub-searches of one ibo run so overlapping search spaces are
     only walked, and each program measured, once. `slices` is the run's
-    control-slice memo (interp.dynamic_cost_total), so each control slice
-    runs its workload once.
+    control-slice memo (interp.dynamic_cost_total), keyed by the slice
+    itself, so each control slice runs its workload once and none is
+    printed.
 
     It also interns the run's programs (hash-consing), the one place where
     a program is found to be one the run has seen: ibo's input, each

@@ -1,5 +1,6 @@
 import signal
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import count
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from bidiropt import ir
 from bidiropt.analysis import (
     compute_dominators,
     dominance_frontiers,
@@ -32,7 +34,6 @@ from bidiropt.ir import (
     Literal,
     Operand,
     ValueRef,
-    block_order_with_unreachable,
     canonical_hash,
     canonical_text,
     defined_values,
@@ -43,7 +44,6 @@ from bidiropt.ir import (
     rpo_instrs,
     rpo_order,
     successors,
-    value_order,
 )
 from bidiropt.passes import (
     FORWARD_PASSES,
@@ -856,15 +856,60 @@ def reference_print(f):
 
 
 def reference_canonical_text(f):
-    """The canonical form built the long way: rename values, rename blocks,
-    sort the blocks, print (reference_print). ir.canonical_text must match
-    it byte for byte."""
-    order = block_order_with_unreachable(f)
-    bmap = {lbl: f"b{i}" for i, lbl in enumerate(order)}
-    vmap = {name: f"v{i}" for name, i in value_order(f).items()}
-    g = rename_blocks(rename_values(f, vmap), bmap)
-    blocks = sorted(g.blocks, key=lambda b: int(b.label[1:]))
-    return reference_print(Function(g.name, g.params, tuple(blocks)))
+    """The canonical form built the long way, with its own block order and
+    value numbering, so the printer's numbering rule is checked too: blocks
+    in reverse postorder of a recursive DFS from the entry, unreachable ones
+    after in f's order; values numbered params first, then each result at
+    its first definition in that order; rename, then print
+    (reference_print). ir.canonical_text must match it byte for byte."""
+    index = {b.label: b for b in f.blocks}
+    seen, post = set(), []
+
+    def visit(lbl):
+        seen.add(lbl)
+        last = index[lbl].instrs[-1:]
+        for s in last[0].labels if last and last[0].is_terminator else ():
+            if s in index and s not in seen:
+                visit(s)
+        post.append(lbl)
+
+    if f.blocks:
+        visit(f.blocks[0].label)
+    order = post[::-1] + [b.label for b in f.blocks if b.label not in seen]
+    bnum = {lbl: i for i, lbl in enumerate(order)}
+    blocks = sorted(f.blocks, key=lambda b: bnum[b.label])
+    vnum = {}
+    for p in f.params:
+        vnum[p] = len(vnum)
+    for b in blocks:
+        for ins in b.instrs:
+            if ins.result is not None and ins.result not in vnum:
+                vnum[ins.result] = len(vnum)
+    g = rename_values(Function(f.name, f.params, tuple(blocks)),
+                      {name: f"v{i}" for name, i in vnum.items()})
+    return reference_print(rename_blocks(g, {lbl: f"b{i}" for lbl, i in bnum.items()}))
+
+
+def fresh(f):
+    """An equal Function with no memoized canonical text or digest."""
+    return Function(f.name, f.params, f.blocks)
+
+
+@contextmanager
+def canonical_prints():
+    """The Functions ir's printer prints in canonical form while open: every
+    canonical text or digest of a fresh object is one such print."""
+    printed = []
+    real = ir._print
+
+    def counted(g, canonical):
+        if canonical:
+            printed.append(g)
+        return real(g, canonical)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ir, "_print", counted)
+        yield printed
 
 
 OPS2 = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "udiv", "urem",

@@ -27,7 +27,6 @@ from bidiropt.interp import (
 from bidiropt.ir import (
     BINOP_FUNCS,
     BINOPS,
-    canonical_text,
     may_trap,
     parse_function,
     print_function,
@@ -41,6 +40,8 @@ from conftest import (
     VALID,
     VALID_FILES,
     WORKLOADS,
+    canonical_prints,
+    fresh,
     load,
     memory_cfg,
     one_step_neighbours,
@@ -350,6 +351,25 @@ entry:
     assert m.left.value is not None and m.right.value == (m.left.value + 1) & 0xFFFFFFFF
 
 
+def test_differential_reports_the_rows_it_ran():
+    # every row mismatches, so the check stops after MAX_MISMATCHES rows
+    f = parse_function("func @f(%x) {\nentry:\n  ret %x\n}\n")
+    g = parse_function("func @f(%x) {\nentry:\n  %y = add %x, 1\n  ret %y\n}\n")
+    wl = Workload("w", tuple((i,) for i in range(256)))
+    rep = differential_check(f, g, wl)
+    assert (rep.checked, len(rep.mismatches)) == (MAX_MISMATCHES, MAX_MISMATCHES)
+    # both spin on 0, on every other row: inconclusive counts those of the
+    # rows run, up to the last mismatch (row 2 * MAX_MISMATCHES - 1)
+    spin = "func @f(%x) {\nentry:\n  %z = icmp.eq %x, 0\n  condbr %z, loop, out\n" \
+           "loop:\n  br loop\nout:\n  ret %x\n}\n"
+    f, g = parse_function(spin), parse_function(spin.replace("ret %x", "%y = add %x, 1\n  ret %y"))
+    wl = Workload("w", tuple((0,) if i % 2 == 0 else (i,) for i in range(256)))
+    rep = differential_check(f, g, wl, limit=50)
+    assert (rep.checked, rep.inconclusive) == (2 * MAX_MISMATCHES, MAX_MISMATCHES)
+    rep = differential_check(f, f, wl, limit=50)
+    assert rep.equivalent and (rep.checked, rep.inconclusive) == (256, 128)
+
+
 def test_differential_treats_matching_traps_as_equal():
     t = "func @f(%x) {\nentry:\n  %a = udiv 1, %x\n  ret %a\n}\n"
     f = parse_function(t)
@@ -577,7 +597,8 @@ def test_block_counts_match_the_reference_on_generated(text, arg, limit):
 
 def test_control_slice_keeps_what_decides_the_path():
     f = load("loop_licm")
-    # the accumulator's phi cycle feeds only ret, and drops out with it
+    # the accumulator's phi cycle feeds only ret, and drops out with it;
+    # the blocks keep f's labels and f's order
     assert print_function(control_slice(f)) == """func @loop_licm(%n, %a, %b) {
 entry:
   br head
@@ -585,11 +606,11 @@ head:
   %i = phi [0, entry], [%i2, body]
   %c = icmp.ult %i, %n
   condbr %c, body, exit
-exit:
-  ret 0
 body:
   %i2 = add %i, 1
   br head
+exit:
+  ret 0
 }
 """
     # a possible trap is kept with what it reads; with a load, all memory
@@ -704,6 +725,32 @@ def test_dynamic_cost_total_matches_the_per_row_sweep_on_generated(text):
     _assert_sweeps_agree([f, *one_step_neighbours(f)], wl)
 
 
+def _assert_nothing_prints(programs, wl):
+    """dynamic_cost_total prints no canonical form, on a fresh copy of each
+    program, with one memo per limit shared by all the programs: the slice
+    memo is keyed by the slice itself."""
+    with canonical_prints() as printed:
+        for limit in SWEEP_LIMITS:
+            memo = {}
+            for g in programs:
+                _sweep(lambda g, wl, limit: dynamic_cost_total(g, wl, limit, memo=memo),
+                       fresh(g), wl, limit)
+                assert printed == [], (print_function(g), limit)
+
+
+@pytest.mark.parametrize("path", SWEEP_FILES, ids=[p.stem for p in SWEEP_FILES])
+def test_dynamic_cost_total_never_prints(path):
+    f = parse_function(path.read_text())
+    _assert_nothing_prints([f, *one_step_neighbours(f)], workload_for(f))
+
+
+@settings(max_examples=80, deadline=None)
+@given(memory_cfg())
+def test_dynamic_cost_total_never_prints_on_generated(text):
+    f = parse_function(text)
+    _assert_nothing_prints([f, *one_step_neighbours(f)], Workload("rows", tuple(_rows(1))))
+
+
 def _count_runs(monkeypatch):
     """The functions lowered, and the interpret calls, from here on."""
     lowered, runs = [], []
@@ -727,7 +774,7 @@ def test_a_finishing_fixture_runs_only_its_slice(monkeypatch, workload):
     f = load(workload.stem.removesuffix("_spot"))
     wl = load_workload(workload)
     assert dynamic_cost_total(f, wl) == reference_dynamic_cost_total(f, wl)
-    assert [canonical_text(g) for g in lowered] == [canonical_text(control_slice(f))]
+    assert lowered == [control_slice(f)]
     assert len(runs) == len(wl.args)
 
 
@@ -744,9 +791,8 @@ def test_programs_with_one_control_slice_share_one_run_per_row(monkeypatch):
     totals = [dynamic_cost_total(g, wl, memo=memo) for g in (f, hoisted, swapped)]
     assert totals == [reference_dynamic_cost_total(g, wl) for g in (f, hoisted, swapped)]
     assert totals[0] != totals[1]
-    assert canonical_text(control_slice(f)) == canonical_text(control_slice(hoisted))
-    assert [canonical_text(g) for g in lowered] == [
-        canonical_text(control_slice(f)), canonical_text(control_slice(swapped))]
+    assert control_slice(f) == control_slice(hoisted)
+    assert lowered == [control_slice(f), control_slice(swapped)]
     assert len(runs) == 2 * len(wl.args)
 
 
@@ -784,7 +830,7 @@ def test_a_detour_through_memory_shares_its_slice(monkeypatch):
     totals = [dynamic_cost_total(g, wl, memo=memo) for g in programs]
     assert totals == [reference_dynamic_cost_total(g, wl) for g in programs]
     assert totals[0] != totals[1]
-    assert [canonical_text(g) for g in lowered] == [canonical_text(control_slice(f))]
+    assert lowered == [control_slice(f)]
     assert len(runs) == len(wl.args)
 
 

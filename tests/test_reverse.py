@@ -1,15 +1,12 @@
 """Reverse passes: anti-improving rewrites the forward passes can undo."""
 
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given, settings
 
-from bidiropt import ir, reverse
+from bidiropt import reverse
 from bidiropt.cost import rank_key, static_cost, static_size
 from bidiropt.interp import differential_check
 from bidiropt.ir import (
-    Function,
     canonical_hash,
     parse_function,
     print_function,
@@ -24,6 +21,8 @@ from conftest import (
     ROOT,
     VALID_FILES,
     all_reverse_variants,
+    canonical_prints,
+    fresh,
     load,
     memory_cfg,
     one_step_neighbours,
@@ -411,36 +410,14 @@ def test_an_out_of_envelope_site_is_never_built_or_hashed(monkeypatch):
 
 # --- program identity is the search's question -----------------------------------
 
-def _fresh(f):
-    """An equal Function with no memoized canonical text or digest."""
-    return Function(f.name, f.params, f.blocks)
-
-
-@contextmanager
-def _canonical_prints():
-    """The Functions ir's printer prints in canonical form while open: every
-    canonical text or digest of a fresh object is one such print."""
-    printed = []
-    real = ir._print
-
-    def counted(g, canonical):
-        if canonical:
-            printed.append(g)
-        return real(g, canonical)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ir, "_print", counted)
-        yield printed
-
-
 def _assert_nothing_prints(programs):
-    with _canonical_prints() as printed:
+    with canonical_prints() as printed:
         for f in programs:
             for name in FORWARD_PASSES:
-                apply_pass(name, _fresh(f))
+                apply_pass(name, fresh(f))
                 assert printed == [], (print_function(f), name)
             for name in REVERSE_PASSES:
-                reverse_variants(name, _fresh(f))
+                reverse_variants(name, fresh(f))
                 assert printed == [], (print_function(f), name)
 
 
