@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from itertools import count
-from types import MappingProxyType
 
 from .analysis import (
     accessed_cell,
@@ -318,7 +317,7 @@ def _signed(c: int) -> int:
     return c - (1 << 32) if c >= (1 << 31) else c
 
 
-def _linearize(ud, root: Instruction) -> tuple[dict[str, int], int, set[str]]:
+def _linearize(ud, root: Instruction) -> tuple[dict[str, int], int, frozenset[str]]:
     """Collapse the maximal add/sub/mul-by-literal tree under root into
     leaf -> coefficient (mod 2^32), a constant term, and the absorbed defs."""
     terms: dict[str, int] = {}
@@ -349,7 +348,7 @@ def _linearize(ud, root: Instruction) -> tuple[dict[str, int], int, set[str]]:
                     work.append((a, coeff * b.value))
                     continue
         terms[op.name] = (terms.get(op.name, 0) + coeff) & MASK32
-    return terms, const, absorbed
+    return terms, const, frozenset(absorbed)
 
 
 def _emit_linear(f: Function, terms: Mapping[str, int], const: int,
@@ -393,31 +392,17 @@ def _emit_linear(f: Function, terms: Mapping[str, int], const: int,
     return out, acc
 
 
-def _linearized(f: Function, root_name: str) -> tuple[Mapping[str, int], int, frozenset[str]]:
-    """_linearize of the tree under root_name in f, memoized on the Function
-    instance as canonical_text is: reassociate and rev-reassociate meet the
-    same program further apart than the one Function a per_function
-    analysis remembers. It holds no emitted name; those take the caller's
-    counter."""
-    memo = f.__dict__.setdefault("_linearized", {})
-    lin = memo.get(root_name)
-    if lin is None:
-        ud = use_def(f)
-        terms, const, absorbed = _linearize(ud, ud.instrs[root_name])
-        lin = memo[root_name] = (MappingProxyType(terms), const, frozenset(absorbed))
-    return lin
-
-
 def tree_roots(f: Function) -> list[tuple[str, frozenset[str]]]:
     """Roots of the maximal add/sub trees, each with the defs it absorbs, in
     program order. Scanned bottom-up so outer trees claim absorbable inner
     nodes."""
+    ud = use_def(f)
     roots: list[tuple[str, frozenset[str]]] = []
     claimed: set[str] = set()
     for _, _, ins in reversed(list(rpo_instrs(f))):
         if ins.opcode not in ("add", "sub") or ins.result in claimed:
             continue
-        absorbed = _linearized(f, ins.result)[2]
+        absorbed = _linearize(ud, ins)[2]
         claimed |= absorbed
         roots.append((ins.result, absorbed))
     roots.reverse()
@@ -433,7 +418,7 @@ def tree_form(f: Function, root_name: str,
     the counter advances alike either way."""
     ud = use_def(f)
     root = ud.instrs[root_name]
-    terms, const, absorbed = _linearized(f, root_name)
+    terms, const, absorbed = _linearize(ud, root)
     taken = set(f.params) | set(ud.defs)
 
     def namer() -> str:

@@ -9,14 +9,16 @@ detour inside optimizable territory (tests check the pairing on the corpus
 and its neighbours). Where the forward pass sweeps the whole function, as
 dse erases every dead store in one application, the input must give the
 pass nothing else to do, so that undoing the variant gives back the input
-itself. Variants are never more efficient than the input.
+itself. Variants are never more efficient than the input, and none equals
+it: each rewrite changes an opcode, adds instructions, or moves an
+instruction from a loop's preheader into its header.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import count, islice
+from itertools import islice
 
 from .analysis import compute_dominators, find_natural_loops, known_bits, use_def
 from .cost import static_size
@@ -24,28 +26,17 @@ from .ir import (
     Function,
     Instruction,
     Literal,
-    Operand,
     ValueRef,
     fresh_names,
     rpo_instrs,
     rpo_order,
 )
-from .passes import (
-    dead_stores,
-    disjoint_bits,
-    edit,
-    freeze,
-    in_place,
-    licm_movable,
-    tree_form,
-    tree_roots,
-)
+from .passes import dead_stores, disjoint_bits, edit, freeze, licm_movable
 
 PAIRINGS: dict[str, str] = {
     "rev-instexpand-rem": "divmul-to-rem",
     "rev-instexpand-shl": "strength-reduce",
     "rev-instexpand-or": "add-to-or",
-    "rev-reassociate": "reassociate",
     "rev-licm-sink": "licm",
     "rev-insert-dead-store": "dse",
 }
@@ -131,71 +122,7 @@ def _rev_instexpand_or(f: Function):
 
 
 # ---------------------------------------------------------------------------
-# shape perturbations
-
-def _rev_reassociate(f: Function):
-    """Perturb add trees: swap operands, or rotate a nested single-use add
-    (which the rotation absorbs). A perturbation keeps its tree's root, its
-    terms and the opcodes it absorbs, so reassociate's cost test gives the
-    same answer on the tree in f and in the variant. It is a site exactly
-    where reassociate rewrites the tree it lands in: the tree passes that
-    test, and the perturbed root block does not already hold the tree in the
-    form reassociate emits for it (a swap onto canonical leaf order)."""
-    ud = use_def(f)
-    trees = {}  # add/sub value -> its tree (root, absorbed, emitted) if it passes the cost test
-    for root, absorbed in tree_roots(f):
-        form = tree_form(f, root, count())
-        if form is not None:
-            trees.update(dict.fromkeys(absorbed | {root}, (root, absorbed, form[0])))
-
-    def single_use_add(op: Operand) -> Instruction | None:
-        if not isinstance(op, ValueRef) or ud.use_count(op.name) != 1:
-            return None
-        ins = ud.instrs.get(op.name)
-        return ins if ins is not None and ins.opcode == "add" else None
-
-    for lbl, i, ins in rpo_instrs(f):
-        if ins.opcode != "add" or ins.result not in trees:
-            continue
-        root, absorbed, emitted = trees[ins.result]
-        a, b = ins.operands
-        perturbed = [(None, [replace(ins, operands=(b, a))])]
-        (tn,) = fresh_names(f, "x", 1)
-        inner = single_use_add(a)
-        if inner is not None:
-            # (p + q) + b  ->  p + (q + b)
-            p, q = inner.operands
-            new = [Instruction(tn, "add", (q, b)),
-                   Instruction(ins.result, "add", (p, ValueRef(tn)))]
-            perturbed.append((inner.result, new))
-        inner = single_use_add(b)
-        if inner is not None:
-            # a + (p + q)  ->  (a + p) + q
-            p, q = inner.operands
-            new = [Instruction(tn, "add", (a, p)),
-                   Instruction(ins.result, "add", (ValueRef(tn), q))]
-            perturbed.append((inner.result, new))
-        for gone, new in perturbed:
-            blocks = _perturb(f, lbl, i, gone, new)
-            kept = [x for x in blocks[ud.defs[root][0]] if x is not None]
-            at = next(k for k, x in enumerate(kept) if x.result == root)
-            now_absorbed = absorbed - {gone} | {x.result for x in new[:-1]}
-            if not in_place(kept, at, now_absorbed, emitted):
-                yield 0, partial(freeze, f, blocks)
-
-
-def _perturb(f: Function, lbl: str, i: int, gone: str | None,
-             new: list[Instruction]) -> dict[str, list[Instruction | None]]:
-    """The working form of f with the add at (lbl, i) replaced by `new`, and
-    the inner add that defines `gone`, if any, erased: its one use was that
-    add."""
-    blocks = edit(f)
-    if gone is not None:
-        glbl, j = use_def(f).defs[gone]
-        blocks[glbl][j] = None
-    blocks[lbl][i:i + 1] = new
-    return blocks
-
+# code motion
 
 def _rev_licm_sink(f: Function):
     """Push a pure preheader computation used only inside the loop into the
@@ -253,7 +180,6 @@ _ENUMERATORS = {
     "rev-instexpand-rem": _rev_instexpand_rem,
     "rev-instexpand-shl": _rev_instexpand_shl,
     "rev-instexpand-or": _rev_instexpand_or,
-    "rev-reassociate": _rev_reassociate,
     "rev-licm-sink": _rev_licm_sink,
     "rev-insert-dead-store": _rev_insert_dead_store,
 }
@@ -266,8 +192,7 @@ def reverse_variants(name: str, f: Function, cap: int | None = None,
     """Enumerate variants of f under one reverse pass, in deterministic site
     order. A site's index is its position in the enumeration, and `cap`
     keeps the sites numbered below it, so an index names the same site of
-    a given function whatever the cap. A variant equal to f field for field
-    takes its index but is dropped. A site whose variant would have more
+    a given function whatever the cap. A site whose variant would have more
     than `max_size` instructions is skipped before anything is built, and
     still takes its index. Nothing is printed or hashed here: whether a
     variant is a program the caller already holds is the caller's question
@@ -275,10 +200,5 @@ def reverse_variants(name: str, f: Function, cap: int | None = None,
     if name not in _ENUMERATORS:
         raise KeyError(f"unknown reverse pass '{name}'")
     room = max_size - static_size(f) if max_size is not None else float("inf")
-    out: list[Variant] = []
-    for site, (grow, build) in enumerate(islice(_ENUMERATORS[name](f), cap)):
-        if grow <= room:
-            g = build()
-            if g != f:
-                out.append(Variant(name, site, g))
-    return tuple(out)
+    sites = enumerate(islice(_ENUMERATORS[name](f), cap))
+    return tuple(Variant(name, site, build()) for site, (grow, build) in sites if grow <= room)

@@ -63,11 +63,11 @@ class PassCache:
     field, a Function the run already holds is replaced by that object
     before it is hashed. Equal Functions have the same names and
     instructions, so nothing printed or ranked changes, but the held
-    object's memos (canonical text and digest, tree linearizations) serve
-    the duplicate: two passes that return the same program, as mem2reg and
-    dse do on a dead-store variant, cost one print and one hash. An
-    unchanged output is f itself and is not looked up, since that lookup
-    would only add hashing."""
+    object's memos (canonical text and digest) serve the duplicate: two
+    passes that return the same program, as mem2reg and dse do on a
+    dead-store variant, cost one print and one hash. An unchanged output is
+    f itself and is not looked up, since that lookup would only add
+    hashing."""
 
     def __init__(self) -> None:
         self.apps: dict[tuple[CanonicalDigest, str], tuple[bool, Function]] = {}

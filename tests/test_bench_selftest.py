@@ -113,7 +113,7 @@ def test_tracer_sees_the_interpreter(monkeypatch):
     # every program ranked is measured once, as before control slices; the
     # report's traces read their keys from the run's cache (and bin2bcd's
     # sequences are empty)
-    assert tracer.calls["interp.dynamic_cost_total"] == 14
+    assert tracer.calls["interp.dynamic_cost_total"] == 12
     # but the workload runs once per distinct control slice of the command,
     # whose one slice memo the search and the report's traces share
     (cache,) = caches

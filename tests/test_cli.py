@@ -15,9 +15,7 @@ from bidiropt.ir import canonical_hash, parse_function, print_function
 from bidiropt.passes import apply_pass
 from bidiropt.reverse import reverse_variants
 
-from conftest import CONST_FOLD_WITNESSES, INVALID, ROOT, VALID, WORKLOADS, load, run_cli
-
-REGRESS = ROOT / "corpus" / "regress"
+from conftest import CONST_FOLD_WITNESSES, INVALID, ROOT, SHIFTS, VALID, WORKLOADS, load, run_cli
 
 
 def _json(out):
@@ -225,7 +223,8 @@ _REFUSALS = [
 
 @pytest.mark.parametrize("name,route,want", [
     pytest.param(name, route, want.format(name), id=f"{route}-{want.format(name)}")
-    for name in ("rev-split-block", "reg2mem") for route, want in _REFUSALS])
+    for name in ("rev-split-block", "reg2mem", "rev-reassociate")
+    for route, want in _REFUSALS])
 def test_a_removed_reverse_pass_is_refused(tmp_path, capsys, name, route, want):
     f = VALID / "nested_loop.ir"
     if route == "opt":
@@ -268,14 +267,15 @@ def test_opt_stale_reverse_index():
     assert code == 1
 
 
-def test_opt_replays_a_site_past_the_variant_cap():
+def test_opt_replays_a_site_past_the_variant_cap(tmp_path):
     # a site index is its position in the full enumeration; no cap hides it
-    crowd2 = REGRESS / "crowd2.ir"
+    shifts = tmp_path / "shifts.ir"
+    shifts.write_text(SHIFTS)
     sites = {v.site_index: v.function
-             for v in reverse_variants("rev-reassociate", parse_function(crowd2.read_text()))}
+             for v in reverse_variants("rev-instexpand-shl", parse_function(SHIFTS))}
     assert 9 in sites and len(sites) > 8
-    code, out = run_cli("opt", crowd2, "--strict",
-                        "--passes", "rev-reassociate@9", "--format", "text")
+    code, out = run_cli("opt", shifts, "--strict",
+                        "--passes", "rev-instexpand-shl@9", "--format", "text")
     assert code == 0
     assert out == print_function(sites[9])
 
@@ -445,9 +445,9 @@ def test_a_dynamic_reports_trace_measures_no_program_twice(monkeypatch, command)
 
 
 def test_only_the_inputs_divergence_ends_a_dynamic_run(tmp_path):
-    # loop_sum(5) takes 7*5+6 = 41 steps. Of its 5 reverse variants, all but
-    # the rev-reassociate swap need a 42nd; they are left out of the search,
-    # as oversize variants are, and the input's own run decides the exit.
+    # loop_sum(5) takes 7*5+6 = 41 steps. Each of its 4 reverse variants
+    # needs a 42nd; they are left out of the search, as oversize variants
+    # are, and the input's own run decides the exit.
     w = tmp_path / "w.json"
     w.write_text("[[5]]")
     cfg = tmp_path / "cfg.json"
@@ -464,7 +464,7 @@ def test_only_the_inputs_divergence_ends_a_dynamic_run(tmp_path):
     o = _json(out)["outcome"]
     assert o["best_key"][2] == 29
     (it,) = o["iterations"]
-    assert (it["variants_generated"], it["searches_run"]) == (5, 1)
+    assert (it["variants_generated"], it["searches_run"]) == (4, 0)
     # one step less, and the input itself runs out
     cfg.write_text(json.dumps({"step_limit": 40}))
     code, out = run_cli("--config", cfg, "ibo", f, "-k", "1", "--metric", "dynamic",
@@ -599,7 +599,7 @@ def test_compare_text_table():
 def test_compare_text_table_marks_budget_cut_rows(tmp_path):
     for n in ("bin2bcd", "straightline_ret"):
         shutil.copy(VALID / f"{n}.ir", tmp_path / f"{n}.ir")
-    code, out = run_cli("compare", tmp_path, "-k", "1", "--budget-programs", "20",
+    code, out = run_cli("compare", tmp_path, "-k", "1", "--budget-programs", "10",
                         "--format", "text")
     assert code == 3
     lines = out.splitlines()
@@ -797,7 +797,7 @@ DEEP_PROGRAMS = {
     # mem2reg walks the dominator tree to the load of the promotable cell
     "mem2reg": _func(["x"], _chain(["  %p = alloca", "  store %x, %p"],
                                    ["  %v = load %p", "  ret %v"])),
-    # reassociate and rev-reassociate linearize one add tree DEEP adds deep
+    # reassociate linearizes one add tree DEEP adds deep
     "reassociate": _func(["x", "y"], ["entry:", "  %a0 = add %x, %y",
                                       *(f"  %a{i} = add %a{i - 1}, %y" for i in range(1, DEEP)),
                                       f"  ret %a{DEEP - 1}"]),
@@ -846,6 +846,3 @@ def test_a_deep_program_gets_a_report_not_a_traceback(tmp_path, walk):
     code, out = run_cli("search", path, "--budget-programs", "20")
     assert code == 0
     assert _json(out)["outcome"]["explored"] > 1
-    if walk == "reassociate":
-        code, out = run_cli("opt", path, "--passes", "rev-reassociate@0")
-        assert code == 0
