@@ -409,32 +409,7 @@ def tree_roots(f: Function) -> list[tuple[str, frozenset[str]]]:
     return roots
 
 
-def tree_form(f: Function, root_name: str,
-              counter) -> tuple[list[Instruction], Operand, frozenset[str]] | None:
-    """The form reassociate emits for the tree under root_name: the
-    instructions, the operand that replaces the root, and the absorbed defs;
-    None when the form would cost more than the tree. New values are named
-    t<n>, n drawn from counter; the form is emitted before the cost test, so
-    the counter advances alike either way."""
-    ud = use_def(f)
-    root = ud.instrs[root_name]
-    terms, const, absorbed = _linearize(ud, root)
-    taken = set(f.params) | set(ud.defs)
-
-    def namer() -> str:
-        name = next(n for n in (f"t{c}" for c in counter) if n not in taken)
-        taken.add(name)
-        return name
-
-    emitted, acc = _emit_linear(f, terms, const, namer)
-    model = DEFAULT_COST_MODEL
-    old_cost = model.cost(root.opcode) + sum(model.cost(ud.instrs[n].opcode) for n in absorbed)
-    if sum(model.cost(ins.opcode) for ins in emitted) > old_cost:
-        return None
-    return emitted, acc, absorbed
-
-
-def in_place(instrs, i: int, absorbed: frozenset[str], emitted: list[Instruction]) -> bool:
+def _in_place(instrs, i: int, absorbed: frozenset[str], emitted: list[Instruction]) -> bool:
     """Whether the tree rooted at instrs[i] already sits in the instruction
     list instrs as `emitted`: the len(emitted) instructions ending at i
     define exactly the root and `absorbed`, and each equals its emitted
@@ -458,23 +433,34 @@ def in_place(instrs, i: int, absorbed: frozenset[str], emitted: list[Instruction
 
 
 def _rewrite_tree(f: Function, root_name: str, counter) -> Function | None:
-    """f with the tree under root_name re-emitted in canonical form
-    (tree_form), or None when that would cost more or change nothing.
+    """f with the tree under root_name re-emitted in canonical form, or None
+    when that would cost more or change nothing. New values are named t<n>,
+    n drawn from counter; the form is emitted before the cost test, so the
+    counter advances alike either way.
 
     A tree already in place in the form it would be emitted in is left
-    alone without building a candidate (in_place): the candidate would be f
+    alone without building a candidate (_in_place): the candidate would be f
     with those values renamed. Any other tree is rewritten, and the
     candidate differs from f; whether it is a program the search has seen
     is the search's question, not the pass's."""
     ud = use_def(f)
-    if root_name not in ud.instrs:
+    root = ud.instrs.get(root_name)
+    if root is None:
         return None
-    form = tree_form(f, root_name, counter)
-    if form is None:
-        return None
-    emitted, acc, absorbed = form
+    terms, const, absorbed = _linearize(ud, root)
+    taken = set(f.params) | set(ud.defs)
+
+    def namer() -> str:
+        name = next(n for n in (f"t{c}" for c in counter) if n not in taken)
+        taken.add(name)
+        return name
+
+    emitted, acc = _emit_linear(f, terms, const, namer)
+    model = DEFAULT_COST_MODEL
+    old_cost = model.cost(root.opcode) + sum(model.cost(ud.instrs[n].opcode) for n in absorbed)
     lbl, i = ud.defs[root_name]
-    if in_place(f.block(lbl).instrs, i, absorbed, emitted):
+    if (sum(model.cost(ins.opcode) for ins in emitted) > old_cost
+            or _in_place(f.block(lbl).instrs, i, absorbed, emitted)):
         return None
     blocks = edit(f)
     blocks[lbl][i:i + 1] = emitted
@@ -775,13 +761,6 @@ def apply_mem2reg(f: Function) -> PassOutcome:
 # ---------------------------------------------------------------------------
 # licm
 
-def licm_movable(ins: Instruction) -> bool:
-    """What licm may move between a loop and its preheader."""
-    if ins.result is None or ins.is_phi or ins.opcode in ("load", "store", "alloca"):
-        return False
-    return erasable(ins)  # same trap-free purity bar
-
-
 def _has_back_edge(f: Function) -> bool:
     """Whether a CFG edge runs from a reachable block to one at or before it
     in rpo_order. The header of a natural loop dominates its latch, so it
@@ -794,9 +773,10 @@ def _has_back_edge(f: Function) -> bool:
 
 def apply_licm(f: Function) -> PassOutcome:
     """Hoist trap-free pure instructions whose operands live outside the loop
-    into the preheader; loads and stores never move. Hoisting changes no
-    edge, so f's loops hold throughout: one RPO sweep per loop, innermost
-    first, with `home` following each hoisted value to its new block."""
+    into the preheader; phis, allocas, loads and stores never move. Hoisting
+    changes no edge, so f's loops hold throughout: one RPO sweep per loop,
+    innermost first, with `home` following each hoisted value to its new
+    block."""
     if not _has_back_edge(f):
         return PassOutcome(False, f)
     blocks = edit(f)
@@ -808,9 +788,11 @@ def apply_licm(f: Function) -> PassOutcome:
         pre = blocks[lp.preheader]
         for instrs in (blocks[lbl] for lbl in rpo_order(f) if lbl in lp.body):
             for i, ins in enumerate(instrs):
-                if ins is not None and licm_movable(ins) and all(
-                        isinstance(o, Literal) or home.get(o.name) not in lp.body
-                        for o in ins.operands):
+                # dce's trap-free purity bar, which keeps loads and stores out
+                movable = (ins is not None and erasable(ins) and not ins.is_phi
+                           and ins.opcode != "alloca")
+                if movable and all(isinstance(o, Literal) or home.get(o.name) not in lp.body
+                                   for o in ins.operands):
                     instrs[i] = None
                     pre.insert(len(pre) - 1, ins)
                     home[ins.result] = lp.preheader

@@ -10,8 +10,7 @@ and its neighbours). Where the forward pass sweeps the whole function, as
 dse erases every dead store in one application, the input must give the
 pass nothing else to do, so that undoing the variant gives back the input
 itself. Variants are never more efficient than the input, and none equals
-it: each rewrite changes an opcode, adds instructions, or moves an
-instruction from a loop's preheader into its header.
+it: each rewrite changes an opcode or adds instructions.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
 
-from .analysis import compute_dominators, find_natural_loops, known_bits, use_def
+from .analysis import compute_dominators, known_bits
 from .cost import static_size
 from .ir import (
     Function,
@@ -31,13 +30,12 @@ from .ir import (
     rpo_instrs,
     rpo_order,
 )
-from .passes import dead_stores, disjoint_bits, edit, freeze, licm_movable
+from .passes import dead_stores, disjoint_bits, edit, freeze
 
 PAIRINGS: dict[str, str] = {
     "rev-instexpand-rem": "divmul-to-rem",
     "rev-instexpand-shl": "strength-reduce",
     "rev-instexpand-or": "add-to-or",
-    "rev-licm-sink": "licm",
     "rev-insert-dead-store": "dse",
 }
 
@@ -122,34 +120,6 @@ def _rev_instexpand_or(f: Function):
 
 
 # ---------------------------------------------------------------------------
-# code motion
-
-def _rev_licm_sink(f: Function):
-    """Push a pure preheader computation used only inside the loop into the
-    loop header (right after the phis)."""
-    ud = use_def(f)
-    index = {b.label: b for b in f.blocks}
-    for lp in find_natural_loops(f):
-        if lp.preheader is None:
-            continue
-        pre = index[lp.preheader]
-        for i, ins in enumerate(pre.instrs):
-            if not licm_movable(ins):
-                continue
-            uses = ud.uses[ins.result]
-            if not uses or not all(u[0] in lp.body for u in uses):
-                continue
-            yield 0, partial(_sink, f, lp, i, len(index[lp.header].phis))
-
-
-def _sink(f: Function, lp, i: int, at: int) -> Function:
-    blocks = edit(f)
-    ins = blocks[lp.preheader].pop(i)
-    blocks[lp.header].insert(at, ins)
-    return freeze(f, blocks)
-
-
-# ---------------------------------------------------------------------------
 # memory detours
 
 def _rev_insert_dead_store(f: Function):
@@ -180,7 +150,6 @@ _ENUMERATORS = {
     "rev-instexpand-rem": _rev_instexpand_rem,
     "rev-instexpand-shl": _rev_instexpand_shl,
     "rev-instexpand-or": _rev_instexpand_or,
-    "rev-licm-sink": _rev_licm_sink,
     "rev-insert-dead-store": _rev_insert_dead_store,
 }
 

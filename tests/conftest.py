@@ -55,7 +55,6 @@ from bidiropt.passes import (
     edit,
     erasable,
     freeze,
-    licm_movable,
 )
 from bidiropt.reverse import REVERSE_PASSES, reverse_variants
 
@@ -603,6 +602,17 @@ def reference_simplifycfg(f: Function) -> PassOutcome:
     return reference_to_fixpoint(_simplifycfg_step, f)
 
 
+def _licm_movable(ins: Instruction) -> bool:
+    """What licm may move, stated apart from the pass: a value that is no
+    phi, touches no memory and cannot trap (udiv and urem trap unless the
+    divisor is a nonzero literal)."""
+    if ins.result is None or ins.is_phi or ins.opcode in ("load", "store", "alloca"):
+        return False
+    if ins.opcode in ("udiv", "urem"):
+        return isinstance(ins.operands[1], Literal) and ins.operands[1].value != 0
+    return True
+
+
 def _licm_step(f: Function) -> Function | None:
     defs = defined_values(f)
     for lp in find_natural_loops(f):
@@ -616,7 +626,7 @@ def _licm_step(f: Function) -> Function | None:
             return site is None or site[0] not in lp.body
 
         for lbl, i, ins in rpo_instrs(f):
-            if lbl in lp.body and licm_movable(ins) and all(map(outside, ins.operands)):
+            if lbl in lp.body and _licm_movable(ins) and all(map(outside, ins.operands)):
                 blocks = edit(f)
                 blocks[lbl][i] = None
                 pre = blocks[lp.preheader]

@@ -223,7 +223,7 @@ _REFUSALS = [
 
 @pytest.mark.parametrize("name,route,want", [
     pytest.param(name, route, want.format(name), id=f"{route}-{want.format(name)}")
-    for name in ("rev-split-block", "reg2mem", "rev-reassociate")
+    for name in ("rev-split-block", "reg2mem", "rev-reassociate", "rev-licm-sink")
     for route, want in _REFUSALS])
 def test_a_removed_reverse_pass_is_refused(tmp_path, capsys, name, route, want):
     f = VALID / "nested_loop.ir"
@@ -690,7 +690,7 @@ _SETTING_VALUES = {
     "max_sequence_length": 3, "max_programs_explored": 999,
     "max_instructions_per_program": 5, "cap_per_pass": 3, "ibo_max_frontier": 7,
     "step_limit": 500, "seed": 5, "metric": "dynamic",
-    "passes": ["dce"], "reverses": ["rev-licm-sink"],
+    "passes": ["dce"], "reverses": ["rev-instexpand-or"],
     "workload": str(WORKLOADS / "bin2bcd_spot.json"),
 }
 _SETTING_FLAGS = [(command, action.option_strings[0], action.dest)

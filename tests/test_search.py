@@ -1,6 +1,7 @@
 """Exhaustive search, reverse-then-optimize, class exploration, replay."""
 
 import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -22,7 +23,7 @@ from bidiropt.search import (
     replay_sequence,
 )
 
-from conftest import ROOT, VALID_FILES, WORKLOADS, load, workload_for
+from conftest import ROOT, VALID, VALID_FILES, WORKLOADS, load, run_cli, workload_for
 
 MICRO = ["straightline_ret", "const_expr", "identities", "divmul", "dce_chain",
          "strength", "cse_dup", "reassoc_cancel"]
@@ -186,6 +187,41 @@ def test_crowd2_keeps_the_winning_chain_in_the_frontier():
     assert out.total_programs == 950
     assert print_function(replay_sequence(f, out.best_provenance)) == print_function(
         out.best_function)
+
+
+LOOP_HOISTED_BEST = """\
+func @loop_hoisted(%n, %a, %b) {
+entry:
+  %t = mul %a, %b
+  br head
+head:
+  %i = phi [0, entry], [%i2, body]
+  %acc = phi [0, entry], [%t0, body]
+  %c = icmp.ult %i, %n
+  condbr %c, body, exit
+body:
+  %t0 = add %t, %acc
+  %i2 = add %i, 1
+  br head
+exit:
+  ret %acc
+}
+"""
+
+
+@pytest.mark.parametrize("metric", [
+    [], ["--metric", "dynamic", "--workload", WORKLOADS / "loop_hoisted.json"]],
+    ids=["static", "dynamic"])
+def test_a_hoisted_loop_gets_no_sinking_detours(metric):
+    # no reverse pass moves code into a loop, so loop_hoisted's only detours
+    # are dead-store cells, and the best program is reassociate's alone
+    code, out = run_cli("ibo", VALID / "loop_hoisted.ir", "-k", "3", *metric)
+    assert code == 0
+    rep = json.loads(out)["outcome"]
+    assert rep["best_key"] == ([10, 10, 2871] if metric else [10, 10])
+    assert rep["best_ir"] == LOOP_HOISTED_BEST
+    assert rep["sequence"] == ["reassociate"]
+    assert rep["total_programs"] == 18
 
 
 def multi(n):
