@@ -158,13 +158,19 @@ def _workload(cfg: Config, f: Function, count: int = 1000):
 
 def _trace(f: Function, steps, cfg: Config, cache: PassCache, workload=None) -> list:
     """Replay a reported sequence step by step, recording the key after each.
-    Each key comes from the run's cache, and each replayed program is
-    interned there, so a program the search measured is not measured or
-    printed again."""
+    A forward step is looked up in the run's cache (PassCache.apply), so no
+    pass the search applied runs again; a reverse step is replayed and
+    interned there. Each key comes from the cache too, so a program the
+    search measured is not measured or printed again."""
     rows = []
     g = f
     for step in steps:
-        g = cache.intern(replay_sequence(g, [step]))
+        if "@" in step:
+            g = cache.intern(replay_sequence(g, [step]))
+        else:
+            changed, g = cache.apply(step, g, canonical_hash(g))
+            if not changed:
+                raise ReplayDiverged(f"{step}: pass did not fire")
         key = cache.rank(g, canonical_hash(g), cfg.model(), workload, cfg.step_limit)
         rows.append({"step": step, "key": _key_json(key)})
     return rows

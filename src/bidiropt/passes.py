@@ -1,18 +1,21 @@
 """Forward (efficiency-increasing) passes.
 
 One application = one deterministic whole-function sweep on one working
-form (edit), frozen once; blocks are visited in RPO and instructions in
-order unless a pass says otherwise. Rewrites erase the instructions they
-render dead immediately; nothing else is cleaned up (that is dce's job).
+form (edit), frozen once (reassociate sweeps again only when a use count it
+lowered lets a tree it passed absorb more); blocks are visited in RPO and
+instructions in order unless a pass says otherwise. Rewrites erase the
+instructions they render dead immediately; nothing else is cleaned up (that
+is dce's job).
 Every pass takes and returns a valid Function and reports whether
 anything changed.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from itertools import count
+from itertools import count, islice
 
 from .analysis import (
     accessed_cell,
@@ -44,7 +47,6 @@ from .ir import (
     rpo_instrs,
     rpo_order,
     successors,
-    value_order,
 )
 
 
@@ -87,46 +89,44 @@ def freeze(f: Function, blocks: dict[str, list[Instruction | None]],
         for b in f.blocks if b.label in blocks))
 
 
-def _erase_dead(blocks: dict[str, list[Instruction | None]], seeds,
-                subst: dict[str, Operand] | None = None) -> bool:
-    """Transitively erase trap-free pure defs in `seeds` once nothing uses
-    them, feeding their operands back in as candidates. Uses are counted once,
-    with operands resolved through subst as freeze will, and decremented as
-    their users go; erasure is monotone, so the order does not matter.
-    Returns whether anything was erased."""
-    def refs(ins: Instruction) -> list[str]:
-        ops = [resolve(o, subst) for o in ins.operands] if subst else ins.operands
-        return [o.name for o in ops if isinstance(o, ValueRef)]
-
-    uses: dict[str, int] = {}
-    sites: dict[str, tuple[list, int]] = {}
-    for instrs in blocks.values():
+def _census(blocks: dict) -> tuple[dict[str, tuple], defaultdict[str, int]]:
+    """Where each value of a working form is defined, as (key, index) in
+    blocks, and how many operands use it."""
+    sites: dict[str, tuple] = {}
+    uses: defaultdict[str, int] = defaultdict(int)
+    for key, instrs in blocks.items():
         for i, ins in enumerate(instrs):
             if ins is None:
                 continue
-            for op in ins.operands:
-                if subst:
-                    op = resolve(op, subst)
-                if isinstance(op, ValueRef):
-                    uses[op.name] = uses.get(op.name, 0) + 1
             if ins.result is not None:
-                sites[ins.result] = (instrs, i)
+                sites[ins.result] = (key, i)
+            for op in ins.operands:
+                if isinstance(op, ValueRef):
+                    uses[op.name] += 1
+    return sites, uses
+
+
+def _erase_dead(blocks: dict, seeds, census=None) -> bool:
+    """Transitively erase trap-free pure defs in `seeds` once nothing uses
+    them, feeding their operands back in as candidates. The census of blocks
+    is taken here unless given, and kept current as uses go; erasure is
+    monotone, so the order does not matter. Returns whether anything was
+    erased."""
+    sites, uses = census or _census(blocks)
     work = list(seeds)
     erased = False
     while work:
         name = work.pop()
-        if uses.get(name) or name not in sites:
+        site = sites.get(name)  # None for a parameter
+        if uses[name] or site is None or not erasable(ins := blocks[site[0]][site[1]]):
             continue
-        instrs, i = sites[name]
-        ins = instrs[i]
-        if not erasable(ins):
-            continue
-        del sites[name]
-        instrs[i] = None
+        key, i = sites.pop(name)
+        blocks[key][i] = None
         erased = True
-        for n in refs(ins):
-            uses[n] -= 1
-            work.append(n)
+        for op in ins.operands:
+            if isinstance(op, ValueRef):
+                uses[op.name] -= 1
+                work.append(op.name)
     return erased
 
 
@@ -313,13 +313,12 @@ def apply_add_to_or(f: Function) -> PassOutcome:
 # ---------------------------------------------------------------------------
 # reassociate
 
-def _signed(c: int) -> int:
-    return c - (1 << 32) if c >= (1 << 31) else c
-
-
-def _linearize(ud, root: Instruction) -> tuple[dict[str, int], int, frozenset[str]]:
+def _linearize(root: Instruction, def_of, uses: Mapping[str, int]
+               ) -> tuple[dict[str, int], int, frozenset[str]]:
     """Collapse the maximal add/sub/mul-by-literal tree under root into
-    leaf -> coefficient (mod 2^32), a constant term, and the absorbed defs."""
+    leaf -> coefficient (mod 2^32), a constant term, and the absorbed defs:
+    the single-use nodes below root, def_of(name) being the instruction that
+    defines name (None for a parameter) and uses[name] its use count."""
     terms: dict[str, int] = {}
     const = 0
     absorbed: set[str] = set()
@@ -332,8 +331,8 @@ def _linearize(ud, root: Instruction) -> tuple[dict[str, int], int, frozenset[st
         if isinstance(op, Literal):
             const = (const + coeff * op.value) & MASK32
             continue
-        ins = ud.instrs.get(op.name)
-        if ins is not None and ud.use_count(op.name) == 1:
+        ins = def_of(op.name)
+        if ins is not None and uses[op.name] == 1:
             if ins.opcode in ("add", "sub"):
                 absorbed.add(op.name)
                 work.append((ins.operands[1], coeff if ins.opcode == "add" else -coeff))
@@ -351,139 +350,198 @@ def _linearize(ud, root: Instruction) -> tuple[dict[str, int], int, frozenset[st
     return terms, const, frozenset(absorbed)
 
 
-def _emit_linear(f: Function, terms: Mapping[str, int], const: int,
-                 namer) -> tuple[list[Instruction], Operand]:
-    """Re-emit sum(coeff * leaf) + const in canonical leaf order: positive
-    terms as mul/add, negative ones as sub, the constant last."""
-    idx = value_order(f)
-    pos = [(idx[n], n, c) for n, c in terms.items() if 0 < _signed(c)]
-    neg = [(idx[n], n, (-_signed(c)) & MASK32) for n, c in terms.items() if _signed(c) < 0]
+def _linear_form(terms: Mapping[str, int], const: int, order) -> tuple[list[tuple], Operand | int]:
+    """sum(coeff * leaf) + const in canonical form, as the (opcode, operands)
+    of each instruction to emit (an int operand is the value of an earlier
+    one, see _named) and the operand or instruction that holds the sum:
+    positive terms as mul/add, leaves by order(leaf), negative ones as sub,
+    the constant last."""
+    pos, neg = [], []
+    for n, c in terms.items():
+        if 0 < c < 1 << 31:
+            pos.append((order(n), n, c))
+        elif c:  # c >= 2^31 is negative
+            neg.append((order(n), n, -c & MASK32))
     pos.sort()
     neg.sort()
-    out: list[Instruction] = []
+    form: list[tuple] = []
 
-    def term(name: str, c: int) -> Operand:
-        if c == 1:
-            return ValueRef(name)
-        r = namer()
-        out.append(Instruction(r, "mul", (ValueRef(name), Literal(c))))
-        return ValueRef(r)
+    def emit(*ins) -> int:
+        form.append((ins[0], ins[1:]))
+        return len(form) - 1
 
-    def join(op: str, a: Operand, b: Operand) -> Operand:
-        r = namer()
-        out.append(Instruction(r, op, (a, b)))
-        return ValueRef(r)
-
-    const_used = False
-    if pos:
-        acc = term(pos[0][1], pos[0][2])
-        for _, n, c in pos[1:]:
-            acc = join("add", acc, term(n, c))
-    else:
-        acc = Literal(const)
-        const_used = True
-    for _, n, c in neg:
-        acc = join("sub", acc, term(n, c))
-    if not const_used and const != 0:
-        if _signed(const) > 0:
-            acc = join("add", acc, Literal(const))
-        else:
-            acc = join("sub", acc, Literal((-_signed(const)) & MASK32))
-    return out, acc
+    acc = None if pos else Literal(const)
+    for op, side in (("add", pos), ("sub", neg)):
+        for _, n, c in side:
+            t = ValueRef(n) if c == 1 else emit("mul", ValueRef(n), Literal(c))
+            acc = t if acc is None else emit(op, acc, t)
+    if pos and const:
+        acc = (emit("add", acc, Literal(const)) if const < 1 << 31
+               else emit("sub", acc, Literal(-const & MASK32)))
+    return form, acc
 
 
-def tree_roots(f: Function) -> list[tuple[str, frozenset[str]]]:
-    """Roots of the maximal add/sub trees, each with the defs it absorbs, in
-    program order. Scanned bottom-up so outer trees claim absorbable inner
-    nodes."""
-    ud = use_def(f)
-    roots: list[tuple[str, frozenset[str]]] = []
+def _named(form: list[tuple], names: list[str]) -> list[tuple[str, tuple]]:
+    """form with each int operand replaced by the value names gives it."""
+    return [(op, tuple(ValueRef(names[o]) if isinstance(o, int) else o for o in ops))
+            for op, ops in form]
+
+
+class _Sweep:
+    """One reassociate sweep's working form over g. `slots` is edit(g); a
+    rewritten root's slot holds the last instruction it emitted, and the key
+    (label, slot) the ones before it until build(), so no slot moves.
+    `sites` and `uses` are its census (a parameter's site is None), kept
+    current, and `start` the use counts of g. `stale` holds the rewritten
+    roots and the users they handed a new operand."""
+
+    def __init__(self, g: Function):
+        self.g = g
+        self.slots: dict = edit(g)
+        self.sites, self.uses = _census(self.slots)
+        self.sites.update(dict.fromkeys(g.params))
+        self.start = dict(self.uses)
+        rpo = rpo_order(g)
+        self.rank = {lbl: k for k, lbl in enumerate(rpo)}
+        self.nodes = [ins for lbl in rpo for ins in self.slots[lbl] if ins.opcode in ("add", "sub")]
+        self.stale: set[str] = set()
+        self.counter = count()
+
+    def def_of(self, name: str) -> Instruction | None:
+        site = self.sites.get(name)
+        return self.slots[site[0]][site[1]] if site else None
+
+    def fell(self, name: str) -> bool:
+        """Whether name's use count fell to 1 in this sweep."""
+        return self.uses[name] == 1 != self.start.get(name, 1)
+
+    def order(self, name: str) -> tuple[int, int]:
+        """g's value_order, a new root value taking its root's place."""
+        site = self.sites[name]
+        return (-1, self.g.params.index(name)) if site is None else (self.rank[site[0]], site[1])
+
+    def live_back(self, lbl: str, i: int):
+        """The live instructions of block lbl from slot i back to its start."""
+        slots = self.slots[lbl]
+        for j in range(i, -1, -1):
+            if slots[j] is not None:
+                yield slots[j]
+            yield from filter(None, reversed(self.slots.get((lbl, j), ())))
+
+    def build(self) -> Function:
+        for key in sorted((key for key in self.slots if isinstance(key, tuple)), reverse=True):
+            self.slots[key[0]][key[1]:key[1]] = self.slots.pop(key)
+        return freeze(self.g, self.slots)
+
+
+def tree_roots(sw: _Sweep) -> list[tuple[str, tuple]]:
+    """Roots of the maximal add/sub trees of the sweep's input, in program
+    order, each with its linearization. Scanned bottom-up so outer trees
+    claim absorbable inner nodes."""
+    roots = []
     claimed: set[str] = set()
-    for _, _, ins in reversed(list(rpo_instrs(f))):
-        if ins.opcode not in ("add", "sub") or ins.result in claimed:
-            continue
-        absorbed = _linearize(ud, ins)[2]
-        claimed |= absorbed
-        roots.append((ins.result, absorbed))
-    roots.reverse()
-    return roots
+    for ins in reversed(sw.nodes):
+        if ins.result not in claimed:
+            tree = _linearize(ins, sw.def_of, sw.uses)
+            claimed |= tree[2]
+            roots.append((ins.result, tree))
+    return roots[::-1]
 
 
-def _in_place(instrs, i: int, absorbed: frozenset[str], emitted: list[Instruction]) -> bool:
-    """Whether the tree rooted at instrs[i] already sits in the instruction
-    list instrs as `emitted`: the len(emitted) instructions ending at i
-    define exactly the root and `absorbed`, and each equals its emitted
-    counterpart once emitted names are mapped in order to the old ones (the
-    last emitted value, which replaces the root, to the root's). Re-emitting
-    would then only rename values."""
-    start = i + 1 - len(emitted)
-    if len(emitted) != len(absorbed) + 1 or start < 0:
-        return False
-    old = instrs[start:i + 1]
-    if {ins.result for ins in old} != absorbed | {instrs[i].result}:
-        return False
-    names: dict[str, str] = {}
-    for new, ins in zip(emitted, old):
-        ops = tuple(ValueRef(names.get(op.name, op.name)) if isinstance(op, ValueRef) else op
-                    for op in new.operands)
-        if new.opcode != ins.opcode or ops != ins.operands:
-            return False
-        names[new.result] = ins.result
-    return True
-
-
-def _rewrite_tree(f: Function, root_name: str, counter) -> Function | None:
-    """f with the tree under root_name re-emitted in canonical form, or None
-    when that would cost more or change nothing. New values are named t<n>,
-    n drawn from counter; the form is emitted before the cost test, so the
-    counter advances alike either way.
-
-    A tree already in place in the form it would be emitted in is left
-    alone without building a candidate (_in_place): the candidate would be f
-    with those values renamed. Any other tree is rewritten, and the
-    candidate differs from f; whether it is a program the search has seen
-    is the search's question, not the pass's."""
-    ud = use_def(f)
-    root = ud.instrs.get(root_name)
+def _rewrite_tree(sw: _Sweep, root_name: str, tree) -> bool:
+    """Re-emit the tree under root_name in canonical form in the sweep's
+    working form, or return False when that would cost more or change
+    nothing. `tree` is its linearization on the sweep's input, which holds
+    unless a leaf is stale or fell to one use. New values are named t<n>,
+    fresh against the values defined now, n drawn from the sweep's counter
+    before either test, so the counter advances alike either way. A tree
+    already in place in its canonical form (emitted names aside) is
+    recognised without building an instruction. Otherwise the root's slot
+    takes the emitted instructions, its users at once take the new value (a
+    later tree may be given a freed name), and the absorbed defs, then
+    whatever only they used, are erased."""
+    root = sw.def_of(root_name)
     if root is None:
-        return None
-    terms, const, absorbed = _linearize(ud, root)
-    taken = set(f.params) | set(ud.defs)
-
-    def namer() -> str:
-        name = next(n for n in (f"t{c}" for c in counter) if n not in taken)
-        taken.add(name)
-        return name
-
-    emitted, acc = _emit_linear(f, terms, const, namer)
+        return False
+    terms, const, absorbed = tree
+    if not sw.stale.isdisjoint(terms) or any(map(sw.fell, terms)):
+        terms, const, absorbed = _linearize(root, sw.def_of, sw.uses)
+    form, acc = _linear_form(terms, const, sw.order)
+    names: list[str] = []
+    while len(names) < len(form):
+        name = f"t{next(sw.counter)}"
+        if name not in sw.sites:
+            names.append(name)
+    lbl, i = sw.sites[root_name]
+    old = list(islice(sw.live_back(lbl, i), len(form)))[::-1] if absorbed else [root]
     model = DEFAULT_COST_MODEL
-    old_cost = model.cost(root.opcode) + sum(model.cost(ud.instrs[n].opcode) for n in absorbed)
-    lbl, i = ud.defs[root_name]
-    if (sum(model.cost(ins.opcode) for ins in emitted) > old_cost
-            or _in_place(f.block(lbl).instrs, i, absorbed, emitted)):
-        return None
-    blocks = edit(f)
-    blocks[lbl][i:i + 1] = emitted
-    subst = {root_name: acc}
-    _erase_dead(blocks, absorbed, subst)
-    return freeze(f, blocks, subst)
+    if (len(form) == len(absorbed) + 1 == len(old)
+            and {ins.result for ins in old} == absorbed | {root_name}
+            and _named(form, [ins.result for ins in old]) == [(ins.opcode, ins.operands)
+                                                             for ins in old]
+            or sum(model.cost(op) for op, _ in form) > model.cost(root.opcode) + sum(
+                model.cost(sw.def_of(n).opcode) for n in absorbed)):
+        return False
+
+    emitted = [Instruction(n, op, ops) for n, (op, ops) in zip(names, _named(form, names))]
+    for op in root.operands:
+        if isinstance(op, ValueRef):
+            sw.uses[op.name] -= 1
+    for ins in emitted:
+        for op in ins.operands:
+            if isinstance(op, ValueRef):
+                sw.uses[op.name] += 1
+    sw.slots[lbl][i] = emitted[-1] if emitted else None
+    sw.slots[(lbl, i)] = emitted[:-1]
+    del sw.sites[root_name]
+    for j, ins in enumerate(emitted):
+        sw.sites[ins.result] = ((lbl, i), j) if ins is not emitted[-1] else (lbl, i)
+    # a new value starts with one use, the root's value with the root's uses
+    sw.start.update(dict.fromkeys(names, 1))
+    if isinstance(acc, int):
+        acc = ValueRef(names[acc])
+        sw.start[acc.name] = sw.start.get(root_name, 1)
+    n_users = sw.uses.pop(root_name, 0)  # the name may be drawn again
+    if isinstance(acc, ValueRef):
+        sw.uses[acc.name] += n_users
+    ref = ValueRef(root_name)
+    sw.stale.add(root_name)
+    for instrs in sw.slots.values():
+        for j, user in enumerate(instrs):
+            if user is not None and ref in user.operands:
+                instrs[j] = Instruction(user.result, user.opcode, tuple(
+                    acc if o == ref else o for o in user.operands), user.labels)
+                sw.stale.add(user.result)
+    _erase_dead(sw.slots, absorbed, (sw.sites, sw.uses))
+    return True
 
 
 def apply_reassociate(f: Function) -> PassOutcome:
     """Canonicalize maximal add/sub trees (mul-by-literal absorbed as a
     coefficient): combine like terms, order leaves by canonical value index,
     re-emit. A root is skipped when re-emission would cost more or change
-    nothing, so the pass changed f exactly when it rewrote a root. A sweep
-    decides on its input's use counts, and a rewrite can leave a leaf of
-    another tree one use, so sweeps repeat until one rewrites nothing."""
+    nothing, so the pass changed f exactly when it rewrote a root.
+
+    A sweep rewrites its input's trees in program order on one working form
+    (_Sweep) and builds its output once. A rewrite can leave a leaf of a
+    tree the sweep has passed a single use (`x - x` cancels, or a dead tree
+    that shared it is dropped), so a further sweep runs when some add, sub
+    or mul value's use count fell to 1."""
     if not _has_opcode(f, "add", "sub"):
         return PassOutcome(False, f)
-    g, h = None, f
-    while h is not g:
-        g, counter = h, count()
-        for root_name, _ in tree_roots(g):
-            h = _rewrite_tree(h, root_name, counter) or h
-    return PassOutcome(g is not f, g)
+    g = f
+    while True:
+        sw = _Sweep(g)
+        changed = False
+        for root_name, tree in tree_roots(sw):
+            changed |= _rewrite_tree(sw, root_name, tree)
+        if not changed:
+            return PassOutcome(g is not f, g)
+        again = any(sw.fell(n) and sw.def_of(n).opcode in ("add", "sub", "mul")
+                    for n in sw.sites if sw.sites[n])
+        g = sw.build()
+        if not again:
+            return PassOutcome(True, g)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +730,8 @@ def _promotable_allocas(f: Function) -> list[str]:
     if not allocas:
         return []
     ud = use_def(f)
-    live = live_cells(f)
+    # without a load, no cell is live anywhere
+    live = live_cells(f) if _has_opcode(f, "load") else dict.fromkeys(rpo_order(f), ())
     index = {b.label: b for b in f.blocks}
     addresses = {ValueRef(p) for _, p in allocas}
 
@@ -696,10 +755,21 @@ def apply_mem2reg(f: Function) -> PassOutcome:
     A block's new phis follow its existing ones, cells in RPO order of their
     allocas. Phis of cell p are named p_<i>, fresh against every name f
     defines, so no phi takes the name of an erased load, which freeze would
-    still substitute."""
+    still substitute.
+
+    Without a load (as in a dead-store detour of a load-free program), no
+    cell is live, so none gets a phi or substitutes a value: the allocas and
+    their stores are erased with no dominators, frontiers or rename walk."""
     cells = _promotable_allocas(f)
     if not cells:
         return PassOutcome(False, f)
+    if not _has_opcode(f, "load"):
+        ud = use_def(f)
+        blocks = edit(f)
+        for p in cells:
+            for lbl, i, *_ in (ud.defs[p], *ud.uses[p]):
+                blocks[lbl][i] = None
+        return PassOutcome(True, freeze(f, blocks))
     live = live_cells(f)
     dt = compute_dominators(f)
     df = dominance_frontiers(f)

@@ -2,6 +2,7 @@ import signal
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -48,9 +49,7 @@ from bidiropt.passes import (
     FORWARD_PASSES,
     PassOutcome,
     _drop_incomings,
-    _emit_linear,
     _fold_binop,
-    _linearize,
     apply_pass,
     edit,
     erasable,
@@ -311,14 +310,132 @@ def reference_erase_dead(blocks: dict[str, list[Instruction | None]], seeds: set
     return erased
 
 
-def reference_rewrite_tree(f: Function, ud, root_name: str, counter) -> Function | None:
-    """passes._rewrite_tree as it was before it learned to recognize a tree
-    already in place: it always builds the candidate and compares canonical
-    hashes. Kept as the oracle the shortcut must match call for call."""
+def _reference_signed(c: int) -> int:
+    return c - (1 << 32) if c >= (1 << 31) else c
+
+
+def reference_linearize(ud, root: Instruction) -> tuple[dict[str, int], int, frozenset[str]]:
+    """passes._linearize as it was when it read use_def of a frozen
+    Function: the maximal add/sub/mul-by-literal tree under root as leaf ->
+    coefficient (mod 2^32), a constant term and the absorbed defs."""
+    terms: dict[str, int] = {}
+    const = 0
+    absorbed: set[str] = set()
+    work = [(root.operands[1], (1 << 32) - 1 if root.opcode == "sub" else 1),
+            (root.operands[0], 1)]
+    while work:
+        op, coeff = work.pop()
+        coeff &= MASK32
+        if isinstance(op, Literal):
+            const = (const + coeff * op.value) & MASK32
+            continue
+        ins = ud.instrs.get(op.name)
+        if ins is not None and ud.use_count(op.name) == 1:
+            if ins.opcode in ("add", "sub"):
+                absorbed.add(op.name)
+                work.append((ins.operands[1], coeff if ins.opcode == "add" else -coeff))
+                work.append((ins.operands[0], coeff))
+                continue
+            if ins.opcode == "mul":
+                a, b = ins.operands
+                if isinstance(a, Literal) and not isinstance(b, Literal):
+                    a, b = b, a
+                if isinstance(b, Literal):
+                    absorbed.add(op.name)
+                    work.append((a, coeff * b.value))
+                    continue
+        terms[op.name] = (terms.get(op.name, 0) + coeff) & MASK32
+    return terms, const, frozenset(absorbed)
+
+
+def reference_emit_linear(f: Function, terms, const: int,
+                          namer) -> tuple[list[Instruction], Operand]:
+    """passes._emit_linear as it was when it ordered leaves by value_order:
+    sum(coeff * leaf) + const, positive terms as mul/add, negative ones as
+    sub, the constant last."""
+    idx = ir.value_order(f)
+    pos = sorted((idx[n], n, c) for n, c in terms.items() if 0 < _reference_signed(c))
+    neg = sorted((idx[n], n, (-_reference_signed(c)) & MASK32)
+                 for n, c in terms.items() if _reference_signed(c) < 0)
+    out: list[Instruction] = []
+
+    def term(name: str, c: int) -> Operand:
+        if c == 1:
+            return ValueRef(name)
+        r = namer()
+        out.append(Instruction(r, "mul", (ValueRef(name), Literal(c))))
+        return ValueRef(r)
+
+    def join(op: str, a: Operand, b: Operand) -> Operand:
+        r = namer()
+        out.append(Instruction(r, op, (a, b)))
+        return ValueRef(r)
+
+    const_used = False
+    if pos:
+        acc = term(pos[0][1], pos[0][2])
+        for _, n, c in pos[1:]:
+            acc = join("add", acc, term(n, c))
+    else:
+        acc = Literal(const)
+        const_used = True
+    for _, n, c in neg:
+        acc = join("sub", acc, term(n, c))
+    if not const_used and const != 0:
+        if _reference_signed(const) > 0:
+            acc = join("add", acc, Literal(const))
+        else:
+            acc = join("sub", acc, Literal((-_reference_signed(const)) & MASK32))
+    return out, acc
+
+
+def reference_tree_roots(f: Function) -> list[tuple[str, frozenset[str]]]:
+    """passes.tree_roots as it was before it handed its linearization on:
+    the roots of the maximal add/sub trees, each with the defs it absorbs,
+    in program order, scanned bottom-up so outer trees claim inner nodes."""
+    ud = use_def(f)
+    roots: list[tuple[str, frozenset[str]]] = []
+    claimed: set[str] = set()
+    for _, _, ins in reversed(list(rpo_instrs(f))):
+        if ins.opcode not in ("add", "sub") or ins.result in claimed:
+            continue
+        absorbed = reference_linearize(ud, ins)[2]
+        claimed |= absorbed
+        roots.append((ins.result, absorbed))
+    roots.reverse()
+    return roots
+
+
+def _reference_in_place(instrs, i: int, absorbed, emitted: list[Instruction]) -> bool:
+    """Whether the len(emitted) instructions ending at instrs[i] define
+    exactly the root and absorbed and equal emitted once emitted names are
+    mapped in order to the old ones."""
+    start = i + 1 - len(emitted)
+    if len(emitted) != len(absorbed) + 1 or start < 0:
+        return False
+    old = instrs[start:i + 1]
+    if {ins.result for ins in old} != absorbed | {instrs[i].result}:
+        return False
+    names: dict[str, str] = {}
+    for new, ins in zip(emitted, old):
+        ops = tuple(ValueRef(names.get(op.name, op.name)) if isinstance(op, ValueRef) else op
+                    for op in new.operands)
+        if new.opcode != ins.opcode or ops != ins.operands:
+            return False
+        names[new.result] = ins.result
+    return True
+
+
+def reference_rewrite_tree(f: Function, root_name: str, counter) -> Function | None:
+    """passes._rewrite_tree as it was when it built a Function per tree: f
+    with the tree under root_name re-emitted in canonical form (new values
+    t<n>, n drawn from counter, emitted before the cost test), or None when
+    that would cost more or the tree already sits in place in that form."""
+    ud = use_def(f)
     root = ud.instrs.get(root_name)
     if root is None:
         return None
-    terms, const, absorbed = _linearize(ud, root)
+    terms, const, absorbed = reference_linearize(ud, root)
     taken = set(f.params) | set(ud.defs)
 
     def namer() -> str:
@@ -326,19 +443,35 @@ def reference_rewrite_tree(f: Function, ud, root_name: str, counter) -> Function
         taken.add(name)
         return name
 
-    emitted, acc = _emit_linear(f, terms, const, namer)
+    emitted, acc = reference_emit_linear(f, terms, const, namer)
     model = DEFAULT_COST_MODEL
     old_cost = model.cost(root.opcode) + sum(model.cost(ud.instrs[n].opcode) for n in absorbed)
-    if sum(model.cost(ins.opcode) for ins in emitted) > old_cost:
-        return None
     lbl, i = ud.defs[root_name]
+    if (sum(model.cost(ins.opcode) for ins in emitted) > old_cost
+            or _reference_in_place(f.block(lbl).instrs, i, absorbed, emitted)):
+        return None
     blocks = edit(f)
     blocks[lbl][i:i + 1] = emitted
     candidate = freeze(f, blocks, {root_name: acc})
     blocks = edit(candidate)
     reference_erase_dead(blocks, set(absorbed))
-    candidate = freeze(candidate, blocks)
-    return None if canonical_hash(candidate) == canonical_hash(f) else candidate
+    return freeze(candidate, blocks)
+
+
+def reference_reassociate(f: Function) -> PassOutcome:
+    """passes.apply_reassociate as it was before one sweep worked on one
+    working form: each sweep decides its roots on its input, rewrites them
+    one at a time with a Function built after each, and sweeps again until
+    a sweep rewrites nothing. Kept as the oracle the one-form sweep must
+    match, names included."""
+    if not any(ins.opcode in ("add", "sub") for b in f.blocks for ins in b.instrs):
+        return PassOutcome(False, f)
+    g, h = None, f
+    while h is not g:
+        g, counter = h, count()
+        for root_name, _ in reference_tree_roots(g):
+            h = reference_rewrite_tree(h, root_name, counter) or h
+    return PassOutcome(g is not f, g)
 
 
 def reference_promotable_allocas(f: Function) -> list[str]:

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidiropt import analysis, passes
-from bidiropt.analysis import use_def
 from bidiropt.cost import rank_key, static_cost
 from bidiropt.interp import differential_check, interpret
 from bidiropt.ir import (
@@ -30,16 +29,17 @@ from bidiropt.passes import (
     FORWARD_PASSES,
     PassOutcome,
     _erase_dead,
-    _rewrite_tree,
     apply_pass,
     edit,
-    tree_roots,
 )
+from bidiropt.reverse import reverse_variants
 
 from conftest import (
     CORPUS_AND_WITNESSES,
     REFERENCE_PASSES,
+    REGRESS_FILES,
     VALID_FILES,
+    all_reverse_variants,
     cfg_program,
     load,
     memory_cfg,
@@ -48,6 +48,7 @@ from conftest import (
     reference_erase_dead,
     reference_interpret,
     reference_mem2reg,
+    reference_reassociate,
     reference_rewrite_tree,
     same_modulo_name,
     straightline,
@@ -268,35 +269,151 @@ def test_reassociate_absorbs_a_leaf_its_own_rewrite_left_single_use(body, want):
     assert not apply_pass("reassociate", out.function).changed
 
 
-def _rewrite_both(f, root):
-    """_rewrite_tree and reference_rewrite_tree on one root, each with its
-    own fresh counter; returns both results and both counters' next value."""
-    ours, theirs = count(), count()
-    got = _rewrite_tree(f, root, ours)
-    want = reference_rewrite_tree(f, use_def(f), root, theirs)
-    return got, want, next(ours), next(theirs)
+def _assert_reassociate_matches_reference(f):
+    """The one-form sweep equals the Function-per-tree oracle, names included."""
+    got, want = apply_pass("reassociate", f), reference_reassociate(f)
+    assert (got.changed, got.function) == (want.changed, want.function), print_function(f)
 
 
-def _assert_rewrites_match_reference(f):
-    for root, _ in tree_roots(f):
-        got, want, n_ours, n_theirs = _rewrite_both(f, root)
-        assert (got is None) == (want is None), (print_function(f), root)
-        if got is not None:
-            assert print_function(got) == print_function(want), (print_function(f), root)
-        assert n_ours == n_theirs, (print_function(f), root)
+def _and_reverse_neighbours(f):
+    """f, its one-step neighbours and its two-step reverse neighbours."""
+    once = all_reverse_variants(f)
+    return [f, *one_step_neighbours(f), *(w.function for v in once
+                                          for w in all_reverse_variants(v.function))]
 
 
 @pytest.mark.parametrize("path", VALID_FILES, ids=[p.stem for p in VALID_FILES])
 def test_rewrite_tree_matches_reference_on_corpus_and_neighbours(path):
-    f = parse_function(path.read_text())
-    for g in [f, *one_step_neighbours(f)]:
-        _assert_rewrites_match_reference(g)
+    for g in _and_reverse_neighbours(parse_function(path.read_text())):
+        _assert_reassociate_matches_reference(g)
+
+
+@pytest.mark.parametrize("path", REGRESS_FILES, ids=[p.stem for p in REGRESS_FILES])
+def test_reassociate_matches_reference_on_regress_and_neighbours(path):
+    for g in _and_reverse_neighbours(parse_function(path.read_text())):
+        _assert_reassociate_matches_reference(g)
 
 
 @given(straightline())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 def test_rewrite_tree_matches_reference_on_generated_programs(text):
-    _assert_rewrites_match_reference(parse_function(text))
+    _assert_reassociate_matches_reference(parse_function(text))
+
+
+@given(st.one_of(memory_cfg(), cfg_program()))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_reassociate_matches_reference_on_generated_cfgs(text):
+    _assert_reassociate_matches_reference(parse_function(text))
+
+
+def test_reassociate_gives_a_freed_name_to_a_new_value():
+    # %t0's tree collapses to %p, which frees the name; %v's tree is then
+    # emitted as a new %t0, so %u must already read %p and ret the new %t0
+    f = parse_function("""func @f(%p) {
+entry:
+  %t0 = add %p, 0
+  %u = xor %t0, 7
+  %q = udiv %p, 3
+  %m = mul %q, 1
+  %v = sub %u, %m
+  ret %v
+}
+""")
+    out = apply_pass("reassociate", f)
+    assert print_function(out.function) == """func @f(%p) {
+entry:
+  %u = xor %p, 7
+  %q = udiv %p, 3
+  %t0 = sub %u, %q
+  ret %t0
+}
+"""
+    _assert_reassociate_matches_reference(f)
+
+
+def test_reassociate_puts_a_literal_in_the_users_of_a_tree_that_folds_to_it():
+    # %b folds to 3, so %c becomes a multiply by a literal, single-use, and
+    # %d's tree, later in the same sweep, absorbs it
+    f = parse_function("""func @f(%p, %q) {
+entry:
+  %a = add %p, 3
+  %b = sub %a, %p
+  %c = mul %b, %q
+  %d = add %c, %b
+  ret %d
+}
+""")
+    out = apply_pass("reassociate", f)
+    assert print_function(out.function) == """func @f(%p, %q) {
+entry:
+  %t0 = mul %q, 3
+  %t1 = add %t0, 3
+  ret %t1
+}
+"""
+    _assert_reassociate_matches_reference(f)
+
+
+def test_reassociate_relinearizes_a_tree_whose_leaf_took_a_literal():
+    # %one folds to 1, which turns %m into a single-use multiply by a
+    # literal: %r's tree, as linearized on the sweep's input, had %m as a
+    # leaf, and now absorbs it
+    f = parse_function("""func @f(%p, %q) {
+entry:
+  %one = add 0, 1
+  %m = mul %p, %one
+  %r = add %m, %q
+  ret %r
+}
+""")
+    out = apply_pass("reassociate", f)
+    assert print_function(out.function) == \
+        "func @f(%p, %q) {\nentry:\n  %t0 = add %p, %q\n  ret %t0\n}\n"
+    _assert_reassociate_matches_reference(f)
+
+
+@pytest.mark.parametrize("body, want", [
+    # %c cancels %m's two uses before %r's tree comes up: %r must absorb
+    # %m, which leaves the tree in place, not order %q before %m
+    ("%m = mul %p, 3\n  %c = sub %m, %m\n  %r = add %m, %q\n  %s = xor %c, %r\n  ret %s",
+     "%m = mul %p, 3\n  %r = add %m, %q\n  %s = xor 0, %r\n  ret %s"),
+    # %z cancels %w, so %v absorbs %w and leaves the new value of %v0 one
+    # use, in %v's tree, which the sweep has passed: a second sweep takes it
+    ("%v0 = add 4294967295, %p\n  %w = mul %v0, 2\n  %u = sub %w, %q\n  %z = sub %w, %w\n"
+     "  %v = sub %u, %v0\n  ret %v",
+     "%t2 = sub %p, %q\n  %t3 = sub %t2, 1\n  ret %t3"),
+], ids=["leaf-fell-before-its-tree", "new-value-fell-after-its-user"])
+def test_reassociate_follows_use_counts_that_fall_to_one(body, want):
+    def func(b):
+        return f"func @f(%p, %q) {{\nentry:\n  {b}\n}}\n"
+
+    f = parse_function(func(body))
+    assert print_function(apply_pass("reassociate", f).function) == func(want)
+    _assert_reassociate_matches_reference(f)
+
+
+def _counted_sweeps(f):
+    """apply_reassociate(f), with how many sweeps it ran, Functions it built
+    and use_def it asked for."""
+    with mock.patch.object(passes, "_Sweep", wraps=passes._Sweep) as sweep, \
+            mock.patch.object(passes, "freeze", wraps=passes.freeze) as freeze, \
+            mock.patch.object(passes, "use_def", wraps=passes.use_def) as ud:
+        out = apply_pass("reassociate", f)
+    return out, sweep.call_count, freeze.call_count, ud.call_count
+
+
+def test_reassociate_builds_one_function_per_sweep():
+    # no use count falls to 1 on bin2bcd_expanded, so one sweep is the
+    # fixpoint; it builds its output once and counts uses itself
+    out, sweeps, built, uds = _counted_sweeps(load("bin2bcd_expanded"))
+    assert out.changed
+    assert (sweeps, built, uds) == (1, 1, 0)
+    # the cancelled %v0 - %v0 leaves %v0 one use, in a tree the first sweep
+    # had already passed, so a second sweep absorbs it
+    f = parse_function("func @f(%p) {\nentry:\n  %v0 = add %p, 1\n  %v1 = add %v0, 1\n"
+                       "  %v2 = sub %v0, %v0\n  ret %v2\n}\n")
+    out, sweeps, built, uds = _counted_sweeps(f)
+    assert (sweeps, built, uds) == (2, 2, 0)
 
 
 def test_reassociate_moves_a_tree_split_by_an_unrelated_instruction():
@@ -311,13 +428,12 @@ entry:
   ret %s
 }
 """)
-    got, want, _, _ = _rewrite_both(f, "r")
+    want = reference_rewrite_tree(f, "r", count())
     assert want is not None
-    assert print_function(got) == print_function(want)
-    assert "%u = xor %x, 1\n  %t0 = add %x, %y\n  %t1 = add %t0, 5\n" in print_function(got)
+    assert "%u = xor %x, 1\n  %t0 = add %x, %y\n  %t1 = add %t0, 5\n" in print_function(want)
     out = apply_pass("reassociate", f)
     assert out.changed
-    assert print_function(out.function) == print_function(want)
+    assert out.function == want
 
 
 def test_reassociate_puts_a_literal_first_coefficient_last():
@@ -330,30 +446,30 @@ entry:
   ret %r
 }
 """)
-    got, want, _, _ = _rewrite_both(f, "r")
+    want = reference_rewrite_tree(f, "r", count())
     assert want is not None
-    assert print_function(got) == print_function(want)
-    assert "mul %x, 3" in print_function(got)
-    assert apply_pass("reassociate", f).changed
+    assert "mul %x, 3" in print_function(want)
+    out = apply_pass("reassociate", f)
+    assert out.changed
+    assert out.function == want
 
 
 @pytest.mark.parametrize("path", VALID_FILES, ids=[p.stem for p in VALID_FILES])
 def test_rewrite_tree_leaves_every_canonical_tree_without_a_candidate(path, monkeypatch):
-    # Wherever the reference finds nothing to change, _rewrite_tree must know
-    # it from the tree itself (or the cost gate): it builds no candidate.
-    # That no pass prints or hashes at all is checked in test_reverse.py
-    # (test_no_pass_or_enumeration_prints).
+    # Wherever the oracle changes nothing, every tree is in canonical form
+    # (or the cost gate keeps it): the sweep must know it from the tree
+    # itself, so it builds no instruction and no Function and returns its
+    # input. That no pass prints or hashes at all is checked in
+    # test_reverse.py (test_no_pass_or_enumeration_prints).
     f = parse_function(path.read_text())
-    programs = [f, *one_step_neighbours(f)]
+    programs = [g for g in [f, *one_step_neighbours(f)] if not reference_reassociate(g).changed]
     built = []
-    monkeypatch.setattr(passes, "edit", lambda g: built.append(g) or edit(g))
+    monkeypatch.setattr(passes, "Instruction", lambda *a: built.append(a))
+    monkeypatch.setattr(passes, "freeze", lambda *a: built.append(a))
     for g in programs:
-        for root, _ in tree_roots(g):
-            if reference_rewrite_tree(g, use_def(g), root, count()) is not None:
-                continue
-            built.clear()
-            assert _rewrite_tree(g, root, count()) is None
-            assert built == [], (print_function(g), root)
+        out = apply_pass("reassociate", g)
+        assert out.function is g and not out.changed
+        assert built == [], print_function(g)
 
 
 def test_cse_merges_duplicate_udiv():
@@ -652,6 +768,39 @@ def test_memory_passes_match_reference_on_generated_programs(text):
             before, after = reference_interpret(f, [x]), reference_interpret(got.function, [x])
             assert (after.outcome, after.value, after.reason) == \
                 (before.outcome, before.value, before.reason), (name, x)
+
+
+@given(memory_cfg())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mem2reg_matches_reference_names_included_when_no_cell_is_loaded(text):
+    # With no load, a promotable cell gets no phi, so nothing can be named
+    # apart from the reference: the programs are equal field for field.
+    f = parse_function(text)
+    got, want = apply_pass("mem2reg", f), reference_mem2reg(f)
+    assert got.changed == want.changed
+    if not any(ins.opcode == "load" for b in f.blocks for ins in b.instrs):
+        assert got.function == want.function
+    else:
+        assert canonical_text(got.function) == canonical_text(want.function)
+
+
+def test_mem2reg_erases_a_dead_store_detour_without_ssa_construction(monkeypatch):
+    # a cell no load reads is live nowhere: its alloca and stores go at
+    # once, with no liveness, dominators, frontiers or rename walk
+    f = load("bin2bcd")
+    variants = reverse_variants("rev-insert-dead-store", f)
+    assert variants
+    wants = [reference_mem2reg(v.function) for v in variants]
+
+    def refuse(g):
+        raise AssertionError("SSA construction on a never-loaded cell")
+
+    for name in ("compute_dominators", "dominance_frontiers", "dom_tree_walk", "live_cells"):
+        monkeypatch.setattr(passes, name, refuse)
+    for v, want in zip(variants, wants):
+        got = apply_pass("mem2reg", v.function)
+        assert got.changed and want.changed
+        assert got.function == want.function
 
 
 # --- the fixpoint passes against the step-at-a-time oracle ------------------

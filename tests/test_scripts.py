@@ -2,6 +2,7 @@
 exits 0."""
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -128,3 +129,19 @@ def test_report_digest(compare_report):
     # loop_counter_alloca's longer rows run past 25 steps; bin2bcd never does
     assert [cut for *_, cut, _ in measured] == ["diverged@25=0",
                                                 f"diverged@25={measured[1][1]}"]
+
+
+def test_bench_snapshot(tmp_path):
+    # one short equiv-class run and one traced run of this checkout
+    out = tmp_path / "BENCH_0.json"
+    proc = _run("bench_snapshot.py", 0, "--workload", "equiv-class", "--seeds", 7,
+                "--seconds", 0.01, "--output", out)
+    assert proc.returncode == 0, proc.stderr
+    snap = json.loads(out.read_text())
+    assert snap["n"] == 0 and snap["seeds"] == [7]
+    (change,) = snap["checkouts"].values()
+    assert change["correct"] and change["failed"] == 0
+    assert change["end_to_end"]["best_cost_sum"]["median"] == 29
+    assert change["per_layer"]["search.class_nodes"] > 0
+    assert change["src_lines"] == sum(
+        len(p.read_text().splitlines()) for p in (ROOT / "src" / "bidiropt").glob("*.py"))
