@@ -5,15 +5,15 @@ its parent.
 
     python3 scripts/bench_snapshot.py 31 --parent ../parent-checkout
 
-runs `bench/run.py --workload W --seed S --seconds T --trace 0` of each
-checkout as a subprocess, once per seed (the two checkouts take turns to
-run first, so that drift of the host falls on both sides alike), then one
-`--trace 1` run per checkout at the first seed. For each checkout it
-records the median and the runs of every end-to-end metric, the per-layer
-metrics of the traced run, whether every run was correct, how many
+runs `bench/run.py --workload all --seed S --seconds 4 --trace 0` of each
+checkout as a subprocess, once for each of the ten seeds n, ..., n + 9 (the
+two checkouts take turns to run first, so that drift of the host falls on
+both sides alike), then one `--trace 1` run per checkout at seed n. For each
+checkout it records the median and the runs of every end-to-end metric, the
+per-layer metrics of the traced run, whether every run was correct, how many
 operations failed, and the line count of src/bidiropt/*.py. Nothing under
 bench/ changes; each run prints to, and writes .bench_out/ of, its own
-checkout.
+checkout. BENCH_<n>.json is written at the root of this checkout.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOAD, SECONDS, PAIRS = "all", 4.0, 10
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -72,27 +73,21 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("n", type=int, help="the number in BENCH_<n>.json")
     ap.add_argument("--parent", type=Path, default=None,
                     help="a checkout of the parent commit, measured alongside")
-    ap.add_argument("--workload", default="all")
-    ap.add_argument("--seeds", default="21,22,23,24,25,26",
-                    help="comma-separated bench/run.py seeds, one run each")
-    ap.add_argument("--seconds", type=float, default=4.0)
-    ap.add_argument("--output", type=Path, default=None,
-                    help="where to write (default: BENCH_<n>.json at the repo root)")
     args = ap.parse_args(argv)
 
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = list(range(args.n, args.n + PAIRS))
     checkouts = {"change": ROOT}
     if args.parent is not None:
         checkouts["parent"] = args.parent.resolve()
     result = {
         "n": args.n,
-        "command": f"bench/run.py --workload {args.workload} --seconds {args.seconds}",
+        "command": f"bench/run.py --workload {WORKLOAD} --seconds {SECONDS}",
         "seeds": seeds,
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "system": platform.system()},
-        "checkouts": snapshot(checkouts, args.workload, seeds, args.seconds),
+        "checkouts": snapshot(checkouts, WORKLOAD, seeds, SECONDS),
     }
-    path = args.output or ROOT / f"BENCH_{args.n}.json"
+    path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     for name, c in result["checkouts"].items():
         walls = {m: v["median"] for m, v in c["end_to_end"].items() if m.endswith("wall_s")}

@@ -1,9 +1,10 @@
 """Forward (efficiency-increasing) passes.
 
 One application = one deterministic whole-function sweep on one working
-form (edit), frozen once (reassociate sweeps again only when a use count it
-lowered lets a tree it passed absorb more); blocks are visited in RPO and
-instructions in order unless a pass says otherwise. Rewrites erase the
+form (edit), frozen once; blocks are visited in RPO and instructions in
+order unless a pass says otherwise. reassociate is the exception: it
+freezes after each tree it rewrites, and sweeps again only when a use count
+it lowered lets a tree it passed absorb more. Rewrites erase the
 instructions they render dead immediately; nothing else is cleaned up (that
 is dce's job).
 Every pass takes and returns a valid Function and reports whether
@@ -12,7 +13,6 @@ anything changed.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from itertools import count, islice
@@ -47,6 +47,7 @@ from .ir import (
     rpo_instrs,
     rpo_order,
     successors,
+    value_order,
 )
 
 
@@ -89,44 +90,46 @@ def freeze(f: Function, blocks: dict[str, list[Instruction | None]],
         for b in f.blocks if b.label in blocks))
 
 
-def _census(blocks: dict) -> tuple[dict[str, tuple], defaultdict[str, int]]:
-    """Where each value of a working form is defined, as (key, index) in
-    blocks, and how many operands use it."""
-    sites: dict[str, tuple] = {}
-    uses: defaultdict[str, int] = defaultdict(int)
-    for key, instrs in blocks.items():
+def _erase_dead(blocks: dict[str, list[Instruction | None]], seeds,
+                subst: dict[str, Operand] | None = None) -> bool:
+    """Transitively erase trap-free pure defs in `seeds` once nothing uses
+    them, feeding their operands back in as candidates. Uses are counted once,
+    with operands resolved through subst as freeze will, and decremented as
+    their users go; erasure is monotone, so the order does not matter.
+    Returns whether anything was erased."""
+    def refs(ins: Instruction) -> list[str]:
+        ops = [resolve(o, subst) for o in ins.operands] if subst else ins.operands
+        return [o.name for o in ops if isinstance(o, ValueRef)]
+
+    uses: dict[str, int] = {}
+    sites: dict[str, tuple[list, int]] = {}
+    for instrs in blocks.values():
         for i, ins in enumerate(instrs):
             if ins is None:
                 continue
-            if ins.result is not None:
-                sites[ins.result] = (key, i)
             for op in ins.operands:
+                if subst:
+                    op = resolve(op, subst)
                 if isinstance(op, ValueRef):
-                    uses[op.name] += 1
-    return sites, uses
-
-
-def _erase_dead(blocks: dict, seeds, census=None) -> bool:
-    """Transitively erase trap-free pure defs in `seeds` once nothing uses
-    them, feeding their operands back in as candidates. The census of blocks
-    is taken here unless given, and kept current as uses go; erasure is
-    monotone, so the order does not matter. Returns whether anything was
-    erased."""
-    sites, uses = census or _census(blocks)
+                    uses[op.name] = uses.get(op.name, 0) + 1
+            if ins.result is not None:
+                sites[ins.result] = (instrs, i)
     work = list(seeds)
     erased = False
     while work:
         name = work.pop()
-        site = sites.get(name)  # None for a parameter
-        if uses[name] or site is None or not erasable(ins := blocks[site[0]][site[1]]):
+        if uses.get(name) or name not in sites:
             continue
-        key, i = sites.pop(name)
-        blocks[key][i] = None
+        instrs, i = sites[name]
+        ins = instrs[i]
+        if not erasable(ins):
+            continue
+        del sites[name]
+        instrs[i] = None
         erased = True
-        for op in ins.operands:
-            if isinstance(op, ValueRef):
-                uses[op.name] -= 1
-                work.append(op.name)
+        for n in refs(ins):
+            uses[n] -= 1
+            work.append(n)
     return erased
 
 
@@ -313,12 +316,9 @@ def apply_add_to_or(f: Function) -> PassOutcome:
 # ---------------------------------------------------------------------------
 # reassociate
 
-def _linearize(root: Instruction, def_of, uses: Mapping[str, int]
-               ) -> tuple[dict[str, int], int, frozenset[str]]:
+def _linearize(ud, root: Instruction) -> tuple[dict[str, int], int, frozenset[str]]:
     """Collapse the maximal add/sub/mul-by-literal tree under root into
-    leaf -> coefficient (mod 2^32), a constant term, and the absorbed defs:
-    the single-use nodes below root, def_of(name) being the instruction that
-    defines name (None for a parameter) and uses[name] its use count."""
+    leaf -> coefficient (mod 2^32), a constant term, and the absorbed defs."""
     terms: dict[str, int] = {}
     const = 0
     absorbed: set[str] = set()
@@ -331,8 +331,8 @@ def _linearize(root: Instruction, def_of, uses: Mapping[str, int]
         if isinstance(op, Literal):
             const = (const + coeff * op.value) & MASK32
             continue
-        ins = def_of(op.name)
-        if ins is not None and uses[op.name] == 1:
+        ins = ud.instrs.get(op.name)
+        if ins is not None and ud.use_count(op.name) == 1:
             if ins.opcode in ("add", "sub"):
                 absorbed.add(op.name)
                 work.append((ins.operands[1], coeff if ins.opcode == "add" else -coeff))
@@ -387,133 +387,58 @@ def _named(form: list[tuple], names: list[str]) -> list[tuple[str, tuple]]:
             for op, ops in form]
 
 
-class _Sweep:
-    """One reassociate sweep's working form over g. `slots` is edit(g); a
-    rewritten root's slot holds the last instruction it emitted, and the key
-    (label, slot) the ones before it until build(), so no slot moves.
-    `sites` and `uses` are its census (a parameter's site is None), kept
-    current, and `start` the use counts of g. `stale` holds the rewritten
-    roots and the users they handed a new operand."""
-
-    def __init__(self, g: Function):
-        self.g = g
-        self.slots: dict = edit(g)
-        self.sites, self.uses = _census(self.slots)
-        self.sites.update(dict.fromkeys(g.params))
-        self.start = dict(self.uses)
-        rpo = rpo_order(g)
-        self.rank = {lbl: k for k, lbl in enumerate(rpo)}
-        self.nodes = [ins for lbl in rpo for ins in self.slots[lbl] if ins.opcode in ("add", "sub")]
-        self.stale: set[str] = set()
-        self.counter = count()
-
-    def def_of(self, name: str) -> Instruction | None:
-        site = self.sites.get(name)
-        return self.slots[site[0]][site[1]] if site else None
-
-    def fell(self, name: str) -> bool:
-        """Whether name's use count fell to 1 in this sweep."""
-        return self.uses[name] == 1 != self.start.get(name, 1)
-
-    def order(self, name: str) -> tuple[int, int]:
-        """g's value_order, a new root value taking its root's place."""
-        site = self.sites[name]
-        return (-1, self.g.params.index(name)) if site is None else (self.rank[site[0]], site[1])
-
-    def live_back(self, lbl: str, i: int):
-        """The live instructions of block lbl from slot i back to its start."""
-        slots = self.slots[lbl]
-        for j in range(i, -1, -1):
-            if slots[j] is not None:
-                yield slots[j]
-            yield from filter(None, reversed(self.slots.get((lbl, j), ())))
-
-    def build(self) -> Function:
-        for key in sorted((key for key in self.slots if isinstance(key, tuple)), reverse=True):
-            self.slots[key[0]][key[1]:key[1]] = self.slots.pop(key)
-        return freeze(self.g, self.slots)
-
-
-def tree_roots(sw: _Sweep) -> list[tuple[str, tuple]]:
-    """Roots of the maximal add/sub trees of the sweep's input, in program
-    order, each with its linearization. Scanned bottom-up so outer trees
-    claim absorbable inner nodes."""
+def tree_roots(f: Function) -> list[tuple[str, tuple]]:
+    """Roots of the maximal add/sub trees, each with its linearization, in
+    program order. Scanned bottom-up so outer trees claim absorbable inner
+    nodes."""
+    ud = use_def(f)
     roots = []
     claimed: set[str] = set()
-    for ins in reversed(sw.nodes):
-        if ins.result not in claimed:
-            tree = _linearize(ins, sw.def_of, sw.uses)
-            claimed |= tree[2]
-            roots.append((ins.result, tree))
-    return roots[::-1]
+    for _, _, ins in reversed(list(rpo_instrs(f))):
+        if ins.opcode not in ("add", "sub") or ins.result in claimed:
+            continue
+        tree = _linearize(ud, ins)
+        claimed |= tree[2]
+        roots.append((ins.result, tree))
+    roots.reverse()
+    return roots
 
 
-def _rewrite_tree(sw: _Sweep, root_name: str, tree) -> bool:
-    """Re-emit the tree under root_name in canonical form in the sweep's
-    working form, or return False when that would cost more or change
-    nothing. `tree` is its linearization on the sweep's input, which holds
-    unless a leaf is stale or fell to one use. New values are named t<n>,
-    fresh against the values defined now, n drawn from the sweep's counter
-    before either test, so the counter advances alike either way. A tree
-    already in place in its canonical form (emitted names aside) is
-    recognised without building an instruction. Otherwise the root's slot
-    takes the emitted instructions, its users at once take the new value (a
-    later tree may be given a freed name), and the absorbed defs, then
-    whatever only they used, are erased."""
-    root = sw.def_of(root_name)
+def _rewrite_tree(f: Function, root_name: str, counter, tree=None
+                  ) -> tuple[Function, list[str], Operand] | None:
+    """f with the tree under root_name re-emitted in canonical form, the
+    names of the emitted values and the operand that replaces the root; or
+    None when that would cost more or change nothing. `tree` is the tree's
+    linearization in f when the caller has it. New values are named t<n>,
+    fresh against f's values, n drawn from counter before either test, so
+    the counter advances alike either way. A tree already in place in the
+    form it would be emitted in (emitted names aside) is recognised without
+    building an instruction."""
+    ud = use_def(f)
+    root = ud.instrs.get(root_name)
     if root is None:
-        return False
-    terms, const, absorbed = tree
-    if not sw.stale.isdisjoint(terms) or any(map(sw.fell, terms)):
-        terms, const, absorbed = _linearize(root, sw.def_of, sw.uses)
-    form, acc = _linear_form(terms, const, sw.order)
-    names: list[str] = []
-    while len(names) < len(form):
-        name = f"t{next(sw.counter)}"
-        if name not in sw.sites:
-            names.append(name)
-    lbl, i = sw.sites[root_name]
-    old = list(islice(sw.live_back(lbl, i), len(form)))[::-1] if absorbed else [root]
+        return None
+    terms, const, absorbed = tree or _linearize(ud, root)
+    form, acc = _linear_form(terms, const, value_order(f).__getitem__)
+    names = list(islice((n for n in (f"t{c}" for c in counter) if n not in ud.defs),
+                        len(form)))
+    lbl, i = ud.defs[root_name]
+    old = f.block(lbl).instrs[max(0, i + 1 - len(form)):i + 1]
     model = DEFAULT_COST_MODEL
     if (len(form) == len(absorbed) + 1 == len(old)
             and {ins.result for ins in old} == absorbed | {root_name}
             and _named(form, [ins.result for ins in old]) == [(ins.opcode, ins.operands)
                                                              for ins in old]
             or sum(model.cost(op) for op, _ in form) > model.cost(root.opcode) + sum(
-                model.cost(sw.def_of(n).opcode) for n in absorbed)):
-        return False
-
-    emitted = [Instruction(n, op, ops) for n, (op, ops) in zip(names, _named(form, names))]
-    for op in root.operands:
-        if isinstance(op, ValueRef):
-            sw.uses[op.name] -= 1
-    for ins in emitted:
-        for op in ins.operands:
-            if isinstance(op, ValueRef):
-                sw.uses[op.name] += 1
-    sw.slots[lbl][i] = emitted[-1] if emitted else None
-    sw.slots[(lbl, i)] = emitted[:-1]
-    del sw.sites[root_name]
-    for j, ins in enumerate(emitted):
-        sw.sites[ins.result] = ((lbl, i), j) if ins is not emitted[-1] else (lbl, i)
-    # a new value starts with one use, the root's value with the root's uses
-    sw.start.update(dict.fromkeys(names, 1))
-    if isinstance(acc, int):
-        acc = ValueRef(names[acc])
-        sw.start[acc.name] = sw.start.get(root_name, 1)
-    n_users = sw.uses.pop(root_name, 0)  # the name may be drawn again
-    if isinstance(acc, ValueRef):
-        sw.uses[acc.name] += n_users
-    ref = ValueRef(root_name)
-    sw.stale.add(root_name)
-    for instrs in sw.slots.values():
-        for j, user in enumerate(instrs):
-            if user is not None and ref in user.operands:
-                instrs[j] = Instruction(user.result, user.opcode, tuple(
-                    acc if o == ref else o for o in user.operands), user.labels)
-                sw.stale.add(user.result)
-    _erase_dead(sw.slots, absorbed, (sw.sites, sw.uses))
-    return True
+                model.cost(ud.instrs[n].opcode) for n in absorbed)):
+        return None
+    blocks = edit(f)
+    blocks[lbl][i:i + 1] = [Instruction(n, op, ops)
+                            for n, (op, ops) in zip(names, _named(form, names))]
+    acc = ValueRef(names[acc]) if isinstance(acc, int) else acc
+    subst = {root_name: acc}
+    _erase_dead(blocks, absorbed, subst)
+    return freeze(f, blocks, subst), names, acc
 
 
 def apply_reassociate(f: Function) -> PassOutcome:
@@ -522,24 +447,33 @@ def apply_reassociate(f: Function) -> PassOutcome:
     re-emit. A root is skipped when re-emission would cost more or change
     nothing, so the pass changed f exactly when it rewrote a root.
 
-    A sweep rewrites its input's trees in program order on one working form
-    (_Sweep) and builds its output once. A rewrite can leave a leaf of a
-    tree the sweep has passed a single use (`x - x` cancels, or a dead tree
-    that shared it is dropped), so a further sweep runs when some add, sub
-    or mul value's use count fell to 1."""
+    A sweep takes its roots, and their linearizations, from its input and
+    builds a Function after each tree it rewrites; a tree after the first
+    rewrite is linearized again on the current Function. A rewrite can
+    leave a leaf of a tree the sweep has passed a single use (`x - x`
+    cancels, or a dead tree that shared it is dropped), so a further sweep
+    runs only when some add, sub or mul value's use count fell to 1. `start`
+    holds the count a value began the sweep with where the input's use_def
+    does not: 1 for a new value, the root's for the value that replaces
+    it."""
     if not _has_opcode(f, "add", "sub"):
         return PassOutcome(False, f)
     g = f
     while True:
-        sw = _Sweep(g)
-        changed = False
-        for root_name, tree in tree_roots(sw):
-            changed |= _rewrite_tree(sw, root_name, tree)
-        if not changed:
+        h, counter, ud, start = g, count(), use_def(g), {}
+        for root_name, tree in tree_roots(g):
+            out = _rewrite_tree(h, root_name, counter, tree if h is g else None)
+            if out is not None:
+                h, names, acc = out
+                start.update(dict.fromkeys(names, 1))
+                if isinstance(acc, ValueRef) and acc.name in names:
+                    start[acc.name] = start.get(root_name, ud.use_count(root_name))
+        if h is g:
             return PassOutcome(g is not f, g)
-        again = any(sw.fell(n) and sw.def_of(n).opcode in ("add", "sub", "mul")
-                    for n in sw.sites if sw.sites[n])
-        g = sw.build()
+        hud = use_def(h)
+        again = any(hud.use_count(n) == 1 != start.get(n, ud.use_count(n))
+                    and ins.opcode in ("add", "sub", "mul") for n, ins in hud.instrs.items())
+        g = h
         if not again:
             return PassOutcome(True, g)
 

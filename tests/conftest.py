@@ -459,11 +459,12 @@ def reference_rewrite_tree(f: Function, root_name: str, counter) -> Function | N
 
 
 def reference_reassociate(f: Function) -> PassOutcome:
-    """passes.apply_reassociate as it was before one sweep worked on one
-    working form: each sweep decides its roots on its input, rewrites them
-    one at a time with a Function built after each, and sweeps again until
-    a sweep rewrites nothing. Kept as the oracle the one-form sweep must
-    match, names included."""
+    """passes.apply_reassociate as it was before it took each tree's
+    linearization from tree_roots and swept again only when a use count
+    fell to 1: each sweep decides its roots on its input, rewrites them one
+    at a time with a Function built after each, and sweeps again until a
+    sweep rewrites nothing. Kept as the oracle the pass must match, names
+    included."""
     if not any(ins.opcode in ("add", "sub") for b in f.blocks for ins in b.instrs):
         return PassOutcome(False, f)
     g, h = None, f

@@ -18,6 +18,7 @@ from bidiropt import analysis, passes
 from bidiropt.cost import rank_key, static_cost
 from bidiropt.interp import differential_check, interpret
 from bidiropt.ir import (
+    Instruction,
     canonical_hash,
     canonical_text,
     defined_values,
@@ -31,9 +32,11 @@ from bidiropt.passes import (
     _erase_dead,
     apply_pass,
     edit,
+    freeze,
 )
 from bidiropt.reverse import reverse_variants
 
+import conftest
 from conftest import (
     CORPUS_AND_WITNESSES,
     REFERENCE_PASSES,
@@ -48,6 +51,7 @@ from conftest import (
     reference_erase_dead,
     reference_interpret,
     reference_mem2reg,
+    reference_emit_linear,
     reference_reassociate,
     reference_rewrite_tree,
     same_modulo_name,
@@ -270,7 +274,8 @@ def test_reassociate_absorbs_a_leaf_its_own_rewrite_left_single_use(body, want):
 
 
 def _assert_reassociate_matches_reference(f):
-    """The one-form sweep equals the Function-per-tree oracle, names included."""
+    """The pass equals its oracle, which always sweeps once more, names
+    included."""
     got, want = apply_pass("reassociate", f), reference_reassociate(f)
     assert (got.changed, got.function) == (want.changed, want.function), print_function(f)
 
@@ -393,27 +398,27 @@ def test_reassociate_follows_use_counts_that_fall_to_one(body, want):
 
 
 def _counted_sweeps(f):
-    """apply_reassociate(f), with how many sweeps it ran, Functions it built
-    and use_def it asked for."""
-    with mock.patch.object(passes, "_Sweep", wraps=passes._Sweep) as sweep, \
-            mock.patch.object(passes, "freeze", wraps=passes.freeze) as freeze, \
-            mock.patch.object(passes, "use_def", wraps=passes.use_def) as ud:
+    """apply_reassociate(f), with how many sweeps it ran and Functions it
+    built."""
+    with mock.patch.object(passes, "tree_roots", wraps=passes.tree_roots) as sweep, \
+            mock.patch.object(passes, "freeze", wraps=passes.freeze) as freeze:
         out = apply_pass("reassociate", f)
-    return out, sweep.call_count, freeze.call_count, ud.call_count
+    return out, sweep.call_count, freeze.call_count
 
 
-def test_reassociate_builds_one_function_per_sweep():
-    # no use count falls to 1 on bin2bcd_expanded, so one sweep is the
-    # fixpoint; it builds its output once and counts uses itself
-    out, sweeps, built, uds = _counted_sweeps(load("bin2bcd_expanded"))
+def test_reassociate_sweeps_again_only_when_a_use_count_fell_to_one():
+    # bin2bcd_expanded has one tree to rewrite and no use count falls to 1,
+    # so one sweep is the fixpoint: no confirming sweep, one Function
+    out, sweeps, built = _counted_sweeps(load("bin2bcd_expanded"))
     assert out.changed
-    assert (sweeps, built, uds) == (1, 1, 0)
+    assert (sweeps, built) == (1, 1)
     # the cancelled %v0 - %v0 leaves %v0 one use, in a tree the first sweep
     # had already passed, so a second sweep absorbs it
     f = parse_function("func @f(%p) {\nentry:\n  %v0 = add %p, 1\n  %v1 = add %v0, 1\n"
                        "  %v2 = sub %v0, %v0\n  ret %v2\n}\n")
-    out, sweeps, built, uds = _counted_sweeps(f)
-    assert (sweeps, built, uds) == (2, 2, 0)
+    out, sweeps, built = _counted_sweeps(f)
+    assert (sweeps, built) == (2, 2)
+    _assert_reassociate_matches_reference(f)
 
 
 def test_reassociate_moves_a_tree_split_by_an_unrelated_instruction():
@@ -454,22 +459,78 @@ entry:
     assert out.function == want
 
 
+def _oracle_emissions(f):
+    """reference_reassociate(f), and how many instructions the trees it
+    rewrites emit."""
+    emitted: list[int] = []
+
+    def emit(*args):
+        out = reference_emit_linear(*args)
+        emitted.append(len(out[0]))
+        return out
+
+    def rewrite(*args):
+        n = len(emitted)
+        h = reference_rewrite_tree(*args)
+        if h is None:
+            del emitted[n:]
+        return h
+
+    with mock.patch.object(conftest, "reference_emit_linear", emit), \
+            mock.patch.object(conftest, "reference_rewrite_tree", rewrite):
+        out = reference_reassociate(f)
+    return out, sum(emitted)
+
+
+def _built_by_reassociate(f, monkeypatch):
+    """apply_reassociate(f), and the (result, opcode, operands) of each
+    Instruction and the arguments of each freeze it asked for."""
+    built, frozen = [], []
+    with monkeypatch.context() as m:
+        m.setattr(passes, "Instruction", lambda *a: built.append(a) or Instruction(*a))
+        m.setattr(passes, "freeze", lambda *a: frozen.append(a) or freeze(*a))
+        out = apply_pass("reassociate", f)
+    return out, built, frozen
+
+
 @pytest.mark.parametrize("path", VALID_FILES, ids=[p.stem for p in VALID_FILES])
 def test_rewrite_tree_leaves_every_canonical_tree_without_a_candidate(path, monkeypatch):
-    # Wherever the oracle changes nothing, every tree is in canonical form
-    # (or the cost gate keeps it): the sweep must know it from the tree
-    # itself, so it builds no instruction and no Function and returns its
-    # input. That no pass prints or hashes at all is checked in
-    # test_reverse.py (test_no_pass_or_enumeration_prints).
+    # The pass builds an instruction only for a tree the oracle rewrites, as
+    # many as those rewrites emit: a tree in canonical form (or kept by the
+    # cost gate) must be known from the tree itself, beside a rewritten tree
+    # or not. Where the oracle changes nothing, the pass also builds no
+    # Function and returns its input. That no pass prints or hashes at all
+    # is checked in test_reverse.py (test_no_pass_or_enumeration_prints).
     f = parse_function(path.read_text())
-    programs = [g for g in [f, *one_step_neighbours(f)] if not reference_reassociate(g).changed]
-    built = []
-    monkeypatch.setattr(passes, "Instruction", lambda *a: built.append(a))
-    monkeypatch.setattr(passes, "freeze", lambda *a: built.append(a))
-    for g in programs:
-        out = apply_pass("reassociate", g)
-        assert out.function is g and not out.changed
-        assert built == [], print_function(g)
+    for g in [f, *one_step_neighbours(f)]:
+        want, n_emitted = _oracle_emissions(g)
+        out, built, frozen = _built_by_reassociate(g, monkeypatch)
+        assert (out.changed, out.function) == (want.changed, want.function), print_function(g)
+        assert len(built) == n_emitted, print_function(g)
+        if not want.changed:
+            assert out.function is g and frozen == [], print_function(g)
+
+
+def test_reassociate_builds_nothing_for_a_canonical_tree_after_a_rewrite(monkeypatch):
+    # %a's tree is rewritten to %t0, %t1; %c's tree, later in the same
+    # block, is in canonical form on the rewritten function, so it is left
+    # without building the %t2, %t3 its emission would have named
+    f = parse_function("""func @f(%p, %q) {
+entry:
+  %m = mul %q, 2
+  %a = add %m, %p
+  %x = xor %a, %a
+  %b = mul %p, 3
+  %c = add %b, %q
+  %y = xor %x, %c
+  ret %y
+}
+""")
+    out, built, frozen = _built_by_reassociate(f, monkeypatch)
+    assert [b[0] for b in built] == ["t0", "t1"] and len(frozen) == 1
+    assert "  %t0 = mul %q, 2\n  %t1 = add %p, %t0\n  %x = xor %t1, %t1\n" \
+        "  %b = mul %p, 3\n  %c = add %b, %q\n" in print_function(out.function)
+    _assert_reassociate_matches_reference(f)
 
 
 def test_cse_merges_duplicate_udiv():

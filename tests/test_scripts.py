@@ -2,7 +2,6 @@
 exits 0."""
 
 import hashlib
-import json
 import os
 import shutil
 import subprocess
@@ -131,17 +130,18 @@ def test_report_digest(compare_report):
                                                 f"diverged@25={measured[1][1]}"]
 
 
-def test_bench_snapshot(tmp_path):
+def test_bench_snapshot():
     # one short equiv-class run and one traced run of this checkout
-    out = tmp_path / "BENCH_0.json"
-    proc = _run("bench_snapshot.py", 0, "--workload", "equiv-class", "--seeds", 7,
-                "--seconds", 0.01, "--output", out)
-    assert proc.returncode == 0, proc.stderr
-    snap = json.loads(out.read_text())
-    assert snap["n"] == 0 and snap["seeds"] == [7]
-    (change,) = snap["checkouts"].values()
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import bench_snapshot
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    snap = bench_snapshot.snapshot({"change": ROOT}, "equiv-class", [7], 0.01)
+    (change,) = snap.values()
     assert change["correct"] and change["failed"] == 0
     assert change["end_to_end"]["best_cost_sum"]["median"] == 29
+    assert change["end_to_end"]["wall_s"]["runs"] == [change["end_to_end"]["wall_s"]["median"]]
     assert change["per_layer"]["search.class_nodes"] > 0
     assert change["src_lines"] == sum(
         len(p.read_text().splitlines()) for p in (ROOT / "src" / "bidiropt").glob("*.py"))
